@@ -80,8 +80,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <sys/resource.h>
-#include <sys/stat.h>
-#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -301,14 +299,9 @@ int main(int argc, char **argv) {
     if (ChaosKillAfterSave) {
       // Die the way a real worker crash does: SIGKILL mid-analysis, but
       // only once a snapshot exists on disk -- the scenario where
-      // "retry is resume" must hold.  The watcher polls for the
-      // atomically-renamed snapshot file.
-      std::thread([Path = checkpointPath(Ckpt.Directory)] {
-        struct stat St;
-        while (::stat(Path.c_str(), &St) != 0)
-          ::usleep(1000);
-        ::kill(::getpid(), SIGKILL);
-      }).detach();
+      // "retry is resume" must hold.  Killing from the save itself means
+      // the run can never finish (and retire the snapshot) first.
+      Ckpt.AfterSave = [] { ::kill(::getpid(), SIGKILL); };
     }
 
     AnalysisOptions AOpt(Options);

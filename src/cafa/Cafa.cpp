@@ -74,10 +74,13 @@ AnalysisResult cafa::analyzeTrace(const Trace &T,
   }
   bool WroteSnapshot = false;
   auto RecordSaveError = [&](const Status &S) {
-    if (S.ok())
+    if (S.ok()) {
       WroteSnapshot = true;
-    else if (RO.SaveError.empty())
+      if (CkptOpt.AfterSave)
+        CkptOpt.AfterSave();
+    } else if (RO.SaveError.empty()) {
       RO.SaveError = S.message();
+    }
   };
   auto StampIdentity = [&](AnalysisSnapshot &Out) {
     Out.TraceFingerprint = Fp;

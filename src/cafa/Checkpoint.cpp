@@ -18,7 +18,7 @@ namespace {
 /// answers from silently mis-decoded state are the one unacceptable
 /// failure mode.
 constexpr char SnapshotMagic[9] = "CAFACKPT";
-constexpr uint32_t SnapshotVersion = 4; // v4: windowed detect frontier
+constexpr uint32_t SnapshotVersion = 5; // v5: no atomicity cursors
 
 /// Caps on length-prefixed counts, so a corrupt count that slipped past
 /// the checksum cannot drive a multi-gigabyte allocation.  Generous:
@@ -86,7 +86,6 @@ void putHbFrontier(SnapshotWriter &W, const HbFrontier &F) {
     W.u32(E.From.value());
     W.u32(E.To.value());
   }
-  putCursors(W, F.AtomCursors);
   putCursors(W, F.SendCursors);
   W.u64(F.RowWords);
   W.u64(F.ClosureRows.size());
@@ -119,7 +118,7 @@ bool getHbFrontier(SnapshotReader &R, HbFrontier &F) {
     E.From = NodeId(From);
     E.To = NodeId(To);
   }
-  if (!getCursors(R, F.AtomCursors) || !getCursors(R, F.SendCursors))
+  if (!getCursors(R, F.SendCursors))
     return false;
   uint64_t RowWords, NumWords;
   if (!R.u64(RowWords) || !R.u64(NumWords) || NumWords > MaxRowWords)

@@ -32,6 +32,7 @@
 #include "support/Status.h"
 #include "trace/Trace.h"
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -49,6 +50,11 @@ struct CheckpointOptions {
   /// corrupt, or mismatched snapshot falls back to a clean start (the
   /// outcome says which).
   bool Resume = false;
+  /// Called each time a snapshot has landed on disk.  A crash-testing
+  /// hook: offline_analyzer's --chaos-kill-after-save dies here, so its
+  /// kill follows the first save deterministically instead of racing
+  /// the run's completion (which retires the snapshot).
+  std::function<void()> AfterSave;
 
   bool enabled() const { return !Directory.empty(); }
 };

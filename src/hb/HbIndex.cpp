@@ -197,7 +197,11 @@ struct HbIndex::Builder {
     }
   }
 
-  uint64_t VisitAtom = 0, SkipAtom = 0, VisitSend = 0, SkipSend = 0;
+  /// Cumulative work counters for CAFA_HB_PROFILE: the atomicity sweep's
+  /// sources swept, row words projected and proposals, and the send
+  /// scans' pair visits and skips.
+  uint64_t SweptSources = 0, ProjectedWords = 0, AtomProposals = 0;
+  uint64_t VisitSend = 0, SkipSend = 0;
 
   /// Worker pool for the parallel analysis mode (HbOptions::Threads),
   /// lent by HbIndex; nullptr or zero helpers means sequential rounds.
@@ -212,45 +216,49 @@ struct HbIndex::Builder {
   const uint8_t *RoundChanged = nullptr;
   bool RoundExact = false;
 
-  /// Output and scratch of one scan unit (a dispatch chunk or one
-  /// queue's pair scan).  Parallel rounds give every unit its own
-  /// ScanOut and merge them in canonical order, so the committed
-  /// proposal stream, counters, and cursors never depend on which
-  /// thread ran what.  Covered[i] marks an adjacent conclusion
-  /// end(i) -> begin(i+1) that holds in the oracle or in this round's
-  /// proposals; Run[i] counts consecutive covered links starting at i.
+  /// Output and scratch of one scan unit (a dispatch chunk, one queue's
+  /// pair scan or gap-1 pass, or a range of atomicity sweep sources).
+  /// Parallel rounds give every unit its own ScanOut and merge them in
+  /// canonical order, so the committed proposal stream, counters, and
+  /// cursors never depend on which thread ran what.  Covered[i] marks an
+  /// adjacent conclusion end(i) -> begin(i+1) that holds in the oracle
+  /// or in this round's proposals; Run[i] counts consecutive covered
+  /// links starting at i.
   struct ScanOut {
     std::vector<std::pair<NodeId, NodeId>> Edges;
     uint64_t Atomicity = 0, Q1 = 0, Q2 = 0, Q3 = 0, Q4 = 0;
-    uint64_t VisitAtom = 0, SkipAtom = 0, VisitSend = 0, SkipSend = 0;
+    uint64_t SweptSources = 0, ProjectedWords = 0;
+    uint64_t VisitSend = 0, SkipSend = 0;
     std::vector<uint8_t> Covered;
     std::vector<uint32_t> Run;
   };
 
-  /// Semi-naive scan frontier, one per queue and rule family.  Pairs are
-  /// scanned in gap-diagonal order; everything lexicographically below
-  /// (Gap, I) has been evaluated at least once ("seen") in an earlier
-  /// round.  Seen pairs are re-evaluated only when a premise-source row
-  /// changed in the last oracle update; unseen pairs always evaluate and
-  /// are the only place the per-round edge cap may cut the scan, so the
-  /// seen region's sweep always completes -- the invariant that makes
-  /// the change-driven skip sound.  The cursor type lives in HbIndex.h
-  /// (HbScanCursor) because checkpoints persist these frontiers.
-  std::vector<HbScanCursor> AtomCursor, SendCursor;
+  /// Semi-naive scan frontier of the queue rules, one per send queue.
+  /// Pairs are scanned in gap-diagonal order; everything
+  /// lexicographically below (Gap, I) has been evaluated at least once
+  /// ("seen") in an earlier round.  Seen pairs are re-evaluated only when
+  /// a premise-source row changed in the last oracle update; unseen
+  /// pairs always evaluate and are the only place the per-round edge cap
+  /// may cut the scan, so the seen region's sweep always completes --
+  /// the invariant that makes the change-driven skip sound.  The cursor
+  /// type lives in HbIndex.h (HbScanCursor) because checkpoints persist
+  /// these frontiers.
+  std::vector<HbScanCursor> SendCursor;
 
-  /// Reverse maps from a node id to its role in the rule premises, so a
-  /// gained reachability fact (From now reaches To) can be dispatched to
-  /// exactly the rule instances it can newly fire.  Premises are:
-  ///   atomicity   begin(eI) < end(eJ)    Begin source, End target
-  ///   queue 1..4  s1 < s2 (post nodes)   Send source and target
-  ///   queue 2/4   s2 < begin(e1)         Send source, Begin target
+  /// Reverse map from a node id to its role in the queue-rule premises,
+  /// so a gained reachability fact (From now reaches To) can be
+  /// dispatched to exactly the rule instances it can newly fire.
+  /// Premises are:
+  ///   queue 1..4  s1 < s2 (post nodes)       Send source and target
+  ///   queue 2/4   s2 < begin(e1)             Send source, posted target
   /// FactSources/FactTargets are those same sets as masks, installed
-  /// into the oracle as its gained-fact filter.
+  /// into the oracle as its gained-fact filter.  The atomicity rule
+  /// needs no facts: it is swept whole every round (AtomQueue).
   struct NodeRole {
-    enum Kind : uint8_t { None, Begin, End, Send } K = None;
+    bool IsSend = false;
     uint32_t Q = 0;   ///< queue index
-    uint32_t Pos = 0; ///< position in QueueEvents[Q] / QueueSends[Q]
-    /// For Begin nodes: the send that posted this event (as a position
+    uint32_t Pos = 0; ///< position in QueueSends[Q]
+    /// For begin nodes: the send that posted this event (as a position
     /// in QueueSends[SendQ]), or SendQ == UINT32_MAX if none recorded.
     uint32_t SendQ = UINT32_MAX;
     uint32_t SendPos = 0;
@@ -258,37 +266,38 @@ struct HbIndex::Builder {
   std::vector<NodeRole> Roles;
   BitVec FactSources, FactTargets;
 
-  /// Fills Roles and the fact filter masks.  Call after collect() and
-  /// addBaseEdges(), once the graph's node universe is final.
-  void buildFactTables() {
+  /// One looper's events laid out for the atomicity sweep: member k of
+  /// Begins/Ends is begin(e_k)/end(e_k) in QueueEvents order.  Built the
+  /// first round gap 1 leaves the looper uncovered (layOutLooper), so
+  /// covered loopers -- the common case at scale -- never pay for it.
+  struct AtomQueue {
+    NodeProjection Begins, Ends;
+  };
+  std::vector<AtomQueue> AtomQueues;
+
+  void layOutLooper(size_t Qi) {
+    const std::vector<TaskId> &Events = QueueEvents[Qi];
+    if (AtomQueues[Qi].Begins.size() == Events.size())
+      return;
+    std::vector<NodeId> Begins, Ends;
+    for (TaskId E : Events) {
+      Begins.push_back(G.beginNode(E));
+      Ends.push_back(G.endNode(E));
+    }
+    AtomQueues[Qi] = {NodeProjection(std::move(Begins)),
+                      NodeProjection(std::move(Ends))};
+  }
+
+  /// Fills Roles and the fact filter masks, and sizes the atomicity
+  /// layouts.  Call after collect() and addBaseEdges(), once the graph's
+  /// node universe is final.
+  void buildRuleTables() {
     size_t N = G.numNodes();
     Roles.assign(N, {});
     FactSources.resize(N);
     FactTargets.resize(N);
-    for (size_t Q = 0; Q != QueueEvents.size(); ++Q) {
-      const std::vector<TaskId> &Events = QueueEvents[Q];
-      if (Events.size() < 2)
-        continue; // no pairs, no premises
-      for (size_t Pos = 0; Pos != Events.size(); ++Pos) {
-        NodeId B = G.beginNode(Events[Pos]);
-        NodeId E = G.endNode(Events[Pos]);
-        if (B.isValid()) {
-          NodeRole &R = Roles[B.index()];
-          R.K = NodeRole::Begin;
-          R.Q = static_cast<uint32_t>(Q);
-          R.Pos = static_cast<uint32_t>(Pos);
-          FactSources.set(B.index());
-        }
-        if (E.isValid()) {
-          NodeRole &R = Roles[E.index()];
-          R.K = NodeRole::End;
-          R.Q = static_cast<uint32_t>(Q);
-          R.Pos = static_cast<uint32_t>(Pos);
-          FactTargets.set(E.index());
-        }
-      }
-    }
-    for (size_t Q = 0; Q != QueueSends.size(); ++Q) {
+    AtomQueues.assign(QueueEvents.size(), {});
+    for (size_t Q = 0; Q != QueueSends.size() && Opt.EnableQueueRules; ++Q) {
       const std::vector<SendOp> &Sends = QueueSends[Q];
       if (Sends.size() < 2)
         continue;
@@ -296,7 +305,7 @@ struct HbIndex::Builder {
         const SendOp &S = Sends[Pos];
         if (S.Node.isValid()) {
           NodeRole &R = Roles[S.Node.index()];
-          R.K = NodeRole::Send;
+          R.IsSend = true;
           R.Q = static_cast<uint32_t>(Q);
           R.Pos = static_cast<uint32_t>(Pos);
           FactSources.set(S.Node.index());
@@ -314,59 +323,17 @@ struct HbIndex::Builder {
     }
   }
 
-  /// One fixpoint round of the atomicity and event-queue rules.
-  ///
-  /// Pairs are scanned in gap-diagonal order (all adjacent pairs first,
-  /// then distance 2, ...) and each round caps the number of edges it
-  /// collects.  Both choices fight the same degenerate case: a chain of
-  /// k same-delay sends satisfies rule 1 for all k^2/2 pairs, but only
-  /// the k-1 adjacent edges carry information -- every wider pair is
-  /// implied by chaining them through program order.
-  ///
-  /// The chain structure is also what lets the scan prune: gap 1
-  /// records which adjacent conclusions are *covered* (already implied,
-  /// or proposed into this round's batch), and a wider pair whose whole
-  /// window is covered is skipped without a query -- its conclusion is
-  /// implied by the covered links, so proposing it would either be
-  /// rejected or insert a redundant edge.
-  ///
-  /// On top of that, rounds after the first are *semi-naive* when the
-  /// oracle reports deltas:
-  ///
-  ///  - \p Gained (exact mode) lists the premise-shaped reachability
-  ///    facts that became true in the last update.  Each fact is
-  ///    dispatched through Roles to the rule instances it can newly
-  ///    fire, and the already-seen region of every scan is skipped
-  ///    entirely -- a seen pair either fired when its premise first
-  ///    appeared (its conclusion is in the graph and propose() drops it
-  ///    as implied) or its premise has still never held.  Steady-state
-  ///    round cost collapses from quadratic pair re-scans to the
-  ///    dispatch of a shrinking fact list.
-  ///  - \p ChangedRows (coarse mode, when only row-level dirt is known)
-  ///    keeps the scans but skips seen pairs whose premise-source rows
-  ///    did not grow.
-  ///  - nullptr for both (rebuild-based closure, BFS) re-scans
-  ///    everything -- a from-scratch oracle cannot say what changed,
-  ///    which is precisely the engine gap bench/offline_scaling
-  ///    measures.
-  ///
-  /// Every skip is of a pair that provably proposes nothing new, so the
-  /// fixpoint -- and therefore every report -- is identical across
-  /// oracles; only time and memory differ.
-  ///
-  /// \returns the edges added this round (already inserted into the
-  /// graph), for the oracle's delta path.
   // -- Scan primitives ---------------------------------------------------
-  // The historical sequential scan's lambdas, hoisted to members so the
-  // parallel mode can run the same code against per-task ScanOut
-  // buffers.  All of them read only the frozen round context and the
-  // pre-round cursors; the only mutation is into the ScanOut (and, for
-  // capped scans, a cursor write on a cap cut -- capped scans only ever
-  // run sequentially).
+  // Members so the parallel mode can run the same code against per-unit
+  // ScanOut buffers.  All of them read only the frozen round context and
+  // the pre-round cursors; the only mutation is into the ScanOut (and,
+  // for capped send scans, a cursor write on a cap cut -- capped scans
+  // only ever run sequentially).
 
   bool reaches(NodeId From, NodeId To) const {
-    // Pair scans issue millions of queries per round; closure-backed
-    // oracles expose their rows so the hot path is an inline bit test.
+    // Gap-1 passes and send scans issue many queries per round;
+    // closure-backed oracles expose their rows so the hot path is an
+    // inline bit test.
     return RoundRows ? RoundRows[From.index()].test(To.index())
                      : RoundOracle->reaches(From, To);
   }
@@ -375,6 +342,13 @@ struct HbIndex::Builder {
   /// Conservative on nullptr (no delta information) and invalid nodes.
   bool rowChanged(NodeId Node) const {
     return !RoundChanged || !Node.isValid() || RoundChanged[Node.index()];
+  }
+
+  /// Will the graph accept edge From -> To?  HbGraph::addEdge refuses
+  /// edges against trace order (a salvaged trace may contradict its own
+  /// linearization), and a refused proposal covers nothing.
+  static bool accepted(NodeId From, NodeId To) {
+    return From.isValid() && To.isValid() && From < To;
   }
 
   void propose(ScanOut &Out, NodeId From, NodeId To,
@@ -417,7 +391,7 @@ struct HbIndex::Builder {
       // Rule 1: FIFO among ordered sends when delay1 <= delay2.
       if (S1.DelayMs <= S2.DelayMs) {
         propose(Out, End1, Begin2, Out.Q1);
-        Link |= End1.isValid() && Begin2.isValid();
+        Link |= accepted(End1, Begin2);
       }
     } else if (!S1.AtFront && S2.AtFront) {
       // Rule 2: the front-enqueued event jumps ahead when it is
@@ -427,7 +401,7 @@ struct HbIndex::Builder {
     } else if (S1.AtFront && !S2.AtFront) {
       // Rule 3: an already-front event precedes later sends.
       propose(Out, End1, Begin2, Out.Q3);
-      Link |= End1.isValid() && Begin2.isValid();
+      Link |= accepted(End1, Begin2);
     } else {
       // Rule 4: later front-send jumps ahead of an earlier
       // front-send it provably precedes.
@@ -450,75 +424,55 @@ struct HbIndex::Builder {
     return Gap < C.Gap || (Gap == C.Gap && I < C.I);
   }
 
-  /// Semi-naive dispatch over GainedList[Lo, Hi): route every premise
-  /// fact that appeared in the last oracle update to the already-seen
-  /// rule instances it can newly fire.  This stands in for re-scanning
-  /// the seen region of every queue.  Never capped (its volume is the
-  /// fact delta, not a pair quadratic), so parallel chunks of it commit
-  /// unconditionally.
+  /// Semi-naive dispatch over GainedList[Lo, Hi): route every queue-rule
+  /// premise fact that appeared in the last oracle update to the
+  /// already-seen rule instances it can newly fire.  This stands in for
+  /// re-scanning the seen region of every send queue.  Never capped (its
+  /// volume is the fact delta, not a pair quadratic), so parallel chunks
+  /// of it commit unconditionally.
   void dispatchGained(const std::vector<GainedWord> &GainedList, size_t Lo,
                       size_t Hi, ScanOut &Out) const {
     for (size_t GI = Lo; GI != Hi; ++GI) {
       const GainedWord &GW = GainedList[GI];
       const NodeRole &U = Roles[GW.From];
-      if (U.K == NodeRole::None)
+      if (!U.IsSend)
         continue;
       for (uint64_t Bits = GW.Bits; Bits; Bits &= Bits - 1) {
         uint32_t V =
             GW.WordIdx * 64 + static_cast<uint32_t>(__builtin_ctzll(Bits));
         const NodeRole &VR = Roles[V];
-        if (U.K == NodeRole::Begin) {
-          // Atomicity premise begin(eI) < end(eJ) just became true.
-          if (Opt.EnableAtomicityRule && VR.K == NodeRole::End &&
-              VR.Q == U.Q && VR.Pos > U.Pos &&
-              pairSeen(AtomCursor[U.Q], QueueEvents[U.Q].size(),
-                       VR.Pos - U.Pos, U.Pos)) {
-            ++Out.VisitAtom;
-            const std::vector<TaskId> &Events = QueueEvents[U.Q];
-            propose(Out, G.endNode(Events[U.Pos]),
-                    G.beginNode(Events[VR.Pos]), Out.Atomicity);
-          }
-        } else if (U.K == NodeRole::Send && Opt.EnableQueueRules) {
-          // Queue-rule premise s1 < s2 just became true.
-          if (VR.K == NodeRole::Send && VR.Q == U.Q && VR.Pos > U.Pos &&
-              pairSeen(SendCursor[U.Q], QueueSends[U.Q].size(),
-                       VR.Pos - U.Pos, U.Pos)) {
-            ++Out.VisitSend;
-            evalSendPair(Out, QueueSends[U.Q][U.Pos],
-                         QueueSends[U.Q][VR.Pos],
-                         /*WantLink=*/false);
-          }
-          // Rules 2/4 premise s2 < begin(e1) just became true, where
-          // e1 was posted by an earlier send of the same queue.
-          if (VR.SendQ == U.Q && U.Pos > VR.SendPos &&
-              pairSeen(SendCursor[U.Q], QueueSends[U.Q].size(),
-                       U.Pos - VR.SendPos, VR.SendPos)) {
-            ++Out.VisitSend;
-            evalSendPair(Out, QueueSends[U.Q][VR.SendPos],
-                         QueueSends[U.Q][U.Pos],
-                         /*WantLink=*/false);
-          }
+        // Queue-rule premise s1 < s2 just became true.
+        if (VR.IsSend && VR.Q == U.Q && VR.Pos > U.Pos &&
+            pairSeen(SendCursor[U.Q], QueueSends[U.Q].size(),
+                     VR.Pos - U.Pos, U.Pos)) {
+          ++Out.VisitSend;
+          evalSendPair(Out, QueueSends[U.Q][U.Pos], QueueSends[U.Q][VR.Pos],
+                       /*WantLink=*/false);
+        }
+        // Rules 2/4 premise s2 < begin(e1) just became true, where
+        // e1 was posted by an earlier send of the same queue.
+        if (VR.SendQ == U.Q && U.Pos > VR.SendPos &&
+            pairSeen(SendCursor[U.Q], QueueSends[U.Q].size(),
+                     U.Pos - VR.SendPos, VR.SendPos)) {
+          ++Out.VisitSend;
+          evalSendPair(Out, QueueSends[U.Q][VR.SendPos],
+                       QueueSends[U.Q][U.Pos],
+                       /*WantLink=*/false);
         }
       }
     }
   }
 
-  /// One atomicity queue's gap-diagonal scan into \p Out.  \p Cap is
-  /// the per-round edge cap, compared against Out.Edges.size() (the
-  /// caller passes the round-global accumulator in capped mode); 0
-  /// disables it, which is how the optimistic parallel mode runs --
-  /// the commit step proves the cap could not have fired, or re-runs
-  /// capped.  \returns true when the scan completed (the caller then
-  /// marks the queue fully seen); a cap cut stores the cursor itself.
-  bool scanAtomQueue(size_t Qi, ScanOut &Out, size_t Cap) {
+  /// Gap 1 of one looper's atomicity rule: evaluates every adjacent
+  /// pair into \p Out and records the covered links (Out.Covered,
+  /// Out.Run).  \returns true when every link is covered: each wider
+  /// conclusion is then implied by the chain, now and forever (edges
+  /// are never removed), and the queue needs no sweep.
+  bool atomGap1(size_t Qi, ScanOut &Out) const {
     const std::vector<TaskId> &Events = QueueEvents[Qi];
     const size_t K = Events.size();
-    auto chunkFull = [&] { return Cap && Out.Edges.size() >= Cap; };
-    // Gap 1: evaluate adjacent pairs and record the covered links.
-    // Runs in full every round (linear, and Covered must be fresh);
-    // a cap cut here leaves the tail uncovered, which is safe.
     Out.Covered.assign(K - 1, 0);
-    for (size_t I = 0; I + 1 < K && !chunkFull(); ++I) {
+    for (size_t I = 0; I + 1 < K; ++I) {
       NodeId BeginI = G.beginNode(Events[I]);
       NodeId EndI = G.endNode(Events[I]);
       NodeId EndJ = G.endNode(Events[I + 1]);
@@ -529,64 +483,85 @@ struct HbIndex::Builder {
           reaches(BeginI, EndJ)) {
         // Atomicity: begin(eI) < end(eJ)  =>  end(eI) < begin(eJ).
         propose(Out, EndI, BeginJ, Out.Atomicity);
-        Link |= EndI.isValid(); // implied before, or in the batch now
+        Link |= accepted(EndI, BeginJ); // implied before, or in the batch now
       }
       Out.Covered[I] = Link;
     }
     computeRuns(Out, K);
-    if (K >= 2 && Out.Run[0] == K - 1)
-      // Every wider conclusion is implied by the covered chain, now
-      // and forever (edges are never removed) -- the whole queue
-      // counts as seen.
-      return true;
-    // With exact fact dispatch the seen region needs no re-scan at
-    // all -- resume where the cap last cut.  Otherwise walk it with
-    // the coarse row-level skip.
-    const size_t CGap = AtomCursor[Qi].Gap, CI = AtomCursor[Qi].I;
-    for (size_t Gap = RoundExact ? CGap : 2; Gap < K; ++Gap) {
-      for (size_t I = (RoundExact && Gap == CGap) ? CI : 0; I + Gap < K;
-           ++I) {
-        if (Out.Run[I] >= Gap) {
-          ++Out.SkipAtom;
-          continue; // conclusion implied by chained covered links
-        }
-        size_t J = I + Gap;
-        NodeId BeginI = G.beginNode(Events[I]);
-        bool Seen = !RoundExact && (Gap < CGap || (Gap == CGap && I < CI));
-        if (Seen) {
-          // The only premise query sources from begin(eI); if its
-          // row did not grow, the pair evaluates as it did before.
-          if (!rowChanged(BeginI)) {
-            ++Out.SkipAtom;
-            continue;
-          }
-        } else if (chunkFull()) {
-          // Everything past the cursor stays unseen.
-          AtomCursor[Qi] = {static_cast<uint32_t>(Gap),
-                            static_cast<uint32_t>(I)};
-          return false;
-        }
-        ++Out.VisitAtom;
-        NodeId EndI = G.endNode(Events[I]);
-        NodeId EndJ = G.endNode(Events[J]);
-        NodeId BeginJ = G.beginNode(Events[J]);
-        if (!BeginI.isValid() || !EndJ.isValid() || !BeginJ.isValid())
-          continue;
-        // Atomicity: begin(eI) < end(eJ)  =>  end(eI) < begin(eJ).
-        if (reaches(BeginI, EndJ))
-          propose(Out, EndI, BeginJ, Out.Atomicity);
-      }
-    }
-    return true;
+    return Out.Run[0] == K - 1;
   }
 
-  /// One send queue's gap-diagonal scan into \p Out; same cap and
-  /// return contract as scanAtomQueue.
+  /// The atomicity rule for sources [Lo, Hi) of looper \p Qi, past what
+  /// gap 1 covered (\p Run, from atomGap1).  Per source event eI, two
+  /// oracle rows projected onto the looper's events give every later
+  /// event J at once:
+  ///   Prem = { J : begin(eI) < end(eJ) }     (row of begin(eI), ends)
+  ///   Conc = { J : end(eI) < begin(eJ) }     (row of end(eI), begins)
+  /// and Prem & ~Conc is exactly the set of pairs whose premise holds and
+  /// whose conclusion is missing.  Candidates are proposed in ascending
+  /// J, skipping those an earlier proposal for the same eI already
+  /// implies (end(eI) -> begin(eJ) carries end(eI) to everything
+  /// end(eJ) reaches).  Every pair is re-evaluated every round at about
+  /// K * (words per projection) word operations per looper, so the rule
+  /// needs no cursor and no gained facts.
+  void sweepAtomSources(size_t Qi, const std::vector<uint32_t> &Run,
+                        size_t Lo, size_t Hi, ScanOut &Out) const {
+    const AtomQueue &AQ = AtomQueues[Qi];
+    const size_t K = AQ.Begins.size(), NW = (K + 63) / 64;
+    std::vector<uint64_t> Prem(NW), Conc(NW), Cand(NW), Implied(NW),
+        Tmp(NW);
+    for (size_t I = Lo; I != Hi; ++I) {
+      // Pairs up to I + Run[I] are implied by covered links, and gap 1
+      // evaluated J = I + 1.
+      size_t First = I + std::max<size_t>(1, Run[I]) + 1;
+      NodeId BeginI = AQ.Begins.node(I), EndI = AQ.Ends.node(I);
+      if (First >= K || !BeginI.isValid() || !EndI.isValid())
+        continue;
+      ++Out.SweptSources;
+      Out.ProjectedWords +=
+          RoundOracle->project(BeginI, AQ.Ends, First, nullptr, Prem.data());
+      bool Any = false;
+      for (size_t W = First >> 6; W != NW && !Any; ++W)
+        Any = Prem[W] != 0;
+      if (!Any)
+        continue;
+      Out.ProjectedWords +=
+          RoundOracle->project(EndI, AQ.Begins, First, Prem.data(), Conc.data());
+      for (size_t W = First >> 6; W != NW; ++W) {
+        Cand[W] = Prem[W] & ~Conc[W];
+        Implied[W] = 0;
+      }
+      for (size_t W = First >> 6; W != NW; ++W) {
+        for (uint64_t Bits = Cand[W]; (Bits &= ~Implied[W]); Bits &= Bits - 1) {
+          size_t J = W * 64 + static_cast<size_t>(__builtin_ctzll(Bits));
+          NodeId BeginJ = AQ.Begins.node(J);
+          Out.Edges.emplace_back(EndI, BeginJ);
+          ++Out.Atomicity;
+          if (!accepted(EndI, BeginJ))
+            continue;
+          Out.ProjectedWords += RoundOracle->project(
+              AQ.Ends.node(J), AQ.Begins, J + 1, Cand.data(), Tmp.data());
+          for (size_t V = W; V != NW; ++V)
+            Implied[V] |= Tmp[V];
+        }
+      }
+    }
+  }
+
+  /// One send queue's gap-diagonal scan into \p Out.  \p Cap is the
+  /// per-round edge cap, compared against Out.Edges.size() (the caller
+  /// passes the round-global accumulator in capped mode); 0 disables it,
+  /// which is how the optimistic parallel mode runs -- the commit step
+  /// proves the cap could not have fired, or re-runs capped.  \returns
+  /// true when the scan completed (the caller then marks the queue fully
+  /// seen); a cap cut stores the cursor itself.
   bool scanSendQueue(size_t Qi, ScanOut &Out, size_t Cap) {
     const std::vector<SendOp> &Sends = QueueSends[Qi];
     const size_t K = Sends.size();
     auto chunkFull = [&] { return Cap && Out.Edges.size() >= Cap; };
     // Gap 1: evaluate adjacent pairs and record the covered links.
+    // Runs in full every round (linear, and Covered must be fresh);
+    // a cap cut here leaves the tail uncovered, which is safe.
     Out.Covered.assign(K - 1, 0);
     for (size_t A = 0; A + 1 < K && !chunkFull(); ++A)
       Out.Covered[A] =
@@ -640,6 +615,46 @@ struct HbIndex::Builder {
     return true;
   }
 
+  /// One fixpoint round of the atomicity and event-queue rules.
+  ///
+  /// The queue rules scan send pairs in gap-diagonal order (all
+  /// adjacent pairs first, then distance 2, ...) and each round caps the
+  /// number of edges they collect.  Both choices fight the same
+  /// degenerate case: a chain of k same-delay sends satisfies rule 1 for
+  /// all k^2/2 pairs, but only the k-1 adjacent edges carry information
+  /// -- every wider pair is implied by chaining them through program
+  /// order.  The chain structure is also what lets the scans prune: gap
+  /// 1 records which adjacent conclusions are *covered* (already
+  /// implied, or proposed into this round's batch), and a wider pair
+  /// whose whole window is covered is skipped without a query -- its
+  /// conclusion is implied by the covered links.
+  ///
+  /// The atomicity rule shares the gap-1 pass and its covered runs, then
+  /// sweeps the rest of each looper one source row at a time
+  /// (sweepAtomSources): uncapped, and complete every round.
+  ///
+  /// The queue rules' rounds after the first are *semi-naive* when the
+  /// oracle reports deltas:
+  ///
+  ///  - \p Gained (exact mode) lists the premise-shaped reachability
+  ///    facts that became true in the last update.  Each fact is
+  ///    dispatched through Roles to the rule instances it can newly
+  ///    fire, and the already-seen region of every send scan is skipped
+  ///    entirely -- a seen pair either fired when its premise first
+  ///    appeared (its conclusion is in the graph and propose() drops it
+  ///    as implied) or its premise has still never held.
+  ///  - \p ChangedRows (coarse mode, when only row-level dirt is known)
+  ///    keeps the scans but skips seen pairs whose premise-source rows
+  ///    did not grow.
+  ///  - nullptr for both (rebuild-based closure, BFS) re-scans
+  ///    everything -- a from-scratch oracle cannot say what changed.
+  ///
+  /// Every skip is of a pair that provably proposes nothing new, so the
+  /// fixpoint -- and therefore every report -- is identical across
+  /// oracles; only time and memory differ.
+  ///
+  /// \returns the edges added this round (already inserted into the
+  /// graph), for the oracle's delta path.
   std::vector<HbEdge>
   applyDerivedRules(const Reachability &Oracle, const uint8_t *ChangedRows,
                     const std::vector<GainedWord> *Gained) {
@@ -657,16 +672,13 @@ struct HbIndex::Builder {
     RoundRows = Oracle.rowsOrNull();
     RoundChanged = ChangedRows;
     RoundExact = Gained != nullptr;
-    if (Opt.EnableAtomicityRule && AtomCursor.size() != QueueEvents.size())
-      AtomCursor.assign(QueueEvents.size(), {});
     if (Opt.EnableQueueRules && SendCursor.size() != QueueSends.size())
       SendCursor.assign(QueueSends.size(), {});
 
-    // A queue participates this round unless exact fact dispatch covers
-    // it (fully seen).
+    // A send queue participates this round unless exact fact dispatch
+    // covers it (fully seen).  Every looper with a pair sweeps.
     auto runsAtom = [&](size_t Qi) {
-      size_t K = QueueEvents[Qi].size();
-      return K >= 2 && !(RoundExact && AtomCursor[Qi].Gap >= K);
+      return Opt.EnableAtomicityRule && QueueEvents[Qi].size() >= 2;
     };
     auto runsSend = [&](size_t Qi) {
       size_t K = QueueSends[Qi].size();
@@ -679,14 +691,14 @@ struct HbIndex::Builder {
       Dst.Q2 += Src.Q2;
       Dst.Q3 += Src.Q3;
       Dst.Q4 += Src.Q4;
-      Dst.VisitAtom += Src.VisitAtom;
-      Dst.SkipAtom += Src.SkipAtom;
+      Dst.SweptSources += Src.SweptSources;
+      Dst.ProjectedWords += Src.ProjectedWords;
       Dst.VisitSend += Src.VisitSend;
       Dst.SkipSend += Src.SkipSend;
     };
 
     // Main accumulates the round: committed proposals in canonical
-    // (dispatch, atom queues ascending, send queues ascending) order --
+    // (dispatch, loopers ascending, send queues ascending) order --
     // exactly the sequential emission order -- plus the counters.
     ScanOut Main;
 
@@ -700,33 +712,40 @@ struct HbIndex::Builder {
     if (!Parallel) {
       if (Gained)
         dispatchGained(*Gained, 0, Gained->size(), Main);
-      if (Opt.EnableAtomicityRule)
-        for (size_t Qi = 0; Qi != QueueEvents.size(); ++Qi)
-          if (runsAtom(Qi) && scanAtomQueue(Qi, Main, ChunkCap))
-            AtomCursor[Qi] = {static_cast<uint32_t>(QueueEvents[Qi].size()),
-                              0};
+      for (size_t Qi = 0; Qi != QueueEvents.size(); ++Qi) {
+        if (!runsAtom(Qi) || atomGap1(Qi, Main))
+          continue;
+        layOutLooper(Qi);
+        sweepAtomSources(Qi, Main.Run, 0, QueueEvents[Qi].size() - 2, Main);
+      }
       if (Opt.EnableQueueRules)
         for (size_t Qi = 0; Qi != QueueSends.size(); ++Qi)
           if (runsSend(Qi) && scanSendQueue(Qi, Main, ChunkCap))
             SendCursor[Qi] = {static_cast<uint32_t>(QueueSends[Qi].size()),
                               0};
     } else {
-      // Optimistic parallel round: run every scan unit uncapped and
+      // Optimistic parallel round, in two waves.  Wave 1 runs every
+      // dispatch chunk, gap-1 pass and send scan uncapped and
       // concurrently (cursors are frozen -- nothing writes them until
-      // commit), then commit the per-unit buffers sequentially in
-      // canonical order.  A queue is accepted verbatim when even its
-      // full uncapped output keeps the round strictly under the cap:
-      // the capped sequential scan would then never have seen
-      // chunkFull() fire, so the buffers are bit-for-bit what it
-      // produces.  From the first queue where the cap could have
-      // fired, fall back to the real capped sequential scan (the
-      // cheap case: the cap only fires while the fixpoint is young).
+      // commit); wave 2 fans the atomicity sweep of every looper gap 1
+      // left uncovered out over source ranges.  The per-unit buffers
+      // then commit sequentially in canonical order, each looper's
+      // sweep ranges in source order right after its gap-1 pass.  The
+      // atomicity rule is uncapped, so its units always commit.  A send
+      // queue is accepted verbatim when even its full uncapped output
+      // keeps the round strictly under the cap: the capped sequential
+      // scan would then never have seen chunkFull() fire, so the
+      // buffers are bit-for-bit what it produces.  From the first send
+      // queue where the cap could have fired, fall back to the real
+      // capped sequential scan (the cheap case: the cap only fires
+      // while the fixpoint is young).
       enum Kind : uint8_t { Dispatch, Atom, Send };
       struct Unit {
         Kind K;
         size_t Index; // queue index, or dispatch chunk begin
         size_t End;   // dispatch chunk end
         ScanOut Out;
+        bool Covered = false; // Atom: gap 1 covered the looper
       };
       std::vector<Unit> Units;
       if (Gained && !Gained->empty()) {
@@ -737,10 +756,9 @@ struct HbIndex::Builder {
           Units.push_back(
               {Dispatch, Lo, std::min(Lo + Chunk, Gained->size()), {}});
       }
-      if (Opt.EnableAtomicityRule)
-        for (size_t Qi = 0; Qi != QueueEvents.size(); ++Qi)
-          if (runsAtom(Qi))
-            Units.push_back({Atom, Qi, 0, {}});
+      for (size_t Qi = 0; Qi != QueueEvents.size(); ++Qi)
+        if (runsAtom(Qi))
+          Units.push_back({Atom, Qi, 0, {}});
       if (Opt.EnableQueueRules)
         for (size_t Qi = 0; Qi != QueueSends.size(); ++Qi)
           if (runsSend(Qi))
@@ -753,7 +771,9 @@ struct HbIndex::Builder {
           dispatchGained(*Gained, U.Index, U.End, U.Out);
           break;
         case Atom:
-          scanAtomQueue(U.Index, U.Out, /*Cap=*/0);
+          U.Covered = atomGap1(U.Index, U.Out);
+          if (!U.Covered)
+            layOutLooper(U.Index); // this unit's own slot
           break;
         case Send:
           scanSendQueue(U.Index, U.Out, /*Cap=*/0);
@@ -761,34 +781,52 @@ struct HbIndex::Builder {
         }
       });
 
+      // Sources per sweep unit: the cost of a source falls with its
+      // position, so many small ranges keep the helpers balanced.
+      constexpr size_t SweepChunk = 128;
+      struct Sweep {
+        size_t Unit; // the looper's gap-1 unit
+        size_t Lo, Hi;
+        ScanOut Out;
+      };
+      std::vector<Sweep> Sweeps;
+      for (size_t UI = 0; UI != Units.size(); ++UI)
+        if (Units[UI].K == Atom && !Units[UI].Covered)
+          for (size_t Lo = 0, E = QueueEvents[Units[UI].Index].size() - 2;
+               Lo < E; Lo += SweepChunk)
+            Sweeps.push_back({UI, Lo, std::min(Lo + SweepChunk, E), {}});
+      Pool->parallelFor(Sweeps.size(), [&](size_t SI) {
+        Sweep &S = Sweeps[SI];
+        const Unit &U = Units[S.Unit];
+        sweepAtomSources(U.Index, U.Out.Run, S.Lo, S.Hi, S.Out);
+      });
+
       bool Fallback = false;
-      for (Unit &U : Units) {
-        if (U.K == Dispatch) {
-          // Dispatch has no cap checks; its chunks always commit.
+      size_t NextSweep = 0;
+      for (size_t UI = 0; UI != Units.size(); ++UI) {
+        Unit &U = Units[UI];
+        if (U.K != Send) {
           mergeScan(Main, U.Out);
+          for (; NextSweep != Sweeps.size() && Sweeps[NextSweep].Unit == UI;
+               ++NextSweep)
+            mergeScan(Main, Sweeps[NextSweep].Out);
           continue;
         }
-        size_t K = U.K == Atom ? QueueEvents[U.Index].size()
-                               : QueueSends[U.Index].size();
+        size_t K = QueueSends[U.Index].size();
         if (!Fallback && Main.Edges.size() + U.Out.Edges.size() < ChunkCap) {
           mergeScan(Main, U.Out);
-          (U.K == Atom ? AtomCursor : SendCursor)[U.Index] = {
-              static_cast<uint32_t>(K), 0};
+          SendCursor[U.Index] = {static_cast<uint32_t>(K), 0};
           continue;
         }
         Fallback = true;
-        if (U.K == Atom) {
-          if (scanAtomQueue(U.Index, Main, ChunkCap))
-            AtomCursor[U.Index] = {static_cast<uint32_t>(K), 0};
-        } else {
-          if (scanSendQueue(U.Index, Main, ChunkCap))
-            SendCursor[U.Index] = {static_cast<uint32_t>(K), 0};
-        }
+        if (scanSendQueue(U.Index, Main, ChunkCap))
+          SendCursor[U.Index] = {static_cast<uint32_t>(K), 0};
       }
     }
 
-    VisitAtom += Main.VisitAtom;
-    SkipAtom += Main.SkipAtom;
+    SweptSources += Main.SweptSources;
+    ProjectedWords += Main.ProjectedWords;
+    AtomProposals += Main.Atomicity;
     VisitSend += Main.VisitSend;
     SkipSend += Main.SkipSend;
 
@@ -908,38 +946,45 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
     Kept.RoundsDone = Stats.FixpointRounds;
     Kept.Saturated = Converged;
     Kept.Stats = Stats;
-    Kept.AtomCursors = B.AtomCursor;
     Kept.SendCursors = B.SendCursor;
     Kept.UnsaturatedRules = Degrade.UnsaturatedRules;
   };
 
-  if (R) {
-    // Restore the scan frontiers: pairs the checkpointed run already
-    // evaluated are not re-proposed (their conclusions are in the
-    // replayed edges).  The first resumed round runs with no delta
-    // information (nullptr below), i.e. a conservative full pass over
-    // the unseen region -- re-evaluating a seen pair is always sound,
-    // it just proposes nothing new.
-    if (R->AtomCursors.size() == B.QueueEvents.size())
-      B.AtomCursor = R->AtomCursors;
-    if (R->SendCursors.size() == B.QueueSends.size())
-      B.SendCursor = R->SendCursors;
-  }
+  // Restore the send scans' frontiers: pairs the checkpointed run
+  // already evaluated are not re-proposed (their conclusions are in the
+  // replayed edges).  The first resumed round runs with no delta
+  // information (nullptr below), i.e. a conservative full pass over the
+  // unseen region -- re-evaluating a seen pair is always sound, it just
+  // proposes nothing new.  The atomicity sweep keeps no frontier.
+  if (R && R->SendCursors.size() == B.QueueSends.size())
+    B.SendCursor = R->SendCursors;
 
   Converged = true;
   if (Options.Model == OrderingModel::Cafa &&
       (Options.EnableAtomicityRule || Options.EnableQueueRules) &&
       !(R && R->Saturated)) {
-    // Semi-naive evaluation: round 0 scans everything; later rounds ask
-    // the oracle what changed -- exact premise facts if it can say
-    // (incremental sweep), per-row dirt as the coarse fallback, full
-    // re-scans when it rebuilds from scratch and cannot know.
-    B.buildFactTables();
+    // Semi-naive evaluation of the queue rules: round 0 scans
+    // everything; later rounds ask the oracle what changed -- exact
+    // premise facts if it can say (incremental sweep), per-row dirt as
+    // the coarse fallback, full re-scans when it rebuilds from scratch
+    // and cannot know.  The atomicity rule is swept whole every round.
+    B.buildRuleTables();
     Reach->setFactFilter(B.FactSources, B.FactTargets);
     Converged = false;
     const uint8_t *ChangedRows = nullptr;
     const std::vector<GainedWord> *Gained = nullptr;
     double LastSaveMs = 0;
+    // Cumulative rule-engine work for the profile: atomicity sweep
+    // sources, row words projected and proposals, then send pair
+    // visits/skips.
+    auto PrintWork = [&] {
+      std::fprintf(stderr, "sweep=%llu/%llu/%llu send=%llu/%llu",
+                   (unsigned long long)B.SweptSources,
+                   (unsigned long long)B.ProjectedWords,
+                   (unsigned long long)B.AtomProposals,
+                   (unsigned long long)B.VisitSend,
+                   (unsigned long long)B.SkipSend);
+    };
     uint32_t StartRound = Stats.FixpointRounds;
     for (uint32_t Round = StartRound; Round != Options.MaxFixpointRounds;
          ++Round) {
@@ -959,15 +1004,12 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
       auto T1 = Now();
       if (Delta.empty()) {
         Converged = true;
-        if (Profile)
-          std::fprintf(stderr,
-                       "round %u: empty scan=%.1fms atom=%llu/%llu "
-                       "send=%llu/%llu\n",
-                       Round, Ms(T0, T1),
-                       (unsigned long long)B.VisitAtom,
-                       (unsigned long long)B.SkipAtom,
-                       (unsigned long long)B.VisitSend,
-                       (unsigned long long)B.SkipSend);
+        if (Profile) {
+          std::fprintf(stderr, "round %u: empty scan=%.1fms ", Round,
+                       Ms(T0, T1));
+          PrintWork();
+          std::fprintf(stderr, "\n");
+        }
         break;
       }
       // Delta protocol: the graph already holds this round's edges; the
@@ -986,16 +1028,13 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
         Checkpoint->Save(exportFrontier());
       }
       auto T2 = Now();
-      if (Profile)
-        std::fprintf(stderr,
-                     "round %u: delta=%zu scan=%.1fms update=%.1fms "
-                     "atom=%llu/%llu send=%llu/%llu facts=%zu\n",
-                     Round, Delta.size(), Ms(T0, T1), Ms(T1, T2),
-                     (unsigned long long)B.VisitAtom,
-                     (unsigned long long)B.SkipAtom,
-                     (unsigned long long)B.VisitSend,
-                     (unsigned long long)B.SkipSend,
+      if (Profile) {
+        std::fprintf(stderr, "round %u: delta=%zu scan=%.1fms update=%.1fms ",
+                     Round, Delta.size(), Ms(T0, T1), Ms(T1, T2));
+        PrintWork();
+        std::fprintf(stderr, " facts=%zu\n",
                      Gained ? Gained->size() : size_t(0));
+      }
     }
     if (!Converged) {
       // The cut relation is missing edges from exactly the rule families

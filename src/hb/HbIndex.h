@@ -147,7 +147,7 @@ struct HbRuleStats {
   uint32_t FixpointRounds = 0;
 };
 
-/// Scan-frontier position of one queue's gap-diagonal pair scan: every
+/// Scan-frontier position of one send queue's gap-diagonal pair scan: every
 /// pair lexicographically below (Gap, I) has been evaluated at least
 /// once.  Gap >= the queue's element count means "fully scanned".
 struct HbScanCursor {
@@ -160,7 +160,7 @@ struct HbScanCursor {
 /// mid-scan (the deadline is checked before each round and the per-round
 /// edge cap only moves the scan cursors), so a round boundary is always
 /// a consistent frontier: the graph holds base + DerivedEdges, the
-/// cursors say which pairs were already evaluated, and the closure rows
+/// cursors say which send pairs were already evaluated, and the closure rows
 /// (when attached) mirror exactly those edges.
 ///
 /// Resuming replays DerivedEdges onto a freshly built base graph,
@@ -181,8 +181,8 @@ struct HbFrontier {
   HbRuleStats Stats;
   /// Every derived edge inserted so far, in insertion order.
   std::vector<HbEdge> DerivedEdges;
-  /// Per-queue scan frontiers for the atomicity / event-queue scans.
-  std::vector<HbScanCursor> AtomCursors;
+  /// Per-queue scan frontiers of the event-queue rules.  The atomicity
+  /// rule re-sweeps every pair each round and keeps no frontier.
   std::vector<HbScanCursor> SendCursors;
   /// Serialized closure rows (row-major, RowWords words per row), or
   /// empty when the matrix was too large to attach -- the resume then

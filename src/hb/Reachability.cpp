@@ -16,6 +16,10 @@
 #include <cstring>
 #include <optional>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 using namespace cafa;
 
 namespace {
@@ -589,6 +593,134 @@ void cafa::greedyChainCover(const HbGraph &G, ChainCover &Out) {
       U = NextU;
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Row projection
+//===----------------------------------------------------------------------===//
+
+NodeProjection::NodeProjection(std::vector<NodeId> Members)
+    : Nodes(std::move(Members)) {
+  std::vector<std::pair<uint32_t, uint32_t>> ById; // (node id, member)
+  ById.reserve(Nodes.size());
+  bool Identity = true;
+  for (uint32_t K = 0, E = static_cast<uint32_t>(Nodes.size()); K != E; ++K) {
+    if (!Nodes[K].isValid()) {
+      Identity = false;
+      continue;
+    }
+    if (!ById.empty() && ById.back().first >= Nodes[K].index())
+      Identity = false;
+    ById.push_back({Nodes[K].index(), K});
+  }
+  if (!Identity)
+    std::sort(ById.begin(), ById.end());
+  for (uint32_t R = 0, E = static_cast<uint32_t>(ById.size()); R != E; ++R) {
+    uint32_t Id = ById[R].first;
+    assert((R == 0 || ById[R - 1].first != Id) && "members must be distinct");
+    if (Words.empty() || Words.back().Index != Id >> 6)
+      Words.push_back({Id >> 6, R, 0});
+    Words.back().Bits |= uint64_t(1) << (Id & 63);
+  }
+  if (!Identity)
+    for (auto [Id, K] : ById)
+      ByRank.push_back(K);
+}
+
+namespace {
+
+/// ORs \p V, one word's extracted member bits, into \p Out at bit
+/// offset \p Rank (spilling into the next word when it straddles).
+inline void depositAt(uint64_t *Out, uint32_t Rank, uint64_t V) {
+  uint64_t *D = Out + (Rank >> 6);
+  unsigned Shift = Rank & 63;
+  D[0] |= V << Shift;
+  if (Shift && (V >> (64 - Shift)))
+    D[1] |= V >> (64 - Shift);
+}
+
+#if defined(__x86_64__)
+/// The word-parallel gather: each member word's bits of \p Row are
+/// extracted in one pext and land at their rank, which is their member
+/// index when the projection's ids ascend.
+__attribute__((target("bmi2"))) void
+gatherPext(const BitVec &Row, const NodeProjection::Word *W,
+           const NodeProjection::Word *E, uint64_t *Out) {
+  for (; W != E; ++W)
+    if (uint64_t V = _pext_u64(Row.word(W->Index), W->Bits))
+      depositAt(Out, W->Rank, V);
+}
+
+bool cpuHasBmi2() {
+  static const bool Has = __builtin_cpu_supports("bmi2");
+  return Has;
+}
+#endif
+
+} // namespace
+
+size_t Reachability::project(NodeId From, const NodeProjection &P, size_t Lo,
+                             const uint64_t *Want, uint64_t *Out) const {
+  const size_t K = P.size(), NW = (K + 63) / 64;
+  std::memset(Out, 0, NW * 8);
+  if (Lo >= K)
+    return 0;
+  const BitVec *Rows = rowsOrNull();
+  if (!Rows) {
+    // No rows to gather from: ask for each wanted member.
+    size_t Queried = 0;
+    for (size_t WI = Lo >> 6; WI != NW; ++WI) {
+      uint64_t M = Want ? Want[WI] : ~uint64_t(0);
+      if (WI == Lo >> 6)
+        M &= ~uint64_t(0) << (Lo & 63);
+      if (WI + 1 == NW && K % 64)
+        M &= (uint64_t(1) << (K % 64)) - 1;
+      for (; M; M &= M - 1) {
+        unsigned B = static_cast<unsigned>(__builtin_ctzll(M));
+        NodeId To = P.Nodes[WI * 64 + B];
+        if (!To.isValid())
+          continue;
+        ++Queried;
+        if (reaches(From, To))
+          Out[WI] |= uint64_t(1) << B;
+      }
+    }
+    return Queried;
+  }
+
+  // A row holds only ids above its own node, and with ascending member
+  // ids nothing before member Lo's word can land at or past Lo.
+  const BitVec &Row = Rows[From.index()];
+  const bool Identity = P.ByRank.empty();
+  uint32_t StartWord = From.index() >> 6;
+  if (Identity)
+    StartWord = std::max<uint32_t>(StartWord, P.Nodes[Lo].index() >> 6);
+  const NodeProjection::Word *W = std::lower_bound(
+      P.Words.data(), P.Words.data() + P.Words.size(), StartWord,
+      [](const NodeProjection::Word &X, uint32_t V) { return X.Index < V; });
+  const NodeProjection::Word *E = P.Words.data() + P.Words.size();
+  size_t Gathered = static_cast<size_t>(E - W);
+#if defined(__x86_64__)
+  if (Identity && cpuHasBmi2()) {
+    gatherPext(Row, W, E, Out);
+    W = E;
+  }
+#endif
+  for (; W != E; ++W) {
+    for (uint64_t M = Row.word(W->Index) & W->Bits; M; M &= M - 1) {
+      uint64_t Below = W->Bits & ((M & -M) - 1);
+      uint32_t R = W->Rank + static_cast<uint32_t>(__builtin_popcountll(Below));
+      uint32_t Member = Identity ? R : P.ByRank[R];
+      Out[Member >> 6] |= uint64_t(1) << (Member & 63);
+    }
+  }
+  // Keep members [Lo, K) that Want asks for.
+  std::memset(Out, 0, (Lo >> 6) * 8);
+  Out[Lo >> 6] &= ~uint64_t(0) << (Lo & 63);
+  if (Want)
+    for (size_t WI = Lo >> 6; WI != NW; ++WI)
+      Out[WI] &= Want[WI];
+  return Gathered;
 }
 
 //===----------------------------------------------------------------------===//

@@ -120,6 +120,38 @@ struct ChainCover {
 /// frontier clocks) so the two provably agree on the decomposition.
 void greedyChainCover(const HbGraph &G, ChainCover &Out);
 
+/// A list of nodes ("members") laid out for Reachability::project(),
+/// which answers "which members does this node reach" for all members
+/// at once.  Member k is node(k); invalid members are allowed and are
+/// never reached.  The layout is sparse, O(members) however large the
+/// graph: the 64-bit words of the node-id space that hold a member, each
+/// with its member bits and the rank (members in earlier words) of its
+/// lowest member.
+class NodeProjection {
+public:
+  NodeProjection() = default;
+  explicit NodeProjection(std::vector<NodeId> Members);
+
+  size_t size() const { return Nodes.size(); }
+  NodeId node(size_t K) const { return Nodes[K]; }
+
+  struct Word {
+    uint32_t Index; ///< word of the node-id space (ids 64*Index ...)
+    uint32_t Rank;  ///< valid members in earlier words
+    uint64_t Bits;  ///< member ids in this word, as bits
+  };
+
+private:
+  friend class Reachability;
+
+  std::vector<NodeId> Nodes;
+  std::vector<Word> Words; ///< ascending Index
+  /// Member index by rank.  Empty when that is the identity -- every
+  /// member valid and ids strictly ascending -- which lets a row word's
+  /// member bits be extracted straight into place (pext).
+  std::vector<uint32_t> ByRank;
+};
+
 /// Answers "is there a path From -> To" on the current graph edges.
 class Reachability {
 public:
@@ -128,6 +160,19 @@ public:
   /// Returns true if \p To is reachable from \p From by a nonempty path
   /// (a node does not reach itself).
   virtual bool reaches(NodeId From, NodeId To) const = 0;
+
+  /// Projects \p From's reachable set onto \p P: overwrites \p Out, a
+  /// dense bitset of (P.size() + 63) / 64 words, with bit k set exactly
+  /// when k >= \p Lo, From reaches member k, and (if \p Want is not
+  /// null) bit k of Want is set.  One entry point for every oracle:
+  /// those with closure rows (rowsOrNull()) gather the row words under
+  /// P's member masks -- pext when P's ids ascend and the CPU has BMI2,
+  /// else a ctz loop through P's rank table -- and the others test the
+  /// wanted members one reaches() at a time.  Safe to call concurrently
+  /// whenever reaches() is (concurrentQueriesSafe()).  \returns the work
+  /// done: row words gathered, or members queried.
+  size_t project(NodeId From, const NodeProjection &P, size_t Lo,
+                 const uint64_t *Want, uint64_t *Out) const;
 
   /// Rebuilds any precomputed state from the graph's current edges.
   virtual void refresh() = 0;

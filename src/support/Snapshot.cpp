@@ -154,7 +154,8 @@ bool SnapshotReader::u64s(uint64_t *Words, size_t N) {
   if (N > (Payload.size() - Pos) / 8)
     return false;
   if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(Words, Payload.data() + Pos, N * 8);
+    if (N) // an empty destination vector may hand us a null pointer
+      std::memcpy(Words, Payload.data() + Pos, N * 8);
     Pos += N * 8;
   } else {
     for (size_t I = 0; I != N; ++I)

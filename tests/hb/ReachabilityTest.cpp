@@ -230,6 +230,57 @@ TEST_P(ReachabilityPropertyTest, HappensBeforeIsStrictPartialOrder) {
   }
 }
 
+TEST_P(ReachabilityPropertyTest, ProjectionAgreesWithReachesUnderEveryOracle) {
+  // Reachability::project must answer exactly what per-member reaches()
+  // answers, through each of its three paths: the pext gather (member
+  // ids ascending), the rank-table gather (ids out of order, invalid
+  // members), and member-by-member queries (oracles without rows).
+  Trace T = randomTrace(GetParam() + 311, 400);
+  TaskIndex Index(T);
+  HbOptions Opt;
+  Opt.Threads = 1;
+  HbIndex Hb(T, Index, Opt);
+  const HbGraph &G = Hb.graph();
+  const uint32_t N = static_cast<uint32_t>(G.numNodes());
+
+  Rng R(GetParam() * 31 + 7);
+  std::vector<NodeId> Ascending;
+  for (uint32_t I = 0; I != N; ++I)
+    if (R.chance(1, 3))
+      Ascending.push_back(NodeId(I));
+  std::vector<NodeId> Mixed = Ascending;
+  for (size_t I = Mixed.size(); I > 1; --I)
+    std::swap(Mixed[I - 1], Mixed[R.below(I)]);
+  for (size_t I = 0; I < Mixed.size(); I += 5)
+    Mixed.insert(Mixed.begin() + static_cast<long>(I), NodeId::invalid());
+
+  for (ReachMode Mode : {ReachMode::Closure, ReachMode::Incremental,
+                         ReachMode::Chain, ReachMode::Bfs}) {
+    std::unique_ptr<Reachability> Oracle = makeReachability(G, Mode);
+    for (const std::vector<NodeId> *Members : {&Ascending, &Mixed}) {
+      NodeProjection P(*Members);
+      const size_t K = P.size(), NW = (K + 63) / 64;
+      std::vector<uint64_t> Out(NW), Want(NW);
+      for (uint32_t From = 0; From < N; From += 3) {
+        size_t Lo = R.below(K + 1);
+        bool UseWant = R.chance(1, 2);
+        for (uint64_t &W : Want)
+          W = R.next();
+        Oracle->project(NodeId(From), P, Lo, UseWant ? Want.data() : nullptr,
+                        Out.data());
+        for (size_t M = 0; M != K; ++M) {
+          bool Wanted = !UseWant || ((Want[M / 64] >> (M % 64)) & 1);
+          bool Expect = M >= Lo && Wanted && P.node(M).isValid() &&
+                        Oracle->reaches(NodeId(From), P.node(M));
+          ASSERT_EQ(((Out[M / 64] >> (M % 64)) & 1) != 0, Expect)
+              << reachModeName(Mode) << " from " << From << " member " << M
+              << (Members == &Mixed ? " (mixed)" : " (ascending)");
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ReachabilityPropertyTest,
                          testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55,
                                          89));
@@ -400,9 +451,10 @@ TEST_P(IncrementalDifferentialTest, OraclesAgreeUnderIncrementalBatches) {
               << "seed " << Seed << " batch " << Batch << " gained fact "
               << U << "->" << V;
         }
-        if (RowGrew)
+        if (RowGrew) {
           ASSERT_TRUE(CR[U]) << "seed " << Seed << " batch " << Batch
                              << " row " << U << " grew but is not dirty";
+        }
       }
     }
   }

@@ -1,0 +1,400 @@
+//===- tests/hb/ReferenceEngineTest.cpp ---------------------------------------===//
+//
+// Part of the CAFA reproduction project.
+// SPDX-License-Identifier: MIT
+//
+//===----------------------------------------------------------------------===//
+//
+// Differential pin of HbIndex's rule engine against a naive reference
+// fixpoint: every round rebuilds the transitive closure from scratch
+// (ClosureReachability::refresh) and re-evaluates every atomicity and
+// event-queue pair, with no edge cap, scan cursors, covered runs,
+// gained facts or row sweeps.  The relations must agree on every pair
+// of task begin/end nodes, under the Incremental, Closure and Chain
+// oracles at 1 and 4 analysis threads, over the Figure 4 scenarios, the
+// ten app models, the salvage fuzz corpus and 100 random traces that put
+// waits, joins, listener performs and IPC receives inside looper events.
+//
+//===----------------------------------------------------------------------===//
+
+#include "apps/Apps.h"
+#include "cafa/Fig4.h"
+#include "hb/HbIndex.h"
+#include "rt/Runtime.h"
+#include "support/Rng.h"
+#include "trace/IngestSession.h"
+#include "trace/TraceBuilder.h"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <dirent.h>
+#include <fstream>
+#include <memory>
+#include <string>
+#include <vector>
+
+using namespace cafa;
+
+namespace {
+
+/// The naive fixpoint.  The base graph comes from an HbIndex with both
+/// derived rule families off (it then runs no fixpoint), so the two
+/// sides differ only in how they close the derived rules.
+class ReferenceHb {
+public:
+  ReferenceHb(const Trace &T, const TaskIndex &Index) {
+    HbOptions Base;
+    Base.Reach = ReachMode::Closure;
+    Base.Threads = 1;
+    Base.EnableAtomicityRule = false;
+    Base.EnableQueueRules = false;
+    HbIndex BaseHb(T, Index, Base);
+    G = std::make_unique<HbGraph>(BaseHb.graph());
+    Closure = std::make_unique<ClosureReachability>(*G);
+    collect(T);
+    // Rounds only ever add edges of a finite DAG, so this terminates.
+    for (bool Added = true; Added;) {
+      std::vector<std::pair<NodeId, NodeId>> Proposed;
+      propose(Proposed);
+      Added = false;
+      for (auto [From, To] : Proposed)
+        Added |= G->addEdge(From, To); // the graph refuses contradictions
+      if (Added)
+        Closure->refresh();
+    }
+  }
+
+  const ClosureReachability &closure() const { return *Closure; }
+  const HbGraph &graph() const { return *G; }
+
+private:
+  struct Send {
+    NodeId Node;
+    TaskId Event;
+    uint64_t DelayMs;
+    bool AtFront;
+  };
+
+  void collect(const Trace &T) {
+    Events.resize(T.numQueues());
+    Sends.resize(T.numQueues());
+    for (uint32_t I = 0; I != T.numRecords(); ++I) {
+      const TraceRecord &Rec = T.record(I);
+      if (Rec.Kind == OpKind::TaskBegin) {
+        const TaskInfo &Info = T.taskInfo(Rec.Task);
+        if (Info.Kind == TaskKind::Event && Info.Queue.isValid())
+          Events[Info.Queue.index()].push_back(Rec.Task);
+      } else if (Rec.Kind == OpKind::Send || Rec.Kind == OpKind::SendAtFront) {
+        Sends[Rec.queue().index()].push_back(
+            {G->nodeForRecord(I), Rec.targetTask(), Rec.delayMs(),
+             Rec.Kind == OpKind::SendAtFront});
+      }
+    }
+  }
+
+  bool reaches(NodeId From, NodeId To) const {
+    return From.isValid() && To.isValid() && Closure->reaches(From, To);
+  }
+
+  /// Every missing conclusion of every rule instance whose premise holds.
+  void propose(std::vector<std::pair<NodeId, NodeId>> &Out) const {
+    auto want = [&](NodeId From, NodeId To) {
+      if (From.isValid() && To.isValid() && !reaches(From, To))
+        Out.emplace_back(From, To);
+    };
+    // Atomicity: begin(e1) < end(e2)  =>  end(e1) < begin(e2).
+    for (const std::vector<TaskId> &Q : Events)
+      for (size_t I = 0; I < Q.size(); ++I)
+        for (size_t J = I + 1; J < Q.size(); ++J)
+          if (reaches(G->beginNode(Q[I]), G->endNode(Q[J])))
+            want(G->endNode(Q[I]), G->beginNode(Q[J]));
+    // Event queue rules 1-4 over ordered sends s1 < s2.
+    for (const std::vector<Send> &Q : Sends)
+      for (size_t A = 0; A < Q.size(); ++A)
+        for (size_t B = A + 1; B < Q.size(); ++B) {
+          const Send &S1 = Q[A], &S2 = Q[B];
+          if (!reaches(S1.Node, S2.Node))
+            continue;
+          NodeId Begin1 = G->beginNode(S1.Event), End1 = G->endNode(S1.Event);
+          NodeId Begin2 = G->beginNode(S2.Event), End2 = G->endNode(S2.Event);
+          if (!S2.AtFront) {
+            // Rule 1 (delay order) and rule 3 (earlier front send).
+            if (S1.AtFront || S1.DelayMs <= S2.DelayMs)
+              want(End1, Begin2);
+          } else if (reaches(S2.Node, Begin1)) {
+            // Rules 2 and 4: the front send jumps an event not yet begun.
+            want(End2, Begin1);
+          }
+        }
+  }
+
+  std::unique_ptr<HbGraph> G;
+  std::unique_ptr<ClosureReachability> Closure;
+  std::vector<std::vector<TaskId>> Events;
+  std::vector<std::vector<Send>> Sends;
+};
+
+/// Every task begin and end node, ascending.
+std::vector<NodeId> boundaryNodes(const HbGraph &G, const Trace &T) {
+  std::vector<NodeId> Nodes;
+  for (uint32_t I = 0; I != T.numTasks(); ++I)
+    for (NodeId N : {G.beginNode(TaskId(I)), G.endNode(TaskId(I))})
+      if (N.isValid())
+        Nodes.push_back(N);
+  std::sort(Nodes.begin(), Nodes.end());
+  return Nodes;
+}
+
+const ReachMode Modes[] = {ReachMode::Incremental, ReachMode::Closure,
+                           ReachMode::Chain};
+const unsigned ThreadCounts[] = {1, 4};
+
+/// Builds HbIndex under every mode and thread count and compares it with
+/// the reference on every (begin/end, begin/end) node pair.  Small
+/// traces are compared query by query through HbIndex::happensBefore;
+/// past ExhaustiveNodes boundary nodes the built graph's closure is
+/// compared row by row instead, plus a strided sample of oracle queries.
+void expectMatchesReference(const Trace &T, const std::string &What) {
+  constexpr size_t ExhaustiveNodes = 3000;
+  TaskIndex Index(T);
+  ReferenceHb Ref(T, Index);
+  std::vector<NodeId> Nodes = boundaryNodes(Ref.graph(), T);
+  BitVec Boundary(Ref.graph().numNodes());
+  for (NodeId N : Nodes)
+    Boundary.set(N.index());
+  for (ReachMode Mode : Modes) {
+    for (unsigned Threads : ThreadCounts) {
+      SCOPED_TRACE(What + " under " + reachModeName(Mode) + " at " +
+                   std::to_string(Threads) + " threads");
+      HbOptions Opt;
+      Opt.Reach = Mode;
+      Opt.Threads = Threads;
+      HbIndex Hb(T, Index, Opt);
+      ASSERT_TRUE(Hb.saturated());
+      ASSERT_EQ(Hb.graph().numNodes(), Ref.graph().numNodes());
+      const HbGraph &G = Hb.graph();
+      size_t Mismatches = 0;
+      auto check = [&](NodeId U, NodeId V) {
+        bool Want = Ref.closure().reaches(U, V);
+        bool Got = Hb.happensBefore(G.recordOfNode(U), G.recordOfNode(V));
+        if (Want != Got && ++Mismatches <= 5)
+          ADD_FAILURE() << "node " << U.value() << " -> " << V.value()
+                        << ": reference " << Want << ", HbIndex " << Got;
+      };
+      if (Nodes.size() <= ExhaustiveNodes) {
+        for (NodeId U : Nodes)
+          for (NodeId V : Nodes)
+            if (U != V)
+              check(U, V);
+      } else {
+        ClosureReachability Built(G);
+        for (NodeId U : Nodes) {
+          const BitVec &Mine = Built.row(U), &Theirs = Ref.closure().row(U);
+          for (size_t W = 0; W != Mine.numWords(); ++W)
+            if ((Mine.word(W) ^ Theirs.word(W)) & Boundary.word(W) &&
+                ++Mismatches <= 5)
+              ADD_FAILURE() << "row of node " << U.value() << " differs in word "
+                            << W;
+        }
+        for (size_t I = 0; I < Nodes.size(); I += 7)
+          for (size_t J = I % 13; J < Nodes.size(); J += 97)
+            if (I != J)
+              check(Nodes[I], Nodes[J]);
+      }
+      EXPECT_EQ(Mismatches, 0u);
+    }
+  }
+}
+
+TEST(ReferenceEngineTest, Fig4ScenariosMatch) {
+  for (const Fig4Scenario &S : buildFig4Scenarios())
+    expectMatchesReference(S.T, S.Name);
+}
+
+class ReferenceAppTest : public testing::TestWithParam<std::string> {};
+
+TEST_P(ReferenceAppTest, AppModelMatches) {
+  apps::AppModel Model = apps::buildApp(GetParam());
+  Trace T = runScenario(Model.S, RuntimeOptions());
+  expectMatchesReference(T, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllApps, ReferenceAppTest,
+                         testing::ValuesIn(apps::appNames()),
+                         [](const testing::TestParamInfo<std::string> &I) {
+                           return I.param;
+                         });
+
+TEST(ReferenceEngineTest, SalvageCorpusMatches) {
+  std::vector<std::string> Files;
+  if (DIR *D = ::opendir(CAFA_TRACE_FIXTURE_DIR)) {
+    while (dirent *E = ::readdir(D)) {
+      std::string Name = E->d_name;
+      if (Name.size() > 6 && Name.rfind(".trace") == Name.size() - 6)
+        Files.push_back(Name);
+    }
+    ::closedir(D);
+  }
+  std::sort(Files.begin(), Files.end());
+  ASSERT_FALSE(Files.empty());
+  size_t Analyzed = 0;
+  for (const std::string &Name : Files) {
+    std::ifstream In(std::string(CAFA_TRACE_FIXTURE_DIR) + "/" + Name,
+                     std::ios::binary);
+    std::string Text((std::istreambuf_iterator<char>(In)),
+                     std::istreambuf_iterator<char>());
+    Trace T;
+    IngestReport Report;
+    if (!ingestTrace(Text, T, Report).ok())
+      continue; // refused at ingest: nothing to close
+    ++Analyzed;
+    expectMatchesReference(T, Name);
+  }
+  EXPECT_GT(Analyzed, 0u);
+}
+
+/// A random trace whose looper events do the cross-task work themselves:
+/// waits, joins, listener performs and IPC receives land inside running
+/// events, so a premise can reach the *middle* of an event, and sends are
+/// mixed with sendAtFront.  Events begin in no particular queue order,
+/// so some derived conclusions contradict the observed order and are
+/// refused by the graph on both sides.
+Trace randomLooperTrace(uint64_t Seed, size_t Steps) {
+  Rng R(Seed);
+  TraceBuilder TB;
+  std::vector<QueueId> Queues;
+  for (int I = 0, E = 1 + static_cast<int>(R.below(2)); I != E; ++I)
+    Queues.push_back(TB.addQueue("q" + std::to_string(I)));
+  ListenerId L = TB.addListener("l");
+
+  struct Live {
+    TaskId Id;
+    bool IsEvent;
+    QueueId Queue;
+  };
+  std::vector<Live> Threads, Pending;
+  std::vector<Live> Active(Queues.size(), {TaskId::invalid(), true, {}});
+  std::vector<TaskId> Ended;
+  std::vector<uint32_t> Txns;
+  uint32_t NextTxn = 1;
+  bool Registered = false;
+  size_t Counter = 0;
+  for (int I = 0; I != 3; ++I) {
+    TaskId T = TB.addThread("t" + std::to_string(I));
+    TB.begin(T);
+    Threads.push_back({T, false, {}});
+  }
+
+  // Most operations pick a running looper event when there is one.
+  auto actor = [&]() -> TaskId {
+    std::vector<TaskId> Events;
+    for (const Live &A : Active)
+      if (A.Id.isValid())
+        Events.push_back(A.Id);
+    if (!Events.empty() && R.chance(3, 4))
+      return Events[R.below(Events.size())];
+    return Threads[R.below(Threads.size())].Id;
+  };
+
+  for (size_t Step = 0; Step != Steps; ++Step) {
+    switch (R.below(11)) {
+    case 0:
+    case 1: { // post an event
+      QueueId Q = Queues[R.below(Queues.size())];
+      bool AtFront = R.chance(1, 4);
+      uint64_t Delay = AtFront ? 0 : R.below(3);
+      TaskId E = TB.addEvent("e" + std::to_string(Counter++), Q, Delay,
+                             AtFront, false);
+      TaskId From = actor();
+      if (AtFront)
+        TB.sendAtFront(From, E);
+      else
+        TB.send(From, E, Delay);
+      Pending.push_back({E, true, Q});
+      break;
+    }
+    case 2: { // begin some pending event on an idle looper
+      if (Pending.empty())
+        break;
+      size_t P = R.below(Pending.size());
+      Live Ev = Pending[P];
+      Live &Slot = Active[Ev.Queue.index()];
+      if (Slot.Id.isValid())
+        break;
+      TB.begin(Ev.Id);
+      Slot = Ev;
+      Pending.erase(Pending.begin() + static_cast<long>(P));
+      break;
+    }
+    case 3: { // end a running event
+      Live &Slot = Active[R.below(Active.size())];
+      if (Slot.Id.isValid()) {
+        TB.end(Slot.Id);
+        Slot.Id = TaskId::invalid();
+      }
+      break;
+    }
+    case 4: { // fork a worker, or end one so it can be joined
+      if (Threads.size() > 3 && R.chance(1, 2)) {
+        size_t I = 3 + R.below(Threads.size() - 3);
+        TB.end(Threads[I].Id);
+        Ended.push_back(Threads[I].Id);
+        Threads.erase(Threads.begin() + static_cast<long>(I));
+      } else {
+        TaskId T = TB.addThread("w" + std::to_string(Step));
+        TB.fork(actor(), T);
+        TB.begin(T);
+        Threads.push_back({T, false, {}});
+      }
+      break;
+    }
+    case 5:
+      if (!Ended.empty())
+        TB.join(actor(), Ended[R.below(Ended.size())]);
+      break;
+    case 6:
+      TB.notify(actor(), static_cast<uint32_t>(R.below(2)));
+      break;
+    case 7:
+      TB.wait(actor(), static_cast<uint32_t>(R.below(2)));
+      break;
+    case 8:
+      if (!Registered || R.chance(1, 3)) {
+        TB.registerListener(actor(), L);
+        Registered = true;
+      } else {
+        TB.performListener(actor(), L);
+      }
+      break;
+    case 9:
+      if (Txns.empty() || R.chance(1, 2)) {
+        TB.ipcSend(actor(), NextTxn);
+        Txns.push_back(NextTxn++);
+      } else {
+        TB.ipcRecv(actor(), Txns[R.below(Txns.size())]);
+      }
+      break;
+    default:
+      TB.write(actor(), static_cast<uint32_t>(R.below(4)));
+      break;
+    }
+  }
+  for (const Live &A : Active)
+    if (A.Id.isValid())
+      TB.end(A.Id);
+  for (const Live &T : Threads)
+    TB.end(T.Id);
+  return TB.take();
+}
+
+class ReferenceRandomTest : public testing::TestWithParam<uint64_t> {};
+
+TEST_P(ReferenceRandomTest, RandomLooperTraceMatches) {
+  Trace T = randomLooperTrace(GetParam() * 2654435761u + 7, 900);
+  expectMatchesReference(T, "seed " + std::to_string(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReferenceRandomTest, testing::Range<uint64_t>(0, 100));
+
+} // namespace

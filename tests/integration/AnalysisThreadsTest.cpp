@@ -24,6 +24,8 @@
 #include "trace/TraceIO.h"
 #include "trace/Validate.h"
 
+#include "TestScratch.h"
+
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -206,9 +208,7 @@ TEST(AnalysisThreadsTest, CheckpointCutAtOneThreadResumesAtFour) {
   Table1Row Dummy;
   Trace T = runScenario(App.finish(Dummy).S, RuntimeOptions());
 
-  std::string Dir = testing::TempDir() + "/cafa_xthreads_ckpt";
-  ::mkdir(Dir.c_str(), 0755);
-  std::remove(checkpointPath(Dir).c_str());
+  std::string Dir = uniqueScratchDir();
 
   DetectorOptions Ref;
   Ref.Hb.Threads = 1;
@@ -293,8 +293,7 @@ RunResult runParallelAnalyzer(const std::vector<std::string> &Args,
 }
 
 TEST(AnalysisThreadsTest, SigkillUnderParallelAnalysisResumesByteIdentical) {
-  std::string Scratch = testing::TempDir() + "/cafa_parallel_kill";
-  ::mkdir(Scratch.c_str(), 0755);
+  std::string Scratch = uniqueScratchDir();
   std::string TracePath = Scratch + "/app.trace";
 
   apps::AppBuilder App("parkill");

@@ -19,6 +19,8 @@
 #include "cafa/ReportJson.h"
 #include "trace/TraceBuilder.h"
 
+#include "TestScratch.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -70,9 +72,8 @@ Trace buildWideScanTrace() {
 
 /// A fresh checkpoint directory with no stale snapshot in it.
 std::string freshCheckpointDir(const char *Name) {
-  std::string Dir = testing::TempDir() + "/cafa_ckpt_" + Name;
+  std::string Dir = uniqueScratchDir() + "/" + Name;
   ::mkdir(Dir.c_str(), 0755);
-  std::remove(checkpointPath(Dir).c_str());
   return Dir;
 }
 
@@ -440,8 +441,7 @@ TEST(CheckpointTest, SnapshotSurvivesAnEncodeDecodeRoundTrip) {
   Snap.Hb.Stats.FixpointRounds = 7;
   Snap.Hb.Stats.AtomicityEdges = 13;
   Snap.Hb.DerivedEdges = {{NodeId(3), NodeId(4)}, {NodeId(9), NodeId(1)}};
-  Snap.Hb.AtomCursors = {{4, 2}, {2, 0}};
-  Snap.Hb.SendCursors = {{8, 5}};
+  Snap.Hb.SendCursors = {{4, 2}, {8, 5}};
   Snap.Hb.RowWords = 1;
   Snap.Hb.ClosureRows = {0xdeadbeefull, 0x12345678ull};
   Snap.Hb.ChainState = {10, 3, 1, 0x0000000100000000ull, 0x21ull};
@@ -470,9 +470,11 @@ TEST(CheckpointTest, SnapshotSurvivesAnEncodeDecodeRoundTrip) {
   EXPECT_EQ(Back.Hb.Stats.AtomicityEdges, Snap.Hb.Stats.AtomicityEdges);
   ASSERT_EQ(Back.Hb.DerivedEdges.size(), 2u);
   EXPECT_EQ(Back.Hb.DerivedEdges[1].From.value(), 9u);
-  ASSERT_EQ(Back.Hb.AtomCursors.size(), 2u);
-  EXPECT_EQ(Back.Hb.AtomCursors[0].Gap, 4u);
-  EXPECT_EQ(Back.Hb.AtomCursors[0].I, 2u);
+  ASSERT_EQ(Back.Hb.SendCursors.size(), 2u);
+  EXPECT_EQ(Back.Hb.SendCursors[0].Gap, 4u);
+  EXPECT_EQ(Back.Hb.SendCursors[0].I, 2u);
+  EXPECT_EQ(Back.Hb.SendCursors[1].Gap, 8u);
+  EXPECT_EQ(Back.Hb.SendCursors[1].I, 5u);
   EXPECT_EQ(Back.Hb.RowWords, 1u);
   EXPECT_EQ(Back.Hb.ClosureRows, Snap.Hb.ClosureRows);
   EXPECT_EQ(Back.Hb.ChainState, Snap.Hb.ChainState);
@@ -542,6 +544,75 @@ TEST(CheckpointTest, CorruptSnapshotsAreRejectedWithACleanRestart) {
   EXPECT_TRUE(R.Resume.NoSnapshot);
   EXPECT_FALSE(R.Resume.Resumed);
   EXPECT_TRUE(R.Resume.RejectReason.empty());
+}
+
+TEST(CheckpointTest, VersionFourSnapshotIsRefusedWithACleanRestart) {
+  // Snapshot v5 dropped the atomicity scan cursors: the atomicity rule
+  // now re-sweeps every pair each round.  A v4 file -- a real cut
+  // re-framed under version 4 -- is refused on its version before any
+  // payload is decoded, and the run restarts cleanly.
+  Trace T = buildAppTrace();
+  std::string Dir = freshCheckpointDir("v4");
+  std::string Path = checkpointPath(Dir);
+  AnalysisResult Clean = analyzeTrace(T, DetectorOptions());
+
+  DetectorOptions Tiny;
+  Tiny.DeadlineMillis = 1e-6;
+  CheckpointOptions Ckpt;
+  Ckpt.Directory = Dir;
+  analyzeTrace(T, withCheckpoint(Tiny, Ckpt));
+  std::string Bytes = readFile(Path);
+  // Framing: an 8-byte magic, then the version as a little-endian u32.
+  ASSERT_GT(Bytes.size(), 12u);
+  ASSERT_EQ(Bytes.substr(8, 4), std::string("\x05\0\0\0", 4));
+  Bytes[8] = 4;
+  writeFile(Path, Bytes);
+
+  Ckpt.Resume = true;
+  AnalysisResult R = analyzeTrace(T, withCheckpoint(DetectorOptions(), Ckpt));
+  EXPECT_TRUE(R.Resume.Attempted);
+  EXPECT_FALSE(R.Resume.Resumed);
+  EXPECT_NE(R.Resume.RejectReason.find("version 4"), std::string::npos)
+      << R.Resume.RejectReason;
+  EXPECT_FALSE(R.Report.Partial);
+  EXPECT_EQ(renderRaceReport(R.Report, T), renderRaceReport(Clean.Report, T));
+  EXPECT_EQ(renderRaceReportJson(R.Report, T),
+            renderRaceReportJson(Clean.Report, T));
+}
+
+TEST(CheckpointTest, ResumeFromEveryRoundBoundaryIsBitIdentical) {
+  // Cut the fixpoint at each of its round boundaries in turn, pass the
+  // frontier through the v5 file format, and resume: every resume must
+  // land on the uninterrupted report byte for byte.
+  Trace T = buildAppTrace();
+  TaskIndex Index(T);
+  std::vector<HbFrontier> Frontiers;
+  HbCheckpointing Every;
+  Every.EveryMillis = 1e-9; // every round boundary
+  Every.Save = [&](const HbFrontier &F) { Frontiers.push_back(F); };
+  HbIndex Clean(T, Index, HbOptions(), &Every);
+  ASSERT_FALSE(Frontiers.empty());
+  AccessDb Db = extractAccesses(T, Index);
+  std::string Want = renderRaceReportJson(
+      detectUseFreeRaces(T, Index, Db, Clean, DetectorOptions()), T);
+
+  std::string Path = checkpointPath(freshCheckpointDir("rounds"));
+  for (const HbFrontier &F : Frontiers) {
+    SCOPED_TRACE("resumed after round " + std::to_string(F.RoundsDone));
+    AnalysisSnapshot Snap;
+    Snap.Hb = F;
+    ASSERT_TRUE(saveAnalysisSnapshot(Snap, Path).ok());
+    AnalysisSnapshot Back;
+    ASSERT_TRUE(loadAnalysisSnapshot(Back, Path).ok());
+    HbCheckpointing Ck;
+    Ck.Resume = &Back.Hb;
+    HbIndex Resumed(T, Index, HbOptions(), &Ck);
+    EXPECT_TRUE(Resumed.saturated());
+    EXPECT_EQ(renderRaceReportJson(
+                  detectUseFreeRaces(T, Index, Db, Resumed, DetectorOptions()),
+                  T),
+              Want);
+  }
 }
 
 TEST(CheckpointTest, MismatchedTraceOrOptionsAreRejected) {

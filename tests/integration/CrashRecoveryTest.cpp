@@ -20,6 +20,8 @@
 #include "rt/Runtime.h"
 #include "trace/TraceIO.h"
 
+#include "TestScratch.h"
+
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -112,8 +114,7 @@ protected:
   static std::string TracePath;
 
   static void SetUpTestSuite() {
-    Scratch = testing::TempDir() + "/cafa_crash_recovery";
-    ::mkdir(Scratch.c_str(), 0755);
+    Scratch = uniqueScratchDir();
     TracePath = Scratch + "/app.trace";
 
     apps::AppBuilder App("crashy");

@@ -53,8 +53,9 @@ TEST(DegradationTest, EstimatesAreMonotoneAlongTheLadder) {
     // tight budget and serves queries from its linear search phase.
     size_t Cha = estimateReachabilityMemory(N, ReachMode::Chain);
     EXPECT_LT(Bfs, Cha) << N;
-    if (N >= 5000)
+    if (N >= 5000) {
       EXPECT_LT(Cha, Clo) << N;
+    }
   }
 }
 

@@ -30,6 +30,8 @@
 #include "rt/Runtime.h"
 #include "trace/TraceIO.h"
 
+#include "TestScratch.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -94,8 +96,7 @@ protected:
   static std::string CleanTrace; // exits 0
 
   static void SetUpTestSuite() {
-    Scratch = testing::TempDir() + "/cafa_exit_codes";
-    ::mkdir(Scratch.c_str(), 0755);
+    Scratch = uniqueScratchDir();
     Table1Row Dummy;
 
     {

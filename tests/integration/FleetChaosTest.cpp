@@ -28,6 +28,8 @@
 #include "trace/FaultInjector.h"
 #include "trace/TraceIO.h"
 
+#include "TestScratch.h"
+
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -65,8 +67,7 @@ protected:
   static std::string GarbageTrace; // not a trace at all
 
   static void SetUpTestSuite() {
-    Scratch = testing::TempDir() + "/cafa_fleet_chaos";
-    ::mkdir(Scratch.c_str(), 0755);
+    Scratch = uniqueScratchDir();
     Table1Row Dummy;
 
     {
@@ -120,7 +121,9 @@ protected:
     FleetOptions Options;
     Options.AnalyzerPath = OFFLINE_ANALYZER_PATH;
     Options.CheckpointRoot = Scratch + "/" + RootName;
-    Options.CheckpointEveryMillis = 1; // snapshot early and often
+    // Snapshot at every fixpoint round boundary: a chaos kill then
+    // lands mid-analysis however fast the analysis runs.
+    Options.CheckpointEveryMillis = 0.01;
     Options.Backoff.InitialMillis = 0; // zero-sleep fast path
     return Options;
   }

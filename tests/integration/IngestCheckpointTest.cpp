@@ -19,6 +19,8 @@
 #include "trace/TraceBuilder.h"
 #include "trace/TraceIO.h"
 
+#include "TestScratch.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -59,9 +61,8 @@ std::string buildDamagedDump() {
 }
 
 std::string freshDir(const char *Name) {
-  std::string Dir = testing::TempDir() + "/cafa_ingest_ckpt_" + Name;
+  std::string Dir = uniqueScratchDir() + "/" + Name;
   ::mkdir(Dir.c_str(), 0755);
-  std::remove(ingestCheckpointPath(Dir).c_str());
   return Dir;
 }
 

@@ -19,6 +19,8 @@
 #include "trace/TraceIO.h"
 #include "trace/Validate.h"
 
+#include "TestScratch.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -33,7 +35,7 @@ TEST(PipelineTest, TraceFileRoundTripPreservesAnalysis) {
   Trace Original = runScenario(Model.S, RuntimeOptions());
   AnalysisResult Before = analyzeTrace(Original, DetectorOptions());
 
-  std::string Path = testing::TempDir() + "/cafa_pipeline_roundtrip.trace";
+  std::string Path = uniqueScratchDir() + "/roundtrip.trace";
   ASSERT_TRUE(writeTraceFile(Original, Path).ok());
   Trace Reloaded;
   ASSERT_TRUE(readTraceFile(Path, Reloaded).ok());

@@ -22,6 +22,8 @@
 
 #include "cafa/RaceStore.h"
 
+#include "TestScratch.h"
+
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -50,16 +52,7 @@ protected:
   std::string Scratch;
 
   void SetUp() override {
-    Scratch = testing::TempDir() + "/cafa_race_store";
-    ::mkdir(Scratch.c_str(), 0755);
-    // Unique per test *and* per run: ctest runs each test as its own
-    // process (pid disambiguates parallel tests and earlier runs'
-    // leftovers), and a plain gtest binary runs them all in one
-    // process (the counter disambiguates).
-    static int Counter = 0;
-    Scratch += "/t" + std::to_string(Counter++) + "_" +
-               std::to_string(::getpid());
-    ::mkdir(Scratch.c_str(), 0755);
+    Scratch = uniqueScratchDir();
   }
 
   /// A done row with a one-race report.

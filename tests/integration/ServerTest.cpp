@@ -29,6 +29,8 @@
 #include "rt/Runtime.h"
 #include "trace/TraceIO.h"
 
+#include "TestScratch.h"
+
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -123,8 +125,7 @@ protected:
   static std::string CleanTrace; // no races
 
   static void SetUpTestSuite() {
-    Scratch = testing::TempDir() + "/cafa_server_test";
-    ::mkdir(Scratch.c_str(), 0755);
+    Scratch = uniqueScratchDir();
     Table1Row Dummy;
 
     {
@@ -180,7 +181,7 @@ protected:
             "--store=" + S.Store,
             "--checkpoint-root=" + S.Root,
             "--analyzer=" OFFLINE_ANALYZER_PATH,
-            "--checkpoint-every=1",
+            "--checkpoint-every=0.01", // a save at every round boundary
             "--backoff-initial=0"};
   }
 

@@ -31,6 +31,8 @@
 #include "trace/TraceIO.h"
 #include "trace/Validate.h"
 
+#include "TestScratch.h"
+
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -230,9 +232,8 @@ Trace buildAppTrace() {
 }
 
 std::string freshCheckpointDir(const char *Name) {
-  std::string Dir = testing::TempDir() + "/cafa_windowed_" + Name;
+  std::string Dir = uniqueScratchDir() + "/" + Name;
   ::mkdir(Dir.c_str(), 0755);
-  std::remove(checkpointPath(Dir).c_str());
   return Dir;
 }
 
@@ -442,8 +443,7 @@ RunResult runAnalyzer(const std::vector<std::string> &Args,
 }
 
 TEST(WindowedAnalysisTest, SigkillMidWindowedRunResumesByteIdentical) {
-  std::string Scratch = testing::TempDir() + "/cafa_windowed_kill";
-  ::mkdir(Scratch.c_str(), 0755);
+  std::string Scratch = uniqueScratchDir();
   std::string TracePath = Scratch + "/app.trace";
 
   apps::AppBuilder App("winkill");
@@ -509,8 +509,7 @@ TEST(WindowedAnalysisTest, SigkillMidWindowedRunResumesByteIdentical) {
 }
 
 TEST(WindowedAnalysisTest, OversizedInputNeedsAWindowToStream) {
-  std::string Scratch = testing::TempDir() + "/cafa_windowed_oversize";
-  ::mkdir(Scratch.c_str(), 0755);
+  std::string Scratch = uniqueScratchDir();
   std::string TracePath = Scratch + "/app.trace";
   Trace T = buildAppTrace();
   ASSERT_TRUE(writeTraceFile(T, TracePath).ok());

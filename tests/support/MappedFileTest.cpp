@@ -7,6 +7,8 @@
 
 #include "support/MappedFile.h"
 
+#include "TestScratch.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -19,7 +21,7 @@ using namespace cafa;
 namespace {
 
 std::string writeTemp(const std::string &Name, const std::string &Bytes) {
-  std::string Path = testing::TempDir() + "/" + Name;
+  std::string Path = uniqueScratchDir() + "/" + Name;
   std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
   Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
   return Path;

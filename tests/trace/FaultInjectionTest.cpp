@@ -323,9 +323,10 @@ TEST(FaultInjectionTest, InjectorIsDeterministic) {
     EXPECT_EQ(A.Description, B.Description) << faultKindName(Kind);
     // A different seed should (for this input size) pick a different
     // mutation site for at least one kind; sanity-check one.
-    if (Kind == FaultKind::TruncateAtOffset)
+    if (Kind == FaultKind::TruncateAtOffset) {
       EXPECT_NE(injectFault(Base, Kind, 1).Text,
                 injectFault(Base, Kind, 2).Text);
+    }
   }
 }
 

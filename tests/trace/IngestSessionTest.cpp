@@ -281,8 +281,9 @@ TEST(IngestSessionTest, ChunkedFeedMatchesOneShot) {
   IngestReport R;
   Status St = S.finish(T, R);
   ASSERT_EQ(St.ok(), Ref.Ok);
-  if (St.ok())
+  if (St.ok()) {
     EXPECT_EQ(serializeTrace(T), Ref.SerializedTrace);
+  }
   EXPECT_EQ(R.summary(), Ref.ReportSummary);
 }
 

@@ -12,6 +12,8 @@
 #include "trace/TraceBuilder.h"
 #include "trace/Validate.h"
 
+#include "TestScratch.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -111,7 +113,7 @@ TEST(TraceIOTest, SerializeParseRoundTrip) {
 
 TEST(TraceIOTest, FileRoundTrip) {
   Trace Original = makeSampleTrace();
-  std::string Path = testing::TempDir() + "/cafa_trace_io_test.trace";
+  std::string Path = uniqueScratchDir() + "/roundtrip.trace";
   ASSERT_TRUE(writeTraceFile(Original, Path).ok());
   Trace Parsed;
   Status S = readTraceFile(Path, Parsed);
