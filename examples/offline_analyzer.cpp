@@ -71,6 +71,7 @@
 #include "cafa/ReportJson.h"
 #include "confirm/Confirm.h"
 #include "hb/DotExport.h"
+#include "support/MappedFile.h"
 #include "trace/IngestSession.h"
 #include "trace/TraceIO.h"
 #include "trace/Validate.h"
@@ -114,6 +115,10 @@ static int usage(const char *Prog) {
 }
 
 int main(int argc, char **argv) {
+  // Traces are mapped, and fleet and daemon workers map paths they do
+  // not own: a file truncated mid-analysis must exit 2, not SIGBUS.
+  installTruncatedMappingHandler();
+
   if (argc >= 4 && std::strcmp(argv[1], "record") == 0) {
     AppModel Model = buildApp(argv[2]);
     RuntimeStats Stats;

@@ -4,20 +4,27 @@
 // SPDX-License-Identifier: MIT
 //
 //===----------------------------------------------------------------------===//
+//
+// The batch pair scan over a fully materialized AccessDb: uses in
+// promotion order outer, the frees of the use's cell in record order
+// inner, fanned out over the analysis worker pool in blocks.  What it
+// keeps of its own is that enumeration, the per-(frame, cell) branch
+// index its if-guard lookups read, and the DetectFrontier cursor.
+// Everything a pair goes through after enumeration -- filters,
+// deadline ladder, commit, classification -- is DetectShared.h, shared
+// with the windowed streaming scan (WindowedScan.cpp).
+//
+//===----------------------------------------------------------------------===//
 
 #include "detect/UseFreeDetector.h"
 
 #include "detect/DetectShared.h"
-#include "support/Timer.h"
 #include "support/WorkerPool.h"
 
 #include <algorithm>
-#include <map>
 #include <unordered_map>
 
 using namespace cafa;
-// The per-pair predicates (sameLooperEvents, locksetsIntersect,
-// branchGuardsUse, StaticKey, ...) are shared with the windowed scan.
 using namespace cafa::detail;
 
 namespace {
@@ -26,16 +33,12 @@ namespace {
 struct DetectIndexes {
   /// var id -> indices into Db.Frees.
   std::vector<std::vector<uint32_t>> FreesByVar;
-  /// (task, var) -> sorted alloc record indices.
-  std::unordered_map<uint64_t, std::vector<uint32_t>> AllocsByTaskVar;
+  AllocSpans Allocs;
   /// (task, frame, var) -> indices into Db.Branches.
   std::unordered_map<uint64_t, std::vector<uint32_t>> BranchesByFrameVar;
   /// Memoized if-guard verdicts per use (-1 unknown, 0 no, 1 yes).
   std::vector<int8_t> GuardedMemo;
 
-  static uint64_t taskVarKey(TaskId Task, VarId Var) {
-    return (static_cast<uint64_t>(Task.value()) << 32) | Var.value();
-  }
   static uint64_t frameVarKey(uint64_t Frame, VarId Var) {
     // Frame ids are globally unique, so (frame, var) needs no task.
     return (Frame << 20) ^ Var.value();
@@ -51,13 +54,8 @@ struct DetectIndexes {
     for (uint32_t I = 0, E = static_cast<uint32_t>(Db.Frees.size()); I != E;
          ++I)
       FreesByVar[Db.Frees[I].Var.index()].push_back(I);
-    for (uint32_t I = 0, E = static_cast<uint32_t>(Db.Allocs.size());
-         I != E; ++I) {
-      const PtrAccess &A = Db.Allocs[I];
-      AllocsByTaskVar[taskVarKey(A.Task, A.Var)].push_back(A.Record);
-    }
-    for (auto &[K, V] : AllocsByTaskVar)
-      std::sort(V.begin(), V.end());
+    for (const PtrAccess &A : Db.Allocs)
+      Allocs.add(A);
     for (uint32_t I = 0, E = static_cast<uint32_t>(Db.Branches.size());
          I != E; ++I) {
       const GuardBranch &Br = Db.Branches[I];
@@ -65,20 +63,6 @@ struct DetectIndexes {
         BranchesByFrameVar[frameVarKey(Br.Frame, Br.Var)].push_back(I);
     }
     GuardedMemo.assign(Db.Uses.size(), -1);
-  }
-
-  bool allocInTaskAfter(TaskId Task, VarId Var, uint32_t Record) const {
-    auto It = AllocsByTaskVar.find(taskVarKey(Task, Var));
-    if (It == AllocsByTaskVar.end())
-      return false;
-    return std::upper_bound(It->second.begin(), It->second.end(), Record) !=
-           It->second.end();
-  }
-  bool allocInTaskBefore(TaskId Task, VarId Var, uint32_t Record) const {
-    auto It = AllocsByTaskVar.find(taskVarKey(Task, Var));
-    if (It == AllocsByTaskVar.end())
-      return false;
-    return !It->second.empty() && It->second.front() < Record;
   }
 };
 
@@ -96,33 +80,10 @@ RaceReport cafa::detectUseFreeRaces(const Trace &T, const TaskIndex &Index,
                                     const AccessDb &Db, const HbIndex &Hb,
                                     const DetectorOptions &Options,
                                     DetectCheckpointing *Ckpt) {
-  RaceReport Report;
-  if (Hb.degradation().DeadlineExceeded) {
-    // The happens-before fixpoint was cut short: the relation
-    // under-approximates, so extra candidates may survive the ordering
-    // filter.  Everything reported is still a genuine candidate.
-    Report.Partial = true;
-    Report.PartialCause = "hb-deadline";
-    const std::vector<std::string> &Rules =
-        Hb.degradation().UnsaturatedRules;
-    if (!Rules.empty()) {
-      Report.PartialDetail = "unsaturated rules:";
-      for (size_t I = 0; I != Rules.size(); ++I)
-        Report.PartialDetail += (I ? ", " : " ") + Rules[I];
-    }
-  }
+  RaceReport Report = beginReport(Hb);
+  DeadlineLadder Ladder(Options, Report, Ckpt);
   DetectIndexes Ix(Db);
-
-  // The conventional model for (b)/(c) classification, built on demand.
-  // Skipped once the pipeline is already past a deadline: a second
-  // happens-before construction would dig the hole deeper, and the
-  // (b)/(c) split is a refinement, not a soundness requirement.
-  std::unique_ptr<HbIndex> ConvHb;
-  if (Options.Classify && !Report.Partial) {
-    HbOptions ConvOpts = Options.Hb;
-    ConvOpts.Model = OrderingModel::Conventional;
-    ConvHb = std::make_unique<HbIndex>(T, Index, ConvOpts);
-  }
+  const PairFilter Filter(T, Options, Ix.Allocs);
 
   auto isGuarded = [&](uint32_t UseIdx) {
     int8_t &Memo = Ix.GuardedMemo[UseIdx];
@@ -142,27 +103,6 @@ RaceReport cafa::detectUseFreeRaces(const Trace &T, const TaskIndex &Index,
     }
     Memo = Guarded ? 1 : 0;
     return Guarded;
-  };
-
-  std::map<StaticKey, size_t> Dedup;
-
-  // Deadline ladder state (see DetectorOptions::DeadlineMillis): rung 1
-  // sheds the lockset and if-guard filters and doubles the budget; rung
-  // 2 cuts the scan.  Shedding only ever un-suppresses pairs, so a shed
-  // report's race set is a superset of the complete run's.
-  bool FiltersShed = false;
-  double DeadlineLimit = Options.DeadlineMillis;
-  const bool CanShed = Options.LocksetFilter || Options.IfGuardFilter;
-  auto MarkShed = [&] {
-    FiltersShed = true;
-    DeadlineLimit = Options.DeadlineMillis * 2;
-    Report.Partial = true;
-    if (Report.PartialCause.empty())
-      Report.PartialCause = "filters-shed";
-    if (Report.PartialDetail.empty())
-      Report.PartialDetail =
-          "lockset and if-guard filters shed mid-scan; extra races "
-          "possible, none missing from the scanned region";
   };
 
   // Resume path: restore the races, counters, and cursor of a frozen
@@ -207,25 +147,20 @@ RaceReport cafa::detectUseFreeRaces(const Trace &T, const TaskIndex &Index,
       StartUse = R.UseIdx;
       StartFree = R.FreePos;
       if (R.FiltersShed)
-        MarkShed();
+        Ladder.markShed();
       Report.Filters = R.Filters;
       Report.Races = std::move(Restored);
-      for (size_t I = 0; I != Report.Races.size(); ++I) {
-        const UseFreeRace &Race = Report.Races[I];
-        Dedup.emplace(StaticKey{Race.Use.Method.value(), Race.Use.Pc,
-                                Race.Free.Method.value(), Race.Free.Pc},
-                      I);
-      }
       Ckpt->ResumeAccepted = true;
     }
   }
+  RaceCommitter Committer(Report);
 
   // Snapshots the scan at the next unprocessed pair (\p UseIdx, \p J).
   auto freezeScan = [&](uint32_t UseIdx, uint32_t J) {
     DetectFrontier F;
     F.UseIdx = UseIdx;
     F.FreePos = J;
-    F.FiltersShed = FiltersShed;
+    F.FiltersShed = Ladder.shed();
     F.Filters = Report.Filters;
     F.Races.reserve(Report.Races.size());
     for (const UseFreeRace &Race : Report.Races)
@@ -235,109 +170,38 @@ RaceReport cafa::detectUseFreeRaces(const Trace &T, const TaskIndex &Index,
     return F;
   };
 
-  // Deadline bookkeeping: a Timer query per pair would dominate the
-  // scan, so the clock is only consulted every ~4k pairs (at block
-  // barriers in the parallel mode).  Checkpoint cadence rides the same
-  // poll.
-  Timer DetectTimer;
-  bool WantClock = Options.DeadlineMillis > 0 ||
-                   (Ckpt && Ckpt->Save && Ckpt->EveryMillis > 0);
-  uint64_t PairsSinceCheck = 0;
-  double LastSaveMs = 0;
-  bool OutOfTime = false;
-
-  // Polls the deadline ladder and the checkpoint cadence with the next
-  // unprocessed pair at (\p UseIdx, \p J).
+  // Polls the ladder with the next unprocessed pair at (\p UseIdx, \p J);
+  // false once the scan is cut.
   auto pollClock = [&](uint32_t UseIdx, uint32_t J) {
-    double Elapsed = DetectTimer.elapsedWallMillis();
-    if (Options.DeadlineMillis > 0 && Elapsed > DeadlineLimit) {
-      if (!FiltersShed && CanShed) {
-        // Rung 1: trade precision for completion -- drop the two
-        // suppression-only filters and keep scanning on a doubled
-        // budget.
-        MarkShed();
-        return;
-      }
-      // Rung 2: out of road.  Pair (UseIdx, J) is not yet processed:
-      // it is exactly where a resumed scan picks up.
-      if (Ckpt && Ckpt->Save)
-        Ckpt->Save(freezeScan(UseIdx, J));
-      OutOfTime = true;
-      return;
-    }
-    if (Ckpt && Ckpt->Save && Ckpt->EveryMillis > 0 &&
-        Elapsed - LastSaveMs >= Ckpt->EveryMillis) {
-      LastSaveMs = Elapsed;
+    if (Ladder.poll())
       Ckpt->Save(freezeScan(UseIdx, J));
-    }
+    return !Ladder.outOfTime();
   };
 
-  // The pure per-pair filter pipeline: everything whose verdict depends
-  // only on the pair itself (and the frozen shed state), which is what
-  // makes it safe to evaluate from worker threads.  Dedup,
-  // dynamic-instance counting, and classification are order-dependent
-  // and stay sequential (commitPair).  GuardedMemo stays safe in
-  // parallel because uses are partitioned: exactly one worker ever
-  // touches a given use's memo slot.
+  // The per-pair verdict, pure given the frozen shed state, which is
+  // what makes it safe to evaluate from worker threads.  GuardedMemo
+  // stays safe in parallel because uses are partitioned: exactly one
+  // worker ever touches a given use's memo slot.
   auto evalPair = [&](uint32_t UseIdx, uint32_t FreeIdx, bool Shed,
                       FilterCounters &C, bool &SameLooper) {
     const PtrAccess &Use = Db.Uses[UseIdx];
     const PtrAccess &Free = Db.Frees[FreeIdx];
-    ++C.CandidatePairs;
-    if (Use.Task == Free.Task) {
-      ++C.SameTask;
-      return false;
-    }
-    if (Hb.ordered(Use.Record, Free.Record)) {
-      ++C.OrderedByHb;
-      return false;
-    }
-    if (Options.LocksetFilter && !Shed &&
-        locksetsIntersect(Use.Lockset, Free.Lockset)) {
-      ++C.LocksetProtected;
-      return false;
-    }
-    SameLooper = sameLooperEvents(T, Use.Task, Free.Task);
-    if (SameLooper) {
-      if (Options.IfGuardFilter && !Shed && isGuarded(UseIdx)) {
-        ++C.IfGuardFiltered;
-        return false;
-      }
-      if (Options.IntraEventAllocFilter &&
-          (Ix.allocInTaskAfter(Free.Task, Free.Var, Free.Record) ||
-           Ix.allocInTaskBefore(Use.Task, Use.Var, Use.Record))) {
-        ++C.IntraEventAlloc;
-        return false;
-      }
-    }
-    return true;
+    return Filter.survives(
+        Use, Free, Shed, C, SameLooper,
+        [&] { return Hb.ordered(Use.Record, Free.Record); },
+        [&] { return isGuarded(UseIdx); });
   };
 
-  // Sequential commit of one surviving pair, in scan order: static-site
-  // dedup, dynamic-instance counting, Table 1 classification.
+  // Sequential commit of one surviving pair, in scan order.
   auto commitPair = [&](uint32_t UseIdx, uint32_t FreeIdx,
                         bool SameLooper) {
     const PtrAccess &Use = Db.Uses[UseIdx];
     const PtrAccess &Free = Db.Frees[FreeIdx];
-    StaticKey Key{Use.Method.value(), Use.Pc, Free.Method.value(),
-                  Free.Pc};
-    auto It = Dedup.find(Key);
-    if (It != Dedup.end()) {
-      ++Report.Races[It->second].DynamicCount;
-      return;
+    if (UseFreeRace *Race =
+            Committer.commit(staticKey(Use, Free), SameLooper)) {
+      Race->Use = Use;
+      Race->Free = Free;
     }
-    UseFreeRace Race;
-    Race.Use = Use;
-    Race.Free = Free;
-    if (SameLooper) {
-      Race.Category = RaceCategory::IntraThread;
-    } else if (ConvHb && !ConvHb->ordered(Use.Record, Free.Record)) {
-      Race.Category = RaceCategory::Conventional;
-    } else {
-      Race.Category = RaceCategory::InterThread;
-    }
-    Dedup.emplace(Key, Report.Races.size());
-    Report.Races.push_back(std::move(Race));
   };
 
   const uint32_t UE = static_cast<uint32_t>(Db.Uses.size());
@@ -356,7 +220,7 @@ RaceReport cafa::detectUseFreeRaces(const Trace &T, const TaskIndex &Index,
   WorkerPool Pool(Parallel ? Threads - 1 : 0);
 
   if (!Parallel) {
-    for (uint32_t UseIdx = StartUse; UseIdx != UE && !OutOfTime;
+    for (uint32_t UseIdx = StartUse; UseIdx != UE && !Ladder.outOfTime();
          ++UseIdx) {
       const PtrAccess &Use = Db.Uses[UseIdx];
       if (Use.Var.index() >= Ix.FreesByVar.size())
@@ -366,23 +230,20 @@ RaceReport cafa::detectUseFreeRaces(const Trace &T, const TaskIndex &Index,
       for (uint32_t J = UseIdx == StartUse ? StartFree : 0,
                     JE = static_cast<uint32_t>(FreeList.size());
            J != JE; ++J) {
-        if (WantClock && ++PairsSinceCheck >= 4096) {
-          PairsSinceCheck = 0;
-          pollClock(UseIdx, J);
-          if (OutOfTime)
-            break;
-        }
+        if (Ladder.due(1) && !pollClock(UseIdx, J))
+          break;
         bool SameLooper = false;
-        if (evalPair(UseIdx, FreeList[J], FiltersShed, Report.Filters,
+        if (evalPair(UseIdx, FreeList[J], Ladder.shed(), Report.Filters,
                      SameLooper))
           commitPair(UseIdx, FreeList[J], SameLooper);
       }
     }
   } else {
-    // Blocks match the sequential clock cadence (~4k pairs) when the
-    // clock matters, so deadline cuts and cadence saves land at
-    // comparable pair counts; otherwise they are sized for throughput.
-    const uint64_t BlockPairs = WantClock ? 4096 : 65536;
+    // Blocks match the sequential clock cadence when the clock matters,
+    // so deadline cuts and cadence saves land at comparable pair counts;
+    // otherwise they are sized for throughput.
+    const uint64_t BlockPairs =
+        Ladder.clockWanted() ? DeadlineLadder::PollPairs : 65536;
     const uint64_t ChunkPairs =
         std::max<uint64_t>(BlockPairs / (Pool.helperThreads() + 1), 512);
     struct Survivor {
@@ -400,7 +261,7 @@ RaceReport cafa::detectUseFreeRaces(const Trace &T, const TaskIndex &Index,
       return UseIdx == StartUse ? std::min<uint64_t>(N, StartFree) : 0;
     };
     uint32_t UseIdx = StartUse;
-    while (UseIdx < UE && !OutOfTime) {
+    while (UseIdx < UE && !Ladder.outOfTime()) {
       // Carve the next block of ~BlockPairs pairs into contiguous
       // per-worker chunks balanced by pair count.
       std::vector<Chunk> Chunks;
@@ -422,7 +283,7 @@ RaceReport cafa::detectUseFreeRaces(const Trace &T, const TaskIndex &Index,
       }
       if (ChunkBegin < U)
         Chunks.push_back({ChunkBegin, U, {}, {}});
-      const bool Shed = FiltersShed; // frozen for the whole block
+      const bool Shed = Ladder.shed(); // frozen for the whole block
       Pool.parallelFor(Chunks.size(), [&](size_t CI) {
         Chunk &Ch = Chunks[CI];
         for (uint32_t UI = Ch.UseBegin; UI != Ch.UseEnd; ++UI) {
@@ -451,28 +312,16 @@ RaceReport cafa::detectUseFreeRaces(const Trace &T, const TaskIndex &Index,
           commitPair(S.UseIdx, S.FreeIdx, S.SameLooper);
       }
       UseIdx = U;
-      // Same cadence as the sequential scan: poll once ~4k pairs have
-      // been evaluated since the last poll, with the cursor at the next
-      // unprocessed pair.  No trailing poll after the final block -- a
-      // finished scan is complete, not cut.
-      PairsSinceCheck += InBlock;
-      if (WantClock && PairsSinceCheck >= 4096 && UseIdx < UE) {
-        PairsSinceCheck = 0;
+      // Same cadence as the sequential scan: poll once PollPairs pairs
+      // have been evaluated since the last poll, with the cursor at the
+      // next unprocessed pair.  No trailing poll after the final block
+      // -- a finished scan is complete, not cut.
+      if (Ladder.due(InBlock) && UseIdx < UE)
         pollClock(UseIdx, UseIdx == StartUse ? StartFree : 0);
-      }
     }
   }
-  if (OutOfTime) {
-    Report.Partial = true;
-    // "filters-shed" promotes to the harder cut; an earlier
-    // "hb-deadline" keeps priority (first deadline hit wins).
-    if (Report.PartialCause.empty() ||
-        Report.PartialCause == "filters-shed")
-      Report.PartialCause = "detect-deadline";
-    if (FiltersShed && Report.PartialCause == "detect-deadline")
-      Report.PartialDetail =
-          "filters shed, then the extended budget expired; scan cut";
-  }
+  Ladder.finish();
+  classifyRaces(T, Index, Hb, Options, Report);
   return Report;
 }
 

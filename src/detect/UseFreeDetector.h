@@ -35,8 +35,9 @@ struct DetectorOptions {
   bool IntraEventAllocFilter = true;
   /// Suppress pairs protected by a common lock.
   bool LocksetFilter = true;
-  /// Split non-(a) races into (b)/(c) by also running the conventional
-  /// model (costs a second happens-before construction).
+  /// Split non-(a) races into (b)/(c) by asking the conventional model
+  /// about each one.  The model is built after the scan, BFS-backed,
+  /// and only when some reported race crosses loopers.
   bool Classify = true;
   /// Graceful degradation: when positive, a wall-clock budget in
   /// milliseconds for the candidate-pair scan, measured from detector
@@ -89,7 +90,9 @@ struct DetectFrontier {
   FilterCounters Filters;
   /// One reported race, keyed by the trace records of its first dynamic
   /// instance (stable across processes; the full PtrAccess is
-  /// rehydrated from a freshly extracted AccessDb on resume).
+  /// rehydrated from a freshly extracted AccessDb on resume).  A
+  /// cross-looper race's Category may be the (b) placeholder: the (b)/(c)
+  /// split runs once, after the scan.
   struct RaceEntry {
     uint32_t UseRecord = 0;
     uint32_t FreeRecord = 0;
@@ -99,7 +102,7 @@ struct DetectFrontier {
   std::vector<RaceEntry> Races;
 };
 
-/// Checkpoint hooks for the pair scan.  Save, when set, is called at
+/// Checkpoint hooks for a detector scan.  Save, when set, is called at
 /// cadence ticks (EveryMillis of wall time since detector entry,
 /// polled at the same ~4k-pair granularity as the deadline clock) and
 /// always when the detect deadline cuts the scan.  Resume seeds the
@@ -107,12 +110,14 @@ struct DetectFrontier {
 /// extracted accesses and sets ResumeAccepted, silently starting from
 /// scratch on any mismatch (a stale frontier must degrade to a clean
 /// run, never a wrong report).
-struct DetectCheckpointing {
+template <class Frontier> struct ScanCheckpointing {
   double EveryMillis = 0;
-  std::function<void(const DetectFrontier &)> Save;
-  const DetectFrontier *Resume = nullptr;
+  std::function<void(const Frontier &)> Save;
+  const Frontier *Resume = nullptr;
   bool ResumeAccepted = false;
 };
+
+using DetectCheckpointing = ScanCheckpointing<DetectFrontier>;
 
 /// Frozen state of the windowed streaming scan (WindowedScan.cpp) at a
 /// pair boundary.  Unlike the batch DetectFrontier, races are not yet
@@ -141,15 +146,7 @@ struct WindowedDetectFrontier {
   std::vector<SurvivorEntry> Survivors;
 };
 
-/// Checkpoint hooks for the windowed scan; same contract as
-/// DetectCheckpointing (cadence saves, save on deadline cut, validated
-/// resume that silently restarts from scratch on mismatch).
-struct WindowedDetectCheckpointing {
-  double EveryMillis = 0;
-  std::function<void(const WindowedDetectFrontier &)> Save;
-  const WindowedDetectFrontier *Resume = nullptr;
-  bool ResumeAccepted = false;
-};
+using WindowedDetectCheckpointing = ScanCheckpointing<WindowedDetectFrontier>;
 
 /// Observability counters of one windowed scan, surfaced in the
 /// analyzer's stats block and the scaling bench.

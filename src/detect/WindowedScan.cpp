@@ -6,14 +6,16 @@
 //===----------------------------------------------------------------------===//
 //
 // The bounded-memory counterpart of the batch pair scan in
-// UseFreeDetector.cpp (docs/windowed-analysis.md).  Two extraction
-// passes over the record stream:
+// UseFreeDetector.cpp (docs/windowed-analysis.md).  What it keeps of its
+// own is the enumeration, the retention, and the WindowedDetectFrontier
+// cursor; the filters, deadline ladder, commit and classification are
+// DetectShared.h, shared with the batch scan.  Two extraction passes
+// over the record stream:
 //
 //  - Pass A (PrePassSink) counts and indexes without retaining bodies:
 //    use ordinals keyed by read record, per-cell last-use/last-free
-//    records (the retention horizons), per-(task, cell) alloc spans
-//    (all the intra-event-alloc filter ever consults), and the global
-//    query horizon for the frontier reachability rows.
+//    records (the retention horizons), per-(task, cell) alloc spans,
+//    and the global query horizon for the frontier reachability rows.
 //
 //  - Pass B (WindowScanSink) streams accesses in record order.  A pair
 //    (use, free) is evaluated exactly once, at the record of its later
@@ -26,11 +28,10 @@
 //    Happens-before queries go to WindowedReach, whose frontier rows
 //    advance with the same cursor.
 //
-// Surviving pairs are tiny ordinal tuples; dedup, dynamic-instance
-// counting, and (b)/(c) classification run once at the end, over the
-// survivors sorted into the batch scan's (use, free) order, committing
-// through the same logic -- so the two detectors' reports are
-// byte-identical on every complete run.
+// Surviving pairs are tiny ordinal tuples; the commit runs once at the
+// end, over the survivors sorted into the batch scan's (use, free)
+// order -- so the two detectors' reports are byte-identical on every
+// complete run.
 //
 //===----------------------------------------------------------------------===//
 
@@ -39,7 +40,6 @@
 #include "detect/DetectShared.h"
 #include "hb/WindowedReach.h"
 #include "support/Resolve.h"
-#include "support/Timer.h"
 
 #include <algorithm>
 #include <cassert>
@@ -67,10 +67,6 @@ uint64_t cafa::resolveWindowEvents(uint64_t Requested) {
 
 namespace {
 
-uint64_t taskVarKey(TaskId Task, VarId Var) {
-  return (static_cast<uint64_t>(Task.value()) << 32) | Var.value();
-}
-
 /// Pass A: derives every per-cell and per-task horizon the streaming
 /// scan needs, without retaining any access body.
 class PrePassSink final : public AccessSink {
@@ -92,9 +88,7 @@ public:
   std::vector<uint32_t> LastFreeByVar;
   std::vector<uint8_t> HasUseByVar;
   std::vector<uint8_t> HasFreeByVar;
-  /// (task, cell) -> [first, last] alloc record: everything
-  /// allocInTaskBefore/After ever ask.
-  std::unordered_map<uint64_t, std::pair<uint32_t, uint32_t>> AllocSpans;
+  AllocSpans Allocs;
   /// Last record that is the later element of any candidate pair
   /// (over-approximated by the last access record overall).
   uint32_t QueryHorizon = 0;
@@ -125,27 +119,12 @@ public:
 
   void onAlloc(PtrAccess Alloc) override {
     ++NumAllocs;
-    auto [It, New] = AllocSpans.try_emplace(
-        taskVarKey(Alloc.Task, Alloc.Var),
-        std::make_pair(Alloc.Record, Alloc.Record));
-    if (!New) {
-      It->second.first = std::min(It->second.first, Alloc.Record);
-      It->second.second = std::max(It->second.second, Alloc.Record);
-    }
+    Allocs.add(Alloc);
   }
 
   void onBranch(GuardBranch Br) override {
     (void)Br;
     ++NumBranches;
-  }
-
-  bool allocInTaskAfter(TaskId Task, VarId Var, uint32_t Record) const {
-    auto It = AllocSpans.find(taskVarKey(Task, Var));
-    return It != AllocSpans.end() && It->second.second > Record;
-  }
-  bool allocInTaskBefore(TaskId Task, VarId Var, uint32_t Record) const {
-    auto It = AllocSpans.find(taskVarKey(Task, Var));
-    return It != AllocSpans.end() && It->second.first < Record;
   }
 
   bool hasUse(uint32_t V) const {
@@ -209,21 +188,20 @@ public:
                  const PrePassSink &Pre, WindowedReach &WR,
                  RaceReport &Report, uint64_t Window,
                  WindowedDetectCheckpointing *Ckpt)
-      : T(T), Options(Options), Pre(Pre), WR(WR), Report(Report),
-        Window(Window), Ckpt(Ckpt),
-        CanShed(Options.LocksetFilter || Options.IfGuardFilter) {
+      : Ladder(Options, Report, Ckpt), T(T), Pre(Pre), WR(WR),
+        Report(Report), Window(Window), Ckpt(Ckpt),
+        Filter(T, Options, Pre.Allocs) {
     NextSweepRecord = static_cast<uint64_t>(Window);
-    DeadlineLimit = Options.DeadlineMillis;
     buildSweepSchedule();
-    WantClock = Options.DeadlineMillis > 0 ||
-                (Ckpt && Ckpt->Save && Ckpt->EveryMillis > 0);
   }
+
+  /// The deadline ladder; detectUseFreeRacesWindowed marks it shed on a
+  /// shed resume and closes it once the scan returns.
+  DeadlineLadder Ladder;
 
   // Scan results, read by the driver after streamAccesses returns.
   std::vector<WindowedDetectFrontier::SurvivorEntry> Survivors;
   std::map<StaticKey, MinInst> MinInstances;
-  bool FiltersShed = false;
-  bool OutOfTime = false;
   size_t RetainedHighWaterBytes = 0;
   size_t OverlayHighWaterBytes = 0;
 
@@ -232,18 +210,6 @@ public:
   uint64_t ResumeSkip = 0;
   std::unordered_set<uint32_t> NeededUseOrds, NeededFreeOrds;
   std::unordered_map<uint32_t, PtrAccess> CapturedUses, CapturedFrees;
-
-  void markShed() {
-    FiltersShed = true;
-    DeadlineLimit = Options.DeadlineMillis * 2;
-    Report.Partial = true;
-    if (Report.PartialCause.empty())
-      Report.PartialCause = "filters-shed";
-    if (Report.PartialDetail.empty())
-      Report.PartialDetail =
-          "lockset and if-guard filters shed mid-scan; extra races "
-          "possible, none missing from the scanned region";
-  }
 
   void onPtrRead(uint32_t Record, TaskId Task, VarId Var, MethodId Method,
                  uint32_t Pc, uint64_t Frame,
@@ -269,7 +235,7 @@ public:
 
     if (!Pre.hasFree(V))
       return; // the cell is never freed: no pairs, ever
-    if (!OutOfTime)
+    if (!Ladder.outOfTime())
       WR.advanceTo(Record);
 
     int8_t Memo = -1;
@@ -280,7 +246,7 @@ public:
       // horizon is the cell's last promoted read, i.e. >= Record).
       for (const RetFree &F : BIt->second.Frees) {
         handlePair(Use, Ord, Memo, F.A, F.Ord, Record);
-        if (OutOfTime)
+        if (Ladder.outOfTime())
           return;
       }
     }
@@ -303,7 +269,7 @@ public:
       CapturedFrees.emplace(Ord, Free);
     if (!Pre.hasUse(V))
       return; // the cell is never used: no pairs, ever
-    if (!OutOfTime)
+    if (!Ladder.outOfTime())
       WR.advanceTo(Free.Record);
 
     auto BIt = Buckets.find(V);
@@ -312,7 +278,7 @@ public:
       // earlier use of the cell.
       for (RetUse &U : BIt->second.Uses) {
         handlePair(U.A, U.Ord, U.GuardMemo, Free, Ord, Free.Record);
-        if (OutOfTime)
+        if (Ladder.outOfTime())
           return;
       }
     }
@@ -346,13 +312,13 @@ public:
     PairsDoneThisRecord = 0;
     if (static_cast<uint64_t>(Record) >= NextSweepRecord) {
       NextSweepRecord = static_cast<uint64_t>(Record) + Window;
-      if (!OutOfTime) {
+      if (!Ladder.outOfTime()) {
         WR.advanceTo(Record);
         sweep(Record);
         noteOverlay();
       }
     }
-    return !OutOfTime;
+    return !Ladder.outOfTime();
   }
 
   /// Snapshot at the next unprocessed pair of \p Record.
@@ -360,7 +326,7 @@ public:
     WindowedDetectFrontier F;
     F.CursorRecord = Record;
     F.PairsDoneAtCursor = Done;
-    F.FiltersShed = FiltersShed;
+    F.FiltersShed = Ladder.shed();
     F.Filters = Report.Filters;
     F.Survivors = Survivors;
     return F;
@@ -448,31 +414,11 @@ private:
     return Guarded;
   }
 
-  void pollClock(uint32_t Record, uint64_t Done) {
-    double Elapsed = Clock.elapsedWallMillis();
-    if (Options.DeadlineMillis > 0 && Elapsed > DeadlineLimit) {
-      if (!FiltersShed && CanShed) {
-        markShed();
-        return;
-      }
-      if (Ckpt && Ckpt->Save)
-        Ckpt->Save(freeze(Record, Done));
-      OutOfTime = true;
-      return;
-    }
-    if (Ckpt && Ckpt->Save && Ckpt->EveryMillis > 0 &&
-        Elapsed - LastSaveMs >= Ckpt->EveryMillis) {
-      LastSaveMs = Elapsed;
-      Ckpt->Save(freeze(Record, Done));
-    }
-  }
-
-  /// Evaluates one (use, free) pair at its admission record -- the
-  /// same filter pipeline, in the same order, as the batch evalPair.
+  /// Evaluates one (use, free) pair at its admission record.
   void handlePair(const PtrAccess &Use, uint32_t UseOrd, int8_t &Memo,
                   const PtrAccess &Free, uint32_t FreeOrd,
                   uint32_t AdmitRecord) {
-    if (OutOfTime)
+    if (Ladder.outOfTime())
       return;
     // Resume replay: pairs admitted before the frozen cursor (and the
     // first PairsDoneAtCursor pairs at it) are already reflected in the
@@ -482,48 +428,25 @@ private:
       ++PairsDoneThisRecord;
       return;
     }
-    if (WantClock && ++PairsSinceCheck >= 4096) {
-      PairsSinceCheck = 0;
-      pollClock(AdmitRecord, PairsDoneThisRecord);
-      if (OutOfTime)
+    if (Ladder.due(1)) {
+      if (Ladder.poll())
+        Ckpt->Save(freeze(AdmitRecord, PairsDoneThisRecord));
+      if (Ladder.outOfTime())
         return;
     }
     ++PairsDoneThisRecord;
 
-    FilterCounters &C = Report.Filters;
-    ++C.CandidatePairs;
-    if (Use.Task == Free.Task) {
-      ++C.SameTask;
+    bool SameLooper = false;
+    if (!Filter.survives(
+            Use, Free, Ladder.shed(), Report.Filters, SameLooper,
+            [&] { return WR.orderedCrossTask(Use.Record, Free.Record); },
+            [&] { return isGuarded(Use, Memo); }))
       return;
-    }
-    if (WR.orderedCrossTask(Use.Record, Free.Record)) {
-      ++C.OrderedByHb;
-      return;
-    }
-    if (Options.LocksetFilter && !FiltersShed &&
-        locksetsIntersect(Use.Lockset, Free.Lockset)) {
-      ++C.LocksetProtected;
-      return;
-    }
-    bool SameLooper = sameLooperEvents(T, Use.Task, Free.Task);
-    if (SameLooper) {
-      if (Options.IfGuardFilter && !FiltersShed && isGuarded(Use, Memo)) {
-        ++C.IfGuardFiltered;
-        return;
-      }
-      if (Options.IntraEventAllocFilter &&
-          (Pre.allocInTaskAfter(Free.Task, Free.Var, Free.Record) ||
-           Pre.allocInTaskBefore(Use.Task, Use.Var, Use.Record))) {
-        ++C.IntraEventAlloc;
-        return;
-      }
-    }
 
     Survivors.push_back({UseOrd, FreeOrd, Use.Record, Free.Record,
                          Use.Method.value(), Use.Pc, Free.Method.value(),
                          Free.Pc, static_cast<uint8_t>(SameLooper)});
-    StaticKey Key{Use.Method.value(), Use.Pc, Free.Method.value(), Free.Pc};
-    MinInst &M = MinInstances[Key];
+    MinInst &M = MinInstances[staticKey(Use, Free)];
     if (std::make_pair(UseOrd, FreeOrd) < std::make_pair(M.UseOrd, M.FreeOrd)) {
       M.UseOrd = UseOrd;
       M.FreeOrd = FreeOrd;
@@ -541,13 +464,12 @@ private:
   };
 
   const Trace &T;
-  const DetectorOptions &Options;
   const PrePassSink &Pre;
   WindowedReach &WR;
   RaceReport &Report;
   const uint64_t Window;
   WindowedDetectCheckpointing *Ckpt;
-  const bool CanShed;
+  const PairFilter Filter;
 
   std::unordered_map<uint32_t, VarBucket> Buckets;
   std::vector<SweepEntry> Schedule;
@@ -556,12 +478,6 @@ private:
   size_t RetainedBytes = 0;
   uint32_t NextFreeOrd = 0;
   uint64_t PairsDoneThisRecord = 0;
-
-  Timer Clock;
-  bool WantClock = false;
-  double DeadlineLimit = 0;
-  double LastSaveMs = 0;
-  uint64_t PairsSinceCheck = 0;
 };
 
 /// Fallback body capture for the rare resume-then-cut-again corner: a
@@ -629,25 +545,7 @@ RaceReport cafa::detectUseFreeRacesWindowed(
     WindowedDetectCheckpointing *Ckpt) {
   assert(WindowEvents != 0 && WindowEvents != DetectorOptions::WindowOff &&
          "callers resolve the window first");
-  RaceReport Report;
-  if (Hb.degradation().DeadlineExceeded) {
-    // Same preamble as the batch detector: a cut fixpoint
-    // under-approximates the relation, so the report is provisional.
-    Report.Partial = true;
-    Report.PartialCause = "hb-deadline";
-    const std::vector<std::string> &Rules =
-        Hb.degradation().UnsaturatedRules;
-    if (!Rules.empty()) {
-      Report.PartialDetail = "unsaturated rules:";
-      for (size_t I = 0; I != Rules.size(); ++I)
-        Report.PartialDetail += (I ? ", " : " ") + Rules[I];
-    }
-  }
-  // Whether classification will run: decided at entry exactly like the
-  // batch detector (which constructs the conventional model up front);
-  // the construction itself is deferred to the commit phase so the
-  // scan runs with the overlay alone resident.
-  const bool WantConv = Options.Classify && !Report.Partial;
+  RaceReport Report = beginReport(Hb);
 
   // Pass A: horizons and ordinals, no bodies.
   PrePassSink Pre;
@@ -676,7 +574,7 @@ RaceReport cafa::detectUseFreeRacesWindowed(
       Scan.Survivors = R.Survivors;
       Report.Filters = R.Filters;
       if (R.FiltersShed)
-        Scan.markShed();
+        Scan.Ladder.markShed();
       // Seed the per-key first instances; their bodies stream by
       // during the replay and are captured by ordinal.
       for (const WindowedDetectFrontier::SurvivorEntry &S : R.Survivors) {
@@ -700,16 +598,7 @@ RaceReport cafa::detectUseFreeRacesWindowed(
 
   // Pass B: the scan.
   streamAccesses(T, Resolver, Scan);
-
-  if (Scan.OutOfTime) {
-    Report.Partial = true;
-    if (Report.PartialCause.empty() ||
-        Report.PartialCause == "filters-shed")
-      Report.PartialCause = "detect-deadline";
-    if (Scan.FiltersShed && Report.PartialCause == "detect-deadline")
-      Report.PartialDetail =
-          "filters shed, then the extended budget expired; scan cut";
-  }
+  Scan.Ladder.finish();
 
   // Fill any first-instance bodies the replay captured; chase the rare
   // stragglers (resumed survivors cut off again before their records)
@@ -740,49 +629,26 @@ RaceReport cafa::detectUseFreeRacesWindowed(
     }
   }
 
-  // Commit: sort the survivors into the batch scan's order (use-major
-  // by promotion ordinal, frees in record order within) and replay the
-  // batch commit -- dedup, dynamic counting, Table 1 classification.
+  // Commit the survivors in the batch scan's order (use-major by
+  // promotion ordinal, frees in record order within).
   std::sort(Scan.Survivors.begin(), Scan.Survivors.end(),
             [](const WindowedDetectFrontier::SurvivorEntry &A,
                const WindowedDetectFrontier::SurvivorEntry &B) {
               return std::tie(A.UseOrd, A.FreeOrd) <
                      std::tie(B.UseOrd, B.FreeOrd);
             });
-  std::unique_ptr<HbIndex> ConvHb;
-  std::map<StaticKey, size_t> Dedup;
+  RaceCommitter Committer(Report);
   for (const WindowedDetectFrontier::SurvivorEntry &S : Scan.Survivors) {
     StaticKey Key{S.UseMethod, S.UsePc, S.FreeMethod, S.FreePc};
-    auto It = Dedup.find(Key);
-    if (It != Dedup.end()) {
-      ++Report.Races[It->second].DynamicCount;
-      continue;
+    if (UseFreeRace *Race = Committer.commit(Key, S.SameLooper)) {
+      const MinInst &M = Scan.MinInstances.at(Key);
+      assert(M.UseOrd == S.UseOrd && M.FreeOrd == S.FreeOrd &&
+             "sorted first survivor is the per-key minimum");
+      Race->Use = M.Use;
+      Race->Free = M.Free;
     }
-    const MinInst &M = Scan.MinInstances.at(Key);
-    assert(M.UseOrd == S.UseOrd && M.FreeOrd == S.FreeOrd &&
-           "sorted first survivor is the per-key minimum");
-    UseFreeRace Race;
-    Race.Use = M.Use;
-    Race.Free = M.Free;
-    if (S.SameLooper) {
-      Race.Category = RaceCategory::IntraThread;
-    } else {
-      if (WantConv && !ConvHb) {
-        // Deferred conventional model, BFS-backed: answers are
-        // oracle-independent and the query count is one per
-        // first-instance race, so the O(N^2) closure never builds.
-        HbOptions ConvOpts = Options.Hb;
-        ConvOpts.Model = OrderingModel::Conventional;
-        ConvOpts.Reach = ReachMode::Bfs;
-        ConvHb = std::make_unique<HbIndex>(T, Index, ConvOpts);
-      }
-      Race.Category = ConvHb && !ConvHb->ordered(S.UseRecord, S.FreeRecord)
-                          ? RaceCategory::Conventional
-                          : RaceCategory::InterThread;
-    }
-    Dedup.emplace(Key, Report.Races.size());
-    Report.Races.push_back(std::move(Race));
   }
+  classifyRaces(T, Index, Hb, Options, Report);
 
   if (Stats) {
     Stats->WindowEvents = WindowEvents;

@@ -208,12 +208,11 @@ struct HbIndex::Builder {
   WorkerPool *Pool = nullptr;
 
   /// Per-round frozen context: the oracle (and its inline row array),
-  /// the row-level change flags, and whether exact gained facts drive
-  /// this round.  Frozen for the whole round -- scans only read it --
-  /// which is what makes the per-queue scans safe to run concurrently.
+  /// and whether exact gained facts drive this round.  Frozen for the
+  /// whole round -- scans only read it -- which is what makes the
+  /// per-queue scans safe to run concurrently.
   const Reachability *RoundOracle = nullptr;
   const BitVec *RoundRows = nullptr;
-  const uint8_t *RoundChanged = nullptr;
   bool RoundExact = false;
 
   /// Output and scratch of one scan unit (a dispatch chunk, one queue's
@@ -336,12 +335,6 @@ struct HbIndex::Builder {
     // inline bit test.
     return RoundRows ? RoundRows[From.index()].test(To.index())
                      : RoundOracle->reaches(From, To);
-  }
-
-  /// Did this node's reachable set grow in the last oracle update?
-  /// Conservative on nullptr (no delta information) and invalid nodes.
-  bool rowChanged(NodeId Node) const {
-    return !RoundChanged || !Node.isValid() || RoundChanged[Node.index()];
   }
 
   /// Will the graph accept edge From -> To?  HbGraph::addEdge refuses
@@ -594,15 +587,10 @@ struct HbIndex::Builder {
           ++Out.SkipSend;
           continue;
         }
+        // A full re-scan round re-evaluates the seen region too; only
+        // unseen pairs may be cut by the cap.
         bool Seen = !RoundExact && (Gap < CGap || (Gap == CGap && A < CI));
-        if (Seen) {
-          // Every premise query sources from s1's or s2's post node;
-          // if neither row grew, the pair evaluates as before.
-          if (!rowChanged(S1.Node) && !rowChanged(S2.Node)) {
-            ++Out.SkipSend;
-            continue;
-          }
-        } else if (chunkFull()) {
+        if (!Seen && chunkFull()) {
           // Everything past the cursor stays unseen.
           SendCursor[Qi] = {static_cast<uint32_t>(Gap),
                             static_cast<uint32_t>(A)};
@@ -643,11 +631,9 @@ struct HbIndex::Builder {
   ///    entirely -- a seen pair either fired when its premise first
   ///    appeared (its conclusion is in the graph and propose() drops it
   ///    as implied) or its premise has still never held.
-  ///  - \p ChangedRows (coarse mode, when only row-level dirt is known)
-  ///    keeps the scans but skips seen pairs whose premise-source rows
-  ///    did not grow.
-  ///  - nullptr for both (rebuild-based closure, BFS) re-scans
-  ///    everything -- a from-scratch oracle cannot say what changed.
+  ///  - nullptr (rebuild-based closure, BFS, the chain oracle's frugal
+  ///    search tier) re-scans everything -- a from-scratch oracle cannot
+  ///    say what changed.
   ///
   /// Every skip is of a pair that provably proposes nothing new, so the
   /// fixpoint -- and therefore every report -- is identical across
@@ -656,7 +642,7 @@ struct HbIndex::Builder {
   /// \returns the edges added this round (already inserted into the
   /// graph), for the oracle's delta path.
   std::vector<HbEdge>
-  applyDerivedRules(const Reachability &Oracle, const uint8_t *ChangedRows,
+  applyDerivedRules(const Reachability &Oracle,
                     const std::vector<GainedWord> *Gained) {
     // Keep rounds small: the incremental oracle makes a round-boundary
     // refresh cheap, and the sooner the oracle reflects a chain's
@@ -670,7 +656,6 @@ struct HbIndex::Builder {
     // cursor only, never on another queue's proposals in this round.
     RoundOracle = &Oracle;
     RoundRows = Oracle.rowsOrNull();
-    RoundChanged = ChangedRows;
     RoundExact = Gained != nullptr;
     if (Opt.EnableQueueRules && SendCursor.size() != QueueSends.size())
       SendCursor.assign(QueueSends.size(), {});
@@ -965,13 +950,13 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
       !(R && R->Saturated)) {
     // Semi-naive evaluation of the queue rules: round 0 scans
     // everything; later rounds ask the oracle what changed -- exact
-    // premise facts if it can say (incremental sweep), per-row dirt as
-    // the coarse fallback, full re-scans when it rebuilds from scratch
-    // and cannot know.  The atomicity rule is swept whole every round.
+    // premise facts if it can say (the fact filter below is installed
+    // before round 0, so every delta-tracking oracle can), full
+    // re-scans when it rebuilds from scratch and cannot know.  The
+    // atomicity rule is swept whole every round.
     B.buildRuleTables();
     Reach->setFactFilter(B.FactSources, B.FactTargets);
     Converged = false;
-    const uint8_t *ChangedRows = nullptr;
     const std::vector<GainedWord> *Gained = nullptr;
     double LastSaveMs = 0;
     // Cumulative rule-engine work for the profile: atomicity sweep
@@ -1000,7 +985,7 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
       ++Stats.FixpointRounds;
       auto T0 = Now();
       std::vector<HbEdge> Delta =
-          B.applyDerivedRules(*Reach, ChangedRows, Gained);
+          B.applyDerivedRules(*Reach, Gained);
       auto T1 = Now();
       if (Delta.empty()) {
         Converged = true;
@@ -1015,7 +1000,6 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
       // Delta protocol: the graph already holds this round's edges; the
       // oracle either folds them in incrementally or rebuilds.
       Reach->addEdges(Delta);
-      ChangedRows = Reach->changedRows();
       Gained = Reach->gainedWords();
       Kept.DerivedEdges.insert(Kept.DerivedEdges.end(), Delta.begin(),
                                Delta.end());

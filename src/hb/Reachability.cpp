@@ -259,9 +259,7 @@ void IncrementalClosureReachability::refresh() {
   // parallel when a pool is installed).
   refreshRows(G, Rows, Pool);
   KnownEdges = G.numEdges();
-  // A full rebuild loses track of which rows changed and which facts
-  // appeared.
-  DirtyValid = false;
+  // A full rebuild loses track of which facts appeared.
   FactsValid = false;
 }
 
@@ -283,7 +281,6 @@ bool IncrementalClosureReachability::importClosureRows(const uint64_t *Words,
   // restores graph and rows from the same checkpoint), and an import
   // carries no delta history.
   KnownEdges = G.numEdges();
-  DirtyValid = false;
   FactsValid = false;
   return true;
 }
@@ -304,11 +301,8 @@ void IncrementalClosureReachability::addEdges(
                  TgtMask.size() == G.numNodes();
   Gained.clear();
   FactsValid = Collect; // an empty list is an exact "nothing changed"
-  if (Edges.empty()) {
-    Dirty.assign(G.numNodes(), 0);
-    DirtyValid = true;
+  if (Edges.empty())
     return;
-  }
 
   // Sort the batch by source id descending so one reverse-topological
   // sweep consumes it with a moving cursor.
@@ -319,7 +313,6 @@ void IncrementalClosureReachability::addEdges(
   // Nodes above the largest batch source cannot reach any new edge (all
   // paths to it would have to run backward), so the sweep starts there.
   uint32_t MaxFrom = SortedBatch.front().From.value();
-  Dirty.assign(G.numNodes(), 0);
   if (Collect && SnapRow.size() != G.numNodes())
     SnapRow.resize(G.numNodes());
 
@@ -331,10 +324,9 @@ void IncrementalClosureReachability::addEdges(
     // a successor dirty only in *other* strips has unchanged words in
     // this strip, already contained by the closure invariant, so
     // skipping its re-absorb is a no-op -- every strip's words come out
-    // exactly as the sequential sweep leaves them.  Dirty flags merge
-    // by OR; gained words merge by the sequential emission order (rows
-    // descending, words ascending -- the (From, WordIdx) keys are
-    // unique across strips).
+    // exactly as the sequential sweep leaves them.  Gained words merge
+    // by the sequential emission order (rows descending, words
+    // ascending -- the (From, WordIdx) keys are unique across strips).
     std::vector<size_t> Cuts = computeWordStrips(G, WordsPerRow, K);
     Strips.resize(K);
     for (StripScratch &SS : Strips) {
@@ -346,21 +338,18 @@ void IncrementalClosureReachability::addEdges(
     Pool->parallelFor(K, [&](size_t T) {
       sweepStrip(Strips[T], Cuts[T], Cuts[T + 1], MaxFrom, Collect);
     });
-    for (const StripScratch &SS : Strips) {
-      for (size_t I = 0; I <= MaxFrom; ++I)
-        Dirty[I] |= SS.Dirty[I];
+    for (const StripScratch &SS : Strips)
       Gained.insert(Gained.end(), SS.Gained.begin(), SS.Gained.end());
-    }
     std::sort(Gained.begin(), Gained.end(),
               [](const GainedWord &A, const GainedWord &B) {
                 if (A.From != B.From)
                   return B.From < A.From;
                 return A.WordIdx < B.WordIdx;
               });
-    DirtyValid = true;
     return;
   }
 
+  Dirty.assign(G.numNodes(), 0);
   size_t Next = 0;
   for (uint32_t I = MaxFrom + 1; I-- > 0;) {
     BitVec &Row = Rows[I];
@@ -412,7 +401,6 @@ void IncrementalClosureReachability::addEdges(
       }
     }
   }
-  DirtyValid = true;
 }
 
 void IncrementalClosureReachability::sweepStrip(StripScratch &SS, size_t Lo,
@@ -845,9 +833,8 @@ void ChainReachability::refresh() {
     Boot.reset(); // clocks beat rows: exact deltas at linear memory
   else
     maybeBootstrap();
-  // A full rebuild loses track of which rows changed and which facts
-  // appeared (same contract as the incremental closure's refresh()).
-  DirtyValid = false;
+  // A full rebuild loses track of which facts appeared (same contract
+  // as the incremental closure's refresh()).
   FactsValid = false;
 }
 
@@ -876,11 +863,8 @@ void ChainReachability::addEdges(std::span<const HbEdge> Edges) {
                  TgtMask.size() == G.numNodes();
   Gained.clear();
   FactsValid = Collect; // an empty list is an exact "nothing changed"
-  if (Edges.empty()) {
-    Dirty.assign(G.numNodes(), 0);
-    DirtyValid = true;
+  if (Edges.empty())
     return;
-  }
 
   if (!ClocksValid) {
     // Search phase.  In the bootstrap tier the embedded closure absorbs
@@ -897,12 +881,6 @@ void ChainReachability::addEdges(std::span<const HbEdge> Edges) {
       // report as our own, then release the rows -- the engine sees an
       // uninterrupted exact-delta stream across the representation
       // change.
-      if (const uint8_t *BD = Boot->changedRows()) {
-        Dirty.assign(BD, BD + G.numNodes());
-        DirtyValid = true;
-      } else {
-        DirtyValid = false;
-      }
       if (const std::vector<GainedWord> *BG = Boot->gainedWords()) {
         Gained = *BG;
         FactsValid = true;
@@ -915,8 +893,7 @@ void ChainReachability::addEdges(std::span<const HbEdge> Edges) {
     // Frugal-tier rounds (and a frugal switch round) report no deltas;
     // the engine treats nullptr as a conservative full re-scan, the
     // same contract refresh() has.  Bootstrapped non-switch rounds
-    // forward the closure's reports instead (see changedRows()).
-    DirtyValid = false;
+    // forward the closure's reports instead (see gainedWords()).
     FactsValid = false;
     return;
   }
@@ -1020,7 +997,6 @@ void ChainReachability::addEdges(std::span<const HbEdge> Edges) {
       }
     }
   }
-  DirtyValid = true;
 }
 
 bool ChainReachability::exportChainState(
@@ -1100,7 +1076,6 @@ bool ChainReachability::importChainState(const uint64_t *Words,
   // restores graph and clocks from the same checkpoint), and an import
   // carries no delta history.
   KnownEdges = G.numEdges();
-  DirtyValid = false;
   FactsValid = false;
   return true;
 }

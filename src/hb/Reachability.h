@@ -191,15 +191,6 @@ public:
   /// non-closure oracles simply keep the virtual path.
   virtual const BitVec *rowsOrNull() const { return nullptr; }
 
-  /// Returns per-node flags (indexed by node id) marking the rows whose
-  /// reachable set grew during the last addEdges() call, or nullptr when
-  /// that is unknown (after a full refresh(), or for oracles without
-  /// delta tracking).  A nullptr means "assume every row changed".  The
-  /// rule engine uses this for semi-naive re-scanning: a pair whose
-  /// premise-source rows are all unchanged since its last evaluation
-  /// provably evaluates to the same outcome and is skipped.
-  virtual const uint8_t *changedRows() const { return nullptr; }
-
   /// Installs the premise fact filter for gainedFacts().  Delta-tracking
   /// oracles copy the masks and, on each subsequent addEdges(), record
   /// every reachability fact From -> To that became true with \p Sources
@@ -390,9 +381,6 @@ public:
                          size_t &WordsPerRowOut) const override;
   bool importClosureRows(const uint64_t *Words, size_t NumWords,
                          size_t WordsPerRow) override;
-  const uint8_t *changedRows() const override {
-    return DirtyValid ? Dirty.data() : nullptr;
-  }
   void setFactFilter(const BitVec &Sources, const BitVec &Targets) override {
     SrcMask = Sources;
     TgtMask = Targets;
@@ -434,12 +422,9 @@ private:
   /// if the graph drifted from what it was told about.
   size_t KnownEdges = 0;
   /// Scratch for addEdges: the batch sorted by source id descending,
-  /// and a per-node "row grew during this sweep" flag.  The flags double
-  /// as the changedRows() report, valid only after a delta sweep (a full
-  /// refresh loses track of which rows changed).
+  /// and a per-node "row grew during this sweep" flag.
   std::vector<HbEdge> SortedBatch;
   std::vector<uint8_t> Dirty;
-  bool DirtyValid = false;
   /// Premise fact filter (copies -- the caller's masks may not outlive
   /// us) and the facts gained in the last delta sweep.  SnapRow is the
   /// pre-sweep snapshot of the row being updated, diffed after its
@@ -559,11 +544,6 @@ public:
   const BitVec *rowsOrNull() const override {
     return Boot ? Boot->rowsOrNull() : nullptr;
   }
-  const uint8_t *changedRows() const override {
-    if (Boot)
-      return Boot->changedRows();
-    return DirtyValid ? Dirty.data() : nullptr;
-  }
   void setFactFilter(const BitVec &Sources, const BitVec &Targets) override {
     SrcMask = Sources;
     TgtMask = Targets;
@@ -631,7 +611,6 @@ private:
   /// Delta reporting (identical contract to the incremental closure).
   std::vector<HbEdge> SortedBatch;
   std::vector<uint8_t> Dirty;
-  bool DirtyValid = false;
   BitVec SrcMask, TgtMask;
   bool HasFilter = false;
   std::vector<GainedWord> Gained;

@@ -10,6 +10,7 @@
 #include "support/Format.h"
 
 #include <cerrno>
+#include <csignal>
 #include <cstring>
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -76,4 +77,26 @@ void MappedFile::reset() {
     Base = nullptr;
     Size = 0;
   }
+}
+
+static void onSigbus(int Sig, siginfo_t *Info, void *) {
+  if (Info && Info->si_code == BUS_ADRERR) {
+    // Async-signal-safe calls only.
+    static const char Msg[] = "error: input changed during analysis\n";
+    ssize_t Written = ::write(STDERR_FILENO, Msg, sizeof(Msg) - 1);
+    (void)Written;
+    ::_exit(2);
+  }
+  // Not a truncated mapping: die of the signal as if never handled.
+  ::signal(Sig, SIG_DFL);
+  ::raise(Sig);
+}
+
+void cafa::installTruncatedMappingHandler() {
+  struct sigaction Action;
+  std::memset(&Action, 0, sizeof(Action));
+  Action.sa_sigaction = onSigbus;
+  Action.sa_flags = SA_SIGINFO;
+  sigemptyset(&Action.sa_mask);
+  ::sigaction(SIGBUS, &Action, nullptr);
 }

@@ -17,6 +17,11 @@
 /// the destructor; views handed out (contents()) must not outlive the
 /// object.
 ///
+/// A file truncated by someone else while it is mapped turns reads past
+/// its new end into SIGBUS.  Processes that map paths they do not own
+/// call installTruncatedMappingHandler() first, so that ends in a
+/// classified exit instead of a signal.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CAFA_SUPPORT_MAPPEDFILE_H
@@ -82,6 +87,13 @@ private:
   void *Base = nullptr;
   size_t Size = 0;
 };
+
+/// Installs a process-wide SIGBUS handler for mapped input.  A read of a
+/// page past the end of a file truncated while mapped (si_code
+/// BUS_ADRERR) writes "error: input changed during analysis" to stderr
+/// and exits 2, the analyzer's unreadable-input code.  Any other SIGBUS
+/// keeps the default action.
+void installTruncatedMappingHandler();
 
 } // namespace cafa
 

@@ -15,6 +15,7 @@
 #include "apps/Apps.h"
 
 #include "cafa/Cafa.h"
+#include "cafa/ReportJson.h"
 #include "trace/Validate.h"
 
 #include <gtest/gtest.h>
@@ -53,6 +54,29 @@ TEST_P(AppTable1Test, ReproducesPaperRowExactly) {
   EXPECT_EQ(Row.FpIII, Model.PaperRow.FpIII);
   EXPECT_EQ(Row.Unexpected, 0u) << renderRaceReport(R.Report, T);
   EXPECT_EQ(Row.Missed, 0u);
+}
+
+TEST_P(AppTable1Test, StreamingScanRendersLikeTheBatchScan) {
+  // The labelled apps through both detector scans: the batch scan
+  // (window off) and the streaming scan at the tightest and a typical
+  // retirement cadence must render the same bytes.
+  AppModel Model = buildApp(GetParam());
+  Trace T = runScenario(Model.S, RuntimeOptions());
+  auto render = [&](uint64_t Window) {
+    DetectorOptions Opt;
+    Opt.WindowEvents = Window;
+    AnalysisResult R = analyzeTrace(T, Opt);
+    EXPECT_EQ(R.WindowEventsUsed,
+              Window == DetectorOptions::WindowOff ? 0u : Window);
+    return std::make_pair(renderRaceReport(R.Report, T),
+                          renderRaceReportJson(R.Report, T));
+  };
+  auto [BatchText, BatchJson] = render(DetectorOptions::WindowOff);
+  for (uint64_t Window : {uint64_t(1), uint64_t(4096)}) {
+    auto [Text, Json] = render(Window);
+    EXPECT_EQ(Text, BatchText) << "window " << Window;
+    EXPECT_EQ(Json, BatchJson) << "window " << Window;
+  }
 }
 
 TEST_P(AppTable1Test, DeterministicAcrossRuns) {

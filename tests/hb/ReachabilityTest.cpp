@@ -319,8 +319,7 @@ TEST_P(IncrementalDifferentialTest, OraclesAgreeUnderIncrementalBatches) {
   ASSERT_GT(N, 1u);
 
   // Exercise the delta-report surface too: with an all-ones fact filter,
-  // gainedWords() must enumerate exactly the facts each delta sweep adds
-  // and changedRows() must cover every row that grew.
+  // gainedWords() must enumerate exactly the facts each delta sweep adds.
   BitVec AllNodes(N);
   for (uint32_t I = 0; I != N; ++I)
     AllNodes.set(I);
@@ -401,21 +400,13 @@ TEST_P(IncrementalDifferentialTest, OraclesAgreeUnderIncrementalBatches) {
     // Delta reports: a full rebuild cannot say what changed; a delta
     // sweep must report exactly the facts it added.  The chain oracle
     // promises the *same* delta stream as the incremental closure --
-    // same dirty rows, and gained words element-wise equal, in order
-    // (the rule engine's scan order feeds off the stream, so "same set,
-    // different order" would not be good enough).
+    // gained words element-wise equal, in order (the rule engine's scan
+    // order feeds off the stream, so "same set, different order" would
+    // not be good enough).
     if (!UsedDelta) {
-      EXPECT_EQ(Inc.changedRows(), nullptr);
       EXPECT_EQ(Inc.gainedWords(), nullptr);
-      EXPECT_EQ(Chain.changedRows(), nullptr);
       EXPECT_EQ(Chain.gainedWords(), nullptr);
     } else {
-      const uint8_t *CI = Inc.changedRows(), *CC = Chain.changedRows();
-      ASSERT_NE(CI, nullptr);
-      ASSERT_NE(CC, nullptr);
-      for (uint32_t U = 0; U != N; ++U)
-        ASSERT_EQ(CI[U], CC[U]) << "seed " << Seed << " batch " << Batch
-                                << " dirty row " << U;
       const std::vector<GainedWord> *GI = Inc.gainedWords();
       const std::vector<GainedWord> *GC = Chain.gainedWords();
       ASSERT_NE(GI, nullptr);
@@ -432,30 +423,21 @@ TEST_P(IncrementalDifferentialTest, OraclesAgreeUnderIncrementalBatches) {
       }
     }
     if (UsedDelta && N <= 160) {
-      const uint8_t *CR = Inc.changedRows();
       const std::vector<GainedWord> *GW = Inc.gainedWords();
-      ASSERT_NE(CR, nullptr);
       ASSERT_NE(GW, nullptr);
       std::vector<uint8_t> Reported(size_t(N) * N, 0);
       for (const GainedWord &W : *GW)
         for (uint64_t Bits = W.Bits; Bits; Bits &= Bits - 1)
           Reported[size_t(W.From) * N + W.WordIdx * 64 +
                    static_cast<uint32_t>(__builtin_ctzll(Bits))] = 1;
-      for (uint32_t U = 0; U != N; ++U) {
-        bool RowGrew = false;
+      for (uint32_t U = 0; U != N; ++U)
         for (uint32_t V = 0; V != N; ++V) {
           bool New = Inc.reaches(NodeId(U), NodeId(V)) &&
                      !Prev[size_t(U) * N + V];
-          RowGrew |= New;
           ASSERT_EQ(static_cast<bool>(Reported[size_t(U) * N + V]), New)
               << "seed " << Seed << " batch " << Batch << " gained fact "
               << U << "->" << V;
         }
-        if (RowGrew) {
-          ASSERT_TRUE(CR[U]) << "seed " << Seed << " batch " << Batch
-                             << " row " << U << " grew but is not dirty";
-        }
-      }
     }
   }
 }
@@ -521,11 +503,6 @@ TEST(ChainEdgeStormTest, CrossChainBatchesWidenClocksConsistently) {
                   Chain.reaches(NodeId(U), NodeId(V)))
             << "batch " << Batch << " " << U << "->" << V;
 
-    const uint8_t *CI = Inc.changedRows(), *CC = Chain.changedRows();
-    ASSERT_NE(CI, nullptr);
-    ASSERT_NE(CC, nullptr);
-    for (uint32_t U = 0; U != N; ++U)
-      ASSERT_EQ(CI[U], CC[U]) << "batch " << Batch << " row " << U;
     const std::vector<GainedWord> *GI = Inc.gainedWords();
     const std::vector<GainedWord> *GC = Chain.gainedWords();
     ASSERT_NE(GI, nullptr);
@@ -540,10 +517,10 @@ TEST(ChainEdgeStormTest, CrossChainBatchesWidenClocksConsistently) {
 }
 
 /// Parallel column-strip parity: the pooled refresh()/addEdges() sweeps
-/// must be bit-identical to the sequential ones -- same rows, same dirty
-/// flags, and the same gained-word stream in the same order (the rule
-/// engine's scan order feeds off it, so "same set, different order"
-/// would not be good enough).
+/// must be bit-identical to the sequential ones -- same rows, and the
+/// same gained-word stream in the same order (the rule engine's scan
+/// order feeds off it, so "same set, different order" would not be good
+/// enough).
 class StripParityTest : public testing::TestWithParam<uint64_t> {};
 
 TEST_P(StripParityTest, PooledSweepsMatchSequentialBitForBit) {
@@ -598,13 +575,6 @@ TEST_P(StripParityTest, PooledSweepsMatchSequentialBitForBit) {
             << V;
 
     if (UseDelta) {
-      const uint8_t *CS = Seq.changedRows(), *CP = Par.changedRows();
-      ASSERT_NE(CS, nullptr);
-      ASSERT_NE(CP, nullptr);
-      for (uint32_t U = 0; U != N; ++U)
-        ASSERT_EQ(CS[U], CP[U])
-            << "seed " << Seed << " batch " << Batch << " row " << U;
-
       const std::vector<GainedWord> *WS = Seq.gainedWords();
       const std::vector<GainedWord> *WP = Par.gainedWords();
       ASSERT_NE(WS, nullptr);

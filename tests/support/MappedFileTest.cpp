@@ -12,9 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <sys/stat.h>
+#include <unistd.h>
 
 using namespace cafa;
 
@@ -82,6 +84,27 @@ TEST(MappedFileTest, RegularFileSizePreflight) {
   EXPECT_EQ(MappedFile::regularFileSize(Path), 5);
   EXPECT_EQ(MappedFile::regularFileSize("/dev/null"), -1);
   EXPECT_EQ(MappedFile::regularFileSize(Path + ".missing"), -1);
+  std::remove(Path.c_str());
+}
+
+/// A file truncated while mapped: the read past its new end must end in
+/// exit 2 with a diagnostic, never a SIGBUS death.  The death test runs
+/// the whole sequence in a forked child.
+TEST(MappedFileTest, TruncatedWhileMappedExitsTwo) {
+  std::string Path = writeTemp("mapped_truncated", std::string(3 * 4096, 'x'));
+  EXPECT_EXIT(
+      {
+        installTruncatedMappingHandler();
+        MappedFile M;
+        if (M.open(Path) != MappedFile::Outcome::Mapped)
+          std::_Exit(10);
+        if (::truncate(Path.c_str(), 0) != 0)
+          std::_Exit(11);
+        volatile char Last = M.contents()[M.size() - 1];
+        (void)Last;
+        std::_Exit(12);
+      },
+      testing::ExitedWithCode(2), "error: input changed during analysis");
   std::remove(Path.c_str());
 }
 
