@@ -87,7 +87,7 @@ void BM_AnalyzeIncremental(benchmark::State &State) {
 
 } // namespace
 
-// The BFS oracle pays per-query search inside the quadratic rule scans,
+// The BFS oracle pays per-query search inside the rule sweeps,
 // so it is only practical on small traces -- which is exactly the point
 // of the ablation.  The closures get extra sizes to show their headroom,
 // and the incremental closure one more to show where delta propagation

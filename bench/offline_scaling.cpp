@@ -112,7 +112,7 @@ Trace buildChainable(uint64_t Events) {
 /// events grow 125x.  Rows small enough for the closure-family oracles
 /// also run those and byte-compare the reports: Incremental at <= 8k
 /// (its row bytes pass 2 GB long before 250k), Bfs at <= 100k (its
-/// per-query cost makes the rule scans quadratic past that).
+/// per-query cost makes the rule sweeps quadratic past that).
 void sweepChainScaling(uint64_t MaxEvents) {
   const uint64_t BfsVerifyMax = 100000;
   const uint64_t IncVerifyMax = 8000;
@@ -380,7 +380,7 @@ void sweepIngestThreads(const Trace &Pristine) {
 }
 
 /// Analysis thread-count axis: wall time of the happens-before build
-/// (closure sweeps + rule-engine scans) and the detector pair scan at
+/// (closure sweeps + rule-engine sweeps) and the detector pair scan at
 /// 1/2/4/8 analysis threads, with the bit-identity contract checked on
 /// every row -- the rendered JSON report must match the 1-thread
 /// reference byte for byte.  Speedup is relative to the 1-thread run;
@@ -532,15 +532,15 @@ int main(int argc, char **argv) {
   std::printf("\nshape to compare with the paper: happens-before "
               "construction dominates and grows superlinearly in events;\n"
               "the incremental oracle shrinks the constant (same reports, "
-              "same asymptote of the quadratic rule scans)\n");
+              "same asymptote of the N^2/8-byte closure)\n");
 
   // Fixed-size trace for the corruption sweep: the axis of interest is
   // damage ratio, not event count.
   Trace T = runScenario(buildSynthetic(2000), RuntimeOptions());
   sweepCorruption(T);
 
-  // Thread axes over the largest swept trace, so the shards / queue
-  // scans are big enough for the workers to have real work.
+  // Thread axes over the largest swept trace, so the shards / rule
+  // sweeps are big enough for the workers to have real work.
   Trace Large = runScenario(buildSynthetic(MaxEvents), RuntimeOptions());
   sweepIngestThreads(Large);
   sweepAnalysisThreads(Large);
@@ -548,8 +548,8 @@ int main(int argc, char **argv) {
 
   // Chain-oracle axis on its own trace family, last because it dwarfs
   // the others in size: the app-shaped synthetic above interleaves
-  // external events, which keeps every oracle at the rule scans'
-  // quadratic floor; the chainable family isolates what the chain
+  // external events, which keeps the chain cover wide and leaves it to
+  // the quadratic closure; the chainable family isolates what the chain
   // oracle changes ("Breaking the quadratic wall" in EXPERIMENTS.md).
   sweepChainScaling(ChainMaxEvents);
 

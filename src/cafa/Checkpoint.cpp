@@ -18,13 +18,12 @@ namespace {
 /// answers from silently mis-decoded state are the one unacceptable
 /// failure mode.
 constexpr char SnapshotMagic[9] = "CAFACKPT";
-constexpr uint32_t SnapshotVersion = 5; // v5: no atomicity cursors
+constexpr uint32_t SnapshotVersion = 6; // v6: no send-queue cursors
 
 /// Caps on length-prefixed counts, so a corrupt count that slipped past
 /// the checksum cannot drive a multi-gigabyte allocation.  Generous:
 /// real traces stay orders of magnitude below these.
 constexpr uint64_t MaxEdges = uint64_t(1) << 32;
-constexpr uint64_t MaxCursors = uint64_t(1) << 28;
 constexpr uint64_t MaxRowWords = uint64_t(1) << 32;
 constexpr uint64_t MaxRaces = uint64_t(1) << 24;
 constexpr uint64_t MaxSurvivors = uint64_t(1) << 28;
@@ -57,25 +56,6 @@ bool getStats(SnapshotReader &R, HbRuleStats &S) {
          R.u64(S.ConventionalOrderEdges) && R.u32(S.FixpointRounds);
 }
 
-void putCursors(SnapshotWriter &W, const std::vector<HbScanCursor> &Cs) {
-  W.u64(Cs.size());
-  for (const HbScanCursor &C : Cs) {
-    W.u32(C.Gap);
-    W.u32(C.I);
-  }
-}
-
-bool getCursors(SnapshotReader &R, std::vector<HbScanCursor> &Cs) {
-  uint64_t N;
-  if (!R.u64(N) || N > MaxCursors)
-    return false;
-  Cs.resize(N);
-  for (HbScanCursor &C : Cs)
-    if (!R.u32(C.Gap) || !R.u32(C.I))
-      return false;
-  return true;
-}
-
 void putHbFrontier(SnapshotWriter &W, const HbFrontier &F) {
   W.u8(static_cast<uint8_t>(F.UsedReach));
   W.u32(F.RoundsDone);
@@ -86,7 +66,6 @@ void putHbFrontier(SnapshotWriter &W, const HbFrontier &F) {
     W.u32(E.From.value());
     W.u32(E.To.value());
   }
-  putCursors(W, F.SendCursors);
   W.u64(F.RowWords);
   W.u64(F.ClosureRows.size());
   W.u64s(F.ClosureRows.data(), F.ClosureRows.size());
@@ -118,8 +97,6 @@ bool getHbFrontier(SnapshotReader &R, HbFrontier &F) {
     E.From = NodeId(From);
     E.To = NodeId(To);
   }
-  if (!getCursors(R, F.SendCursors))
-    return false;
   uint64_t RowWords, NumWords;
   if (!R.u64(RowWords) || !R.u64(NumWords) || NumWords > MaxRowWords)
     return false;

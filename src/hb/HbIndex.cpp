@@ -45,7 +45,8 @@ struct HbIndex::Builder {
   Builder(const Trace &T, HbGraph &G, const HbOptions &Opt,
           HbRuleStats &Stats)
       : T(T), G(G), Opt(Opt), Stats(Stats),
-        QueueEvents(T.numQueues()), QueueSends(T.numQueues()) {}
+        QueueEvents(T.numQueues()), QueueSends(T.numQueues()),
+        AtomQueues(T.numQueues()), SendQueues(T.numQueues()) {}
 
   void collect() {
     for (uint32_t I = 0, E = static_cast<uint32_t>(T.numRecords()); I != E;
@@ -197,73 +198,61 @@ struct HbIndex::Builder {
     }
   }
 
-  /// Cumulative work counters for CAFA_HB_PROFILE: the atomicity sweep's
-  /// sources swept, row words projected and proposals, and the send
-  /// scans' pair visits and skips.
-  uint64_t SweptSources = 0, ProjectedWords = 0, AtomProposals = 0;
-  uint64_t VisitSend = 0, SkipSend = 0;
+  /// Work of one rule family's sweeps: sources swept and row words
+  /// projected (or members queried).
+  struct SweepWork {
+    uint64_t Sources = 0, Words = 0;
+    void add(const SweepWork &W) {
+      Sources += W.Sources;
+      Words += W.Words;
+    }
+  };
+  /// Cumulative work for CAFA_HB_PROFILE, per rule family.
+  SweepWork AtomWork, QueueWork;
+  /// The last round sat the queue rules out (see applyDerivedRules).
+  bool QueueDeferred = false;
 
   /// Worker pool for the parallel analysis mode (HbOptions::Threads),
   /// lent by HbIndex; nullptr or zero helpers means sequential rounds.
   WorkerPool *Pool = nullptr;
 
-  /// Per-round frozen context: the oracle (and its inline row array),
-  /// and whether exact gained facts drive this round.  Frozen for the
-  /// whole round -- scans only read it -- which is what makes the
-  /// per-queue scans safe to run concurrently.
+  /// Per-round frozen context: the oracle and its inline row array.
+  /// Frozen for the whole round -- every pass only reads it -- which is
+  /// what makes the passes safe to run concurrently.
   const Reachability *RoundOracle = nullptr;
   const BitVec *RoundRows = nullptr;
-  bool RoundExact = false;
 
-  /// Output and scratch of one scan unit (a dispatch chunk, one queue's
-  /// pair scan or gap-1 pass, or a range of atomicity sweep sources).
-  /// Parallel rounds give every unit its own ScanOut and merge them in
-  /// canonical order, so the committed proposal stream, counters, and
-  /// cursors never depend on which thread ran what.  Covered[i] marks an
-  /// adjacent conclusion end(i) -> begin(i+1) that holds in the oracle
-  /// or in this round's proposals; Run[i] counts consecutive covered
-  /// links starting at i.
+  /// Output and scratch of one pass (a gap-1 pass, or a range of sweep
+  /// sources).  Parallel rounds give every pass its own ScanOut and
+  /// merge them in canonical order, so the committed proposal stream and
+  /// counters never depend on which thread ran what.  Covered[i] marks
+  /// an adjacent conclusion end(i) -> begin(i+1) that holds in the
+  /// oracle or in this round's proposals; Run[i] counts consecutive
+  /// covered links starting at i.
   struct ScanOut {
     std::vector<std::pair<NodeId, NodeId>> Edges;
     uint64_t Atomicity = 0, Q1 = 0, Q2 = 0, Q3 = 0, Q4 = 0;
-    uint64_t SweptSources = 0, ProjectedWords = 0;
-    uint64_t VisitSend = 0, SkipSend = 0;
+    /// Atomicity gap-1 proposals the graph will accept (the round cap).
+    uint64_t NewLinks = 0;
+    SweepWork Atom, Queue;
     std::vector<uint8_t> Covered;
     std::vector<uint32_t> Run;
-  };
 
-  /// Semi-naive scan frontier of the queue rules, one per send queue.
-  /// Pairs are scanned in gap-diagonal order; everything
-  /// lexicographically below (Gap, I) has been evaluated at least once
-  /// ("seen") in an earlier round.  Seen pairs are re-evaluated only when
-  /// a premise-source row changed in the last oracle update; unseen
-  /// pairs always evaluate and are the only place the per-round edge cap
-  /// may cut the scan, so the seen region's sweep always completes --
-  /// the invariant that makes the change-driven skip sound.  The cursor
-  /// type lives in HbIndex.h (HbScanCursor) because checkpoints persist
-  /// these frontiers.
-  std::vector<HbScanCursor> SendCursor;
-
-  /// Reverse map from a node id to its role in the queue-rule premises,
-  /// so a gained reachability fact (From now reaches To) can be
-  /// dispatched to exactly the rule instances it can newly fire.
-  /// Premises are:
-  ///   queue 1..4  s1 < s2 (post nodes)       Send source and target
-  ///   queue 2/4   s2 < begin(e1)             Send source, posted target
-  /// FactSources/FactTargets are those same sets as masks, installed
-  /// into the oracle as its gained-fact filter.  The atomicity rule
-  /// needs no facts: it is swept whole every round (AtomQueue).
-  struct NodeRole {
-    bool IsSend = false;
-    uint32_t Q = 0;   ///< queue index
-    uint32_t Pos = 0; ///< position in QueueSends[Q]
-    /// For begin nodes: the send that posted this event (as a position
-    /// in QueueSends[SendQ]), or SendQ == UINT32_MAX if none recorded.
-    uint32_t SendQ = UINT32_MAX;
-    uint32_t SendPos = 0;
+    void merge(ScanOut &&Src) {
+      if (Edges.empty())
+        Edges = std::move(Src.Edges); // often the whole batch: no copy
+      else
+        Edges.insert(Edges.end(), Src.Edges.begin(), Src.Edges.end());
+      Atomicity += Src.Atomicity;
+      Q1 += Src.Q1;
+      Q2 += Src.Q2;
+      Q3 += Src.Q3;
+      Q4 += Src.Q4;
+      NewLinks += Src.NewLinks;
+      Atom.add(Src.Atom);
+      Queue.add(Src.Queue);
+    }
   };
-  std::vector<NodeRole> Roles;
-  BitVec FactSources, FactTargets;
 
   /// One looper's events laid out for the atomicity sweep: member k of
   /// Begins/Ends is begin(e_k)/end(e_k) in QueueEvents order.  Built the
@@ -273,6 +262,18 @@ struct HbIndex::Builder {
     NodeProjection Begins, Ends;
   };
   std::vector<AtomQueue> AtomQueues;
+
+  /// One send queue laid out for the queue-rule sweep: member b of
+  /// Posts/Begins is post(s_b)/begin(e_b) in QueueSends order, where e_b
+  /// is the event s_b posts.  Begin ids need not ascend (delays reorder
+  /// events) but are distinct: ingestion refuses an event sent twice,
+  /// and the runtime creates a new event for every send.  NonFront
+  /// masks the sends not at front.  Built lazily like AtomQueue.
+  struct SendQueue {
+    NodeProjection Posts, Begins;
+    std::vector<uint64_t> NonFront;
+  };
+  std::vector<SendQueue> SendQueues;
 
   void layOutLooper(size_t Qi) {
     const std::vector<TaskId> &Events = QueueEvents[Qi];
@@ -287,52 +288,26 @@ struct HbIndex::Builder {
                       NodeProjection(std::move(Ends))};
   }
 
-  /// Fills Roles and the fact filter masks, and sizes the atomicity
-  /// layouts.  Call after collect() and addBaseEdges(), once the graph's
-  /// node universe is final.
-  void buildRuleTables() {
-    size_t N = G.numNodes();
-    Roles.assign(N, {});
-    FactSources.resize(N);
-    FactTargets.resize(N);
-    AtomQueues.assign(QueueEvents.size(), {});
-    for (size_t Q = 0; Q != QueueSends.size() && Opt.EnableQueueRules; ++Q) {
-      const std::vector<SendOp> &Sends = QueueSends[Q];
-      if (Sends.size() < 2)
-        continue;
-      for (size_t Pos = 0; Pos != Sends.size(); ++Pos) {
-        const SendOp &S = Sends[Pos];
-        if (S.Node.isValid()) {
-          NodeRole &R = Roles[S.Node.index()];
-          R.IsSend = true;
-          R.Q = static_cast<uint32_t>(Q);
-          R.Pos = static_cast<uint32_t>(Pos);
-          FactSources.set(S.Node.index());
-          FactTargets.set(S.Node.index());
-        }
-        NodeId B = G.beginNode(S.Event);
-        if (B.isValid()) {
-          // Rules 2/4 premise target: this event's begin node, reached
-          // from a later front-send's post node.
-          Roles[B.index()].SendQ = static_cast<uint32_t>(Q);
-          Roles[B.index()].SendPos = static_cast<uint32_t>(Pos);
-          FactTargets.set(B.index());
-        }
-      }
+  void layOutSendQueue(size_t Qi) {
+    const std::vector<SendOp> &Sends = QueueSends[Qi];
+    SendQueue &SQ = SendQueues[Qi];
+    if (SQ.Posts.size() == Sends.size())
+      return;
+    std::vector<NodeId> Posts, Begins;
+    SQ.NonFront.assign((Sends.size() + 63) / 64, 0);
+    for (size_t B = 0; B != Sends.size(); ++B) {
+      Posts.push_back(Sends[B].Node);
+      Begins.push_back(G.beginNode(Sends[B].Event));
+      if (!Sends[B].AtFront)
+        SQ.NonFront[B >> 6] |= uint64_t(1) << (B & 63);
     }
+    SQ.Posts = NodeProjection(std::move(Posts));
+    SQ.Begins = NodeProjection(std::move(Begins));
   }
 
-  // -- Scan primitives ---------------------------------------------------
-  // Members so the parallel mode can run the same code against per-unit
-  // ScanOut buffers.  All of them read only the frozen round context and
-  // the pre-round cursors; the only mutation is into the ScanOut (and,
-  // for capped send scans, a cursor write on a cap cut -- capped scans
-  // only ever run sequentially).
-
   bool reaches(NodeId From, NodeId To) const {
-    // Gap-1 passes and send scans issue many queries per round;
-    // closure-backed oracles expose their rows so the hot path is an
-    // inline bit test.
+    // Gap-1 passes issue many queries per round; closure-backed oracles
+    // expose their rows so the hot path is an inline bit test.
     return RoundRows ? RoundRows[From.index()].test(To.index())
                      : RoundOracle->reaches(From, To);
   }
@@ -344,14 +319,15 @@ struct HbIndex::Builder {
     return From.isValid() && To.isValid() && From < To;
   }
 
-  void propose(ScanOut &Out, NodeId From, NodeId To,
+  /// Proposes From -> To unless it is already implied.  \returns true
+  /// when it was proposed.
+  bool propose(ScanOut &Out, NodeId From, NodeId To,
                uint64_t &Counter) const {
-    if (!From.isValid() || !To.isValid())
-      return;
-    if (reaches(From, To))
-      return; // already implied
+    if (!From.isValid() || !To.isValid() || reaches(From, To))
+      return false;
     Out.Edges.emplace_back(From, To);
     ++Counter;
+    return true;
   }
 
   // Run[i] = number of consecutive covered links starting at link i;
@@ -364,18 +340,15 @@ struct HbIndex::Builder {
           Out.Covered[I] ? (I + 1 < K - 1 ? Out.Run[I + 1] : 0) + 1 : 0;
   }
 
-  /// Evaluates one ordered send pair against queue rules 1-4; the
-  /// returned Link tells whether the forward conclusion
-  /// end(e1) -> begin(e2) is covered afterwards.  Only adjacent pairs
-  /// need it (WantLink), so other callers skip its query.
-  bool evalSendPair(ScanOut &Out, const SendOp &S1, const SendOp &S2,
-                    bool WantLink) const {
+  /// Evaluates one adjacent send pair against queue rules 1-4.
+  /// \returns whether the forward conclusion end(e1) -> begin(e2) is
+  /// covered afterwards.
+  bool evalSendPair(ScanOut &Out, const SendOp &S1, const SendOp &S2) const {
     NodeId Begin1 = G.beginNode(S1.Event);
     NodeId Begin2 = G.beginNode(S2.Event);
     NodeId End1 = G.endNode(S1.Event);
     NodeId End2 = G.endNode(S2.Event);
-    bool Link = WantLink && End1.isValid() && Begin2.isValid() &&
-                reaches(End1, Begin2);
+    bool Link = End1.isValid() && Begin2.isValid() && reaches(End1, Begin2);
     // All rules require the sends to be ordered; sends appear in
     // record order so only s1 < s2 (by position) can satisfy it.
     if (!reaches(S1.Node, S2.Node))
@@ -404,58 +377,6 @@ struct HbIndex::Builder {
     return Link;
   }
 
-  /// Was the pair at (Gap, I) of a queue with K elements evaluated in
-  /// an earlier round?  Unseen pairs are skipped by the dispatch below
-  /// -- the resumed scan reaches them with an oracle that still holds
-  /// the fact (monotone), so nothing is lost.
-  static bool pairSeen(const HbScanCursor &C, size_t K, uint32_t Gap,
-                       uint32_t I) {
-    if (C.Gap >= K)
-      return true; // queue fully scanned at least once
-    if (Gap < 2)
-      return false; // the gap-1 pass still re-evaluates these
-    return Gap < C.Gap || (Gap == C.Gap && I < C.I);
-  }
-
-  /// Semi-naive dispatch over GainedList[Lo, Hi): route every queue-rule
-  /// premise fact that appeared in the last oracle update to the
-  /// already-seen rule instances it can newly fire.  This stands in for
-  /// re-scanning the seen region of every send queue.  Never capped (its
-  /// volume is the fact delta, not a pair quadratic), so parallel chunks
-  /// of it commit unconditionally.
-  void dispatchGained(const std::vector<GainedWord> &GainedList, size_t Lo,
-                      size_t Hi, ScanOut &Out) const {
-    for (size_t GI = Lo; GI != Hi; ++GI) {
-      const GainedWord &GW = GainedList[GI];
-      const NodeRole &U = Roles[GW.From];
-      if (!U.IsSend)
-        continue;
-      for (uint64_t Bits = GW.Bits; Bits; Bits &= Bits - 1) {
-        uint32_t V =
-            GW.WordIdx * 64 + static_cast<uint32_t>(__builtin_ctzll(Bits));
-        const NodeRole &VR = Roles[V];
-        // Queue-rule premise s1 < s2 just became true.
-        if (VR.IsSend && VR.Q == U.Q && VR.Pos > U.Pos &&
-            pairSeen(SendCursor[U.Q], QueueSends[U.Q].size(),
-                     VR.Pos - U.Pos, U.Pos)) {
-          ++Out.VisitSend;
-          evalSendPair(Out, QueueSends[U.Q][U.Pos], QueueSends[U.Q][VR.Pos],
-                       /*WantLink=*/false);
-        }
-        // Rules 2/4 premise s2 < begin(e1) just became true, where
-        // e1 was posted by an earlier send of the same queue.
-        if (VR.SendQ == U.Q && U.Pos > VR.SendPos &&
-            pairSeen(SendCursor[U.Q], QueueSends[U.Q].size(),
-                     U.Pos - VR.SendPos, VR.SendPos)) {
-          ++Out.VisitSend;
-          evalSendPair(Out, QueueSends[U.Q][VR.SendPos],
-                       QueueSends[U.Q][U.Pos],
-                       /*WantLink=*/false);
-        }
-      }
-    }
-  }
-
   /// Gap 1 of one looper's atomicity rule: evaluates every adjacent
   /// pair into \p Out and records the covered links (Out.Covered,
   /// Out.Run).  \returns true when every link is covered: each wider
@@ -475,13 +396,84 @@ struct HbIndex::Builder {
       if (BeginI.isValid() && EndJ.isValid() && BeginJ.isValid() &&
           reaches(BeginI, EndJ)) {
         // Atomicity: begin(eI) < end(eJ)  =>  end(eI) < begin(eJ).
-        propose(Out, EndI, BeginJ, Out.Atomicity);
-        Link |= accepted(EndI, BeginJ); // implied before, or in the batch now
+        bool Accepted = accepted(EndI, BeginJ);
+        if (propose(Out, EndI, BeginJ, Out.Atomicity) && Accepted)
+          ++Out.NewLinks;
+        Link |= Accepted; // implied before, or in the batch now
       }
       Out.Covered[I] = Link;
     }
     computeRuns(Out, K);
     return Out.Run[0] == K - 1;
+  }
+
+  /// Gap 1 of one send queue: evaluates every adjacent send pair against
+  /// rules 1-4 into \p Out and records the covered links.  \returns true
+  /// when the queue needs no sweep: every link is covered, so each wider
+  /// rule-1/3 conclusion is implied by the chain, and no send is at
+  /// front, so rules 2/4 have nothing to conclude (AtFront is a static
+  /// property of the send).
+  bool sendGap1(size_t Qi, ScanOut &Out) const {
+    const std::vector<SendOp> &Sends = QueueSends[Qi];
+    const size_t K = Sends.size();
+    Out.Covered.assign(K - 1, 0);
+    for (size_t A = 0; A + 1 < K; ++A)
+      Out.Covered[A] = evalSendPair(Out, Sends[A], Sends[A + 1]);
+    computeRuns(Out, K);
+    return Out.Run[0] == K - 1 &&
+           std::none_of(Sends.begin(), Sends.end(),
+                        [](const SendOp &S) { return S.AtFront; });
+  }
+
+  /// Row-word scratch of one sweep pass over a queue of \p K members.
+  struct SweepScratch {
+    std::vector<uint64_t> Prem, Conc, Cand, Implied, Tmp;
+    explicit SweepScratch(size_t K)
+        : Prem((K + 63) / 64), Conc(Prem.size()), Cand(Prem.size()),
+          Implied(Prem.size()), Tmp(Prem.size()) {}
+  };
+
+  /// Proposes From -> begin(e_j) for every j in Prem & ~Conc (words from
+  /// \p FirstWord on) in ascending j, skipping those an earlier proposal
+  /// for the same source already implies: From -> begin(e_j) carries
+  /// From to everything begin(e_j) reaches, so the projection of
+  /// begin(e_j) onto \p Begins joins the Implied mask.  \p Keep(j) is the
+  /// rule's per-candidate test (a rejected candidate implies nothing),
+  /// and \p Counter counts the rule's proposals.
+  template <typename KeepFn>
+  void proposeCandidates(ScanOut &Out, SweepScratch &S, SweepWork &Work,
+                         NodeId From, const NodeProjection &Begins,
+                         size_t FirstWord, KeepFn Keep,
+                         uint64_t &Counter) const {
+    const size_t NW = S.Cand.size();
+    for (size_t W = FirstWord; W != NW; ++W) {
+      S.Cand[W] = S.Prem[W] & ~S.Conc[W];
+      S.Implied[W] = 0;
+    }
+    for (size_t W = FirstWord; W != NW; ++W) {
+      for (uint64_t Bits = S.Cand[W]; (Bits &= ~S.Implied[W]);
+           Bits &= Bits - 1) {
+        size_t J = W * 64 + static_cast<size_t>(__builtin_ctzll(Bits));
+        NodeId BeginJ = Begins.node(J);
+        if (!BeginJ.isValid() || !Keep(J))
+          continue;
+        Out.Edges.emplace_back(From, BeginJ);
+        ++Counter;
+        if (!accepted(From, BeginJ))
+          continue;
+        Work.Words += RoundOracle->project(BeginJ, Begins, J + 1,
+                                           S.Cand.data(), S.Tmp.data());
+        for (size_t V = W; V != NW; ++V)
+          S.Implied[V] |= S.Tmp[V];
+      }
+    }
+  }
+
+  static bool anyFrom(const std::vector<uint64_t> &V, size_t FirstWord) {
+    for (size_t W = FirstWord; W < V.size(); ++W)
+      if (V[W])
+        return true;
+    return false;
   }
 
   /// The atomicity rule for sources [Lo, Hi) of looper \p Qi, past what
@@ -491,340 +483,233 @@ struct HbIndex::Builder {
   ///   Prem = { J : begin(eI) < end(eJ) }     (row of begin(eI), ends)
   ///   Conc = { J : end(eI) < begin(eJ) }     (row of end(eI), begins)
   /// and Prem & ~Conc is exactly the set of pairs whose premise holds and
-  /// whose conclusion is missing.  Candidates are proposed in ascending
-  /// J, skipping those an earlier proposal for the same eI already
-  /// implies (end(eI) -> begin(eJ) carries end(eI) to everything
-  /// end(eJ) reaches).  Every pair is re-evaluated every round at about
-  /// K * (words per projection) word operations per looper, so the rule
-  /// needs no cursor and no gained facts.
+  /// whose conclusion is missing (proposeCandidates).  Every pair is
+  /// re-evaluated every round at about K * (words per projection) word
+  /// operations per looper.
   void sweepAtomSources(size_t Qi, const std::vector<uint32_t> &Run,
                         size_t Lo, size_t Hi, ScanOut &Out) const {
     const AtomQueue &AQ = AtomQueues[Qi];
-    const size_t K = AQ.Begins.size(), NW = (K + 63) / 64;
-    std::vector<uint64_t> Prem(NW), Conc(NW), Cand(NW), Implied(NW),
-        Tmp(NW);
+    SweepScratch S(AQ.Begins.size());
     for (size_t I = Lo; I != Hi; ++I) {
       // Pairs up to I + Run[I] are implied by covered links, and gap 1
       // evaluated J = I + 1.
       size_t First = I + std::max<size_t>(1, Run[I]) + 1;
       NodeId BeginI = AQ.Begins.node(I), EndI = AQ.Ends.node(I);
-      if (First >= K || !BeginI.isValid() || !EndI.isValid())
+      if (First >= AQ.Begins.size() || !BeginI.isValid() || !EndI.isValid())
         continue;
-      ++Out.SweptSources;
-      Out.ProjectedWords +=
-          RoundOracle->project(BeginI, AQ.Ends, First, nullptr, Prem.data());
-      bool Any = false;
-      for (size_t W = First >> 6; W != NW && !Any; ++W)
-        Any = Prem[W] != 0;
-      if (!Any)
+      ++Out.Atom.Sources;
+      Out.Atom.Words +=
+          RoundOracle->project(BeginI, AQ.Ends, First, nullptr, S.Prem.data());
+      if (!anyFrom(S.Prem, First >> 6))
         continue;
-      Out.ProjectedWords +=
-          RoundOracle->project(EndI, AQ.Begins, First, Prem.data(), Conc.data());
-      for (size_t W = First >> 6; W != NW; ++W) {
-        Cand[W] = Prem[W] & ~Conc[W];
-        Implied[W] = 0;
-      }
-      for (size_t W = First >> 6; W != NW; ++W) {
-        for (uint64_t Bits = Cand[W]; (Bits &= ~Implied[W]); Bits &= Bits - 1) {
-          size_t J = W * 64 + static_cast<size_t>(__builtin_ctzll(Bits));
-          NodeId BeginJ = AQ.Begins.node(J);
-          Out.Edges.emplace_back(EndI, BeginJ);
-          ++Out.Atomicity;
-          if (!accepted(EndI, BeginJ))
-            continue;
-          Out.ProjectedWords += RoundOracle->project(
-              AQ.Ends.node(J), AQ.Begins, J + 1, Cand.data(), Tmp.data());
-          for (size_t V = W; V != NW; ++V)
-            Implied[V] |= Tmp[V];
-        }
-      }
+      Out.Atom.Words += RoundOracle->project(EndI, AQ.Begins, First,
+                                             S.Prem.data(), S.Conc.data());
+      proposeCandidates(
+          Out, S, Out.Atom, EndI, AQ.Begins, First >> 6,
+          [](size_t) { return true; }, Out.Atomicity);
     }
   }
 
-  /// One send queue's gap-diagonal scan into \p Out.  \p Cap is the
-  /// per-round edge cap, compared against Out.Edges.size() (the caller
-  /// passes the round-global accumulator in capped mode); 0 disables it,
-  /// which is how the optimistic parallel mode runs -- the commit step
-  /// proves the cap could not have fired, or re-runs capped.  \returns
-  /// true when the scan completed (the caller then marks the queue fully
-  /// seen); a cap cut stores the cursor itself.
-  bool scanSendQueue(size_t Qi, ScanOut &Out, size_t Cap) {
+  /// Queue rules 1-4 for sources [Lo, Hi) of send queue \p Qi, past what
+  /// gap 1 covered (\p Run, from sendGap1).  Per source send s_a:
+  ///   rules 1/3  Prem = { b : post(s_a) < post(s_b), s_b not at front }
+  ///              Conc = { b : end(e_a) < begin(e_b) }
+  ///     and each b in Prem & ~Conc proposes end(e_a) -> begin(e_b) --
+  ///     rule 1 only when delay(a) <= delay(b), rule 3 (s_a at front)
+  ///     always;
+  ///   rules 2/4  when s_a is at front (call it s_b), the row of post(s_b)
+  ///     projected onto the earlier events' begins names the events not
+  ///     yet begun when s_b was posted -- usually few -- and each whose
+  ///     send is ordered before s_b gets end(e_b) -> begin(e_a).
+  /// Covered runs imply only the forward conclusions of rules 1/3, so
+  /// rules 2/4 look at every earlier send gap 1 did not (a < b - 1).
+  void sweepSendSources(size_t Qi, const std::vector<uint32_t> &Run,
+                        size_t Lo, size_t Hi, ScanOut &Out) const {
     const std::vector<SendOp> &Sends = QueueSends[Qi];
+    const SendQueue &SQ = SendQueues[Qi];
     const size_t K = Sends.size();
-    auto chunkFull = [&] { return Cap && Out.Edges.size() >= Cap; };
-    // Gap 1: evaluate adjacent pairs and record the covered links.
-    // Runs in full every round (linear, and Covered must be fresh);
-    // a cap cut here leaves the tail uncovered, which is safe.
-    Out.Covered.assign(K - 1, 0);
-    for (size_t A = 0; A + 1 < K && !chunkFull(); ++A)
-      Out.Covered[A] =
-          evalSendPair(Out, Sends[A], Sends[A + 1], /*WantLink=*/true);
-    computeRuns(Out, K);
-    if (K >= 2 && Out.Run[0] == K - 1) {
-      // Every wider rule-1/3 conclusion is implied by the covered
-      // chain, and the reverse-direction rules 2/4 need a
-      // front-enqueued s2.  A queue with no front sends is therefore
-      // fully implied, now and forever (edges are never removed, and
-      // AtFront is a static property of the send) -- without this the
-      // gap loop below walks K^2/2 pairs just to skip each one, which
-      // is the quadratic wall on long single-poster queues.
-      bool AnyFront = false;
-      for (const SendOp &S : Sends)
-        AnyFront |= S.AtFront;
-      if (!AnyFront)
-        return true;
-    }
-    const size_t CGap = SendCursor[Qi].Gap, CI = SendCursor[Qi].I;
-    for (size_t Gap = RoundExact ? CGap : 2; Gap < K; ++Gap) {
-      for (size_t A = (RoundExact && Gap == CGap) ? CI : 0; A + Gap < K;
-           ++A) {
-        const SendOp &S1 = Sends[A];
-        const SendOp &S2 = Sends[A + Gap];
-        // A covered window implies the forward conclusion of rules
-        // 1 and 3; only a front-enqueued s2 (rules 2 and 4, reverse
-        // conclusion) still needs evaluating.
-        if (Out.Run[A] >= Gap && !S2.AtFront) {
-          ++Out.SkipSend;
-          continue;
+    SweepScratch S(K);
+    // Rules 2/4: the members before a front send's gap-1 neighbour, and
+    // those of them its post reaches.
+    std::vector<uint64_t> Earlier(S.Prem.size()), Pending(S.Prem.size());
+    for (size_t A = Lo; A != Hi; ++A) {
+      const SendOp &SA = Sends[A];
+      NodeId EndA = G.endNode(SA.Event);
+      if (!SA.Node.isValid() || !EndA.isValid())
+        continue;
+      size_t First = A + std::max<size_t>(1, A + 1 < K ? Run[A] : 0) + 1;
+      if (First < K) {
+        ++Out.Queue.Sources;
+        Out.Queue.Words += RoundOracle->project(SA.Node, SQ.Posts, First,
+                                                SQ.NonFront.data(),
+                                                S.Prem.data());
+        if (anyFrom(S.Prem, First >> 6)) {
+          Out.Queue.Words += RoundOracle->project(EndA, SQ.Begins, First,
+                                                  S.Prem.data(),
+                                                  S.Conc.data());
+          proposeCandidates(
+              Out, S, Out.Queue, EndA, SQ.Begins, First >> 6,
+              [&](size_t B) {
+                return SA.AtFront || SA.DelayMs <= Sends[B].DelayMs;
+              },
+              SA.AtFront ? Out.Q3 : Out.Q1);
         }
-        // A full re-scan round re-evaluates the seen region too; only
-        // unseen pairs may be cut by the cap.
-        bool Seen = !RoundExact && (Gap < CGap || (Gap == CGap && A < CI));
-        if (!Seen && chunkFull()) {
-          // Everything past the cursor stays unseen.
-          SendCursor[Qi] = {static_cast<uint32_t>(Gap),
-                            static_cast<uint32_t>(A)};
-          return false;
-        }
-        ++Out.VisitSend;
-        evalSendPair(Out, S1, S2, /*WantLink=*/false);
       }
+      if (!SA.AtFront || A < 2)
+        continue;
+      ++Out.Queue.Sources;
+      const size_t Neighbour = A - 1; // gap 1 evaluated it
+      std::fill(Earlier.begin(), Earlier.end(), 0);
+      std::fill(Earlier.begin(), Earlier.begin() + (Neighbour >> 6),
+                ~uint64_t(0));
+      if (Neighbour & 63)
+        Earlier[Neighbour >> 6] = (uint64_t(1) << (Neighbour & 63)) - 1;
+      Out.Queue.Words += RoundOracle->project(SA.Node, SQ.Begins, 0,
+                                              Earlier.data(), Pending.data());
+      for (size_t W = 0; W != Pending.size(); ++W)
+        for (uint64_t Bits = Pending[W]; Bits; Bits &= Bits - 1) {
+          size_t E = W * 64 + static_cast<size_t>(__builtin_ctzll(Bits));
+          if (reaches(Sends[E].Node, SA.Node))
+            propose(Out, EndA, SQ.Begins.node(E),
+                    Sends[E].AtFront ? Out.Q4 : Out.Q2);
+        }
     }
-    return true;
   }
 
   /// One fixpoint round of the atomicity and event-queue rules.
   ///
-  /// The queue rules scan send pairs in gap-diagonal order (all
-  /// adjacent pairs first, then distance 2, ...) and each round caps the
-  /// number of edges they collect.  Both choices fight the same
-  /// degenerate case: a chain of k same-delay sends satisfies rule 1 for
-  /// all k^2/2 pairs, but only the k-1 adjacent edges carry information
-  /// -- every wider pair is implied by chaining them through program
-  /// order.  The chain structure is also what lets the scans prune: gap
-  /// 1 records which adjacent conclusions are *covered* (already
-  /// implied, or proposed into this round's batch), and a wider pair
-  /// whose whole window is covered is skipped without a query -- its
-  /// conclusion is implied by the covered links.
+  /// Both families run the same two steps per queue.  Gap 1 evaluates
+  /// every adjacent pair and records which adjacent conclusions are
+  /// *covered* (already implied, or proposed into this round's batch);
+  /// a wider pair whose whole window is covered is implied by chaining
+  /// the covered links through program order.  A fully covered queue is
+  /// done -- the common case at scale, a long single-poster looper.
+  /// Otherwise the queue is swept one source at a time
+  /// (sweepAtomSources, sweepSendSources): a source's rows projected
+  /// onto the queue's members give every pair whose premise holds and
+  /// whose conclusion is missing in a few word operations.  Every rule
+  /// instance is re-evaluated every round, so the engine keeps no scan
+  /// frontier and needs no delta report from the oracle.
   ///
-  /// The atomicity rule shares the gap-1 pass and its covered runs, then
-  /// sweeps the rest of each looper one source row at a time
-  /// (sweepAtomSources): uncapped, and complete every round.
+  /// One cap survives.  On a long single-poster looper the atomicity
+  /// rule's adjacent links and the queue rules' are the same k-1 edges,
+  /// so when the atomicity gap-1 passes alone propose at least RoundCap
+  /// new edges, the queue rules sit the round out: the next round finds
+  /// the links in the oracle and the send queue covered, instead of
+  /// paying a full send gap-1 pass now (through a search-phase oracle,
+  /// at scale) to duplicate them.  The decision reads gap-1 outputs only,
+  /// so it is the same at every thread count, and such a round always
+  /// commits edges, so it is never the converged round.
   ///
-  /// The queue rules' rounds after the first are *semi-naive* when the
-  /// oracle reports deltas:
-  ///
-  ///  - \p Gained (exact mode) lists the premise-shaped reachability
-  ///    facts that became true in the last update.  Each fact is
-  ///    dispatched through Roles to the rule instances it can newly
-  ///    fire, and the already-seen region of every send scan is skipped
-  ///    entirely -- a seen pair either fired when its premise first
-  ///    appeared (its conclusion is in the graph and propose() drops it
-  ///    as implied) or its premise has still never held.
-  ///  - nullptr (rebuild-based closure, BFS, the chain oracle's frugal
-  ///    search tier) re-scans everything -- a from-scratch oracle cannot
-  ///    say what changed.
-  ///
-  /// Every skip is of a pair that provably proposes nothing new, so the
-  /// fixpoint -- and therefore every report -- is identical across
-  /// oracles; only time and memory differ.
+  /// Rounds run in three waves: the atomicity gap-1 passes, then (unless
+  /// deferred) the send gap-1 passes, then the sweeps of every uncovered
+  /// queue over 128-source ranges.  With a pool and an oracle that
+  /// answers from immutable state each wave fans out; every pass reads
+  /// only the frozen oracle and writes its own ScanOut, merged in
+  /// canonical order, so the output never depends on the thread count.
   ///
   /// \returns the edges added this round (already inserted into the
   /// graph), for the oracle's delta path.
-  std::vector<HbEdge>
-  applyDerivedRules(const Reachability &Oracle,
-                    const std::vector<GainedWord> *Gained) {
-    // Keep rounds small: the incremental oracle makes a round-boundary
-    // refresh cheap, and the sooner the oracle reflects a chain's
-    // adjacent edges, the more wide-gap pairs the next scan skips as
-    // implied -- tighter rounds insert strictly fewer redundant edges.
-    const size_t ChunkCap = G.numNodes() / 8 + 1024;
-
-    // Freeze the round context.  Scans only read it (plus the pre-round
-    // cursors), which is what makes per-queue scans independent: each
-    // queue's proposal stream depends on the frozen oracle and its own
-    // cursor only, never on another queue's proposals in this round.
+  std::vector<HbEdge> applyDerivedRules(const Reachability &Oracle) {
+    const size_t RoundCap = G.numNodes() / 8 + 1024;
     RoundOracle = &Oracle;
     RoundRows = Oracle.rowsOrNull();
-    RoundExact = Gained != nullptr;
-    if (Opt.EnableQueueRules && SendCursor.size() != QueueSends.size())
-      SendCursor.assign(QueueSends.size(), {});
 
-    // A send queue participates this round unless exact fact dispatch
-    // covers it (fully seen).  Every looper with a pair sweeps.
-    auto runsAtom = [&](size_t Qi) {
-      return Opt.EnableAtomicityRule && QueueEvents[Qi].size() >= 2;
-    };
-    auto runsSend = [&](size_t Qi) {
-      size_t K = QueueSends[Qi].size();
-      return K >= 2 && !(RoundExact && SendCursor[Qi].Gap >= K);
-    };
-    auto mergeScan = [](ScanOut &Dst, const ScanOut &Src) {
-      Dst.Edges.insert(Dst.Edges.end(), Src.Edges.begin(), Src.Edges.end());
-      Dst.Atomicity += Src.Atomicity;
-      Dst.Q1 += Src.Q1;
-      Dst.Q2 += Src.Q2;
-      Dst.Q3 += Src.Q3;
-      Dst.Q4 += Src.Q4;
-      Dst.SweptSources += Src.SweptSources;
-      Dst.ProjectedWords += Src.ProjectedWords;
-      Dst.VisitSend += Src.VisitSend;
-      Dst.SkipSend += Src.SkipSend;
-    };
-
-    // Main accumulates the round: committed proposals in canonical
-    // (dispatch, loopers ascending, send queues ascending) order --
-    // exactly the sequential emission order -- plus the counters.
-    ScanOut Main;
-
-    // The parallel mode needs concurrency-safe queries:
     // Reachability::reaches may mutate per-oracle scratch (BFS, and the
     // chain oracle's search phase), so only oracles answering from
     // immutable state -- closure rows or frozen chain clocks -- are safe
     // to query from many threads.
     bool Parallel = Pool && Pool->helperThreads() > 0 &&
-                    (RoundRows || RoundOracle->concurrentQueriesSafe());
-    if (!Parallel) {
-      if (Gained)
-        dispatchGained(*Gained, 0, Gained->size(), Main);
-      for (size_t Qi = 0; Qi != QueueEvents.size(); ++Qi) {
-        if (!runsAtom(Qi) || atomGap1(Qi, Main))
-          continue;
-        layOutLooper(Qi);
-        sweepAtomSources(Qi, Main.Run, 0, QueueEvents[Qi].size() - 2, Main);
-      }
-      if (Opt.EnableQueueRules)
-        for (size_t Qi = 0; Qi != QueueSends.size(); ++Qi)
-          if (runsSend(Qi) && scanSendQueue(Qi, Main, ChunkCap))
-            SendCursor[Qi] = {static_cast<uint32_t>(QueueSends[Qi].size()),
-                              0};
-    } else {
-      // Optimistic parallel round, in two waves.  Wave 1 runs every
-      // dispatch chunk, gap-1 pass and send scan uncapped and
-      // concurrently (cursors are frozen -- nothing writes them until
-      // commit); wave 2 fans the atomicity sweep of every looper gap 1
-      // left uncovered out over source ranges.  The per-unit buffers
-      // then commit sequentially in canonical order, each looper's
-      // sweep ranges in source order right after its gap-1 pass.  The
-      // atomicity rule is uncapped, so its units always commit.  A send
-      // queue is accepted verbatim when even its full uncapped output
-      // keeps the round strictly under the cap: the capped sequential
-      // scan would then never have seen chunkFull() fire, so the
-      // buffers are bit-for-bit what it produces.  From the first send
-      // queue where the cap could have fired, fall back to the real
-      // capped sequential scan (the cheap case: the cap only fires
-      // while the fixpoint is young).
-      enum Kind : uint8_t { Dispatch, Atom, Send };
-      struct Unit {
-        Kind K;
-        size_t Index; // queue index, or dispatch chunk begin
-        size_t End;   // dispatch chunk end
-        ScanOut Out;
-        bool Covered = false; // Atom: gap 1 covered the looper
-      };
-      std::vector<Unit> Units;
-      if (Gained && !Gained->empty()) {
-        size_t Threads = Pool->helperThreads() + 1;
-        size_t Chunk = std::max<size_t>(
-            (Gained->size() + Threads - 1) / Threads, 64);
-        for (size_t Lo = 0; Lo < Gained->size(); Lo += Chunk)
-          Units.push_back(
-              {Dispatch, Lo, std::min(Lo + Chunk, Gained->size()), {}});
-      }
+                    (RoundRows || Oracle.concurrentQueriesSafe());
+    auto forEach = [&](size_t N, const std::function<void(size_t)> &Fn) {
+      if (Parallel)
+        Pool->parallelFor(N, Fn);
+      else
+        for (size_t I = 0; I != N; ++I)
+          Fn(I);
+    };
+
+    // One gap-1 pass per queue with a pair: loopers first, then send
+    // queues -- the canonical commit order.
+    struct Pass {
+      bool Send;
+      size_t Queue;
+      ScanOut Out;
+      bool Covered = false;
+    };
+    std::vector<Pass> Passes;
+    if (Opt.EnableAtomicityRule)
       for (size_t Qi = 0; Qi != QueueEvents.size(); ++Qi)
-        if (runsAtom(Qi))
-          Units.push_back({Atom, Qi, 0, {}});
-      if (Opt.EnableQueueRules)
-        for (size_t Qi = 0; Qi != QueueSends.size(); ++Qi)
-          if (runsSend(Qi))
-            Units.push_back({Send, Qi, 0, {}});
+        if (QueueEvents[Qi].size() >= 2)
+          Passes.push_back({false, Qi, {}});
+    size_t NumAtom = Passes.size();
+    forEach(NumAtom, [&](size_t PI) {
+      Pass &P = Passes[PI];
+      P.Covered = atomGap1(P.Queue, P.Out);
+      if (!P.Covered)
+        layOutLooper(P.Queue); // this pass's own slot
+    });
 
-      Pool->parallelFor(Units.size(), [&](size_t UI) {
-        Unit &U = Units[UI];
-        switch (U.K) {
-        case Dispatch:
-          dispatchGained(*Gained, U.Index, U.End, U.Out);
-          break;
-        case Atom:
-          U.Covered = atomGap1(U.Index, U.Out);
-          if (!U.Covered)
-            layOutLooper(U.Index); // this unit's own slot
-          break;
-        case Send:
-          scanSendQueue(U.Index, U.Out, /*Cap=*/0);
-          break;
-        }
+    uint64_t NewLinks = 0;
+    for (const Pass &P : Passes)
+      NewLinks += P.Out.NewLinks;
+    QueueDeferred = Opt.EnableQueueRules && NewLinks >= RoundCap;
+    if (Opt.EnableQueueRules && !QueueDeferred) {
+      for (size_t Qi = 0; Qi != QueueSends.size(); ++Qi)
+        if (QueueSends[Qi].size() >= 2)
+          Passes.push_back({true, Qi, {}});
+      forEach(Passes.size() - NumAtom, [&](size_t I) {
+        Pass &P = Passes[NumAtom + I];
+        P.Covered = sendGap1(P.Queue, P.Out);
+        if (!P.Covered)
+          layOutSendQueue(P.Queue);
       });
-
-      // Sources per sweep unit: the cost of a source falls with its
-      // position, so many small ranges keep the helpers balanced.
-      constexpr size_t SweepChunk = 128;
-      struct Sweep {
-        size_t Unit; // the looper's gap-1 unit
-        size_t Lo, Hi;
-        ScanOut Out;
-      };
-      std::vector<Sweep> Sweeps;
-      for (size_t UI = 0; UI != Units.size(); ++UI)
-        if (Units[UI].K == Atom && !Units[UI].Covered)
-          for (size_t Lo = 0, E = QueueEvents[Units[UI].Index].size() - 2;
-               Lo < E; Lo += SweepChunk)
-            Sweeps.push_back({UI, Lo, std::min(Lo + SweepChunk, E), {}});
-      Pool->parallelFor(Sweeps.size(), [&](size_t SI) {
-        Sweep &S = Sweeps[SI];
-        const Unit &U = Units[S.Unit];
-        sweepAtomSources(U.Index, U.Out.Run, S.Lo, S.Hi, S.Out);
-      });
-
-      bool Fallback = false;
-      size_t NextSweep = 0;
-      for (size_t UI = 0; UI != Units.size(); ++UI) {
-        Unit &U = Units[UI];
-        if (U.K != Send) {
-          mergeScan(Main, U.Out);
-          for (; NextSweep != Sweeps.size() && Sweeps[NextSweep].Unit == UI;
-               ++NextSweep)
-            mergeScan(Main, Sweeps[NextSweep].Out);
-          continue;
-        }
-        size_t K = QueueSends[U.Index].size();
-        if (!Fallback && Main.Edges.size() + U.Out.Edges.size() < ChunkCap) {
-          mergeScan(Main, U.Out);
-          SendCursor[U.Index] = {static_cast<uint32_t>(K), 0};
-          continue;
-        }
-        Fallback = true;
-        if (scanSendQueue(U.Index, Main, ChunkCap))
-          SendCursor[U.Index] = {static_cast<uint32_t>(K), 0};
-      }
     }
 
-    SweptSources += Main.SweptSources;
-    ProjectedWords += Main.ProjectedWords;
-    AtomProposals += Main.Atomicity;
-    VisitSend += Main.VisitSend;
-    SkipSend += Main.SkipSend;
+    // Sources per sweep: the cost of a source falls with its position,
+    // so many small ranges keep the helpers balanced.
+    constexpr size_t SweepChunk = 128;
+    struct Sweep {
+      size_t Pass;
+      size_t Lo, Hi;
+      ScanOut Out;
+    };
+    std::vector<Sweep> Sweeps;
+    for (size_t PI = 0; PI != Passes.size(); ++PI) {
+      const Pass &P = Passes[PI];
+      if (P.Covered)
+        continue;
+      // An atomicity source needs a pair past gap 1; a send source may
+      // also be a front send looking back.
+      size_t E = P.Send ? QueueSends[P.Queue].size()
+                        : QueueEvents[P.Queue].size() - 2;
+      for (size_t Lo = 0; Lo < E; Lo += SweepChunk)
+        Sweeps.push_back({PI, Lo, std::min(Lo + SweepChunk, E), {}});
+    }
+    forEach(Sweeps.size(), [&](size_t SI) {
+      Sweep &S = Sweeps[SI];
+      const Pass &P = Passes[S.Pass];
+      if (P.Send)
+        sweepSendSources(P.Queue, P.Out.Run, S.Lo, S.Hi, S.Out);
+      else
+        sweepAtomSources(P.Queue, P.Out.Run, S.Lo, S.Hi, S.Out);
+    });
+
+    // Commit in canonical order: each queue's gap-1 pass, then its
+    // sweep ranges in source order.
+    ScanOut Main;
+    for (size_t PI = 0, SI = 0; PI != Passes.size(); ++PI) {
+      Main.merge(std::move(Passes[PI].Out));
+      for (; SI != Sweeps.size() && Sweeps[SI].Pass == PI; ++SI)
+        Main.merge(std::move(Sweeps[SI].Out));
+    }
+    AtomWork.add(Main.Atom);
+    QueueWork.add(Main.Queue);
 
     // Apply the batch (dedup first: atomicity and queue rules can derive
     // the same event-level edge).
     std::vector<std::pair<NodeId, NodeId>> &NewEdges = Main.Edges;
-    std::sort(NewEdges.begin(), NewEdges.end(),
-              [](const std::pair<NodeId, NodeId> &X,
-                 const std::pair<NodeId, NodeId> &Y) {
-                if (X.first != Y.first)
-                  return X.first < Y.first;
-                return X.second < Y.second;
-              });
+    std::sort(NewEdges.begin(), NewEdges.end());
     NewEdges.erase(std::unique(NewEdges.begin(), NewEdges.end()),
                    NewEdges.end());
     std::vector<HbEdge> Batch;
@@ -859,7 +744,7 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
   auto TGraph = Now();
   // Parallel analysis mode: Threads-1 helpers (the constructing thread
   // participates in every parallelFor), shared by the oracle's
-  // column-strip sweeps and the rule engine's queue scans.  Thread
+  // column-strip sweeps and the rule engine's passes.  Thread
   // count is purely a wall-clock knob; reports stay bit-identical
   // (docs/robustness.md, "Parallel analysis").
   unsigned Threads = resolveAnalysisThreads(Options.Threads);
@@ -931,44 +816,35 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
     Kept.RoundsDone = Stats.FixpointRounds;
     Kept.Saturated = Converged;
     Kept.Stats = Stats;
-    Kept.SendCursors = B.SendCursor;
     Kept.UnsaturatedRules = Degrade.UnsaturatedRules;
   };
-
-  // Restore the send scans' frontiers: pairs the checkpointed run
-  // already evaluated are not re-proposed (their conclusions are in the
-  // replayed edges).  The first resumed round runs with no delta
-  // information (nullptr below), i.e. a conservative full pass over the
-  // unseen region -- re-evaluating a seen pair is always sound, it just
-  // proposes nothing new.  The atomicity sweep keeps no frontier.
-  if (R && R->SendCursors.size() == B.QueueSends.size())
-    B.SendCursor = R->SendCursors;
 
   Converged = true;
   if (Options.Model == OrderingModel::Cafa &&
       (Options.EnableAtomicityRule || Options.EnableQueueRules) &&
       !(R && R->Saturated)) {
-    // Semi-naive evaluation of the queue rules: round 0 scans
-    // everything; later rounds ask the oracle what changed -- exact
-    // premise facts if it can say (the fact filter below is installed
-    // before round 0, so every delta-tracking oracle can), full
-    // re-scans when it rebuilds from scratch and cannot know.  The
-    // atomicity rule is swept whole every round.
-    B.buildRuleTables();
-    Reach->setFactFilter(B.FactSources, B.FactTargets);
+    // Every round sweeps every rule instance against the oracle, so a
+    // resumed run needs nothing but the replayed edges to continue.
     Converged = false;
-    const std::vector<GainedWord> *Gained = nullptr;
     double LastSaveMs = 0;
-    // Cumulative rule-engine work for the profile: atomicity sweep
-    // sources, row words projected and proposals, then send pair
-    // visits/skips.
+    // Cumulative rule-engine work for the profile, per family: sources
+    // swept, row words projected and proposals.
     auto PrintWork = [&] {
-      std::fprintf(stderr, "sweep=%llu/%llu/%llu send=%llu/%llu",
-                   (unsigned long long)B.SweptSources,
-                   (unsigned long long)B.ProjectedWords,
-                   (unsigned long long)B.AtomProposals,
-                   (unsigned long long)B.VisitSend,
-                   (unsigned long long)B.SkipSend);
+      auto Family = [](const char *Name, const Builder::SweepWork &W,
+                       uint64_t Proposals) {
+        std::fprintf(stderr, " %s=%llu/%llu/%llu", Name,
+                     (unsigned long long)W.Sources,
+                     (unsigned long long)W.Words,
+                     (unsigned long long)Proposals);
+      };
+      Family("atom", B.AtomWork, Stats.AtomicityEdges);
+      if (B.QueueDeferred)
+        std::fprintf(stderr, " queue=deferred");
+      else
+        Family("queue", B.QueueWork,
+               Stats.QueueRule1Edges + Stats.QueueRule2Edges +
+                   Stats.QueueRule3Edges + Stats.QueueRule4Edges);
+      std::fprintf(stderr, "\n");
     };
     uint32_t StartRound = Stats.FixpointRounds;
     for (uint32_t Round = StartRound; Round != Options.MaxFixpointRounds;
@@ -984,23 +860,21 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
       }
       ++Stats.FixpointRounds;
       auto T0 = Now();
-      std::vector<HbEdge> Delta =
-          B.applyDerivedRules(*Reach, Gained);
+      std::vector<HbEdge> Delta = B.applyDerivedRules(*Reach);
       auto T1 = Now();
-      if (Delta.empty()) {
+      // A round that deferred the queue rules did not evaluate them.
+      if (Delta.empty() && !B.QueueDeferred) {
         Converged = true;
         if (Profile) {
-          std::fprintf(stderr, "round %u: empty scan=%.1fms ", Round,
+          std::fprintf(stderr, "round %u: empty scan=%.1fms", Round,
                        Ms(T0, T1));
           PrintWork();
-          std::fprintf(stderr, "\n");
         }
         break;
       }
       // Delta protocol: the graph already holds this round's edges; the
       // oracle either folds them in incrementally or rebuilds.
       Reach->addEdges(Delta);
-      Gained = Reach->gainedWords();
       Kept.DerivedEdges.insert(Kept.DerivedEdges.end(), Delta.begin(),
                                Delta.end());
       // Cadence checkpoint: the oracle now reflects every inserted edge,
@@ -1013,11 +887,9 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
       }
       auto T2 = Now();
       if (Profile) {
-        std::fprintf(stderr, "round %u: delta=%zu scan=%.1fms update=%.1fms ",
+        std::fprintf(stderr, "round %u: delta=%zu scan=%.1fms update=%.1fms",
                      Round, Delta.size(), Ms(T0, T1), Ms(T1, T2));
         PrintWork();
-        std::fprintf(stderr, " facts=%zu\n",
-                     Gained ? Gained->size() : size_t(0));
       }
     }
     if (!Converged) {
@@ -1047,8 +919,7 @@ HbIndex::~HbIndex() = default;
 
 HbFrontier HbIndex::exportFrontier() const {
   // Above this, serializing the row matrix costs more than the refresh()
-  // it would save on resume; the frontier then carries only edges and
-  // cursors.
+  // it would save on resume; the frontier then carries only the edges.
   constexpr size_t MaxRowBlobBytes = size_t(256) << 20;
   HbFrontier F = Kept;
   std::vector<uint64_t> Words;

@@ -70,9 +70,10 @@ struct HbOptions {
   bool EnableQueueRules = true;
   bool EnableListenerRule = true;
   bool EnableExternalInputRule = true;
-  /// Cap on fixpoint rounds.  Rounds are edge-capped (see
-  /// HbIndex.cpp::applyDerivedRules), so long send chains legitimately
-  /// take several rounds; the cap guards against bugs, not inputs.
+  /// Cap on fixpoint rounds.  Each round closes the rules over the
+  /// oracle as it stood when the round began, so orderings that build on
+  /// each other legitimately take several rounds; the cap guards against
+  /// bugs, not inputs.
   uint32_t MaxFixpointRounds = 64;
   /// Graceful degradation, memory rung: when nonzero, the reachability
   /// oracle is stepped down the ladder Incremental -> Closure -> Chain
@@ -89,7 +90,7 @@ struct HbOptions {
   /// is set so downstream reports get flagged partial.  0 = off.
   double DeadlineMillis = 0;
   /// Analysis worker threads (the --analysis-threads knob): closure row
-  /// sweeps, rule-premise scans, and the detector's pair scan fan out
+  /// sweeps, rule sweeps, and the detector's pair scan fan out
   /// across this many threads.  0 = auto: the CAFA_ANALYSIS_THREADS
   /// environment variable if set, else hardware concurrency.  Purely a
   /// wall-clock knob -- every thread count produces bit-identical
@@ -147,27 +148,19 @@ struct HbRuleStats {
   uint32_t FixpointRounds = 0;
 };
 
-/// Scan-frontier position of one send queue's gap-diagonal pair scan: every
-/// pair lexicographically below (Gap, I) has been evaluated at least
-/// once.  Gap >= the queue's element count means "fully scanned".
-struct HbScanCursor {
-  uint32_t Gap = 2;
-  uint32_t I = 0;
-};
-
 /// Everything needed to freeze the derived-rule fixpoint at a round
 /// boundary and restore it in another process.  Rounds are never cut
-/// mid-scan (the deadline is checked before each round and the per-round
-/// edge cap only moves the scan cursors), so a round boundary is always
-/// a consistent frontier: the graph holds base + DerivedEdges, the
-/// cursors say which send pairs were already evaluated, and the closure rows
-/// (when attached) mirror exactly those edges.
+/// midway (the deadline is checked before each round), so a round
+/// boundary is always a consistent frontier: the graph holds base +
+/// DerivedEdges and the closure rows (when attached) mirror exactly
+/// those edges.
 ///
-/// Resuming replays DerivedEdges onto a freshly built base graph,
-/// restores the cursors, and continues the fixpoint.  The closure is the
-/// unique least fixpoint of monotone rules and the scans are
-/// deterministic, so the resumed run converges to the same relation --
-/// and therefore the same reports -- as an uninterrupted one.
+/// Resuming replays DerivedEdges onto a freshly built base graph and
+/// continues the fixpoint; every round re-evaluates every rule instance,
+/// so there is no scan position to restore.  The closure is the unique
+/// least fixpoint of monotone rules and the rounds are deterministic, so
+/// the resumed run converges to the same relation -- and therefore the
+/// same reports -- as an uninterrupted one.
 struct HbFrontier {
   /// Oracle in use when the frontier was taken.  Informational: closure
   /// rows are mode-independent, so a resume may import them into a
@@ -181,9 +174,6 @@ struct HbFrontier {
   HbRuleStats Stats;
   /// Every derived edge inserted so far, in insertion order.
   std::vector<HbEdge> DerivedEdges;
-  /// Per-queue scan frontiers of the event-queue rules.  The atomicity
-  /// rule re-sweeps every pair each round and keeps no frontier.
-  std::vector<HbScanCursor> SendCursors;
   /// Serialized closure rows (row-major, RowWords words per row), or
   /// empty when the matrix was too large to attach -- the resume then
   /// recomputes it with refresh(), which is pure time, not lost work.
@@ -249,7 +239,7 @@ public:
   /// Freezes the current state as a resumable frontier (see HbFrontier).
   /// Closure rows are attached when the oracle has them and the blob
   /// stays under an internal size cap; otherwise the frontier carries
-  /// only the edges and cursors and a resume recomputes the rows.
+  /// only the edges and a resume recomputes the rows.
   HbFrontier exportFrontier() const;
 
   /// Swaps the reachability oracle for the BFS floor, releasing its
@@ -281,16 +271,15 @@ private:
   std::unique_ptr<HbGraph> Graph;
   /// Worker pool for the parallel analysis mode (HbOptions::Threads):
   /// shared by the oracle's column-strip sweeps and the rule engine's
-  /// queue scans.  Holds Threads-1 helpers (the constructing thread
-  /// participates); with 1 thread it is a no-op shell.
+  /// gap-1 passes and sweeps.  Holds Threads-1 helpers (the constructing
+  /// thread participates); with 1 thread it is a no-op shell.
   std::unique_ptr<WorkerPool> Pool;
   std::unique_ptr<Reachability> Reach;
   HbRuleStats Stats;
   HbDegradation Degrade;
   /// Live frontier (everything but the closure rows, which are exported
-  /// on demand): derived edges accumulate as rounds commit, cursors and
-  /// counters are synced at every save point and at the end of
-  /// construction.
+  /// on demand): derived edges accumulate as rounds commit, counters are
+  /// synced at every save point and at the end of construction.
   HbFrontier Kept;
   bool Converged = false;
 };

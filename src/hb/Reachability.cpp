@@ -140,7 +140,7 @@ void refreshRows(const HbGraph &G, std::vector<BitVec> &Rows,
 /// as it is committed and aborts past the budget (0 = unlimited),
 /// releasing everything so a failed probe leaves no high-water mark
 /// behind.  \p Used carries footprint already committed by the caller
-/// (the incremental oracle's delta-tracking extras).
+/// (the incremental oracle's dirty flags).
 bool allocateRowMatrix(std::vector<BitVec> &Rows, size_t N, size_t Budget,
                        size_t Used) {
   Rows.resize(N);
@@ -233,19 +233,12 @@ bool IncrementalClosureReachability::allocateRows() {
   size_t N = G.numNodes();
   if (Rows.size() == N && (N == 0 || Rows.back().size() == N))
     return !Exceeded;
-  // The delta-tracking extras (dirty flags, snapshot row, fact-filter
-  // masks) are committed up front and counted against the budget: a
-  // fixpoint run will allocate them anyway, and counting them here keeps
-  // the measured footprint strictly above the plain closure's so the
-  // degradation ladder stays monotone.
+  // The delta sweep's dirty flags are committed up front and counted
+  // against the budget: a fixpoint run will allocate them anyway, and
+  // counting them here keeps the measured footprint strictly above the
+  // plain closure's so the degradation ladder stays monotone.
   Dirty.assign(N, 0);
-  SnapRow.resize(N);
-  SrcMask.resize(N);
-  TgtMask.resize(N);
-  size_t Extras =
-      Dirty.capacity() +
-      SnapRow.memoryBytes() + SrcMask.memoryBytes() + TgtMask.memoryBytes();
-  if (!allocateRowMatrix(Rows, N, Budget, Extras)) {
+  if (!allocateRowMatrix(Rows, N, Budget, Dirty.capacity())) {
     Exceeded = true;
     return false;
   }
@@ -259,8 +252,6 @@ void IncrementalClosureReachability::refresh() {
   // parallel when a pool is installed).
   refreshRows(G, Rows, Pool);
   KnownEdges = G.numEdges();
-  // A full rebuild loses track of which facts appeared.
-  FactsValid = false;
 }
 
 bool IncrementalClosureReachability::exportClosureRows(
@@ -278,10 +269,8 @@ bool IncrementalClosureReachability::importClosureRows(const uint64_t *Words,
     return false;
   importRows(Rows, Words, WordsPerRow);
   // The imported matrix must cover the graph's current edges (the caller
-  // restores graph and rows from the same checkpoint), and an import
-  // carries no delta history.
+  // restores graph and rows from the same checkpoint).
   KnownEdges = G.numEdges();
-  FactsValid = false;
   return true;
 }
 
@@ -297,10 +286,6 @@ void IncrementalClosureReachability::addEdges(
     return;
   }
   KnownEdges = G.numEdges();
-  bool Collect = HasFilter && SrcMask.size() == G.numNodes() &&
-                 TgtMask.size() == G.numNodes();
-  Gained.clear();
-  FactsValid = Collect; // an empty list is an exact "nothing changed"
   if (Edges.empty())
     return;
 
@@ -313,8 +298,6 @@ void IncrementalClosureReachability::addEdges(
   // Nodes above the largest batch source cannot reach any new edge (all
   // paths to it would have to run backward), so the sweep starts there.
   uint32_t MaxFrom = SortedBatch.front().From.value();
-  if (Collect && SnapRow.size() != G.numNodes())
-    SnapRow.resize(G.numNodes());
 
   size_t WordsPerRow = Rows.empty() ? 0 : Rows.front().numWords();
   unsigned K = stripCount(Pool, G.numNodes(), WordsPerRow);
@@ -324,28 +307,14 @@ void IncrementalClosureReachability::addEdges(
     // a successor dirty only in *other* strips has unchanged words in
     // this strip, already contained by the closure invariant, so
     // skipping its re-absorb is a no-op -- every strip's words come out
-    // exactly as the sequential sweep leaves them.  Gained words merge
-    // by the sequential emission order (rows descending, words
-    // ascending -- the (From, WordIdx) keys are unique across strips).
+    // exactly as the sequential sweep leaves them.
     std::vector<size_t> Cuts = computeWordStrips(G, WordsPerRow, K);
-    Strips.resize(K);
-    for (StripScratch &SS : Strips) {
-      SS.Dirty.assign(G.numNodes(), 0);
-      if (Collect && SS.Snap.size() != G.numNodes())
-        SS.Snap.resize(G.numNodes());
-      SS.Gained.clear();
-    }
+    StripDirty.resize(K);
+    for (std::vector<uint8_t> &SD : StripDirty)
+      SD.assign(G.numNodes(), 0);
     Pool->parallelFor(K, [&](size_t T) {
-      sweepStrip(Strips[T], Cuts[T], Cuts[T + 1], MaxFrom, Collect);
+      sweepStrip(StripDirty[T], Cuts[T], Cuts[T + 1], MaxFrom);
     });
-    for (const StripScratch &SS : Strips)
-      Gained.insert(Gained.end(), SS.Gained.begin(), SS.Gained.end());
-    std::sort(Gained.begin(), Gained.end(),
-              [](const GainedWord &A, const GainedWord &B) {
-                if (A.From != B.From)
-                  return B.From < A.From;
-                return A.WordIdx < B.WordIdx;
-              });
     return;
   }
 
@@ -353,26 +322,6 @@ void IncrementalClosureReachability::addEdges(
   size_t Next = 0;
   for (uint32_t I = MaxFrom + 1; I-- > 0;) {
     BitVec &Row = Rows[I];
-    bool HasBatch =
-        Next != SortedBatch.size() && SortedBatch[Next].From.value() == I;
-    // Snapshot the live half of a row that may change and whose gained
-    // facts the filter wants, so the diff below enumerates exactly the
-    // bits this sweep adds.  Rows only change through a batch edge or a
-    // dirty successor, so everything else skips the copy.
-    bool Snap = false;
-    if (Collect && SrcMask.test(I)) {
-      bool MayChange = HasBatch;
-      if (!MayChange)
-        for (uint32_t S : G.successors(NodeId(I)))
-          if (Dirty[S]) {
-            MayChange = true;
-            break;
-          }
-      if (MayChange) {
-        SnapRow.assignFrom(Row, I);
-        Snap = true;
-      }
-    }
     bool Changed = false;
     // Absorb this node's batch edges: row gains {To} union row(To).
     // To > I, and the sweep already finalized every node above I, so
@@ -393,43 +342,15 @@ void IncrementalClosureReachability::addEdges(
       if (Dirty[S])
         Changed |= Row.orWithFrom(Rows[S], S);
     Dirty[I] = Changed;
-    if (Snap && Changed) {
-      for (size_t W = I >> 6, E = Row.numWords(); W != E; ++W) {
-        uint64_t D = (Row.word(W) ^ SnapRow.word(W)) & TgtMask.word(W);
-        if (D)
-          Gained.push_back({I, static_cast<uint32_t>(W), D});
-      }
-    }
   }
 }
 
-void IncrementalClosureReachability::sweepStrip(StripScratch &SS, size_t Lo,
-                                                size_t Hi, uint32_t MaxFrom,
-                                                bool Collect) {
+void IncrementalClosureReachability::sweepStrip(std::vector<uint8_t> &Dirt,
+                                                size_t Lo, size_t Hi,
+                                                uint32_t MaxFrom) {
   size_t Next = 0;
   for (uint32_t I = MaxFrom + 1; I-- > 0;) {
     BitVec &Row = Rows[I];
-    bool HasBatch =
-        Next != SortedBatch.size() && SortedBatch[Next].From.value() == I;
-    // Strip-local snapshot decision: this strip's words of row I can
-    // only change through a batch edge from I (whose OR may reach into
-    // this strip) or a successor dirty *in this strip*.
-    bool Snap = false;
-    size_t RowLo = static_cast<size_t>(I >> 6);
-    size_t SnapLo = RowLo > Lo ? RowLo : Lo;
-    if (Collect && SrcMask.test(I) && SnapLo < Hi) {
-      bool MayChange = HasBatch;
-      if (!MayChange)
-        for (uint32_t S : G.successors(NodeId(I)))
-          if (SS.Dirty[S]) {
-            MayChange = true;
-            break;
-          }
-      if (MayChange) {
-        SS.Snap.assignRange(Row, SnapLo, Hi);
-        Snap = true;
-      }
-    }
     bool Changed = false;
     for (; Next != SortedBatch.size() && SortedBatch[Next].From.value() == I;
          ++Next) {
@@ -445,19 +366,12 @@ void IncrementalClosureReachability::sweepStrip(StripScratch &SS, size_t Lo,
       Changed |= Row.orWithRange(Rows[To], TW > Lo ? TW : Lo, Hi);
     }
     for (uint32_t S : G.successors(NodeId(I)))
-      if (SS.Dirty[S]) {
+      if (Dirt[S]) {
         size_t SW = S >> 6;
         if (SW < Hi)
           Changed |= Row.orWithRange(Rows[S], SW > Lo ? SW : Lo, Hi);
       }
-    SS.Dirty[I] = Changed;
-    if (Snap && Changed) {
-      for (size_t W = SnapLo; W != Hi; ++W) {
-        uint64_t D = (Row.word(W) ^ SS.Snap.word(W)) & TgtMask.word(W);
-        if (D)
-          SS.Gained.push_back({I, static_cast<uint32_t>(W), D});
-      }
-    }
+    Dirt[I] = Changed;
   }
 }
 
@@ -466,11 +380,8 @@ size_t IncrementalClosureReachability::memoryBytes() const {
   for (const BitVec &Row : Rows)
     Total += Row.memoryBytes();
   Total += Dirty.capacity() + SortedBatch.capacity() * sizeof(HbEdge);
-  Total += SrcMask.memoryBytes() + TgtMask.memoryBytes() +
-           SnapRow.memoryBytes() + Gained.capacity() * sizeof(GainedWord);
-  for (const StripScratch &SS : Strips)
-    Total += SS.Dirty.capacity() + SS.Snap.memoryBytes() +
-             SS.Gained.capacity() * sizeof(GainedWord);
+  for (const std::vector<uint8_t> &SD : StripDirty)
+    Total += SD.capacity();
   return Total;
 }
 
@@ -487,14 +398,10 @@ bool BfsReachability::reaches(NodeId From, NodeId To) const {
   uint32_t ToPos = G.posOfNode(To);
   bool Found = false;
 
-  // Range worklist: (task, lo, hi) = nodes of `task` at positions
-  // [lo, hi) whose successors still need expanding.  A task is expanded
-  // at most once per position thanks to the VisitedPos high-water mark.
-  struct Range {
-    TaskId Task;
-    uint32_t Lo, Hi;
-  };
-  std::vector<Range> Ranges;
+  // Range worklist: a task is expanded at most once per position thanks
+  // to the VisitedPos high-water mark.  An early return leaves ranges
+  // behind; they are stale, so start from an empty stack.
+  Ranges.clear();
 
   auto pushFrom = [&](NodeId Node) {
     TaskId Task = G.taskOfNode(Node);
@@ -543,7 +450,8 @@ bool BfsReachability::reaches(NodeId From, NodeId To) const {
 }
 
 size_t BfsReachability::memoryBytes() const {
-  return VisitedPos.capacity() * 4 + VisitedVersion.capacity() * 4;
+  return VisitedPos.capacity() * 4 + VisitedVersion.capacity() * 4 +
+         Ranges.capacity() * sizeof(Range);
 }
 
 //===----------------------------------------------------------------------===//
@@ -749,8 +657,6 @@ void ChainReachability::maybeBootstrap() {
   if (!Boot) {
     Boot = std::make_unique<IncrementalClosureReachability>(G);
     Boot->setWorkerPool(Pool);
-    if (HasFilter)
-      Boot->setFactFilter(SrcMask, TgtMask);
   } else {
     Boot->refresh();
   }
@@ -759,8 +665,6 @@ void ChainReachability::maybeBootstrap() {
 size_t ChainReachability::baseBytes() const {
   size_t Total = ChainOf.capacity() * 4 + PosInChain.capacity() * 4 +
                  Dirty.capacity() + SortedBatch.capacity() * sizeof(HbEdge) +
-                 SrcMask.memoryBytes() + TgtMask.memoryBytes() +
-                 OldClock.capacity() * 4 + NewTargets.capacity() * 4 +
                  ChainNodes.capacity() * sizeof(std::vector<uint32_t>) +
                  Search.memoryBytes();
   for (const std::vector<uint32_t> &CN : ChainNodes)
@@ -830,12 +734,9 @@ void ChainReachability::refresh() {
   }
   KnownEdges = G.numEdges();
   if (buildClocks())
-    Boot.reset(); // clocks beat rows: exact deltas at linear memory
+    Boot.reset(); // clocks beat rows: the same queries at linear memory
   else
     maybeBootstrap();
-  // A full rebuild loses track of which facts appeared (same contract
-  // as the incremental closure's refresh()).
-  FactsValid = false;
 }
 
 bool ChainReachability::reaches(NodeId From, NodeId To) const {
@@ -858,82 +759,40 @@ void ChainReachability::addEdges(std::span<const HbEdge> Edges) {
     return;
   }
   KnownEdges = G.numEdges();
-  bool Collect = ClocksValid && HasFilter &&
-                 SrcMask.size() == G.numNodes() &&
-                 TgtMask.size() == G.numNodes();
-  Gained.clear();
-  FactsValid = Collect; // an empty list is an exact "nothing changed"
   if (Edges.empty())
     return;
 
   if (!ClocksValid) {
     // Search phase.  In the bootstrap tier the embedded closure absorbs
-    // the batch (queries, rows, and exact delta reports keep flowing
-    // through it); in the frugal tier queries read live edges and the
-    // batch needs no propagation.  Either way this round's real work is
-    // re-deriving the cover and checking whether it collapsed enough to
-    // commit the clocks.
+    // the batch (queries and rows keep flowing through it); in the
+    // frugal tier queries read live edges and the batch needs no
+    // propagation.  Either way this round's real work is re-deriving the
+    // cover and checking whether it collapsed enough to commit the
+    // clocks, which release the rows.
     if (Boot)
       Boot->addEdges(Edges);
     decompose();
-    if (buildClocks() && Boot) {
-      // Switch round, bootstrapped: adopt the closure's exact delta
-      // report as our own, then release the rows -- the engine sees an
-      // uninterrupted exact-delta stream across the representation
-      // change.
-      if (const std::vector<GainedWord> *BG = Boot->gainedWords()) {
-        Gained = *BG;
-        FactsValid = true;
-      } else {
-        FactsValid = false;
-      }
+    if (buildClocks())
       Boot.reset();
-      return;
-    }
-    // Frugal-tier rounds (and a frugal switch round) report no deltas;
-    // the engine treats nullptr as a conservative full re-scan, the
-    // same contract refresh() has.  Bootstrapped non-switch rounds
-    // forward the closure's reports instead (see gainedWords()).
-    FactsValid = false;
     return;
   }
 
-  // Exact incremental clock update: the same descending dirty-row sweep
-  // as IncrementalClosureReachability::addEdges, with "row grew" now
+  // Incremental clock update: the same descending dirty-row sweep as
+  // IncrementalClosureReachability::addEdges, with "row grew" now
   // meaning "some chain clock decreased".  The two conditions are
   // equivalent (a clock entry decreasing is exactly new nodes becoming
-  // reachable), so the Dirty flags -- and, below, the gained-fact
-  // stream -- come out element-wise identical to the closure oracle's.
+  // reachable), so the Dirty flags come out element-wise identical to
+  // the closure oracle's.
   SortedBatch.assign(Edges.begin(), Edges.end());
   std::sort(SortedBatch.begin(), SortedBatch.end(),
             [](const HbEdge &A, const HbEdge &B) { return B.From < A.From; });
   uint32_t MaxFrom = SortedBatch.front().From.value();
   Dirty.assign(G.numNodes(), 0);
   size_t C = NumChains;
-  OldClock.resize(C);
 
   size_t Next = 0;
   for (uint32_t I = MaxFrom + 1; I-- > 0;) {
     uint32_t *Row = Clocks.data() + size_t(I) * C;
-    bool HasBatch =
-        Next != SortedBatch.size() && SortedBatch[Next].From.value() == I;
-    // Snapshot the clock row of a node that may change and whose gained
-    // facts the filter wants (rows only change through a batch edge or a
-    // dirty successor; everything else skips the copy).
-    bool Snap = false;
-    if (Collect && SrcMask.test(I)) {
-      bool MayChange = HasBatch;
-      if (!MayChange)
-        for (uint32_t S : G.successors(NodeId(I)))
-          if (Dirty[S]) {
-            MayChange = true;
-            break;
-          }
-      if (MayChange) {
-        std::copy(Row, Row + C, OldClock.begin());
-        Snap = true;
-      }
-    }
     bool Changed = false;
     // Absorb this node's batch edges: the row gains {To} (To's own
     // position in its chain) union To's clock row, both final -- the
@@ -966,36 +825,6 @@ void ChainReachability::addEdges(std::span<const HbEdge> Edges) {
           }
       }
     Dirty[I] = Changed;
-    if (Snap && Changed) {
-      // Every decreased clock names exactly the newly reachable nodes:
-      // chain K's positions [new, old).  Collect, filter by the target
-      // mask, sort ascending (each node lives in one chain, so there
-      // are no duplicates), and word-pack -- the emission order (rows
-      // descending from the outer loop, words ascending here) is the
-      // closure oracle's snapshot-XOR order, element for element.
-      NewTargets.clear();
-      for (size_t K = 0; K != C; ++K) {
-        if (Row[K] >= OldClock[K])
-          continue;
-        const std::vector<uint32_t> &CN = ChainNodes[K];
-        uint32_t Hi = OldClock[K] == Unset
-                          ? static_cast<uint32_t>(CN.size())
-                          : OldClock[K];
-        for (uint32_t P = Row[K]; P != Hi; ++P)
-          if (TgtMask.test(CN[P]))
-            NewTargets.push_back(CN[P]);
-      }
-      if (!NewTargets.empty()) {
-        std::sort(NewTargets.begin(), NewTargets.end());
-        for (size_t J = 0; J != NewTargets.size();) {
-          uint32_t W = NewTargets[J] >> 6;
-          uint64_t Bits = 0;
-          for (; J != NewTargets.size() && (NewTargets[J] >> 6) == W; ++J)
-            Bits |= uint64_t(1) << (NewTargets[J] & 63);
-          Gained.push_back({I, W, Bits});
-        }
-      }
-    }
   }
 }
 
@@ -1073,16 +902,13 @@ bool ChainReachability::importChainState(const uint64_t *Words,
   Boot.reset();
   Dirty.assign(N, 0);
   // The imported clocks must cover the graph's current edges (the caller
-  // restores graph and clocks from the same checkpoint), and an import
-  // carries no delta history.
+  // restores graph and clocks from the same checkpoint).
   KnownEdges = G.numEdges();
-  FactsValid = false;
   return true;
 }
 
 size_t ChainReachability::memoryBytes() const {
   return baseBytes() + Clocks.capacity() * 4 +
-         Gained.capacity() * sizeof(GainedWord) +
          (Boot ? Boot->memoryBytes() : 0);
 }
 
@@ -1149,10 +975,9 @@ size_t cafa::estimateReachabilityMemory(size_t NumNodes, ReachMode Mode) {
     return NumNodes * RowBytes;
   case ReachMode::Incremental:
   case ReachMode::Auto: // resolveReachMode never returns Auto
-    // Rows, plus the per-node dirty flags, plus the snapshot row and the
-    // two fact-filter masks.  Strictly above the Closure estimate, which
-    // keeps the degradation ladder monotone.
-    return NumNodes * RowBytes + NumNodes + 3 * RowBytes;
+    // Rows, plus the per-node dirty flags.  Strictly above the Closure
+    // estimate, which keeps the degradation ladder monotone.
+    return NumNodes * RowBytes + NumNodes;
   case ReachMode::Chain: {
     // Linear structures (chain ids, positions, members, dirty flags,
     // search scratch, container overhead) at ~48 bytes/node, plus the

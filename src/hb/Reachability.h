@@ -25,8 +25,8 @@
 ///    one min-position clock entry per (node, chain).  O(chains) rows
 ///    instead of O(N) bits per row -- near-linear memory on the "few
 ///    chains, long chains" shape event-driven traces converge to, with
-///    the same O(1) queries and the same exact delta reports once the
-///    clocks are live (docs/chain-reachability.md).
+///    the same O(1) queries and the same incremental delta sweep once
+///    the clocks are live (docs/chain-reachability.md).
 ///
 /// See docs/hb-reachability.md for the architecture of this layer, the
 /// complexity trade-offs (including the mode decision table), and the
@@ -52,16 +52,6 @@ class WorkerPool;
 struct HbEdge {
   NodeId From;
   NodeId To;
-};
-
-/// One word's worth of reachability facts gained by a delta update:
-/// node From now reaches node 64 * WordIdx + b for every set bit b of
-/// Bits.  Word granularity keeps collection O(changed words) instead of
-/// O(changed bits); consumers unpack with ctz loops.
-struct GainedWord {
-  uint32_t From;
-  uint32_t WordIdx;
-  uint64_t Bits;
 };
 
 /// Which reachability oracle backs queries and rule evaluation.
@@ -185,32 +175,12 @@ public:
   virtual void addEdges(std::span<const HbEdge> Edges) { refresh(); }
 
   /// Returns the closure row array (indexed by node id) if this oracle
-  /// precomputes one, else nullptr.  The rule engine's pair scans issue
-  /// millions of queries per round; testing a row bit inline instead of
-  /// making a virtual reaches() call per pair is a measurable win, and
-  /// non-closure oracles simply keep the virtual path.
+  /// precomputes one, else nullptr.  The rule engine's gap-1 passes
+  /// issue many queries per round, and project() gathers whole row
+  /// words; reading a row inline instead of making a virtual reaches()
+  /// call per pair is a measurable win, and non-closure oracles simply
+  /// keep the virtual path.
   virtual const BitVec *rowsOrNull() const { return nullptr; }
-
-  /// Installs the premise fact filter for gainedFacts().  Delta-tracking
-  /// oracles copy the masks and, on each subsequent addEdges(), record
-  /// every reachability fact From -> To that became true with \p Sources
-  /// testing From and \p Targets testing To.  The base class ignores the
-  /// call: an oracle that rebuilds from scratch cannot say which facts
-  /// are new.
-  virtual void setFactFilter(const BitVec & /*Sources*/,
-                             const BitVec & /*Targets*/) {}
-
-  /// Returns the filtered facts that became true during the last
-  /// addEdges() call (word-packed), or nullptr when unknown (no filter
-  /// installed, a full refresh() intervened, or no delta tracking).
-  /// nullptr means "assume anything may have changed"; an empty vector
-  /// is an exact "nothing relevant changed".  This is what lets the
-  /// rule engine run true semi-naive rounds: instead of re-scanning
-  /// every pair it evaluates only the pairs whose premise just
-  /// appeared.
-  virtual const std::vector<GainedWord> *gainedWords() const {
-    return nullptr;
-  }
 
   /// Approximate memory footprint in bytes (for the ablation bench, and
   /// the *measured* reading the degradation ladder records after a
@@ -316,7 +286,7 @@ public:
                          size_t WordsPerRow) override;
   void setWorkerPool(WorkerPool *P) override { Pool = P; }
 
-  /// Direct row access for cache-friendly pair scans in the rule engine.
+  /// Direct row access, for comparing whole rows word by word.
   const BitVec &row(NodeId Node) const { return Rows[Node.index()]; }
 
 private:
@@ -356,11 +326,10 @@ private:
 class IncrementalClosureReachability final : public Reachability {
 public:
   /// BudgetBytes/Defer: same contract as ClosureReachability.  The
-  /// budgeted build allocates the delta-tracking extras (dirty flags,
-  /// snapshot row, fact-filter masks) eagerly so the measured footprint
-  /// covers what a fixpoint run will actually commit, keeping the
-  /// measured ladder strictly above the plain closure's -- the same
-  /// ordering the static estimates promise.
+  /// budgeted build allocates the delta sweep's dirty flags eagerly so
+  /// the measured footprint covers what a fixpoint run will actually
+  /// commit, keeping the measured ladder strictly above the plain
+  /// closure's -- the same ordering the static estimates promise.
   explicit IncrementalClosureReachability(const HbGraph &G,
                                           size_t BudgetBytes = 0,
                                           bool Defer = false)
@@ -381,38 +350,21 @@ public:
                          size_t &WordsPerRowOut) const override;
   bool importClosureRows(const uint64_t *Words, size_t NumWords,
                          size_t WordsPerRow) override;
-  void setFactFilter(const BitVec &Sources, const BitVec &Targets) override {
-    SrcMask = Sources;
-    TgtMask = Targets;
-    HasFilter = true;
-    FactsValid = false;
-  }
-  const std::vector<GainedWord> *gainedWords() const override {
-    return FactsValid ? &Gained : nullptr;
-  }
   void setWorkerPool(WorkerPool *P) override { Pool = P; }
 
   /// Direct row access (same contract as ClosureReachability::row).
   const BitVec &row(NodeId Node) const { return Rows[Node.index()]; }
 
 private:
-  /// Sizes the rows and delta-tracking extras under the budget; false
-  /// (with Exceeded set) when they do not fit.  Idempotent.
+  /// Sizes the rows and dirty flags under the budget; false (with
+  /// Exceeded set) when they do not fit.  Idempotent.
   bool allocateRows();
 
-  /// Per-strip scratch for the column-parallel delta sweep: strip-local
-  /// dirty flags ("this strip's words of row n grew"), a strip-local
-  /// snapshot row, the strip's gained-word list, all merged
-  /// deterministically after the round barrier.
-  struct StripScratch {
-    std::vector<uint8_t> Dirty;
-    BitVec Snap;
-    std::vector<GainedWord> Gained;
-  };
-
-  /// One strip's share of the delta sweep: words [Lo, Hi) of every row.
-  void sweepStrip(StripScratch &SS, size_t Lo, size_t Hi, uint32_t MaxFrom,
-                  bool Collect);
+  /// One strip's share of the delta sweep: words [Lo, Hi) of every row,
+  /// with strip-local dirty flags \p Dirt ("this strip's words of row n
+  /// grew").
+  void sweepStrip(std::vector<uint8_t> &Dirt, size_t Lo, size_t Hi,
+                  uint32_t MaxFrom);
 
   const HbGraph &G;
   std::vector<BitVec> Rows;
@@ -425,17 +377,9 @@ private:
   /// and a per-node "row grew during this sweep" flag.
   std::vector<HbEdge> SortedBatch;
   std::vector<uint8_t> Dirty;
-  /// Premise fact filter (copies -- the caller's masks may not outlive
-  /// us) and the facts gained in the last delta sweep.  SnapRow is the
-  /// pre-sweep snapshot of the row being updated, diffed after its
-  /// unions to enumerate exactly the bits the sweep added.
-  BitVec SrcMask, TgtMask;
-  bool HasFilter = false;
-  std::vector<GainedWord> Gained;
-  bool FactsValid = false;
-  BitVec SnapRow;
   WorkerPool *Pool = nullptr;
-  std::vector<StripScratch> Strips;
+  /// Per-strip dirty flags of the column-parallel delta sweep.
+  std::vector<std::vector<uint8_t>> StripDirty;
 };
 
 /// On-demand search with per-task pruning: a visit to node n of task t
@@ -450,13 +394,21 @@ public:
   size_t memoryBytes() const override;
 
 private:
+  /// Nodes of Task at positions [Lo, Hi) whose successors still need
+  /// expanding.
+  struct Range {
+    TaskId Task;
+    uint32_t Lo, Hi;
+  };
+
   const HbGraph &G;
   /// Scratch (mutable per query): per-task minimal visited node position,
-  /// versioned to avoid clearing between queries.
+  /// versioned to avoid clearing between queries, and the range stack,
+  /// kept across queries so none allocates.
   mutable std::vector<uint32_t> VisitedPos;
   mutable std::vector<uint32_t> VisitedVersion;
   mutable uint32_t Version = 0;
-  mutable std::vector<NodeId> Worklist;
+  mutable std::vector<Range> Ranges;
 };
 
 /// Chain-decomposition reachability: near-linear memory on the "few
@@ -478,9 +430,8 @@ private:
 /// (the mirror image of the backward formulation clock[v][chain(u)] >=
 /// pos(u) -- forward clocks match the successor-list graph layout and
 /// the descending sweep the closure oracles already use).  The clocks
-/// are exact, so addEdges() reports the same changed-row flags and the
-/// same element-wise GainedWord stream as the incremental closure, and
-/// the rule engine's semi-naive rounds consume them unchanged.
+/// are exact, so addEdges() runs the incremental closure's dirty-row
+/// sweep over clock rows and raises the same changed-row flags.
 ///
 /// The catch: the clock matrix is N x chains, and a *base* graph is
 /// wide -- pending events are mutually unordered until the queue rules
@@ -495,14 +446,12 @@ private:
 /// The search phase itself has two tiers, picked once per build:
 ///  - Bootstrap (speed): when an incremental-closure row matrix fits
 ///    within min(BudgetBytes, MaxBootstrapBytes), the oracle embeds one
-///    and forwards queries, rows, and exact delta reports to it.  Wide
-///    fixpoint rounds then run at full closure speed; the rows are
-///    released the moment the clocks commit (the switch round adopts
-///    the bootstrap's delta report, so even that round stays exact).
+///    and forwards queries and rows to it.  Wide fixpoint rounds then
+///    run at full closure speed; the rows are released the moment the
+///    clocks commit.
 ///  - Frugal (memory): otherwise queries go through an embedded pruned
-///    search (BfsReachability) in O(N) memory with no delta reports
-///    (nullptr -- the engine's conservative full-rescan tier).  This is
-///    the tier million-event graphs land in, and it is why the oracle's
+///    search (BfsReachability) in O(N) memory.  This is the tier
+///    million-event graphs land in, and it is why the oracle's
 ///    steady-state memory claim survives at that scale.
 ///
 /// High-water memory is therefore min(BudgetBytes, MaxBootstrapBytes)
@@ -539,23 +488,11 @@ public:
   size_t memoryBytes() const override;
   bool budgetExceeded() const override { return Exceeded; }
   /// During a bootstrapped search phase the embedded closure's rows are
-  /// lent to the rule engine's inline pair scans, exactly as in
-  /// incremental mode; once the clocks commit there is no row matrix.
+  /// lent to the rule engine's inline queries and row projections,
+  /// exactly as in incremental mode; once the clocks commit there is no
+  /// row matrix.
   const BitVec *rowsOrNull() const override {
     return Boot ? Boot->rowsOrNull() : nullptr;
-  }
-  void setFactFilter(const BitVec &Sources, const BitVec &Targets) override {
-    SrcMask = Sources;
-    TgtMask = Targets;
-    HasFilter = true;
-    FactsValid = false;
-    if (Boot)
-      Boot->setFactFilter(Sources, Targets);
-  }
-  const std::vector<GainedWord> *gainedWords() const override {
-    if (Boot)
-      return Boot->gainedWords();
-    return FactsValid ? &Gained : nullptr;
   }
   bool exportChainState(std::vector<uint64_t> &WordsOut) const override;
   bool importChainState(const uint64_t *Words, size_t NumWords) override;
@@ -572,7 +509,7 @@ public:
       Boot->setWorkerPool(P);
   }
 
-  /// True once the clock matrix is live (the exact-delta phase).  Tests
+  /// True once the clock matrix is live (the incremental phase).  Tests
   /// assert this so a policy regression cannot silently demote the
   /// differential suites to the search phase.
   bool clocksActive() const { return ClocksValid; }
@@ -608,24 +545,18 @@ private:
   bool ClocksValid = false;
   std::vector<uint32_t> Clocks; // row-major, N rows of NumChains entries
 
-  /// Delta reporting (identical contract to the incremental closure).
+  /// Delta sweep scratch (same protocol as the incremental closure).
   std::vector<HbEdge> SortedBatch;
   std::vector<uint8_t> Dirty;
-  BitVec SrcMask, TgtMask;
-  bool HasFilter = false;
-  std::vector<GainedWord> Gained;
-  bool FactsValid = false;
-  std::vector<uint32_t> OldClock;   // pre-sweep snapshot of one clock row
-  std::vector<uint32_t> NewTargets; // newly reachable nodes, for packing
 
   /// Search-phase query path, frugal tier (reads live edges, per-query
   /// scratch).
   BfsReachability Search;
   /// Search-phase bootstrap tier: an embedded incremental closure that
-  /// serves queries, rows, and exact deltas while the cover is still
-  /// wide.  Engaged only when it fits min(Budget, MaxBootstrapBytes);
-  /// released the moment the clocks commit.  Invariant: Boot is null
-  /// whenever ClocksValid.
+  /// serves queries and rows while the cover is still wide.  Engaged
+  /// only when it fits min(Budget, MaxBootstrapBytes); released the
+  /// moment the clocks commit.  Invariant: Boot is null whenever
+  /// ClocksValid.
   std::unique_ptr<IncrementalClosureReachability> Boot;
   WorkerPool *Pool = nullptr;
 };

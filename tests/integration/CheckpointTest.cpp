@@ -453,7 +453,6 @@ TEST(CheckpointTest, SnapshotSurvivesAnEncodeDecodeRoundTrip) {
   Snap.Hb.Stats.FixpointRounds = 7;
   Snap.Hb.Stats.AtomicityEdges = 13;
   Snap.Hb.DerivedEdges = {{NodeId(3), NodeId(4)}, {NodeId(9), NodeId(1)}};
-  Snap.Hb.SendCursors = {{4, 2}, {8, 5}};
   Snap.Hb.RowWords = 1;
   Snap.Hb.ClosureRows = {0xdeadbeefull, 0x12345678ull};
   Snap.Hb.ChainState = {10, 3, 1, 0x0000000100000000ull, 0x21ull};
@@ -482,11 +481,7 @@ TEST(CheckpointTest, SnapshotSurvivesAnEncodeDecodeRoundTrip) {
   EXPECT_EQ(Back.Hb.Stats.AtomicityEdges, Snap.Hb.Stats.AtomicityEdges);
   ASSERT_EQ(Back.Hb.DerivedEdges.size(), 2u);
   EXPECT_EQ(Back.Hb.DerivedEdges[1].From.value(), 9u);
-  ASSERT_EQ(Back.Hb.SendCursors.size(), 2u);
-  EXPECT_EQ(Back.Hb.SendCursors[0].Gap, 4u);
-  EXPECT_EQ(Back.Hb.SendCursors[0].I, 2u);
-  EXPECT_EQ(Back.Hb.SendCursors[1].Gap, 8u);
-  EXPECT_EQ(Back.Hb.SendCursors[1].I, 5u);
+  EXPECT_EQ(Back.Hb.DerivedEdges[1].To.value(), 1u);
   EXPECT_EQ(Back.Hb.RowWords, 1u);
   EXPECT_EQ(Back.Hb.ClosureRows, Snap.Hb.ClosureRows);
   EXPECT_EQ(Back.Hb.ChainState, Snap.Hb.ChainState);
@@ -558,13 +553,12 @@ TEST(CheckpointTest, CorruptSnapshotsAreRejectedWithACleanRestart) {
   EXPECT_TRUE(R.Resume.RejectReason.empty());
 }
 
-TEST(CheckpointTest, VersionFourSnapshotIsRefusedWithACleanRestart) {
-  // Snapshot v5 dropped the atomicity scan cursors: the atomicity rule
-  // now re-sweeps every pair each round.  A v4 file -- a real cut
-  // re-framed under version 4 -- is refused on its version before any
-  // payload is decoded, and the run restarts cleanly.
+/// Cuts a real snapshot, re-frames it under \p Version, and resumes from
+/// it: the file must be refused on its version before any payload is
+/// decoded, and the run must restart cleanly to the uninterrupted report.
+void expectOldVersionRefused(uint8_t Version) {
   Trace T = buildAppTrace();
-  std::string Dir = freshCheckpointDir("v4");
+  std::string Dir = freshCheckpointDir("old-version");
   std::string Path = checkpointPath(Dir);
   AnalysisResult Clean = analyzeTrace(T, DetectorOptions());
 
@@ -576,15 +570,16 @@ TEST(CheckpointTest, VersionFourSnapshotIsRefusedWithACleanRestart) {
   std::string Bytes = readFile(Path);
   // Framing: an 8-byte magic, then the version as a little-endian u32.
   ASSERT_GT(Bytes.size(), 12u);
-  ASSERT_EQ(Bytes.substr(8, 4), std::string("\x05\0\0\0", 4));
-  Bytes[8] = 4;
+  ASSERT_EQ(Bytes.substr(8, 4), std::string("\x06\0\0\0", 4));
+  Bytes[8] = static_cast<char>(Version);
   writeFile(Path, Bytes);
 
   Ckpt.Resume = true;
   AnalysisResult R = analyzeTrace(T, withCheckpoint(DetectorOptions(), Ckpt));
   EXPECT_TRUE(R.Resume.Attempted);
   EXPECT_FALSE(R.Resume.Resumed);
-  EXPECT_NE(R.Resume.RejectReason.find("version 4"), std::string::npos)
+  EXPECT_NE(R.Resume.RejectReason.find("version " + std::to_string(Version)),
+            std::string::npos)
       << R.Resume.RejectReason;
   EXPECT_FALSE(R.Report.Partial);
   EXPECT_EQ(renderRaceReport(R.Report, T), renderRaceReport(Clean.Report, T));
@@ -592,9 +587,21 @@ TEST(CheckpointTest, VersionFourSnapshotIsRefusedWithACleanRestart) {
             renderRaceReportJson(Clean.Report, T));
 }
 
+TEST(CheckpointTest, VersionFourSnapshotIsRefusedWithACleanRestart) {
+  // Snapshot v5 dropped the atomicity scan cursors: the atomicity rule
+  // re-sweeps every pair each round.
+  expectOldVersionRefused(4);
+}
+
+TEST(CheckpointTest, VersionFiveSnapshotIsRefusedWithACleanRestart) {
+  // Snapshot v6 dropped the send-queue scan cursors: the queue rules
+  // re-sweep every send each round too.
+  expectOldVersionRefused(5);
+}
+
 TEST(CheckpointTest, ResumeFromEveryRoundBoundaryIsBitIdentical) {
   // Cut the fixpoint at each of its round boundaries in turn, pass the
-  // frontier through the v5 file format, and resume: every resume must
+  // frontier through the v6 file format, and resume: every resume must
   // land on the uninterrupted report byte for byte.
   Trace T = buildAppTrace();
   TaskIndex Index(T);

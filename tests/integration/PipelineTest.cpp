@@ -120,7 +120,7 @@ TEST(PipelineTest, AnalysisResultCarriesPhaseStats) {
 TEST(PipelineTest, AllOraclesReproduceTheAppReport) {
   // End-to-end agreement of the three oracles on an app-shaped trace.
   // (Small volume: the BFS oracle pays per-query search inside the
-  // quadratic rule scans, which is the point of the ablation bench.)
+  // rule sweeps, which is the point of the ablation bench.)
   AppBuilder App("mini");
   App.seedIntraThreadRace("alpha");
   App.seedInterThreadRace("beta");
