@@ -6,13 +6,12 @@
 //===----------------------------------------------------------------------===//
 //
 // Ablation B: the reachability oracle behind the happens-before graph.
-// Sweeps a synthetic app over event counts and compares three oracles on
-// total analysis time and happens-before memory: the full-rebuild bitset
-// transitive closure (O(1) queries, quadratic memory, rebuilt every
-// fixpoint round), the pruned BFS (linear memory, per-query search), and
-// the incremental closure (same matrix, delta propagation per round).
-// This is the trade-off Section 4.2 alludes to when rejecting vector
-// clocks for event-driven traces; see docs/hb-reachability.md.
+// Sweeps a synthetic app over event counts and compares two oracles on
+// total analysis time and happens-before memory: the incremental bitset
+// transitive closure (O(1) queries, quadratic memory, delta propagation
+// per fixpoint round) and the pruned BFS (linear memory, per-query
+// search).  This is the trade-off Section 4.2 alludes to when rejecting
+// vector clocks for event-driven traces; see docs/hb-reachability.md.
 //
 // Uses google-benchmark so per-size timings come with proper repetition.
 //
@@ -73,10 +72,6 @@ void analyzeWith(benchmark::State &State, ReachMode Mode) {
   State.counters["events"] = static_cast<double>(State.range(0));
 }
 
-void BM_AnalyzeClosure(benchmark::State &State) {
-  analyzeWith(State, ReachMode::Closure);
-}
-
 void BM_AnalyzeBfs(benchmark::State &State) {
   analyzeWith(State, ReachMode::Bfs);
 }
@@ -89,11 +84,7 @@ void BM_AnalyzeIncremental(benchmark::State &State) {
 
 // The BFS oracle pays per-query search inside the rule sweeps,
 // so it is only practical on small traces -- which is exactly the point
-// of the ablation.  The closures get extra sizes to show their headroom,
-// and the incremental closure one more to show where delta propagation
-// pulls ahead of the per-round rebuild.
-BENCHMARK(BM_AnalyzeClosure)->Arg(250)->Arg(500)->Arg(1000)->Arg(2000)
-    ->Unit(benchmark::kMillisecond)->Iterations(2);
+// of the ablation.  The closure gets extra sizes to show its headroom.
 BENCHMARK(BM_AnalyzeBfs)->Arg(250)->Arg(500)->Arg(1000)
     ->Unit(benchmark::kMillisecond)->Iterations(1);
 BENCHMARK(BM_AnalyzeIncremental)->Arg(250)->Arg(500)->Arg(1000)->Arg(2000)

@@ -11,10 +11,8 @@
 // event-heavy ToDoList and Music).  We sweep a synthetic app over event
 // counts and report the analysis phase breakdown (access extraction,
 // happens-before construction incl. the fixpoint, race detection) and
-// the happens-before memory footprint -- once with the full-rebuild
-// closure oracle (the original implementation) and once with the
-// incremental closure (the default), so the sweep doubles as the
-// before/after curve for the delta-propagation engine.
+// the happens-before memory footprint under the default incremental
+// closure oracle.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,8 +26,10 @@
 #include "trace/IngestSession.h"
 #include "trace/TraceIO.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <sys/stat.h>
 #include <thread>
 
 using namespace cafa;
@@ -430,14 +430,23 @@ void sweepAnalysisThreads(const Trace &T) {
   }
 }
 
+/// Size of the file at \p Path in bytes (0 when absent).
+size_t fileBytes(const std::string &Path) {
+  struct stat St;
+  return ::stat(Path.c_str(), &St) == 0 ? static_cast<size_t>(St.st_size)
+                                        : 0;
+}
+
 /// Checkpoint cadence axis: analysis wall time with cadence saves at
 /// several --checkpoint-every settings (0 = checkpointing off), plus a
 /// cut-then-resume row.  The overhead column calibrates the default
-/// cadence documented in EXPERIMENTS.md; the resume row re-checks the
+/// cadence documented in EXPERIMENTS.md, next to how many snapshots
+/// landed and the largest one's size; the resume row re-checks the
 /// bit-identity contract under a real mid-scan cut.
 void sweepCheckpointCadence(const Trace &T) {
   std::string Dir = "/tmp/cafa_bench_ckpt";
   ::system(("mkdir -p " + Dir).c_str());
+  std::string Path = checkpointPath(Dir);
 
   DetectorOptions Opt; // defaults
   Timer BaseTime;
@@ -448,14 +457,19 @@ void sweepCheckpointCadence(const Trace &T) {
   std::printf("\ncheckpoint cadence axis (%s records, baseline "
               "%.1f ms):\n",
               withThousandsSep(T.numRecords()).c_str(), BaseMs);
-  std::printf("%12s %12s %10s %10s\n", "cadence(ms)", "analyze(ms)",
-              "overhead", "verdict");
+  std::printf("%12s %12s %10s %6s %12s %10s\n", "cadence(ms)",
+              "analyze(ms)", "overhead", "saves", "snap-bytes", "verdict");
 
   for (double Every : {5.0, 20.0, 100.0}) {
-    std::remove(checkpointPath(Dir).c_str());
+    std::remove(Path.c_str());
     AnalysisOptions AOpt(Opt);
     AOpt.Checkpoint.Directory = Dir;
     AOpt.Checkpoint.EveryMillis = Every;
+    size_t Saves = 0, MaxBytes = 0;
+    AOpt.Checkpoint.AfterSave = [&] {
+      ++Saves;
+      MaxBytes = std::max(MaxBytes, fileBytes(Path));
+    };
     Timer Time;
     AnalysisResult R = analyzeTrace(T, AOpt);
     double Ms = Time.elapsedWallMillis();
@@ -463,13 +477,14 @@ void sweepCheckpointCadence(const Trace &T) {
     const char *Verdict =
         renderRaceReportJson(R.Report, T) == BaseJson ? "identical"
                                                       : "DIFFERS";
-    std::printf("%12.0f %12.1f %+9.1f%% %10s\n", Every, Ms, Overhead,
-                Verdict);
+    std::printf("%12.0f %12.1f %+9.1f%% %6zu %12s %10s\n", Every, Ms,
+                Overhead, Saves,
+                Saves ? withThousandsSep(MaxBytes).c_str() : "-", Verdict);
   }
 
   // Cut mid-analysis with a deadline, then resume to completion: the
   // resumed report must match the uninterrupted baseline byte for byte.
-  std::remove(checkpointPath(Dir).c_str());
+  std::remove(Path.c_str());
   DetectorOptions Tiny = Opt;
   Tiny.DeadlineMillis = 1e-6;
   AnalysisOptions CutOpt(Tiny);
@@ -477,6 +492,7 @@ void sweepCheckpointCadence(const Trace &T) {
   Timer CutTime;
   AnalysisResult Cut = analyzeTrace(T, CutOpt);
   double CutMs = CutTime.elapsedWallMillis();
+  size_t CutBytes = fileBytes(Path);
 
   AnalysisOptions ResumeOpt(Opt);
   ResumeOpt.Checkpoint.Directory = Dir;
@@ -488,11 +504,12 @@ void sweepCheckpointCadence(const Trace &T) {
                         : renderRaceReportJson(Resumed.Report, T) == BaseJson
                             ? "identical"
                             : "DIFFERS";
-  std::printf("%12s %12.1f %+9.1f%% %10s  (cut %.1f ms + resume)\n",
+  std::printf("%12s %12.1f %+9.1f%% %6d %12s %10s  (cut %.1f ms + resume)\n",
               "cut+resume", CutMs + ResumeMs,
               BaseMs > 0 ? (CutMs + ResumeMs - BaseMs) / BaseMs * 100 : 0,
-              Verdict, CutMs);
-  std::remove(checkpointPath(Dir).c_str());
+              CutBytes ? 1 : 0, withThousandsSep(CutBytes).c_str(), Verdict,
+              CutMs);
+  std::remove(Path.c_str());
 }
 
 } // namespace
@@ -504,35 +521,24 @@ int main(int argc, char **argv) {
                                 ? std::strtoull(argv[2], nullptr, 10)
                                 : 1000000;
 
-  std::printf("%8s %10s %12s %14s %14s %8s %12s %12s\n", "events",
-              "records", "extract(ms)", "hb-rebuild(ms)", "hb-incr(ms)",
-              "speedup", "detect(ms)", "hb-mem(MB)");
+  std::printf("%8s %10s %12s %10s %12s %12s\n", "events", "records",
+              "extract(ms)", "hb(ms)", "detect(ms)", "hb-mem(MB)");
   for (uint64_t Events = 500; Events <= MaxEvents; Events *= 2) {
     Scenario S = buildSynthetic(Events);
     Trace T = runScenario(S, RuntimeOptions());
 
-    DetectorOptions Rebuild;
-    Rebuild.Hb.Reach = ReachMode::Closure;
-    AnalysisResult Before = analyzeTrace(T, Rebuild);
-
     DetectorOptions Incremental;
     Incremental.Hb.Reach = ReachMode::Incremental;
-    AnalysisResult After = analyzeTrace(T, Incremental);
-
-    double Speedup = After.HbBuildMillis > 0
-                         ? Before.HbBuildMillis / After.HbBuildMillis
-                         : 0.0;
-    std::printf("%8s %10s %12.1f %14.1f %14.1f %7.2fx %12.1f %12.1f\n",
+    AnalysisResult R = analyzeTrace(T, Incremental);
+    std::printf("%8s %10s %12.1f %10.1f %12.1f %12.1f\n",
                 withThousandsSep(Events).c_str(),
-                withThousandsSep(T.numRecords()).c_str(),
-                After.ExtractMillis, Before.HbBuildMillis,
-                After.HbBuildMillis, Speedup, After.DetectMillis,
-                static_cast<double>(After.HbMemoryBytes) / 1e6);
+                withThousandsSep(T.numRecords()).c_str(), R.ExtractMillis,
+                R.HbBuildMillis, R.DetectMillis,
+                static_cast<double>(R.HbMemoryBytes) / 1e6);
   }
   std::printf("\nshape to compare with the paper: happens-before "
-              "construction dominates and grows superlinearly in events;\n"
-              "the incremental oracle shrinks the constant (same reports, "
-              "same asymptote of the N^2/8-byte closure)\n");
+              "construction dominates and grows superlinearly in events,\n"
+              "with the N^2/8-byte closure\n");
 
   // Fixed-size trace for the corruption sweep: the axis of interest is
   // damage ratio, not event count.

@@ -12,14 +12,14 @@
 //   $ ./offline_analyzer record zxing /tmp/zxing.trace   # collect
 //   $ ./offline_analyzer analyze /tmp/zxing.trace        # analyze later
 //   $ ./offline_analyzer analyze /tmp/zxing.trace --json # CI-friendly
-//   $ ./offline_analyzer analyze /tmp/zxing.trace --reach=closure
+//   $ ./offline_analyzer analyze /tmp/zxing.trace --reach=chain
 //   $ ./offline_analyzer analyze /tmp/big.trace --window=65536
 //   $ ./offline_analyzer dot /tmp/zxing.trace            # Graphviz digest
 //
 // --reach selects the happens-before reachability oracle (incremental /
-// closure / chain / bfs; see the mode decision table in
-// docs/hb-reachability.md for when to pick which).  Unset, the choice
-// also honors the CAFA_REACH environment variable.
+// chain / bfs; see the mode decision table in docs/hb-reachability.md
+// for when to pick which).  Unset, the choice also honors the
+// CAFA_REACH environment variable.
 // --window=<records> runs the windowed streaming detector scan
 // (docs/windowed-analysis.md): bounded resident overlay, byte-identical
 // report.  Unset, CAFA_WINDOW decides; --window=off pins the batch scan
@@ -93,7 +93,7 @@ static int usage(const char *Prog) {
                "  %s record <app> <trace-file>      collect a trace\n"
                "  %s analyze <trace-file> [--json] [--strict|--salvage]\n"
                "     [--ingest-threads=<n>] [--analysis-threads=<n>]\n"
-               "     [--reach=incremental|closure|chain|bfs]\n"
+               "     [--reach=incremental|chain|bfs]\n"
                "     [--window=<records>|--window=off]\n"
                "     [--mem-limit=<bytes>] [--deadline=<ms>]\n"
                "     [--checkpoint-dir=<dir>] [--checkpoint-every=<ms>]\n"
@@ -166,8 +166,6 @@ int main(int argc, char **argv) {
         Options.Hb.Threads = static_cast<unsigned>(N);
       } else if (std::strcmp(argv[I], "--reach=incremental") == 0) {
         Options.Hb.Reach = ReachMode::Incremental;
-      } else if (std::strcmp(argv[I], "--reach=closure") == 0) {
-        Options.Hb.Reach = ReachMode::Closure;
       } else if (std::strcmp(argv[I], "--reach=chain") == 0) {
         Options.Hb.Reach = ReachMode::Chain;
       } else if (std::strcmp(argv[I], "--reach=bfs") == 0) {

@@ -129,7 +129,7 @@ AnalysisResult cafa::analyzeTrace(const Trace &T,
     RO.Resumed = true;
     RO.Phase =
         Snap.Phase == SnapshotPhase::Detect ? "detect" : "hb-fixpoint";
-    RO.HbRoundsDone = Snap.Hb.RoundsDone;
+    RO.HbRoundsDone = Snap.Hb.Stats.FixpointRounds;
   }
 
   if (Opt.DeadlineMillis > 0)
@@ -176,9 +176,7 @@ AnalysisResult cafa::analyzeTrace(const Trace &T,
   DetectFrontier LastDetect;
   WindowedDetectFrontier LastWDetect;
   bool HaveLastDetect = false, HaveLastWDetect = false;
-  HbFrontier HbFinal;
   if (DetectCkptOn) {
-    HbFinal = Hb.exportFrontier();
     if (Windowed) {
       WDetCk.EveryMillis = CkptOpt.EveryMillis;
       WDetCk.Save = [&](const WindowedDetectFrontier &F) {
@@ -187,7 +185,7 @@ AnalysisResult cafa::analyzeTrace(const Trace &T,
         AnalysisSnapshot Out;
         StampIdentity(Out);
         Out.Phase = SnapshotPhase::Detect;
-        Out.Hb = HbFinal;
+        Out.Hb = Hb.exportFrontier();
         Out.HasWindowedDetect = true;
         Out.WindowedDetect = F;
         RecordSaveError(saveAnalysisSnapshot(Out, Path));
@@ -203,7 +201,7 @@ AnalysisResult cafa::analyzeTrace(const Trace &T,
         AnalysisSnapshot Out;
         StampIdentity(Out);
         Out.Phase = SnapshotPhase::Detect;
-        Out.Hb = HbFinal;
+        Out.Hb = Hb.exportFrontier();
         Out.HasDetect = true;
         Out.Detect = F;
         RecordSaveError(saveAnalysisSnapshot(Out, Path));
@@ -219,8 +217,7 @@ AnalysisResult cafa::analyzeTrace(const Trace &T,
   Phase.restart();
   if (Windowed) {
     // The windowed scan orders pairs from its own frontier rows; the
-    // primary oracle is dead weight from here on (the frontier blob,
-    // when wanted, was exported above).
+    // primary oracle is dead weight from here on.
     Hb.shedOracle();
     Result.WindowEventsUsed = Window;
     Result.Report = detectUseFreeRacesWindowed(
@@ -247,12 +244,12 @@ AnalysisResult cafa::analyzeTrace(const Trace &T,
     StampIdentity(Out);
     if (DetectCkptOn && HaveLastWDetect) {
       Out.Phase = SnapshotPhase::Detect;
-      Out.Hb = HbFinal;
+      Out.Hb = Hb.exportFrontier();
       Out.HasWindowedDetect = true;
       Out.WindowedDetect = LastWDetect;
     } else if (DetectCkptOn && HaveLastDetect) {
       Out.Phase = SnapshotPhase::Detect;
-      Out.Hb = HbFinal;
+      Out.Hb = Hb.exportFrontier();
       Out.HasDetect = true;
       Out.Detect = LastDetect;
     } else {

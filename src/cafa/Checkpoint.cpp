@@ -18,13 +18,12 @@ namespace {
 /// answers from silently mis-decoded state are the one unacceptable
 /// failure mode.
 constexpr char SnapshotMagic[9] = "CAFACKPT";
-constexpr uint32_t SnapshotVersion = 6; // v6: no send-queue cursors
+constexpr uint32_t SnapshotVersion = 7; // v7: edges only, no oracle state
 
 /// Caps on length-prefixed counts, so a corrupt count that slipped past
 /// the checksum cannot drive a multi-gigabyte allocation.  Generous:
 /// real traces stay orders of magnitude below these.
 constexpr uint64_t MaxEdges = uint64_t(1) << 32;
-constexpr uint64_t MaxRowWords = uint64_t(1) << 32;
 constexpr uint64_t MaxRaces = uint64_t(1) << 24;
 constexpr uint64_t MaxSurvivors = uint64_t(1) << 28;
 constexpr uint32_t MaxRules = 16;
@@ -57,8 +56,6 @@ bool getStats(SnapshotReader &R, HbRuleStats &S) {
 }
 
 void putHbFrontier(SnapshotWriter &W, const HbFrontier &F) {
-  W.u8(static_cast<uint8_t>(F.UsedReach));
-  W.u32(F.RoundsDone);
   W.u8(F.Saturated ? 1 : 0);
   putStats(W, F.Stats);
   W.u64(F.DerivedEdges.size());
@@ -66,25 +63,15 @@ void putHbFrontier(SnapshotWriter &W, const HbFrontier &F) {
     W.u32(E.From.value());
     W.u32(E.To.value());
   }
-  W.u64(F.RowWords);
-  W.u64(F.ClosureRows.size());
-  W.u64s(F.ClosureRows.data(), F.ClosureRows.size());
-  W.u64(F.ChainState.size());
-  W.u64s(F.ChainState.data(), F.ChainState.size());
   W.u32(static_cast<uint32_t>(F.UnsaturatedRules.size()));
   for (const std::string &Rule : F.UnsaturatedRules)
     W.str(Rule);
 }
 
 bool getHbFrontier(SnapshotReader &R, HbFrontier &F) {
-  // Auto is a request sentinel, never a built oracle: every value past
-  // Chain is malformed.
-  uint8_t Reach, Saturated;
-  if (!R.u8(Reach) || Reach > static_cast<uint8_t>(ReachMode::Chain) ||
-      !R.u32(F.RoundsDone) || !R.u8(Saturated) || Saturated > 1 ||
-      !getStats(R, F.Stats))
+  uint8_t Saturated;
+  if (!R.u8(Saturated) || Saturated > 1 || !getStats(R, F.Stats))
     return false;
-  F.UsedReach = static_cast<ReachMode>(Reach);
   F.Saturated = Saturated != 0;
   uint64_t N;
   if (!R.u64(N) || N > MaxEdges)
@@ -97,19 +84,6 @@ bool getHbFrontier(SnapshotReader &R, HbFrontier &F) {
     E.From = NodeId(From);
     E.To = NodeId(To);
   }
-  uint64_t RowWords, NumWords;
-  if (!R.u64(RowWords) || !R.u64(NumWords) || NumWords > MaxRowWords)
-    return false;
-  F.RowWords = RowWords;
-  F.ClosureRows.resize(NumWords);
-  if (!R.u64s(F.ClosureRows.data(), NumWords))
-    return false;
-  uint64_t NumChainWords;
-  if (!R.u64(NumChainWords) || NumChainWords > MaxRowWords)
-    return false;
-  F.ChainState.resize(NumChainWords);
-  if (!R.u64s(F.ChainState.data(), NumChainWords))
-    return false;
   uint32_t NumRules;
   if (!R.u32(NumRules) || NumRules > MaxRules)
     return false;

@@ -765,7 +765,7 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
     for (const HbEdge &E : R->DerivedEdges)
       Graph->addEdge(E.From, E.To);
     Stats = R->Stats;
-    Kept.DerivedEdges = R->DerivedEdges;
+    DerivedEdges = R->DerivedEdges;
   }
   auto TBase = Now();
 
@@ -775,30 +775,15 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
   // oracles answer reachability queries identically, so a downgrade
   // changes build time and memory but keeps every downstream report
   // bit-identical.  BFS keeps no precomputed state and is the
-  // always-accepted floor.  A resume with attached closure rows imports
-  // them instead of recomputing the O(N^2/64) sweep.
+  // always-accepted floor.  A resumed graph already holds the replayed
+  // edges, so the build is the resume's whole oracle restore.
   ReachMode Mode = resolveReachMode(Options.Reach);
   Degrade.RequestedReach = Mode;
   for (;;) {
-    Reach = makeReachability(*Graph, Mode, Options.MemLimitBytes,
-                             /*Defer=*/true);
-    Reach->setWorkerPool(Pool.get());
-    bool Ready = false;
-    if (R && !R->ClosureRows.empty())
-      Ready = Reach->importClosureRows(R->ClosureRows.data(),
-                                       R->ClosureRows.size(), R->RowWords);
-    if (!Ready && R && !R->ChainState.empty())
-      Ready = Reach->importChainState(R->ChainState.data(),
-                                      R->ChainState.size());
-    if (!Ready && !Reach->budgetExceeded()) {
-      Reach->refresh();
-      Ready = !Reach->budgetExceeded();
-    }
-    if (Ready || Mode == ReachMode::Bfs)
+    Reach = makeReachability(*Graph, Mode, Options.MemLimitBytes, Pool.get());
+    if (!Reach->budgetExceeded() || Mode == ReachMode::Bfs)
       break;
-    Mode = Mode == ReachMode::Incremental ? ReachMode::Closure
-           : Mode == ReachMode::Closure   ? ReachMode::Chain
-                                          : ReachMode::Bfs;
+    Mode = Mode == ReachMode::Incremental ? ReachMode::Chain : ReachMode::Bfs;
   }
   Degrade.DowngradedForMemory = Mode != Degrade.RequestedReach;
   Degrade.UsedReach = Mode;
@@ -808,16 +793,6 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
     std::fprintf(stderr, "graph+base=%.1fms init=%.1fms nodes=%zu edges=%zu\n",
                  Ms(TGraph, TBase), Ms(TBase, TInit), Graph->numNodes(),
                  Graph->numEdges());
-
-  // Syncs everything but the edges (which accumulate live) into Kept so
-  // exportFrontier() can freeze a consistent snapshot at any boundary.
-  auto SyncKept = [&] {
-    Kept.UsedReach = Degrade.UsedReach;
-    Kept.RoundsDone = Stats.FixpointRounds;
-    Kept.Saturated = Converged;
-    Kept.Stats = Stats;
-    Kept.UnsaturatedRules = Degrade.UnsaturatedRules;
-  };
 
   Converged = true;
   if (Options.Model == OrderingModel::Cafa &&
@@ -875,14 +850,12 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
       // Delta protocol: the graph already holds this round's edges; the
       // oracle either folds them in incrementally or rebuilds.
       Reach->addEdges(Delta);
-      Kept.DerivedEdges.insert(Kept.DerivedEdges.end(), Delta.begin(),
-                               Delta.end());
-      // Cadence checkpoint: the oracle now reflects every inserted edge,
+      DerivedEdges.insert(DerivedEdges.end(), Delta.begin(), Delta.end());
+      // Cadence checkpoint: the graph holds exactly base + DerivedEdges,
       // so this round boundary is a consistent freeze point.
       if (Checkpoint && Checkpoint->Save && Checkpoint->EveryMillis > 0 &&
           Ms(TGraph, Now()) - LastSaveMs >= Checkpoint->EveryMillis) {
         LastSaveMs = Ms(TGraph, Now());
-        SyncKept();
         Checkpoint->Save(exportFrontier());
       }
       auto T2 = Now();
@@ -901,10 +874,8 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
         Degrade.UnsaturatedRules.push_back("event-queue");
       // Deadline cut: always leave a frontier behind so the interrupted
       // work is resumable regardless of cadence.
-      if (Checkpoint && Checkpoint->Save) {
-        SyncKept();
+      if (Checkpoint && Checkpoint->Save)
         Checkpoint->Save(exportFrontier());
-      }
     }
   }
   // The chain oracle's footprint and cover evolve across the fixpoint
@@ -912,29 +883,12 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
   // so re-measure: degradation() reports the kept oracle's final shape.
   Degrade.MeasuredReachBytes = Reach->memoryBytes();
   Degrade.ChainCount = Reach->chainCount();
-  SyncKept();
 }
 
 HbIndex::~HbIndex() = default;
 
 HbFrontier HbIndex::exportFrontier() const {
-  // Above this, serializing the row matrix costs more than the refresh()
-  // it would save on resume; the frontier then carries only the edges.
-  constexpr size_t MaxRowBlobBytes = size_t(256) << 20;
-  HbFrontier F = Kept;
-  std::vector<uint64_t> Words;
-  size_t WordsPerRow = 0;
-  if (Reach->exportClosureRows(Words, WordsPerRow) &&
-      Words.size() * 8 <= MaxRowBlobBytes) {
-    F.ClosureRows = std::move(Words);
-    F.RowWords = WordsPerRow;
-  } else if (Words.clear(), Reach->exportChainState(Words) &&
-                                Words.size() * 8 <= MaxRowBlobBytes) {
-    // Chain rung: the decomposition + clock matrix plays the closure
-    // rows' role (and is far smaller -- O(N * chains) words).
-    F.ChainState = std::move(Words);
-  }
-  return F;
+  return {Converged, Stats, DerivedEdges, Degrade.UnsaturatedRules};
 }
 
 bool HbIndex::happensBefore(uint32_t A, uint32_t B) const {

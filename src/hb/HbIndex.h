@@ -76,9 +76,8 @@ struct HbOptions {
   /// bugs, not inputs.
   uint32_t MaxFixpointRounds = 64;
   /// Graceful degradation, memory rung: when nonzero, the reachability
-  /// oracle is stepped down the ladder Incremental -> Closure -> Chain
-  /// -> Bfs until estimateReachabilityMemory() fits under this many
-  /// bytes.
+  /// oracle is stepped down the ladder Incremental -> Chain -> Bfs until
+  /// its measured footprint fits under this many bytes.
   /// The oracles answer queries identically, so stepping down changes
   /// build time and memory but never the resulting reports.  0 = off.
   size_t MemLimitBytes = 0;
@@ -152,40 +151,24 @@ struct HbRuleStats {
 /// boundary and restore it in another process.  Rounds are never cut
 /// midway (the deadline is checked before each round), so a round
 /// boundary is always a consistent frontier: the graph holds base +
-/// DerivedEdges and the closure rows (when attached) mirror exactly
-/// those edges.
+/// DerivedEdges.
 ///
-/// Resuming replays DerivedEdges onto a freshly built base graph and
-/// continues the fixpoint; every round re-evaluates every rule instance,
-/// so there is no scan position to restore.  The closure is the unique
-/// least fixpoint of monotone rules and the rounds are deterministic, so
-/// the resumed run converges to the same relation -- and therefore the
-/// same reports -- as an uninterrupted one.
+/// Resuming replays DerivedEdges onto a freshly built base graph, builds
+/// the oracle from that graph with refresh() -- its rows or clocks are a
+/// cache of the edges, so the frontier carries none -- and continues the
+/// fixpoint; every round re-evaluates every rule instance, so there is
+/// no scan position to restore either.  The closure is the unique least
+/// fixpoint of monotone rules and the rounds are deterministic, so the
+/// resumed run converges to the same relation -- and therefore the same
+/// reports -- as an uninterrupted one, under whichever oracle it picks.
 struct HbFrontier {
-  /// Oracle in use when the frontier was taken.  Informational: closure
-  /// rows are mode-independent, so a resume may import them into a
-  /// different closure-based rung.
-  ReachMode UsedReach = ReachMode::Incremental;
-  /// Fixpoint rounds completed at the freeze point.
-  uint32_t RoundsDone = 0;
   /// The fixpoint converged; a resume can skip rule evaluation entirely.
   bool Saturated = false;
-  /// Rule-edge counters at the freeze point (base counters included).
+  /// Rule-edge counters at the freeze point (base counters included);
+  /// Stats.FixpointRounds is the number of rounds completed.
   HbRuleStats Stats;
   /// Every derived edge inserted so far, in insertion order.
   std::vector<HbEdge> DerivedEdges;
-  /// Serialized closure rows (row-major, RowWords words per row), or
-  /// empty when the matrix was too large to attach -- the resume then
-  /// recomputes it with refresh(), which is pure time, not lost work.
-  size_t RowWords = 0;
-  std::vector<uint64_t> ClosureRows;
-  /// Serialized chain decomposition + clocks (ChainReachability's blob;
-  /// empty unless the frontier was cut under ReachMode::Chain with live
-  /// clocks).  Exactly one of ClosureRows/ChainState is ever nonempty.
-  /// A resume under a different mode finds no importable blob and
-  /// recomputes with refresh() -- the "recompute, never reject"
-  /// cross-mode contract (docs/robustness.md).
-  std::vector<uint64_t> ChainState;
   /// Rule families still short of their fixpoint (mirrors
   /// HbDegradation::UnsaturatedRules at the freeze point).
   std::vector<std::string> UnsaturatedRules;
@@ -237,9 +220,6 @@ public:
   bool saturated() const { return Converged; }
 
   /// Freezes the current state as a resumable frontier (see HbFrontier).
-  /// Closure rows are attached when the oracle has them and the blob
-  /// stays under an internal size cap; otherwise the frontier carries
-  /// only the edges and a resume recomputes the rows.
   HbFrontier exportFrontier() const;
 
   /// Swaps the reachability oracle for the BFS floor, releasing its
@@ -247,8 +227,7 @@ public:
   /// that are done with bulk ordering queries -- the windowed detector
   /// answers them from its own frontier rows -- but keep the index
   /// alive for the graph and occasional queries.  All oracles answer
-  /// identically, so happensBefore() stays correct, just slower; export
-  /// any frontier blob first, the shed oracle has none to attach.
+  /// identically, so happensBefore() stays correct, just slower.
   /// degradation() keeps reporting the build-time provenance.
   void shedOracle();
 
@@ -277,10 +256,9 @@ private:
   std::unique_ptr<Reachability> Reach;
   HbRuleStats Stats;
   HbDegradation Degrade;
-  /// Live frontier (everything but the closure rows, which are exported
-  /// on demand): derived edges accumulate as rounds commit, counters are
-  /// synced at every save point and at the end of construction.
-  HbFrontier Kept;
+  /// Every derived edge inserted so far, in insertion order (the
+  /// frontier's edges; exportFrontier() adds the live counters).
+  std::vector<HbEdge> DerivedEdges;
   bool Converged = false;
 };
 

@@ -14,6 +14,7 @@
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <optional>
 
 #if defined(__x86_64__)
@@ -28,9 +29,9 @@ namespace {
 // Column-strip parallel sweeps
 //===----------------------------------------------------------------------===//
 //
-// Both closure oracles run the same reverse-topological row sweep: node
-// I absorbs {S} union row(S) for each successor S, and because ids
-// ascend in trace order every absorbed row is already final.  The sweep
+// The closure oracle runs one reverse-topological row sweep: node I
+// absorbs {S} union row(S) for each successor S, and because ids ascend
+// in trace order every absorbed row is already final.  The sweep
 // parallelizes by *columns*, not rows: partition the word range
 // [0, WordsPerRow) into contiguous strips and give each worker the
 // complete descending row loop restricted to its strip.  Words of
@@ -38,29 +39,25 @@ namespace {
 // T finalizes them before reaching row I < S -- so no worker ever reads
 // a word another worker may still write, and each strip independently
 // maintains the closure invariant over its own columns.  The union of
-// the strips is, word for word, the sequential sweep's output: the
-// parallel path is bit-identical by construction, not by tolerance.
+// the strips is, word for word, the one-strip sweep's output: the
+// parallel path is bit-identical by construction, not by tolerance, and
+// the single strip [0, WordsPerRow) *is* the sequential sweep.
 
-/// Number of column strips for a sweep: caller + helpers, clamped so
-/// every strip holds at least two words, and 1 (sequential) for small
-/// matrices where fork/join overhead would dominate.
-unsigned stripCount(const WorkerPool *Pool, size_t NumNodes,
-                    size_t WordsPerRow) {
-  if (!Pool || Pool->helperThreads() == 0 || NumNodes < 128)
-    return 1;
-  size_t K = static_cast<size_t>(Pool->helperThreads()) + 1;
-  if (K > WordsPerRow / 2)
-    K = WordsPerRow / 2;
-  return K < 2 ? 1u : static_cast<unsigned>(K);
-}
-
-/// Load-balanced strip boundaries (K+1 cuts, Cuts[0]=0,
-/// Cuts[K]=WordsPerRow).  The union for an edge with head S touches
-/// words [S>>6, WordsPerRow), so the load on word W is the number of
-/// edge heads at or below it (plus a constant clear/scan floor); cuts
-/// equalize the per-strip load sum.
-std::vector<size_t> computeWordStrips(const HbGraph &G, size_t WordsPerRow,
-                                      unsigned K) {
+/// Column strips for a sweep over rows of \p WordsPerRow words, as K+1
+/// cuts (Cuts[0]=0, Cuts[K]=WordsPerRow).  K is caller + helpers,
+/// clamped so every strip holds at least two words, and 1 without a
+/// pool or for small matrices where fork/join overhead would dominate.
+/// The union for an edge with head S touches words [S>>6, WordsPerRow),
+/// so the load on word W is the number of edge heads at or below it
+/// (plus a constant clear/scan floor); cuts equalize the per-strip load
+/// sum.
+std::vector<size_t> columnStrips(const HbGraph &G, size_t WordsPerRow,
+                                 const WorkerPool *Pool) {
+  size_t K = Pool && G.numNodes() >= 128
+                 ? std::min<size_t>(Pool->helperThreads() + 1, WordsPerRow / 2)
+                 : 1;
+  if (K < 2)
+    return {0, WordsPerRow};
   std::vector<uint64_t> Heads(WordsPerRow, 0);
   for (size_t I = 0, N = G.numNodes(); I != N; ++I)
     for (uint32_t S : G.successors(NodeId(static_cast<uint32_t>(I))))
@@ -91,6 +88,16 @@ std::vector<size_t> computeWordStrips(const HbGraph &G, size_t WordsPerRow,
   return Cuts;
 }
 
+/// Runs strip sweep \p Sweep(T) for every strip T of \p Cuts: inline
+/// for one strip, else across the pool.
+void runStrips(WorkerPool *Pool, const std::vector<size_t> &Cuts,
+               const std::function<void(size_t)> &Sweep) {
+  if (Cuts.size() == 2)
+    Sweep(0);
+  else
+    Pool->parallelFor(Cuts.size() - 1, Sweep);
+}
+
 /// One strip's share of a full closure rebuild: clear then re-derive
 /// words [Lo, Hi) of every row, in descending row order.
 void refreshRowsStrip(const HbGraph &G, std::vector<BitVec> &Rows, size_t Lo,
@@ -110,37 +117,11 @@ void refreshRowsStrip(const HbGraph &G, std::vector<BitVec> &Rows, size_t Lo,
   }
 }
 
-/// Full rebuild, parallel across column strips when the pool and matrix
-/// size allow, else the classic sequential sweep.  Shared by both
-/// closure oracles (identical output either way).
-void refreshRows(const HbGraph &G, std::vector<BitVec> &Rows,
-                 WorkerPool *Pool) {
-  size_t N = G.numNodes();
-  size_t WordsPerRow = N ? Rows.front().numWords() : 0;
-  unsigned K = stripCount(Pool, N, WordsPerRow);
-  if (K <= 1) {
-    for (BitVec &Row : Rows)
-      Row.clear();
-    for (size_t I = N; I-- > 0;) {
-      BitVec &Row = Rows[I];
-      for (uint32_t S : G.successors(NodeId(static_cast<uint32_t>(I)))) {
-        Row.set(S);
-        Row.orWithFrom(Rows[S], S);
-      }
-    }
-    return;
-  }
-  std::vector<size_t> Cuts = computeWordStrips(G, WordsPerRow, K);
-  Pool->parallelFor(K, [&](size_t T) {
-    refreshRowsStrip(G, Rows, Cuts[T], Cuts[T + 1]);
-  });
-}
-
 /// Budget-tracked allocation of one N x N row matrix.  Counts each row
 /// as it is committed and aborts past the budget (0 = unlimited),
 /// releasing everything so a failed probe leaves no high-water mark
 /// behind.  \p Used carries footprint already committed by the caller
-/// (the incremental oracle's dirty flags).
+/// (the dirty flags).
 bool allocateRowMatrix(std::vector<BitVec> &Rows, size_t N, size_t Budget,
                        size_t Used) {
   Rows.resize(N);
@@ -158,87 +139,17 @@ bool allocateRowMatrix(std::vector<BitVec> &Rows, size_t N, size_t Budget,
   return true;
 }
 
-/// Row export shared by both closure oracles (the matrix content depends
-/// only on the graph, not the oracle flavor).
-bool exportRows(const std::vector<BitVec> &Rows,
-                std::vector<uint64_t> &WordsOut, size_t &WordsPerRowOut) {
-  WordsPerRowOut = Rows.empty() ? 0 : Rows.front().numWords();
-  WordsOut.clear();
-  WordsOut.reserve(Rows.size() * WordsPerRowOut);
-  for (const BitVec &Row : Rows)
-    for (size_t W = 0, E = Row.numWords(); W != E; ++W)
-      WordsOut.push_back(Row.word(W));
-  return true;
-}
-
-/// Row import counterpart; the caller has already allocated Rows to the
-/// graph's shape and verified the blob's dimensions match.
-void importRows(std::vector<BitVec> &Rows, const uint64_t *Words,
-                size_t WordsPerRow) {
-  for (size_t I = 0, N = Rows.size(); I != N; ++I)
-    for (size_t W = 0; W != WordsPerRow; ++W)
-      Rows[I].setWord(W, Words[I * WordsPerRow + W]);
-}
-
 } // namespace
-
-bool ClosureReachability::allocateRows() {
-  size_t N = G.numNodes();
-  if (Rows.size() == N && (N == 0 || Rows.back().size() == N))
-    return !Exceeded;
-  if (!allocateRowMatrix(Rows, N, Budget, /*Used=*/0)) {
-    Exceeded = true;
-    return false;
-  }
-  return true;
-}
-
-void ClosureReachability::refresh() {
-  if (!allocateRows())
-    return; // budget exceeded: the ladder discards this oracle
-  // Node ids ascend in trace-record order and every edge points forward,
-  // so descending node id is a reverse topological order: successors'
-  // rows are final when a node is processed.  A row holds only bits
-  // above its own node, so each union can start at the successor's word.
-  // With a pool installed the sweep splits into column strips
-  // (bit-identical; see the strip helpers above).
-  refreshRows(G, Rows, Pool);
-}
-
-bool ClosureReachability::exportClosureRows(std::vector<uint64_t> &WordsOut,
-                                            size_t &WordsPerRowOut) const {
-  return exportRows(Rows, WordsOut, WordsPerRowOut);
-}
-
-bool ClosureReachability::importClosureRows(const uint64_t *Words,
-                                            size_t NumWords,
-                                            size_t WordsPerRow) {
-  size_t N = G.numNodes();
-  if (WordsPerRow != (N + 63) / 64 || NumWords != N * WordsPerRow)
-    return false;
-  if (!allocateRows())
-    return false;
-  importRows(Rows, Words, WordsPerRow);
-  return true;
-}
-
-size_t ClosureReachability::memoryBytes() const {
-  size_t Total = 0;
-  for (const BitVec &Row : Rows)
-    Total += Row.memoryBytes();
-  return Total;
-}
 
 bool IncrementalClosureReachability::allocateRows() {
   size_t N = G.numNodes();
   if (Rows.size() == N && (N == 0 || Rows.back().size() == N))
     return !Exceeded;
-  // The delta sweep's dirty flags are committed up front and counted
-  // against the budget: a fixpoint run will allocate them anyway, and
-  // counting them here keeps the measured footprint strictly above the
-  // plain closure's so the degradation ladder stays monotone.
-  Dirty.assign(N, 0);
-  if (!allocateRowMatrix(Rows, N, Budget, Dirty.capacity())) {
+  // One strip's dirty flags are committed up front and counted against
+  // the budget: a fixpoint run will allocate them anyway.
+  StripDirty.assign(1, std::vector<uint8_t>(N, 0));
+  if (!allocateRowMatrix(Rows, N, Budget, StripDirty[0].capacity())) {
+    StripDirty.clear();
     Exceeded = true;
     return false;
   }
@@ -248,30 +159,16 @@ bool IncrementalClosureReachability::allocateRows() {
 void IncrementalClosureReachability::refresh() {
   if (!allocateRows())
     return; // budget exceeded: the ladder discards this oracle
-  // Same reverse-topological sweep as the full closure (column-strip
-  // parallel when a pool is installed).
-  refreshRows(G, Rows, Pool);
+  // Node ids ascend in trace-record order and every edge points forward,
+  // so descending node id is a reverse topological order: successors'
+  // rows are final when a node is processed.  A row holds only bits
+  // above its own node, so each union can start at the successor's word.
+  std::vector<size_t> Cuts =
+      columnStrips(G, Rows.empty() ? 0 : Rows.front().numWords(), Pool);
+  runStrips(Pool, Cuts, [&](size_t T) {
+    refreshRowsStrip(G, Rows, Cuts[T], Cuts[T + 1]);
+  });
   KnownEdges = G.numEdges();
-}
-
-bool IncrementalClosureReachability::exportClosureRows(
-    std::vector<uint64_t> &WordsOut, size_t &WordsPerRowOut) const {
-  return exportRows(Rows, WordsOut, WordsPerRowOut);
-}
-
-bool IncrementalClosureReachability::importClosureRows(const uint64_t *Words,
-                                                       size_t NumWords,
-                                                       size_t WordsPerRow) {
-  size_t N = G.numNodes();
-  if (WordsPerRow != (N + 63) / 64 || NumWords != N * WordsPerRow)
-    return false;
-  if (!allocateRows())
-    return false;
-  importRows(Rows, Words, WordsPerRow);
-  // The imported matrix must cover the graph's current edges (the caller
-  // restores graph and rows from the same checkpoint).
-  KnownEdges = G.numEdges();
-  return true;
 }
 
 void IncrementalClosureReachability::addEdges(
@@ -299,50 +196,19 @@ void IncrementalClosureReachability::addEdges(
   // paths to it would have to run backward), so the sweep starts there.
   uint32_t MaxFrom = SortedBatch.front().From.value();
 
-  size_t WordsPerRow = Rows.empty() ? 0 : Rows.front().numWords();
-  unsigned K = stripCount(Pool, G.numNodes(), WordsPerRow);
-  if (K > 1) {
-    // Column-strip parallel delta sweep.  Each strip runs the complete
-    // descending sweep over its own words with strip-local dirty flags:
-    // a successor dirty only in *other* strips has unchanged words in
-    // this strip, already contained by the closure invariant, so
-    // skipping its re-absorb is a no-op -- every strip's words come out
-    // exactly as the sequential sweep leaves them.
-    std::vector<size_t> Cuts = computeWordStrips(G, WordsPerRow, K);
-    StripDirty.resize(K);
-    for (std::vector<uint8_t> &SD : StripDirty)
-      SD.assign(G.numNodes(), 0);
-    Pool->parallelFor(K, [&](size_t T) {
-      sweepStrip(StripDirty[T], Cuts[T], Cuts[T + 1], MaxFrom);
-    });
-    return;
-  }
-
-  Dirty.assign(G.numNodes(), 0);
-  size_t Next = 0;
-  for (uint32_t I = MaxFrom + 1; I-- > 0;) {
-    BitVec &Row = Rows[I];
-    bool Changed = false;
-    // Absorb this node's batch edges: row gains {To} union row(To).
-    // To > I, and the sweep already finalized every node above I, so
-    // row(To) is final for this batch.
-    for (; Next != SortedBatch.size() && SortedBatch[Next].From.value() == I;
-         ++Next) {
-      uint32_t To = SortedBatch[Next].To.value();
-      assert(To > I && "HB edges must point forward in trace order");
-      if (!Row.test(To)) {
-        Row.set(To);
-        Changed = true;
-      }
-      Changed |= Row.orWithFrom(Rows[To], To);
-    }
-    // Re-absorb every successor whose row grew earlier in this sweep;
-    // clean successors are already contained by the closure invariant.
-    for (uint32_t S : G.successors(NodeId(I)))
-      if (Dirty[S])
-        Changed |= Row.orWithFrom(Rows[S], S);
-    Dirty[I] = Changed;
-  }
+  // Each strip runs the complete descending sweep over its own words
+  // with strip-local dirty flags: a successor dirty only in *other*
+  // strips has unchanged words in this strip, already contained by the
+  // closure invariant, so skipping its re-absorb is a no-op -- every
+  // strip's words come out exactly as the one-strip sweep leaves them.
+  std::vector<size_t> Cuts =
+      columnStrips(G, Rows.empty() ? 0 : Rows.front().numWords(), Pool);
+  StripDirty.resize(Cuts.size() - 1);
+  for (std::vector<uint8_t> &SD : StripDirty)
+    SD.assign(G.numNodes(), 0);
+  runStrips(Pool, Cuts, [&](size_t T) {
+    sweepStrip(StripDirty[T], Cuts[T], Cuts[T + 1], MaxFrom);
+  });
 }
 
 void IncrementalClosureReachability::sweepStrip(std::vector<uint8_t> &Dirt,
@@ -352,6 +218,9 @@ void IncrementalClosureReachability::sweepStrip(std::vector<uint8_t> &Dirt,
   for (uint32_t I = MaxFrom + 1; I-- > 0;) {
     BitVec &Row = Rows[I];
     bool Changed = false;
+    // Absorb this node's batch edges: row gains {To} union row(To).
+    // To > I, and the sweep already finalized every node above I, so
+    // row(To) is final for this batch.
     for (; Next != SortedBatch.size() && SortedBatch[Next].From.value() == I;
          ++Next) {
       uint32_t To = SortedBatch[Next].To.value();
@@ -365,6 +234,8 @@ void IncrementalClosureReachability::sweepStrip(std::vector<uint8_t> &Dirt,
       }
       Changed |= Row.orWithRange(Rows[To], TW > Lo ? TW : Lo, Hi);
     }
+    // Re-absorb every successor whose row grew earlier in this sweep;
+    // clean successors are already contained by the closure invariant.
     for (uint32_t S : G.successors(NodeId(I)))
       if (Dirt[S]) {
         size_t SW = S >> 6;
@@ -376,10 +247,9 @@ void IncrementalClosureReachability::sweepStrip(std::vector<uint8_t> &Dirt,
 }
 
 size_t IncrementalClosureReachability::memoryBytes() const {
-  size_t Total = 0;
+  size_t Total = SortedBatch.capacity() * sizeof(HbEdge);
   for (const BitVec &Row : Rows)
     Total += Row.memoryBytes();
-  Total += Dirty.capacity() + SortedBatch.capacity() * sizeof(HbEdge);
   for (const std::vector<uint8_t> &SD : StripDirty)
     Total += SD.capacity();
   return Total;
@@ -468,8 +338,8 @@ void cafa::greedyChainCover(const HbGraph &G, ChainCover &Out) {
   // Edges point forward in id order, so every chain's members ascend --
   // which makes a chain's position order its id order, and makes the
   // walk O(N + E) total.  The cover is a pure function of the adjacency
-  // lists: determinism is what keeps checkpointed clocks byte-stable
-  // and lets the windowed frontier recompute the very same cover.
+  // lists: determinism is what lets a resume and the windowed frontier
+  // recompute the very same cover.
   for (uint32_t I = 0, E = static_cast<uint32_t>(N); I != E; ++I) {
     if (Out.ChainOf[I] != ChainCover::Unassigned)
       continue;
@@ -624,10 +494,9 @@ size_t Reachability::project(NodeId From, const NodeProjection &P, size_t Lo,
 //===----------------------------------------------------------------------===//
 
 ChainReachability::ChainReachability(const HbGraph &G, size_t BudgetBytes,
-                                     bool Defer)
-    : G(G), Budget(BudgetBytes), Search(G) {
-  if (!Defer)
-    refresh();
+                                     WorkerPool *Pool)
+    : G(G), Budget(BudgetBytes), Pool(Pool), Search(G) {
+  refresh();
 }
 
 void ChainReachability::decompose() {
@@ -654,12 +523,10 @@ void ChainReachability::maybeBootstrap() {
     Boot.reset();
     return;
   }
-  if (!Boot) {
-    Boot = std::make_unique<IncrementalClosureReachability>(G);
-    Boot->setWorkerPool(Pool);
-  } else {
+  if (!Boot)
+    Boot = std::make_unique<IncrementalClosureReachability>(G, 0, Pool);
+  else
     Boot->refresh();
-  }
 }
 
 size_t ChainReachability::baseBytes() const {
@@ -828,85 +695,6 @@ void ChainReachability::addEdges(std::span<const HbEdge> Edges) {
   }
 }
 
-bool ChainReachability::exportChainState(
-    std::vector<uint64_t> &WordsOut) const {
-  if (!ClocksValid)
-    return false; // search phase: nothing worth carrying, resume refreshes
-  size_t N = G.numNodes();
-  auto pack = [&WordsOut](const std::vector<uint32_t> &V) {
-    for (size_t I = 0; I < V.size(); I += 2) {
-      uint64_t W = V[I];
-      if (I + 1 < V.size())
-        W |= uint64_t(V[I + 1]) << 32;
-      WordsOut.push_back(W);
-    }
-  };
-  WordsOut.clear();
-  WordsOut.reserve(3 + (N + 1) / 2 + (Clocks.size() + 1) / 2);
-  WordsOut.push_back(N);
-  WordsOut.push_back(NumChains);
-  WordsOut.push_back(1); // layout flag: chain-of array + clock matrix
-  pack(ChainOf);
-  pack(Clocks);
-  return true;
-}
-
-bool ChainReachability::importChainState(const uint64_t *Words,
-                                         size_t NumWords) {
-  size_t N = G.numNodes();
-  if (NumWords < 3 || Words[0] != N || Words[2] != 1)
-    return false;
-  uint64_t C64 = Words[1];
-  if (N == 0 ? C64 != 0 : (C64 == 0 || C64 > N || C64 > MaxChainsForClocks))
-    return false;
-  uint32_t C = static_cast<uint32_t>(C64);
-  size_t CoWords = (N + 1) / 2;
-  size_t ClWords = (N * size_t(C) + 1) / 2;
-  if (NumWords != 3 + CoWords + ClWords)
-    return false;
-  if (Budget && N * (13 + size_t(C) * 4) > Budget)
-    return false; // does not fit; the caller's refresh() runs search-phase
-  auto unpack = [](const uint64_t *Src, std::vector<uint32_t> &V, size_t Len) {
-    V.resize(Len);
-    for (size_t I = 0; I != Len; ++I) {
-      uint64_t W = Src[I / 2];
-      V[I] = static_cast<uint32_t>(I % 2 ? W >> 32 : W & 0xFFFFFFFFu);
-    }
-  };
-  std::vector<uint32_t> CandChainOf;
-  unpack(Words + 3, CandChainOf, N);
-  for (uint32_t V : CandChainOf)
-    if (V >= C)
-      return false;
-  // Rebuild members/positions from the chain assignment (ids ascending
-  // restores the positional order the exporting run used), then bounds-
-  // check every clock entry against its chain's length.
-  std::vector<std::vector<uint32_t>> CandNodes(C);
-  std::vector<uint32_t> CandPos(N);
-  for (uint32_t I = 0; I != N; ++I) {
-    CandPos[I] = static_cast<uint32_t>(CandNodes[CandChainOf[I]].size());
-    CandNodes[CandChainOf[I]].push_back(I);
-  }
-  std::vector<uint32_t> CandClocks;
-  unpack(Words + 3 + CoWords, CandClocks, N * size_t(C));
-  for (size_t I = 0; I != CandClocks.size(); ++I)
-    if (CandClocks[I] != Unset &&
-        CandClocks[I] >= CandNodes[I % C].size())
-      return false;
-  ChainOf = std::move(CandChainOf);
-  PosInChain = std::move(CandPos);
-  ChainNodes = std::move(CandNodes);
-  Clocks = std::move(CandClocks);
-  NumChains = C;
-  ClocksValid = true;
-  Boot.reset();
-  Dirty.assign(N, 0);
-  // The imported clocks must cover the graph's current edges (the caller
-  // restores graph and clocks from the same checkpoint).
-  KnownEdges = G.numEdges();
-  return true;
-}
-
 size_t ChainReachability::memoryBytes() const {
   return baseBytes() + Clocks.capacity() * 4 +
          (Boot ? Boot->memoryBytes() : 0);
@@ -920,8 +708,6 @@ ReachMode cafa::resolveReachMode(ReachMode Requested) {
       [](const char *Env) -> std::optional<ReachMode> {
         if (std::strcmp(Env, "incremental") == 0)
           return ReachMode::Incremental;
-        if (std::strcmp(Env, "closure") == 0)
-          return ReachMode::Closure;
         if (std::strcmp(Env, "chain") == 0)
           return ReachMode::Chain;
         if (std::strcmp(Env, "bfs") == 0)
@@ -934,27 +720,23 @@ ReachMode cafa::resolveReachMode(ReachMode Requested) {
 std::unique_ptr<Reachability> cafa::makeReachability(const HbGraph &G,
                                                      ReachMode Mode,
                                                      size_t BudgetBytes,
-                                                     bool Defer) {
+                                                     WorkerPool *Pool) {
   switch (resolveReachMode(Mode)) {
-  case ReachMode::Closure:
-    return std::make_unique<ClosureReachability>(G, BudgetBytes, Defer);
   case ReachMode::Bfs:
-    // No precomputed state: nothing to budget, nothing to defer.
+    // No precomputed state: nothing to budget, nothing to sweep.
     return std::make_unique<BfsReachability>(G);
   case ReachMode::Chain:
-    return std::make_unique<ChainReachability>(G, BudgetBytes, Defer);
+    return std::make_unique<ChainReachability>(G, BudgetBytes, Pool);
   case ReachMode::Incremental:
   case ReachMode::Auto: // resolveReachMode never returns Auto
     break;
   }
   return std::make_unique<IncrementalClosureReachability>(G, BudgetBytes,
-                                                          Defer);
+                                                          Pool);
 }
 
 const char *cafa::reachModeName(ReachMode Mode) {
   switch (Mode) {
-  case ReachMode::Closure:
-    return "closure";
   case ReachMode::Bfs:
     return "bfs";
   case ReachMode::Incremental:
@@ -971,12 +753,9 @@ size_t cafa::estimateReachabilityMemory(size_t NumNodes, ReachMode Mode) {
   // One closure row is N bits, rounded up to whole 64-bit words.
   size_t RowBytes = ((NumNodes + 63) / 64) * 8;
   switch (resolveReachMode(Mode)) {
-  case ReachMode::Closure:
-    return NumNodes * RowBytes;
   case ReachMode::Incremental:
   case ReachMode::Auto: // resolveReachMode never returns Auto
-    // Rows, plus the per-node dirty flags.  Strictly above the Closure
-    // estimate, which keeps the degradation ladder monotone.
+    // Rows, plus one strip's per-node dirty flags.
     return NumNodes * RowBytes + NumNodes;
   case ReachMode::Chain: {
     // Linear structures (chain ids, positions, members, dirty flags,

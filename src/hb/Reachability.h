@@ -6,21 +6,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Four interchangeable reachability oracles over the happens-before DAG
+/// Three interchangeable reachability oracles over the happens-before DAG
 /// (Section 4.2: "to test if two operations are ordered, we simply
 /// perform a reachability test on the happens-before graph"):
 ///
-///  - ClosureReachability: full transitive closure as one bitset row per
-///    node, recomputed from scratch on every refresh().  O(1) queries,
-///    O(N^2/8) bytes -- the reference oracle and the fallback when the
-///    graph changes in ways an incremental update cannot express.
+///  - IncrementalClosureReachability: full transitive closure as one
+///    bitset row per node, O(1) queries and O(N^2/8) bytes; after the
+///    initial build each fixpoint round only propagates the newly
+///    inserted edges backward through the existing rows (addEdges).  The
+///    default.
 ///  - BfsReachability: per-query pruned search, no precomputation.  Slow
 ///    queries, O(N) memory -- the memory-frugal alternative, compared in
 ///    the ablation benchmark.
-///  - IncrementalClosureReachability: same closure matrix and O(1)
-///    queries, but after the initial build each fixpoint round only
-///    propagates the newly inserted edges backward through the existing
-///    rows (addEdges), instead of rebuilding all N rows.  The default.
 ///  - ChainReachability: greedy path cover of the DAG into chains plus
 ///    one min-position clock entry per (node, chain).  O(chains) rows
 ///    instead of O(N) bits per row -- near-linear memory on the "few
@@ -54,13 +51,10 @@ struct HbEdge {
   NodeId To;
 };
 
-/// Which reachability oracle backs queries and rule evaluation.
-/// Serialized into checkpoints by value -- new modes append, existing
-/// values never renumber.
+/// Which reachability oracle backs queries and rule evaluation.  Never
+/// serialized: a checkpoint carries edges, and every resume rebuilds the
+/// oracle of its own choosing from them.
 enum class ReachMode : uint8_t {
-  /// Bitset transitive closure, fully rebuilt every round: O(1) queries,
-  /// O(N^2) bits.
-  Closure,
   /// Pruned per-query search: slow queries, linear memory.
   Bfs,
   /// Bitset transitive closure maintained incrementally across fixpoint
@@ -80,8 +74,8 @@ enum class ReachMode : uint8_t {
 
 /// Resolves \p Requested against the CAFA_REACH environment knob: an
 /// explicit request wins; Auto consults CAFA_REACH ("incremental",
-/// "closure", "chain", "bfs"); unset or unrecognized falls back to
-/// Incremental, the default oracle.
+/// "chain", "bfs"); unset or unrecognized falls back to Incremental, the
+/// default oracle.
 ReachMode resolveReachMode(ReachMode Requested);
 
 /// A greedy path cover of the happens-before DAG into chains.  Every
@@ -164,7 +158,10 @@ public:
   size_t project(NodeId From, const NodeProjection &P, size_t Lo,
                  const uint64_t *Want, uint64_t *Out) const;
 
-  /// Rebuilds any precomputed state from the graph's current edges.
+  /// Rebuilds any precomputed state from the graph's current edges.  The
+  /// edges are the relation; an oracle's rows or clocks are a cache of
+  /// them, which is why a checkpoint resume replays edges and refreshes
+  /// instead of restoring oracle state.
   virtual void refresh() = 0;
 
   /// Delta path, called by the rule engine after it inserts a fixpoint
@@ -193,49 +190,8 @@ public:
   /// down a rung.  Budget-free oracles always return false.
   virtual bool budgetExceeded() const { return false; }
 
-  /// Serializes the closure row matrix for checkpointing: \p WordsOut
-  /// receives numNodes() x WordsPerRow raw 64-bit words, row-major.
-  /// Returns false for oracles with no precomputed rows (BFS) -- the
-  /// resumed run then recomputes via refresh().  Rows depend only on the
-  /// graph's edges, never on the oracle flavor, so a row blob exported
-  /// from one closure-based mode imports into the other.
-  virtual bool exportClosureRows(std::vector<uint64_t> & /*WordsOut*/,
-                                 size_t & /*WordsPerRowOut*/) const {
-    return false;
-  }
-
-  /// Restores a row matrix exported by exportClosureRows() over a graph
-  /// with identical node/edge content, skipping the O(N^2) rebuild.
-  /// Returns false when the blob's shape does not match this graph (the
-  /// caller falls back to refresh()) or the memory budget is exceeded
-  /// (check budgetExceeded() to tell the cases apart).
-  virtual bool importClosureRows(const uint64_t * /*Words*/,
-                                 size_t /*NumWords*/,
-                                 size_t /*WordsPerRow*/) {
-    return false;
-  }
-
-  /// Serializes the chain decomposition + clock matrix for
-  /// checkpointing (the chain-mode analogue of exportClosureRows; the
-  /// two blobs are intentionally *not* interchangeable -- a chain blob
-  /// restored into a closure rung, or vice versa, fails the shape check
-  /// and the resume recomputes with refresh(), which is pure time, not
-  /// lost work; see docs/robustness.md, "Cross-mode resume").  Returns
-  /// false for every oracle without chain clocks.
-  virtual bool exportChainState(std::vector<uint64_t> & /*WordsOut*/) const {
-    return false;
-  }
-
-  /// Restores a blob exported by exportChainState() over a graph with
-  /// identical node/edge content.  Returns false on shape mismatch or
-  /// budget overrun (same contract as importClosureRows).
-  virtual bool importChainState(const uint64_t * /*Words*/,
-                                size_t /*NumWords*/) {
-    return false;
-  }
-
   /// True when reaches() may be issued from several threads at once.
-  /// The default covers the closure oracles: an immutable row matrix is
+  /// The default covers the closure oracle: an immutable row matrix is
   /// safe to read concurrently.  BfsReachability overrides to false
   /// (per-query scratch); ChainReachability answers by phase (clock
   /// lookups are safe, its search fallback is not).  HbIndex's rule
@@ -246,59 +202,6 @@ public:
   /// do not decompose).  Informational: surfaces in HbDegradation for
   /// the scaling benches' chain-count statistics.
   virtual size_t chainCount() const { return 0; }
-
-  /// Lends a worker pool for the duration of the oracle's life (nullptr
-  /// detaches).  Closure-based oracles use it to run refresh()/addEdges()
-  /// row sweeps as column strips across the pool -- bit-identical to the
-  /// sequential sweep by construction (see docs/hb-reachability.md).
-  /// Oracles without precomputed state ignore the call.
-  virtual void setWorkerPool(WorkerPool * /*Pool*/) {}
-};
-
-/// Bitset transitive closure, rebuilt from scratch on refresh().
-///
-/// \p BudgetBytes, when nonzero, turns construction into a *measured*
-/// allocation: rows are counted as they are allocated and the build
-/// aborts (budgetExceeded()) the moment the running total passes the
-/// budget -- the adaptive-degradation ladder probes actual footprints
-/// instead of trusting estimateReachabilityMemory().  \p Defer skips the
-/// initial build so a checkpoint resume can importClosureRows() without
-/// paying for a refresh it would throw away.
-class ClosureReachability final : public Reachability {
-public:
-  explicit ClosureReachability(const HbGraph &G, size_t BudgetBytes = 0,
-                               bool Defer = false)
-      : G(G), Budget(BudgetBytes) {
-    if (!Defer)
-      refresh();
-  }
-
-  bool reaches(NodeId From, NodeId To) const override {
-    return Rows[From.index()].test(To.index());
-  }
-  void refresh() override;
-  size_t memoryBytes() const override;
-  const BitVec *rowsOrNull() const override { return Rows.data(); }
-  bool budgetExceeded() const override { return Exceeded; }
-  bool exportClosureRows(std::vector<uint64_t> &WordsOut,
-                         size_t &WordsPerRowOut) const override;
-  bool importClosureRows(const uint64_t *Words, size_t NumWords,
-                         size_t WordsPerRow) override;
-  void setWorkerPool(WorkerPool *P) override { Pool = P; }
-
-  /// Direct row access, for comparing whole rows word by word.
-  const BitVec &row(NodeId Node) const { return Rows[Node.index()]; }
-
-private:
-  /// Sizes the row matrix under the budget; false (with Exceeded set)
-  /// when it does not fit.  Idempotent once allocated.
-  bool allocateRows();
-
-  const HbGraph &G;
-  std::vector<BitVec> Rows;
-  size_t Budget = 0;
-  bool Exceeded = false;
-  WorkerPool *Pool = nullptr;
 };
 
 /// Bitset transitive closure maintained incrementally.
@@ -325,17 +228,19 @@ private:
 ///    clean-node scan is cheap.
 class IncrementalClosureReachability final : public Reachability {
 public:
-  /// BudgetBytes/Defer: same contract as ClosureReachability.  The
-  /// budgeted build allocates the delta sweep's dirty flags eagerly so
-  /// the measured footprint covers what a fixpoint run will actually
-  /// commit, keeping the measured ladder strictly above the plain
-  /// closure's -- the same ordering the static estimates promise.
+  /// \p BudgetBytes, when nonzero, turns construction into a *measured*
+  /// allocation: rows are counted as they are allocated and the build
+  /// aborts (budgetExceeded()) the moment the running total passes the
+  /// budget -- the adaptive-degradation ladder probes actual footprints
+  /// instead of trusting estimateReachabilityMemory().  \p Pool, when
+  /// non-null, runs every sweep (the initial build included) as column
+  /// strips across the pool, bit-identical to one strip by construction
+  /// (see docs/hb-reachability.md).
   explicit IncrementalClosureReachability(const HbGraph &G,
                                           size_t BudgetBytes = 0,
-                                          bool Defer = false)
-      : G(G), Budget(BudgetBytes) {
-    if (!Defer)
-      refresh();
+                                          WorkerPool *Pool = nullptr)
+      : G(G), Budget(BudgetBytes), Pool(Pool) {
+    refresh();
   }
 
   bool reaches(NodeId From, NodeId To) const override {
@@ -346,18 +251,10 @@ public:
   size_t memoryBytes() const override;
   const BitVec *rowsOrNull() const override { return Rows.data(); }
   bool budgetExceeded() const override { return Exceeded; }
-  bool exportClosureRows(std::vector<uint64_t> &WordsOut,
-                         size_t &WordsPerRowOut) const override;
-  bool importClosureRows(const uint64_t *Words, size_t NumWords,
-                         size_t WordsPerRow) override;
-  void setWorkerPool(WorkerPool *P) override { Pool = P; }
-
-  /// Direct row access (same contract as ClosureReachability::row).
-  const BitVec &row(NodeId Node) const { return Rows[Node.index()]; }
 
 private:
-  /// Sizes the rows and dirty flags under the budget; false (with
-  /// Exceeded set) when they do not fit.  Idempotent.
+  /// Sizes the rows and one strip's dirty flags under the budget; false
+  /// (with Exceeded set) when they do not fit.  Idempotent.
   bool allocateRows();
 
   /// One strip's share of the delta sweep: words [Lo, Hi) of every row,
@@ -370,15 +267,13 @@ private:
   std::vector<BitVec> Rows;
   size_t Budget = 0;
   bool Exceeded = false;
+  WorkerPool *Pool = nullptr;
   /// Edges reflected in Rows; addEdges falls back to a full refresh()
   /// if the graph drifted from what it was told about.
   size_t KnownEdges = 0;
   /// Scratch for addEdges: the batch sorted by source id descending,
-  /// and a per-node "row grew during this sweep" flag.
+  /// and per column strip a per-node "row grew during this sweep" flag.
   std::vector<HbEdge> SortedBatch;
-  std::vector<uint8_t> Dirty;
-  WorkerPool *Pool = nullptr;
-  /// Per-strip dirty flags of the column-parallel delta sweep.
   std::vector<std::vector<uint8_t>> StripDirty;
 };
 
@@ -429,7 +324,7 @@ private:
 ///
 /// (the mirror image of the backward formulation clock[v][chain(u)] >=
 /// pos(u) -- forward clocks match the successor-list graph layout and
-/// the descending sweep the closure oracles already use).  The clocks
+/// the descending sweep the closure oracle already uses).  The clocks
 /// are exact, so addEdges() runs the incremental closure's dirty-row
 /// sweep over clock rows and raises the same changed-row flags.
 ///
@@ -475,12 +370,13 @@ public:
   /// million-event graphs into the frugal O(N) tier.
   static constexpr size_t MaxBootstrapBytes = 64ull << 20;
 
-  /// BudgetBytes/Defer: same contract as ClosureReachability, with one
+  /// BudgetBytes/Pool: same contract as IncrementalClosureReachability
+  /// (the pool serves the bootstrap closure's sweeps), with one
   /// refinement: a budget that admits the linear structures but not the
   /// clock matrix keeps the oracle usable in its search phase instead of
   /// aborting -- budgetExceeded() fires only when even O(N) does not fit.
   explicit ChainReachability(const HbGraph &G, size_t BudgetBytes = 0,
-                             bool Defer = false);
+                             WorkerPool *Pool = nullptr);
 
   bool reaches(NodeId From, NodeId To) const override;
   void refresh() override;
@@ -494,8 +390,6 @@ public:
   const BitVec *rowsOrNull() const override {
     return Boot ? Boot->rowsOrNull() : nullptr;
   }
-  bool exportChainState(std::vector<uint64_t> &WordsOut) const override;
-  bool importChainState(const uint64_t *Words, size_t NumWords) override;
   /// Clock lookups are const reads of an immutable matrix, and the
   /// bootstrap's row matrix is likewise safe; the frugal search tier
   /// mutates per-query scratch and must stay sequential.
@@ -503,11 +397,6 @@ public:
     return ClocksValid || Boot != nullptr;
   }
   size_t chainCount() const override { return NumChains; }
-  void setWorkerPool(WorkerPool *P) override {
-    Pool = P;
-    if (Boot)
-      Boot->setWorkerPool(P);
-  }
 
   /// True once the clock matrix is live (the incremental phase).  Tests
   /// assert this so a policy regression cannot silently demote the
@@ -516,8 +405,9 @@ public:
 
 private:
   /// Greedy path cover over the graph's current edges; deterministic
-  /// (pure function of the adjacency lists), so checkpointed clocks are
-  /// byte-stable across save/resume.  Chain members ascend in node id.
+  /// (pure function of the adjacency lists), so a resume that replays
+  /// the same edges rebuilds the same clocks.  Chain members ascend in
+  /// node id.
   void decompose();
   /// Engages (or refreshes) the bootstrap closure when its estimated
   /// footprint fits min(Budget, MaxBootstrapBytes); otherwise releases
@@ -532,6 +422,7 @@ private:
   const HbGraph &G;
   size_t Budget = 0;
   bool Exceeded = false;
+  WorkerPool *Pool = nullptr;
   /// Edges reflected in the decomposition/clocks; addEdges falls back to
   /// refresh() if the graph drifted (same protocol as the incremental
   /// closure).
@@ -558,21 +449,21 @@ private:
   /// moment the clocks commit.  Invariant: Boot is null whenever
   /// ClocksValid.
   std::unique_ptr<IncrementalClosureReachability> Boot;
-  WorkerPool *Pool = nullptr;
 };
 
-/// Creates the oracle selected by \p Mode.  \p BudgetBytes, when
-/// nonzero, bounds what a closure-based oracle may allocate (the build
-/// aborts into budgetExceeded() instead of overshooting); BFS carries no
-/// precomputed state and ignores the budget -- it is the ladder's floor.
-/// \p Defer skips the initial build (see ClosureReachability).
+/// Creates and builds the oracle selected by \p Mode.  \p BudgetBytes,
+/// when nonzero, bounds what an oracle with precomputed state may
+/// allocate (the build aborts into budgetExceeded() instead of
+/// overshooting); BFS carries no precomputed state and ignores the
+/// budget -- it is the ladder's floor.  \p Pool, when non-null, runs the
+/// build and every later sweep across its threads.
 std::unique_ptr<Reachability> makeReachability(const HbGraph &G,
                                                ReachMode Mode,
                                                size_t BudgetBytes = 0,
-                                               bool Defer = false);
+                                               WorkerPool *Pool = nullptr);
 
-/// Returns a stable lowercase name for \p Mode ("incremental", "closure",
-/// "chain", "bfs", "auto"), for CLI flags and degradation diagnostics.
+/// Returns a stable lowercase name for \p Mode ("incremental", "chain",
+/// "bfs", "auto"), for CLI flags and degradation diagnostics.
 const char *reachModeName(ReachMode Mode);
 
 /// Upper-bound estimate of what the \p Mode oracle will allocate for a
@@ -581,8 +472,8 @@ const char *reachModeName(ReachMode Mode);
 /// rungs from the *measured* footprint of a budgeted build (see
 /// makeReachability's BudgetBytes); this estimate remains the planning
 /// aid for sizing limits up front and errs high, never low.  It is
-/// monotone along the ladder (Bfs < Chain < Closure < Incremental) from
-/// a few thousand nodes up; below that the chain upper bound
+/// monotone along the ladder (Bfs < Chain < Incremental) from a few
+/// thousand nodes up; below that the chain upper bound
 /// (4 * min(N, MaxChainsForClocks) bytes per node) can exceed the
 /// closure's N^2/8 -- the *measured* ladder is what actually picks
 /// rungs, and a budgeted chain build degrades its clocks before
@@ -593,8 +484,8 @@ const char *reachModeName(ReachMode Mode);
 /// nonzero budget the bootstrap is only engaged when it fits the
 /// budget, so a budgeted build never overruns this estimate's caller's
 /// limit.
-/// Closure-based modes are dominated by the N x N bit matrix; Bfs keeps
-/// only per-task scratch, bounded above by per-node.
+/// Incremental is dominated by the N x N bit matrix; Bfs keeps only
+/// per-task scratch, bounded above by per-node.
 size_t estimateReachabilityMemory(size_t NumNodes, ReachMode Mode);
 
 } // namespace cafa

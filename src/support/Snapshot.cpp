@@ -56,8 +56,7 @@ void SnapshotWriter::str(std::string_view S) {
 
 void SnapshotWriter::u64s(const uint64_t *Words, size_t N) {
   if constexpr (std::endian::native == std::endian::little) {
-    // Bulk append: closure-row blobs can be megabytes and the per-word
-    // loop below would dominate the save.
+    // Bulk append: one copy instead of the per-word loop below.
     Buf.append(reinterpret_cast<const char *>(Words), N * 8);
   } else {
     for (size_t I = 0; I != N; ++I)

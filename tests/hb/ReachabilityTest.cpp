@@ -5,12 +5,12 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Property tests: the four reachability oracles must agree on every
-// query over randomly generated (but structurally valid) traces -- both
-// through the full HbIndex fixpoint and under raw random DAGs with
-// incremental edge batches -- the chain oracle's delta reports must be
-// element-wise identical to the incremental closure's, and the
-// happens-before relation must be a strict partial order.
+// Property tests: the three reachability oracles must agree with the
+// reference closure (ReferenceClosure.h) on every query over randomly
+// generated (but structurally valid) traces -- both through the full
+// HbIndex fixpoint and under raw random DAGs with incremental edge
+// batches -- pooled column-strip sweeps must match one strip bit for
+// bit, and the happens-before relation must be a strict partial order.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +20,8 @@
 #include "support/WorkerPool.h"
 #include "trace/TraceBuilder.h"
 #include "trace/Validate.h"
+
+#include "ReferenceClosure.h"
 
 #include <gtest/gtest.h>
 
@@ -166,12 +168,12 @@ TEST_P(ReachabilityPropertyTest, AllOraclesAgreeOnRandomTraces) {
   ASSERT_TRUE(validateTrace(T).ok()) << validateTrace(T).message();
   TaskIndex Index(T);
 
-  HbOptions ClosureOpt;
-  ClosureOpt.Reach = ReachMode::Closure;
-  HbIndex HbClosure(T, Index, ClosureOpt);
   HbOptions BfsOpt;
   BfsOpt.Reach = ReachMode::Bfs;
   HbIndex HbBfs(T, Index, BfsOpt);
+  // The expected side: the reference closure of the BFS-built graph (the
+  // oracle that reads live edges and caches nothing).
+  ReferenceHappensBefore Expected(T, Index, HbBfs.graph());
   HbOptions IncOpt;
   IncOpt.Reach = ReachMode::Incremental;
   HbIndex HbInc(T, Index, IncOpt);
@@ -189,14 +191,14 @@ TEST_P(ReachabilityPropertyTest, AllOraclesAgreeOnRandomTraces) {
   for (int I = 0; I != 3000; ++I) {
     uint32_t A = static_cast<uint32_t>(R.below(N));
     uint32_t B = static_cast<uint32_t>(R.below(N));
-    bool Expected = HbClosure.happensBefore(A, B);
-    EXPECT_EQ(Expected, HbBfs.happensBefore(A, B))
+    bool Want = Expected(A, B);
+    EXPECT_EQ(Want, HbBfs.happensBefore(A, B))
         << "records " << A << " -> " << B;
-    EXPECT_EQ(Expected, HbInc.happensBefore(A, B))
+    EXPECT_EQ(Want, HbInc.happensBefore(A, B))
         << "records " << A << " -> " << B;
-    EXPECT_EQ(Expected, HbChain.happensBefore(A, B))
+    EXPECT_EQ(Want, HbChain.happensBefore(A, B))
         << "records " << A << " -> " << B;
-    EXPECT_EQ(Expected, HbChain4.happensBefore(A, B))
+    EXPECT_EQ(Want, HbChain4.happensBefore(A, B))
         << "records " << A << " -> " << B;
   }
 }
@@ -254,8 +256,8 @@ TEST_P(ReachabilityPropertyTest, ProjectionAgreesWithReachesUnderEveryOracle) {
   for (size_t I = 0; I < Mixed.size(); I += 5)
     Mixed.insert(Mixed.begin() + static_cast<long>(I), NodeId::invalid());
 
-  for (ReachMode Mode : {ReachMode::Closure, ReachMode::Incremental,
-                         ReachMode::Chain, ReachMode::Bfs}) {
+  for (ReachMode Mode :
+       {ReachMode::Incremental, ReachMode::Chain, ReachMode::Bfs}) {
     std::unique_ptr<Reachability> Oracle = makeReachability(G, Mode);
     for (const std::vector<NodeId> *Members : {&Ascending, &Mixed}) {
       NodeProjection P(*Members);
@@ -289,9 +291,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReachabilityPropertyTest,
 /// program-order skeleton of a random trace) grown by random batches of
 /// forward edges, with the incremental and chain oracles exercising an
 /// arbitrary interleaving of their addEdges delta path and full
-/// refresh() rebuilds.  After every batch all four oracles must agree
-/// on reaches(u, v) -- the closures and the chain clocks exhaustively,
-/// the BFS on a sample.
+/// refresh() rebuilds.  After every batch every oracle must agree with
+/// the reference closure on reaches(u, v) -- the incremental closure and
+/// the chain clocks exhaustively, the BFS on a sample.
 class IncrementalDifferentialTest : public testing::TestWithParam<uint64_t> {
 };
 
@@ -344,7 +346,8 @@ TEST_P(IncrementalDifferentialTest, OraclesAgreeUnderIncrementalBatches) {
     ASSERT_TRUE(Chain.clocksActive())
         << "seed " << Seed << " batch " << Batch;
 
-    // The closure oracles and the chain clocks must agree bit for bit.
+    // The incremental closure and the chain clocks must agree with the
+    // reference bit for bit.
     if (N <= 160) {
       for (uint32_t U = 0; U != N; ++U)
         for (uint32_t V = 0; V != N; ++V) {
@@ -441,7 +444,8 @@ TEST(ChainEdgeStormTest, CrossChainBatchesWidenClocksConsistently) {
 }
 
 /// Parallel column-strip parity: the pooled refresh()/addEdges() sweeps
-/// must be bit-identical to the sequential ones, row for row.
+/// (several column strips) must be bit-identical to the one-strip
+/// sweeps, row for row.
 class StripParityTest : public testing::TestWithParam<uint64_t> {};
 
 TEST_P(StripParityTest, PooledSweepsMatchSequentialBitForBit) {
@@ -452,10 +456,9 @@ TEST_P(StripParityTest, PooledSweepsMatchSequentialBitForBit) {
   HbGraph GSeq(T, Index);
   HbGraph GPar(T, Index);
 
-  WorkerPool Pool(3); // 4-way sweeps
+  WorkerPool Pool(3); // up to 4-way sweeps, the initial build included
   IncrementalClosureReachability Seq(GSeq);
-  IncrementalClosureReachability Par(GPar);
-  Par.setWorkerPool(&Pool);
+  IncrementalClosureReachability Par(GPar, 0, &Pool);
 
   uint32_t N = static_cast<uint32_t>(GSeq.numNodes());
   ASSERT_GT(N, 1u);

@@ -302,7 +302,7 @@ TEST(CheckpointTest, MidFlightHbFrontierResumesToSameRelation) {
   OneRound.MaxFixpointRounds = 1;
   HbIndex Stopped(T, Index, OneRound);
   HbFrontier F = Stopped.exportFrontier();
-  EXPECT_EQ(F.RoundsDone, 1u);
+  EXPECT_EQ(F.Stats.FixpointRounds, 1u);
   ASSERT_FALSE(F.Saturated);
   EXPECT_FALSE(F.DerivedEdges.empty());
 
@@ -358,11 +358,10 @@ TEST(CheckpointTest, HbDeadlineCutUnderChainResumesBitIdentical) {
   EXPECT_FALSE(fileExists(checkpointPath(Dir)));
 }
 
-TEST(CheckpointTest, ChainFrontierRoundTripsClocksByteIdentical) {
-  // A saturated chain-mode index exports its decomposition + clock
-  // matrix; a resume adopts it (no recompute) and re-exports the exact
-  // same words.  The closure-rows blob and the chain blob are mutually
-  // exclusive: exactly one is ever populated.
+TEST(CheckpointTest, SaturatedChainFrontierResumesToTheSameReport) {
+  // A saturated chain-mode index's frontier is its edges; a resume
+  // replays them, rebuilds the decomposition and clocks with refresh(),
+  // and skips the fixpoint -- landing on the same report.
   Trace T = buildAppTrace();
   TaskIndex Index(T);
   HbOptions ChainOpt;
@@ -374,15 +373,12 @@ TEST(CheckpointTest, ChainFrontierRoundTripsClocksByteIdentical) {
             size_t(ChainReachability::MaxChainsForClocks));
 
   HbFrontier F = Clean.exportFrontier();
-  ASSERT_FALSE(F.ChainState.empty()); // clocks are live at saturation
-  EXPECT_TRUE(F.ClosureRows.empty());
-
+  ASSERT_TRUE(F.Saturated);
   HbCheckpointing Ck;
   Ck.Resume = &F;
   HbIndex Resumed(T, Index, ChainOpt, &Ck);
   EXPECT_TRUE(Resumed.saturated());
-  HbFrontier F2 = Resumed.exportFrontier();
-  EXPECT_EQ(F.ChainState, F2.ChainState); // byte-stable across resume
+  EXPECT_EQ(Resumed.degradation().ChainCount, Clean.degradation().ChainCount);
 
   AccessDb Db = extractAccesses(T, Index);
   DetectorOptions Opt;
@@ -392,11 +388,10 @@ TEST(CheckpointTest, ChainFrontierRoundTripsClocksByteIdentical) {
 }
 
 TEST(CheckpointTest, CrossModeResumeRecomputesCleanly) {
-  // A frontier cut under one oracle resumed under another: the foreign
-  // blob fails the importer's shape/type check and the resume
-  // *recomputes* the oracle state from the carried edges -- it never
-  // rejects the resume and never yields a different relation
-  // (docs/robustness.md, "Cross-mode resume").
+  // A frontier cut under one oracle resumed under another: the frontier
+  // carries edges only, so the resume builds its own oracle from the
+  // replayed graph -- it never rejects the resume and never yields a
+  // different relation (docs/robustness.md, "Resume").
   Trace T = buildAppTrace();
   TaskIndex Index(T);
 
@@ -406,8 +401,7 @@ TEST(CheckpointTest, CrossModeResumeRecomputesCleanly) {
   IncCut.MaxFixpointRounds = 1;
   HbIndex Stopped(T, Index, IncCut);
   HbFrontier F = Stopped.exportFrontier();
-  ASSERT_FALSE(F.ClosureRows.empty());
-  ASSERT_TRUE(F.ChainState.empty());
+  ASSERT_FALSE(F.Saturated);
 
   HbCheckpointing Ck;
   Ck.Resume = &F;
@@ -419,7 +413,6 @@ TEST(CheckpointTest, CrossModeResumeRecomputesCleanly) {
   // Chain cut -> incremental resume (the mirror image).
   HbIndex ChainFull(T, Index, ChainOpt);
   HbFrontier FC = ChainFull.exportFrontier();
-  ASSERT_FALSE(FC.ChainState.empty());
   HbCheckpointing Ck2;
   Ck2.Resume = &FC;
   HbOptions IncOpt;
@@ -447,15 +440,10 @@ TEST(CheckpointTest, SnapshotSurvivesAnEncodeDecodeRoundTrip) {
   Snap.NumRecords = 42;
   Snap.OptionsDigest = 0x99aabbccddeeff00ull;
   Snap.Phase = SnapshotPhase::Detect;
-  Snap.Hb.UsedReach = ReachMode::Closure;
-  Snap.Hb.RoundsDone = 7;
   Snap.Hb.Saturated = true;
   Snap.Hb.Stats.FixpointRounds = 7;
   Snap.Hb.Stats.AtomicityEdges = 13;
   Snap.Hb.DerivedEdges = {{NodeId(3), NodeId(4)}, {NodeId(9), NodeId(1)}};
-  Snap.Hb.RowWords = 1;
-  Snap.Hb.ClosureRows = {0xdeadbeefull, 0x12345678ull};
-  Snap.Hb.ChainState = {10, 3, 1, 0x0000000100000000ull, 0x21ull};
   Snap.Hb.UnsaturatedRules = {"atomicity"};
   Snap.HasDetect = true;
   Snap.Detect.UseIdx = 11;
@@ -475,16 +463,12 @@ TEST(CheckpointTest, SnapshotSurvivesAnEncodeDecodeRoundTrip) {
   EXPECT_EQ(Back.NumRecords, Snap.NumRecords);
   EXPECT_EQ(Back.OptionsDigest, Snap.OptionsDigest);
   EXPECT_EQ(Back.Phase, Snap.Phase);
-  EXPECT_EQ(Back.Hb.UsedReach, Snap.Hb.UsedReach);
-  EXPECT_EQ(Back.Hb.RoundsDone, Snap.Hb.RoundsDone);
   EXPECT_EQ(Back.Hb.Saturated, Snap.Hb.Saturated);
+  EXPECT_EQ(Back.Hb.Stats.FixpointRounds, 7u);
   EXPECT_EQ(Back.Hb.Stats.AtomicityEdges, Snap.Hb.Stats.AtomicityEdges);
   ASSERT_EQ(Back.Hb.DerivedEdges.size(), 2u);
   EXPECT_EQ(Back.Hb.DerivedEdges[1].From.value(), 9u);
   EXPECT_EQ(Back.Hb.DerivedEdges[1].To.value(), 1u);
-  EXPECT_EQ(Back.Hb.RowWords, 1u);
-  EXPECT_EQ(Back.Hb.ClosureRows, Snap.Hb.ClosureRows);
-  EXPECT_EQ(Back.Hb.ChainState, Snap.Hb.ChainState);
   ASSERT_EQ(Back.Hb.UnsaturatedRules.size(), 1u);
   EXPECT_EQ(Back.Hb.UnsaturatedRules[0], "atomicity");
   ASSERT_TRUE(Back.HasDetect);
@@ -570,7 +554,7 @@ void expectOldVersionRefused(uint8_t Version) {
   std::string Bytes = readFile(Path);
   // Framing: an 8-byte magic, then the version as a little-endian u32.
   ASSERT_GT(Bytes.size(), 12u);
-  ASSERT_EQ(Bytes.substr(8, 4), std::string("\x06\0\0\0", 4));
+  ASSERT_EQ(Bytes.substr(8, 4), std::string("\x07\0\0\0", 4));
   Bytes[8] = static_cast<char>(Version);
   writeFile(Path, Bytes);
 
@@ -599,10 +583,75 @@ TEST(CheckpointTest, VersionFiveSnapshotIsRefusedWithACleanRestart) {
   expectOldVersionRefused(5);
 }
 
+TEST(CheckpointTest, VersionSixSnapshotIsRefusedWithACleanRestart) {
+  // Snapshot v7 dropped the oracle state (closure rows, chain clocks)
+  // and the oracle tag: every resume rebuilds the oracle from the edges.
+  expectOldVersionRefused(6);
+}
+
+TEST(CheckpointTest, MidFixpointSnapshotHoldsEdgesNotOracleState) {
+  // A trace of several thousand HB nodes, snapshotted after the first
+  // fixpoint round under each oracle: the file is the edges -- a small
+  // constant plus 8 bytes per derived edge, where closure rows alone
+  // would be N^2/8 bytes -- and a resume from it rebuilds the oracle and
+  // renders the uninterrupted run's JSON.
+  apps::AppBuilder App("ckpt-large");
+  App.seedIntraThreadRace("alpha");
+  App.seedInterThreadRace("beta");
+  App.addGuardedCommutativePair("delta");
+  App.fillVolumeTo(1600);
+  Table1Row Dummy;
+  apps::AppModel Model = App.finish(Dummy);
+  Trace T = runScenario(Model.S, RuntimeOptions());
+  TaskIndex Index(T);
+  HbOptions BaseOnly; // the graph's nodes, without a fixpoint
+  BaseOnly.Reach = ReachMode::Bfs;
+  BaseOnly.EnableAtomicityRule = false;
+  BaseOnly.EnableQueueRules = false;
+  ASSERT_GE(HbIndex(T, Index, BaseOnly).graph().numNodes(), 4000u);
+
+  for (ReachMode Mode : {ReachMode::Incremental, ReachMode::Chain}) {
+    SCOPED_TRACE(reachModeName(Mode));
+    DetectorOptions Det;
+    Det.Hb.Reach = Mode;
+    std::string Want = renderRaceReportJson(analyzeTrace(T, Det).Report, T);
+
+    // Keep the first snapshot, taken after round 1 of the fixpoint --
+    // what a crash right after that save would leave behind.
+    std::string Dir = freshCheckpointDir("mid-fixpoint");
+    std::string Path = checkpointPath(Dir);
+    std::string First;
+    CheckpointOptions Ckpt;
+    Ckpt.Directory = Dir;
+    Ckpt.EveryMillis = 1e-9;
+    Ckpt.AfterSave = [&] {
+      if (First.empty())
+        First = readFile(Path);
+    };
+    analyzeTrace(T, withCheckpoint(Det, Ckpt));
+    ASSERT_FALSE(First.empty());
+    writeFile(Path, First);
+    AnalysisSnapshot Snap;
+    ASSERT_TRUE(loadAnalysisSnapshot(Snap, Path).ok());
+    ASSERT_EQ(Snap.Phase, SnapshotPhase::HbFixpoint);
+    ASSERT_FALSE(Snap.Hb.Saturated);
+    ASSERT_FALSE(Snap.Hb.DerivedEdges.empty());
+    EXPECT_LE(First.size(), 512 + 8 * Snap.Hb.DerivedEdges.size());
+
+    Ckpt.EveryMillis = 0;
+    Ckpt.AfterSave = nullptr;
+    Ckpt.Resume = true;
+    AnalysisResult Resumed = analyzeTrace(T, withCheckpoint(Det, Ckpt));
+    EXPECT_TRUE(Resumed.Resume.Resumed) << Resumed.Resume.RejectReason;
+    EXPECT_EQ(Resumed.Resume.Phase, "hb-fixpoint");
+    EXPECT_EQ(renderRaceReportJson(Resumed.Report, T), Want);
+  }
+}
+
 TEST(CheckpointTest, ResumeFromEveryRoundBoundaryIsBitIdentical) {
   // Cut the fixpoint at each of its round boundaries in turn, pass the
-  // frontier through the v6 file format, and resume: every resume must
-  // land on the uninterrupted report byte for byte.
+  // frontier through the snapshot file format, and resume: every resume
+  // must land on the uninterrupted report byte for byte.
   Trace T = buildAppTrace();
   TaskIndex Index(T);
   std::vector<HbFrontier> Frontiers;
@@ -617,7 +666,8 @@ TEST(CheckpointTest, ResumeFromEveryRoundBoundaryIsBitIdentical) {
 
   std::string Path = checkpointPath(freshCheckpointDir("rounds"));
   for (const HbFrontier &F : Frontiers) {
-    SCOPED_TRACE("resumed after round " + std::to_string(F.RoundsDone));
+    SCOPED_TRACE("resumed after round " +
+                 std::to_string(F.Stats.FixpointRounds));
     AnalysisSnapshot Snap;
     Snap.Hb = F;
     ASSERT_TRUE(saveAnalysisSnapshot(Snap, Path).ok());

@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 //
 // The graceful-degradation ladder end to end: a memory ceiling steps the
-// reachability oracle down Incremental -> Closure -> Bfs with
+// reachability oracle down Incremental -> Chain -> Bfs with
 // bit-identical reports, and a blown wall-clock deadline produces a
 // partial report flagged with a machine-readable cause.
 //
@@ -42,19 +42,18 @@ Trace buildAppTrace() {
 TEST(DegradationTest, EstimatesAreMonotoneAlongTheLadder) {
   for (size_t N : {200u, 5000u, 100000u}) {
     size_t Inc = estimateReachabilityMemory(N, ReachMode::Incremental);
-    size_t Clo = estimateReachabilityMemory(N, ReachMode::Closure);
     size_t Bfs = estimateReachabilityMemory(N, ReachMode::Bfs);
-    EXPECT_LT(Bfs, Clo) << N;
-    EXPECT_LT(Clo, Inc) << N;
-    // Chain sits between Bfs and Closure only once the quadratic closure
-    // estimate overtakes the O(N * MaxChainsForClocks) clock matrix --
-    // roughly N > 4500.  Below that the ladder's Closure -> Chain step
-    // is still sound: the chain oracle refuses the clock matrix under a
-    // tight budget and serves queries from its linear search phase.
+    EXPECT_LT(Bfs, Inc) << N;
+    // Chain sits between Bfs and Incremental only once the quadratic
+    // closure estimate overtakes the O(N * MaxChainsForClocks) clock
+    // matrix -- roughly N > 4500.  Below that the ladder's
+    // Incremental -> Chain step is still sound: the chain oracle refuses
+    // the clock matrix under a tight budget and serves queries from its
+    // linear search phase.
     size_t Cha = estimateReachabilityMemory(N, ReachMode::Chain);
     EXPECT_LT(Bfs, Cha) << N;
     if (N >= 5000) {
-      EXPECT_LT(Cha, Clo) << N;
+      EXPECT_LT(Cha, Inc) << N;
     }
   }
 }
@@ -87,39 +86,10 @@ TEST(DegradationTest, MemoryCeilingFallsBackToBfsBitIdentical) {
   EXPECT_GT(Full.Report.Races.size(), 0u); // the comparison is not vacuous
 }
 
-TEST(DegradationTest, MemoryCeilingUsesMiddleRungWhenItFits) {
-  Trace T = buildAppTrace();
-  TaskIndex Index(T);
-
-  // Learn the node count from an unconstrained build, then pick a limit
-  // that admits Closure but not Incremental (the incremental estimate is
-  // strictly larger by construction).
-  HbOptions Free;
-  Free.Reach = ReachMode::Incremental; // ladder assertions: pin the request
-  HbIndex Unlimited(T, Index, Free);
-  size_t N = Unlimited.graph().numNodes();
-  ASSERT_GT(N, 0u);
-
-  HbOptions Capped = Free;
-  Capped.MemLimitBytes = estimateReachabilityMemory(N, ReachMode::Closure);
-  HbIndex Limited(T, Index, Capped);
-  EXPECT_EQ(Limited.degradation().UsedReach, ReachMode::Closure);
-  EXPECT_TRUE(Limited.degradation().DowngradedForMemory);
-
-  // Same relation: spot-check every pair of the first records of a few
-  // tasks through the public query interface.
-  AccessDb Db = extractAccesses(T, Index);
-  DetectorOptions DOpt;
-  DOpt.Classify = false;
-  RaceReport A = detectUseFreeRaces(T, Index, Db, Unlimited, DOpt);
-  RaceReport B = detectUseFreeRaces(T, Index, Db, Limited, DOpt);
-  EXPECT_EQ(renderRaceReportJson(A, T), renderRaceReportJson(B, T));
-}
-
 TEST(DegradationTest, MemoryCeilingUsesChainRungWhenClosureDoesNotFit) {
   // A trace big enough that the chain oracle's measured footprint sits
   // well below the closure bitset: a budget between the two makes the
-  // ladder walk Incremental -> Closure -> Chain and stop there.
+  // ladder step Incremental -> Chain and stop there.
   apps::AppBuilder App("degrade-chain");
   App.seedIntraThreadRace("alpha");
   App.seedInterThreadRace("beta");
@@ -133,15 +103,15 @@ TEST(DegradationTest, MemoryCeilingUsesChainRungWhenClosureDoesNotFit) {
   ChainOpt.Reach = ReachMode::Chain;
   HbIndex ChainIdx(T, Index, ChainOpt);
   size_t ChainBytes = ChainIdx.degradation().MeasuredReachBytes;
-  HbOptions CloOpt;
-  CloOpt.Reach = ReachMode::Closure;
-  HbIndex CloIdx(T, Index, CloOpt);
-  size_t CloBytes = CloIdx.degradation().MeasuredReachBytes;
-  ASSERT_LT(ChainBytes, CloBytes); // the rung is meaningful at this size
+  HbOptions IncOpt;
+  IncOpt.Reach = ReachMode::Incremental;
+  HbIndex IncIdx(T, Index, IncOpt);
+  size_t IncBytes = IncIdx.degradation().MeasuredReachBytes;
+  ASSERT_LT(ChainBytes, IncBytes); // the rung is meaningful at this size
 
   HbOptions Capped;
   Capped.Reach = ReachMode::Incremental;
-  Capped.MemLimitBytes = ChainBytes + (CloBytes - ChainBytes) / 2;
+  Capped.MemLimitBytes = ChainBytes + (IncBytes - ChainBytes) / 2;
   HbIndex Limited(T, Index, Capped);
   EXPECT_EQ(Limited.degradation().UsedReach, ReachMode::Chain);
   EXPECT_TRUE(Limited.degradation().DowngradedForMemory);
@@ -319,7 +289,6 @@ TEST(DegradationTest, FilterShedReportsAreASupersetOfCompleteOnes) {
 
 TEST(DegradationTest, ReachModeNamesAreStable) {
   EXPECT_STREQ(reachModeName(ReachMode::Incremental), "incremental");
-  EXPECT_STREQ(reachModeName(ReachMode::Closure), "closure");
   EXPECT_STREQ(reachModeName(ReachMode::Bfs), "bfs");
   EXPECT_STREQ(reachModeName(ReachMode::Chain), "chain");
   EXPECT_STREQ(reachModeName(ReachMode::Auto), "auto");
@@ -339,15 +308,16 @@ TEST(DegradationTest, ReachModeResolvesRequestOverEnvOverDefault) {
   EXPECT_EQ(resolveReachMode(ReachMode::Incremental),
             ReachMode::Incremental);
 
-  setenv("CAFA_REACH", "closure", 1);
-  EXPECT_EQ(resolveReachMode(ReachMode::Auto), ReachMode::Closure);
   setenv("CAFA_REACH", "bfs", 1);
   EXPECT_EQ(resolveReachMode(ReachMode::Auto), ReachMode::Bfs);
   setenv("CAFA_REACH", "incremental", 1);
   EXPECT_EQ(resolveReachMode(ReachMode::Auto), ReachMode::Incremental);
 
-  // Unknown values and an unset variable both fall back to the default.
+  // Unknown values (the retired "closure" among them) and an unset
+  // variable both fall back to the default.
   setenv("CAFA_REACH", "nonsense", 1);
+  EXPECT_EQ(resolveReachMode(ReachMode::Auto), ReachMode::Incremental);
+  setenv("CAFA_REACH", "closure", 1);
   EXPECT_EQ(resolveReachMode(ReachMode::Auto), ReachMode::Incremental);
   unsetenv("CAFA_REACH");
   EXPECT_EQ(resolveReachMode(ReachMode::Auto), ReachMode::Incremental);

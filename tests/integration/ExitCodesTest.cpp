@@ -162,6 +162,12 @@ TEST_F(ExitCodesTest, Exit2UsageAndUnreadableTrace) {
   ExitRun Bad = runAnalyzer({"analyze", Garbage}, Scratch);
   EXPECT_EQ(Bad.ExitCode, 2) << Bad.Err;
 
+  // --reach= names only the oracles the analyzer offers; the
+  // full-rebuild closure is a test reference, not one of them.
+  ExitRun Reach =
+      runAnalyzer({"analyze", RacyTrace, "--reach=closure"}, Scratch);
+  EXPECT_EQ(Reach.ExitCode, 2) << Reach.Err;
+
   // Chaos hooks are opt-in and validated: --chaos-kill-after-save is
   // meaningless without a checkpoint dir to watch.
   ExitRun Chaos =

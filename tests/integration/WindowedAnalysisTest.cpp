@@ -353,7 +353,6 @@ TEST(WindowedAnalysisTest, WindowedFrontierSurvivesSnapshotRoundTrip) {
   Snap.NumRecords = 42;
   Snap.OptionsDigest = 0x99aabbccddeeff00ull;
   Snap.Phase = SnapshotPhase::Detect;
-  Snap.Hb.UsedReach = ReachMode::Chain;
   Snap.Hb.Saturated = true;
   Snap.HasWindowedDetect = true;
   Snap.WindowedDetect.CursorRecord = 37;
