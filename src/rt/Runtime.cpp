@@ -18,9 +18,10 @@ using namespace cafa;
 
 namespace {
 
-/// Host busy-work sink shared by all runtimes; volatile so the loop in
-/// spinWork() cannot be optimized away.
-volatile uint64_t SpinSink = 0x9E3779B97F4A7C15ull;
+/// Host busy-work sink, one per thread: confirmation runs replays on
+/// several threads at once, and a shared sink would be a data race.
+/// Volatile so the loop in spinWork() cannot be optimized away.
+thread_local volatile uint64_t SpinSink = 0x9E3779B97F4A7C15ull;
 
 /// Burns \p Units iterations of xorshift work on the host CPU.  This
 /// models the interpreter + application cost an uninstrumented run pays,
@@ -45,7 +46,6 @@ struct Frame {
 };
 
 enum class TaskState : uint8_t { Created, Runnable, Blocked, Done };
-enum class BlockKind : uint8_t { None, Lock, Monitor, Join, Pipe };
 
 /// Runtime state of one task (thread or event).
 struct RtTask {
@@ -64,10 +64,10 @@ struct RtTask {
 
   std::vector<Frame> Frames;
   TaskState State = TaskState::Created;
-  BlockKind Block = BlockKind::None;
-  uint32_t BlockRef = 0;
   bool Notified = false;
   std::vector<uint32_t> HeldLocks;
+  /// Tasks blocked joining this thread, in block order.
+  std::vector<uint32_t> Joiners;
   uint64_t Time = 0;
   bool StepQueued = false;
 };
@@ -93,11 +93,15 @@ struct MonitorState {
 
 struct LockState {
   int64_t HolderTask = -1;
+  /// Tasks blocked acquiring this lock, in block order.
+  std::vector<uint32_t> Waiters;
 };
 
 /// One pipe channel: pending messages tagged with transaction ids.
 struct PipeState {
   std::deque<std::pair<uint32_t, Value>> Messages;
+  /// Tasks blocked reading this pipe, in block order.
+  std::vector<uint32_t> Readers;
 };
 
 struct ListenerRegistration {
@@ -391,13 +395,7 @@ struct Runtime::Impl {
     emit(T, OpKind::TaskEnd);
     T.State = TaskState::Done;
     // Wake joiners (they re-execute their join instruction).
-    for (uint32_t I = 0, E = static_cast<uint32_t>(Tasks.size()); I != E;
-         ++I) {
-      RtTask &J = Tasks[I];
-      if (J.State == TaskState::Blocked && J.Block == BlockKind::Join &&
-          J.BlockRef == TaskIdx)
-        wake(I, T.Time);
-    }
+    wakeAll(T.Joiners, T.Time);
     if (T.Kind == TaskKind::Event) {
       RtQueue &Q = Queues[T.Queue.index()];
       assert(Q.Busy && "event ended on an idle queue");
@@ -411,9 +409,18 @@ struct Runtime::Impl {
     RtTask &T = Tasks[TaskIdx];
     assert(T.State == TaskState::Blocked && "waking a non-blocked task");
     T.State = TaskState::Runnable;
-    T.Block = BlockKind::None;
     T.Time = std::max(T.Time, Now);
     pushStep(TaskIdx);
+  }
+
+  /// Wakes and removes every task in the waiter list \p Waiters.  They
+  /// wake in ascending task index, not in block order: wake order fixes
+  /// the order of their queued steps, so it is part of the schedule.
+  void wakeAll(std::vector<uint32_t> &Waiters, uint64_t Now) {
+    std::sort(Waiters.begin(), Waiters.end());
+    for (uint32_t W : Waiters)
+      wake(W, Now);
+    Waiters.clear();
   }
 
   /// Aborts \p T with a null-pointer exception: unwinds all frames with
@@ -755,8 +762,7 @@ Runtime::Impl::StepResult Runtime::Impl::step(uint32_t TaskIdx) {
     if (L.HolderTask >= 0) {
       // Contended: block and retry when released.
       T.State = TaskState::Blocked;
-      T.Block = BlockKind::Lock;
-      T.BlockRef = I.Ref;
+      L.Waiters.push_back(TaskIdx);
       return StepResult::Yield;
     }
     L.HolderTask = TaskIdx;
@@ -776,13 +782,7 @@ Runtime::Impl::StepResult Runtime::Impl::step(uint32_t TaskIdx) {
     L.HolderTask = -1;
     complete();
     // Wake lock waiters to retry the acquisition.
-    for (uint32_t J = 0, E = static_cast<uint32_t>(Tasks.size()); J != E;
-         ++J) {
-      RtTask &W = Tasks[J];
-      if (W.State == TaskState::Blocked && W.Block == BlockKind::Lock &&
-          W.BlockRef == I.Ref)
-        wake(J, T.Time);
-    }
+    wakeAll(L.Waiters, T.Time);
     break;
   }
   case Opcode::WaitMonitor: {
@@ -797,8 +797,6 @@ Runtime::Impl::StepResult Runtime::Impl::step(uint32_t TaskIdx) {
       break;
     }
     T.State = TaskState::Blocked;
-    T.Block = BlockKind::Monitor;
-    T.BlockRef = I.Ref;
     Mon.Waiters.push_back(TaskIdx);
     return StepResult::Yield;
   }
@@ -848,8 +846,7 @@ Runtime::Impl::StepResult Runtime::Impl::step(uint32_t TaskIdx) {
     assert(Target.Kind == TaskKind::Thread && "join target is not a thread");
     if (Target.State != TaskState::Done) {
       T.State = TaskState::Blocked;
-      T.Block = BlockKind::Join;
-      T.BlockRef = static_cast<uint32_t>(Child);
+      Target.Joiners.push_back(TaskIdx);
       return StepResult::Yield;
     }
     emit(T, OpKind::Join, Target.Id.value());
@@ -945,24 +942,18 @@ Runtime::Impl::StepResult Runtime::Impl::step(uint32_t TaskIdx) {
     uint32_t Txn = ++TxnCounter;
     emit(T, OpKind::IpcSend, Txn);
     Value Msg = I.A != NoReg ? F.Regs[I.A] : Value();
-    Pipes[I.Ref].Messages.emplace_back(Txn, Msg);
+    PipeState &P = Pipes[I.Ref];
+    P.Messages.emplace_back(Txn, Msg);
     complete();
     // Wake blocked readers to retry their read.
-    for (uint32_t J = 0, E = static_cast<uint32_t>(Tasks.size()); J != E;
-         ++J) {
-      RtTask &W = Tasks[J];
-      if (W.State == TaskState::Blocked && W.Block == BlockKind::Pipe &&
-          W.BlockRef == I.Ref)
-        wake(J, T.Time);
-    }
+    wakeAll(P.Readers, T.Time);
     break;
   }
   case Opcode::PipeRead: {
     PipeState &P = Pipes[I.Ref];
     if (P.Messages.empty()) {
       T.State = TaskState::Blocked;
-      T.Block = BlockKind::Pipe;
-      T.BlockRef = I.Ref;
+      P.Readers.push_back(TaskIdx);
       return StepResult::Yield;
     }
     auto [Txn, Msg] = P.Messages.front();

@@ -82,9 +82,12 @@ struct RuntimeOptions {
   bool MirrorStream = true;
   /// Simulated cost of one bytecode instruction, in microseconds.
   uint32_t InstrCostMicros = 2;
-  /// Host-CPU busy-work iterations per interpreted instruction.  This
-  /// calibrates the interpreter-to-tracing cost ratio that Figure 8's
-  /// slowdown band depends on.
+  /// Host-CPU busy-work iterations per interpreted instruction (and per
+  /// unit of a `work` instruction): the cost a real uninstrumented
+  /// interpreter would pay.  The default stays small because every trace
+  /// recording and every confirmation replay pays it; bench/fig8_slowdown
+  /// sets its own calibrated value, which is what Figure 8's slowdown band
+  /// depends on.
   uint32_t BaselineWorkUnits = 6;
   /// Hard cap on interpreted instructions (runaway guard).
   uint64_t MaxInstructions = 50'000'000;
