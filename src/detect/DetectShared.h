@@ -22,11 +22,12 @@
 #define CAFA_DETECT_DETECTSHARED_H
 
 #include "detect/UseFreeDetector.h"
+#include "hb/ConventionalOrder.h"
 #include "support/Timer.h"
 
 #include <algorithm>
 #include <map>
-#include <memory>
+#include <optional>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
@@ -339,26 +340,20 @@ private:
 /// committed cross-looper race: (c) when a conventional thread-based
 /// order leaves it unordered too, (b) otherwise.  Skipped (all (b))
 /// when Options.Classify is off or \p Hb is a deadline-cut fixpoint --
-/// another model construction would dig the hole deeper, and the split
-/// is a refinement, not a soundness requirement.  The conventional
-/// model is built only when some race crosses loopers, BFS-backed: the
-/// answers do not depend on the oracle, and one query per race never
-/// pays for a closure.
-inline void classifyRaces(const Trace &T, const TaskIndex &Index,
-                          const HbIndex &Hb, const DetectorOptions &Options,
+/// the split is a refinement, not a soundness requirement, and a run
+/// already past its budget spends nothing more on it.  Each race is one
+/// ConventionalOrder search over \p Hb's own graph in each direction,
+/// set up the first time a race crosses loopers.
+inline void classifyRaces(const HbIndex &Hb, const DetectorOptions &Options,
                           RaceReport &Report) {
   const bool Enabled =
       Options.Classify && !Hb.degradation().DeadlineExceeded;
-  std::unique_ptr<HbIndex> Conv;
+  std::optional<ConventionalOrder> Conv;
   for (UseFreeRace &Race : Report.Races) {
     if (Race.Category == RaceCategory::IntraThread)
       continue;
-    if (Enabled && !Conv) {
-      HbOptions ConvOpts = Options.Hb;
-      ConvOpts.Model = OrderingModel::Conventional;
-      ConvOpts.Reach = ReachMode::Bfs;
-      Conv = std::make_unique<HbIndex>(T, Index, ConvOpts);
-    }
+    if (Enabled && !Conv)
+      Conv.emplace(Hb.graph());
     Race.Category = Conv && !Conv->ordered(Race.Use.Record, Race.Free.Record)
                         ? RaceCategory::Conventional
                         : RaceCategory::InterThread;

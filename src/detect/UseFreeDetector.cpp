@@ -321,7 +321,7 @@ RaceReport cafa::detectUseFreeRaces(const Trace &T, const TaskIndex &Index,
     }
   }
   Ladder.finish();
-  classifyRaces(T, Index, Hb, Options, Report);
+  classifyRaces(Hb, Options, Report);
   return Report;
 }
 

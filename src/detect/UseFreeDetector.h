@@ -36,8 +36,9 @@ struct DetectorOptions {
   /// Suppress pairs protected by a common lock.
   bool LocksetFilter = true;
   /// Split non-(a) races into (b)/(c) by asking the conventional model
-  /// about each one.  The model is built after the scan, BFS-backed,
-  /// and only when some reported race crosses loopers.
+  /// about each one: after the scan, one search per race over the
+  /// happens-before graph the analysis already built (ConventionalOrder).
+  /// Off leaves every cross-looper race (b).
   bool Classify = true;
   /// Graceful degradation: when positive, a wall-clock budget in
   /// milliseconds for the candidate-pair scan, measured from detector

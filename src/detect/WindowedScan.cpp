@@ -648,7 +648,7 @@ RaceReport cafa::detectUseFreeRacesWindowed(
       Race->Free = M.Free;
     }
   }
-  classifyRaces(T, Index, Hb, Options, Report);
+  classifyRaces(Hb, Options, Report);
 
   if (Stats) {
     Stats->WindowEvents = WindowEvents;

@@ -28,7 +28,9 @@
 /// detection time instead.
 ///
 /// The conventional model replaces all event-aware rules with a total
-/// order over each looper's events in observed execution order.
+/// order over each looper's events in observed execution order.  The
+/// detector's (b)/(c) split does not build it: ConventionalOrder answers
+/// the same queries by search over the CAFA graph.
 ///
 //===----------------------------------------------------------------------===//
 

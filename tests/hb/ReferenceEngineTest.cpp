@@ -25,16 +25,14 @@
 #include "hb/HbIndex.h"
 #include "rt/Runtime.h"
 #include "support/Rng.h"
-#include "trace/IngestSession.h"
 #include "trace/TraceBuilder.h"
 
+#include "HbTestTraces.h"
 #include "ReferenceClosure.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <dirent.h>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -140,17 +138,6 @@ private:
   std::vector<std::vector<Send>> Sends;
 };
 
-/// Every task begin and end node, ascending.
-std::vector<NodeId> boundaryNodes(const HbGraph &G, const Trace &T) {
-  std::vector<NodeId> Nodes;
-  for (uint32_t I = 0; I != T.numTasks(); ++I)
-    for (NodeId N : {G.beginNode(TaskId(I)), G.endNode(TaskId(I))})
-      if (N.isValid())
-        Nodes.push_back(N);
-  std::sort(Nodes.begin(), Nodes.end());
-  return Nodes;
-}
-
 const ReachMode Modes[] = {ReachMode::Incremental, ReachMode::Chain};
 const unsigned ThreadCounts[] = {1, 4};
 
@@ -231,165 +218,10 @@ INSTANTIATE_TEST_SUITE_P(AllApps, ReferenceAppTest,
                          });
 
 TEST(ReferenceEngineTest, SalvageCorpusMatches) {
-  std::vector<std::string> Files;
-  if (DIR *D = ::opendir(CAFA_TRACE_FIXTURE_DIR)) {
-    while (dirent *E = ::readdir(D)) {
-      std::string Name = E->d_name;
-      if (Name.size() > 6 && Name.rfind(".trace") == Name.size() - 6)
-        Files.push_back(Name);
-    }
-    ::closedir(D);
-  }
-  std::sort(Files.begin(), Files.end());
-  ASSERT_FALSE(Files.empty());
-  size_t Analyzed = 0;
-  for (const std::string &Name : Files) {
-    std::ifstream In(std::string(CAFA_TRACE_FIXTURE_DIR) + "/" + Name,
-                     std::ios::binary);
-    std::string Text((std::istreambuf_iterator<char>(In)),
-                     std::istreambuf_iterator<char>());
-    Trace T;
-    IngestReport Report;
-    if (!ingestTrace(Text, T, Report).ok())
-      continue; // refused at ingest: nothing to close
-    ++Analyzed;
+  std::vector<std::pair<std::string, Trace>> Corpus = salvageCorpus();
+  ASSERT_FALSE(Corpus.empty());
+  for (const auto &[Name, T] : Corpus)
     expectMatchesReference(T, Name);
-  }
-  EXPECT_GT(Analyzed, 0u);
-}
-
-/// A random trace whose looper events do the cross-task work themselves:
-/// waits, joins, listener performs and IPC receives land inside running
-/// events, so a premise can reach the *middle* of an event, and sends are
-/// mixed with sendAtFront.  Events begin in no particular queue order,
-/// so some derived conclusions contradict the observed order and are
-/// refused by the graph on both sides.
-Trace randomLooperTrace(uint64_t Seed, size_t Steps) {
-  Rng R(Seed);
-  TraceBuilder TB;
-  std::vector<QueueId> Queues;
-  for (int I = 0, E = 1 + static_cast<int>(R.below(2)); I != E; ++I)
-    Queues.push_back(TB.addQueue("q" + std::to_string(I)));
-  ListenerId L = TB.addListener("l");
-
-  struct Live {
-    TaskId Id;
-    bool IsEvent;
-    QueueId Queue;
-  };
-  std::vector<Live> Threads, Pending;
-  std::vector<Live> Active(Queues.size(), {TaskId::invalid(), true, {}});
-  std::vector<TaskId> Ended;
-  std::vector<uint32_t> Txns;
-  uint32_t NextTxn = 1;
-  bool Registered = false;
-  size_t Counter = 0;
-  for (int I = 0; I != 3; ++I) {
-    TaskId T = TB.addThread("t" + std::to_string(I));
-    TB.begin(T);
-    Threads.push_back({T, false, {}});
-  }
-
-  // Most operations pick a running looper event when there is one.
-  auto actor = [&]() -> TaskId {
-    std::vector<TaskId> Events;
-    for (const Live &A : Active)
-      if (A.Id.isValid())
-        Events.push_back(A.Id);
-    if (!Events.empty() && R.chance(3, 4))
-      return Events[R.below(Events.size())];
-    return Threads[R.below(Threads.size())].Id;
-  };
-
-  for (size_t Step = 0; Step != Steps; ++Step) {
-    switch (R.below(11)) {
-    case 0:
-    case 1: { // post an event
-      QueueId Q = Queues[R.below(Queues.size())];
-      bool AtFront = R.chance(1, 4);
-      uint64_t Delay = AtFront ? 0 : R.below(3);
-      TaskId E = TB.addEvent("e" + std::to_string(Counter++), Q, Delay,
-                             AtFront, false);
-      TaskId From = actor();
-      if (AtFront)
-        TB.sendAtFront(From, E);
-      else
-        TB.send(From, E, Delay);
-      Pending.push_back({E, true, Q});
-      break;
-    }
-    case 2: { // begin some pending event on an idle looper
-      if (Pending.empty())
-        break;
-      size_t P = R.below(Pending.size());
-      Live Ev = Pending[P];
-      Live &Slot = Active[Ev.Queue.index()];
-      if (Slot.Id.isValid())
-        break;
-      TB.begin(Ev.Id);
-      Slot = Ev;
-      Pending.erase(Pending.begin() + static_cast<long>(P));
-      break;
-    }
-    case 3: { // end a running event
-      Live &Slot = Active[R.below(Active.size())];
-      if (Slot.Id.isValid()) {
-        TB.end(Slot.Id);
-        Slot.Id = TaskId::invalid();
-      }
-      break;
-    }
-    case 4: { // fork a worker, or end one so it can be joined
-      if (Threads.size() > 3 && R.chance(1, 2)) {
-        size_t I = 3 + R.below(Threads.size() - 3);
-        TB.end(Threads[I].Id);
-        Ended.push_back(Threads[I].Id);
-        Threads.erase(Threads.begin() + static_cast<long>(I));
-      } else {
-        TaskId T = TB.addThread("w" + std::to_string(Step));
-        TB.fork(actor(), T);
-        TB.begin(T);
-        Threads.push_back({T, false, {}});
-      }
-      break;
-    }
-    case 5:
-      if (!Ended.empty())
-        TB.join(actor(), Ended[R.below(Ended.size())]);
-      break;
-    case 6:
-      TB.notify(actor(), static_cast<uint32_t>(R.below(2)));
-      break;
-    case 7:
-      TB.wait(actor(), static_cast<uint32_t>(R.below(2)));
-      break;
-    case 8:
-      if (!Registered || R.chance(1, 3)) {
-        TB.registerListener(actor(), L);
-        Registered = true;
-      } else {
-        TB.performListener(actor(), L);
-      }
-      break;
-    case 9:
-      if (Txns.empty() || R.chance(1, 2)) {
-        TB.ipcSend(actor(), NextTxn);
-        Txns.push_back(NextTxn++);
-      } else {
-        TB.ipcRecv(actor(), Txns[R.below(Txns.size())]);
-      }
-      break;
-    default:
-      TB.write(actor(), static_cast<uint32_t>(R.below(4)));
-      break;
-    }
-  }
-  for (const Live &A : Active)
-    if (A.Id.isValid())
-      TB.end(A.Id);
-  for (const Live &T : Threads)
-    TB.end(T.Id);
-  return TB.take();
 }
 
 class ReferenceRandomTest : public testing::TestWithParam<uint64_t> {};
