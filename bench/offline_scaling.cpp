@@ -320,10 +320,9 @@ void sweepIngestThreads(const Trace &Pristine) {
   for (char C : Text)
     Lines += C == '\n';
 
-  // Small shards so even this bench-sized dump splits into enough
-  // pieces to keep every worker busy.
+  // Default shards: they are sized so an app-sized dump like this one
+  // splits into enough pieces to keep every worker busy.
   IngestOptions Base;
-  Base.ShardBytes = 64 << 10;
 
   std::printf("\ningest thread axis (%s lines, %s bytes, %u hardware "
               "threads, %llu-byte shards):\n",
@@ -341,7 +340,7 @@ void sweepIngestThreads(const Trace &Pristine) {
     IngestOptions IOpt = Base;
     IOpt.Threads = Threads;
 
-    // Median of three: ingest at these sizes is milliseconds, where a
+    // Best of three: ingest at these sizes is milliseconds, where a
     // single stray scheduler tick would otherwise dominate the row.
     double BestMs = 0;
     Trace T;

@@ -72,6 +72,7 @@
 #include "confirm/Confirm.h"
 #include "hb/DotExport.h"
 #include "support/MappedFile.h"
+#include "support/Timer.h"
 #include "trace/IngestSession.h"
 #include "trace/TraceIO.h"
 #include "trace/Validate.h"
@@ -254,9 +255,11 @@ int main(int argc, char **argv) {
     Trace T;
     IngestReport Ingested;
     IngestSession Session(Ingest);
+    Timer IngestTimer;
     Status FeedStatus = Session.feedFile(argv[2]);
     Status IngestStatus =
         FeedStatus.ok() ? Session.finish(T, Ingested) : FeedStatus;
+    const double IngestMillis = IngestTimer.elapsedWallMillis();
     const IngestResumeOutcome &IRes = Session.resumeOutcome();
     if (IRes.Attempted) {
       if (IRes.Resumed)
@@ -366,8 +369,14 @@ int main(int argc, char **argv) {
     if (!Json) {
       std::fprintf(stderr, "%s",
                    renderTraceStats(R.TraceStatistics).c_str());
+      // Throughput needs the input size, which only a regular file has.
+      std::fprintf(stderr, "analysis: ingest %.1f ms", IngestMillis);
+      int64_t InputBytes = MappedFile::regularFileSize(argv[2]);
+      if (InputBytes >= 0 && IngestMillis > 0)
+        std::fprintf(stderr, " (%.1f MB/s)",
+                     static_cast<double>(InputBytes) / 1e3 / IngestMillis);
       std::fprintf(stderr,
-                   "analysis: extract %.1f ms, happens-before %.1f ms "
+                   ", extract %.1f ms, happens-before %.1f ms "
                    "(%u fixpoint rounds), detect %.1f ms\n",
                    R.ExtractMillis, R.HbBuildMillis,
                    R.HbStats.FixpointRounds, R.DetectMillis);
@@ -387,12 +396,12 @@ int main(int argc, char **argv) {
       // One machine-readable stats line on stderr; stdout stays the
       // report alone so byte-compare harnesses are unaffected.
       std::fprintf(stderr,
-                   "{\"stats\":{\"peak_rss_bytes\":%llu,"
+                   "{\"stats\":{\"ingest_ms\":%.1f,\"peak_rss_bytes\":%llu,"
                    "\"hb_bytes\":%zu,\"window_events\":%llu,"
                    "\"overlay_high_water_bytes\":%zu,"
                    "\"reach_high_water_rows\":%zu,\"chains\":%u,"
                    "\"retained_high_water_bytes\":%zu}}\n",
-                   PeakRssBytes, R.HbMemoryBytes,
+                   IngestMillis, PeakRssBytes, R.HbMemoryBytes,
                    static_cast<unsigned long long>(R.WindowEventsUsed),
                    R.WindowedDetect.OverlayHighWaterBytes,
                    R.WindowedDetect.ReachHighWaterRows,

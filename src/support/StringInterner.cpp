@@ -12,7 +12,7 @@
 using namespace cafa;
 
 StrId StringInterner::intern(std::string_view S) {
-  auto It = Index.find(std::string(S));
+  auto It = Index.find(S);
   if (It != Index.end())
     return StrId(It->second);
   uint32_t Id = static_cast<uint32_t>(Strings.size());

@@ -16,6 +16,7 @@
 
 #include "support/Ids.h"
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -40,8 +41,17 @@ public:
   size_t size() const { return Strings.size(); }
 
 private:
+  /// Hashes std::string keys and std::string_view probes alike, so a
+  /// lookup builds no string (C++20 heterogeneous lookup).
+  struct ViewHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view S) const {
+      return std::hash<std::string_view>()(S);
+    }
+  };
+
   std::vector<std::string> Strings;
-  std::unordered_map<std::string, uint32_t> Index;
+  std::unordered_map<std::string, uint32_t, ViewHash, std::equal_to<>> Index;
 };
 
 } // namespace cafa

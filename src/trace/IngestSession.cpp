@@ -128,7 +128,9 @@ struct IngestSession::Impl {
   std::vector<MappedFile> Mappings;
 
   // Sequential cut-time bookkeeping: hash/offset of everything already
-  // cut into shards (== the merged prefix once those shards merge).
+  // cut into shards (== the merged prefix once those shards merge).  The
+  // hash is only kept with a checkpoint directory, the one place it is
+  // read (writeSnapshot).
   uint64_t DispatchHash = FnvSeed;
   uint64_t DispatchOffset = 0;
   uint64_t NextIndex = 0;
@@ -147,7 +149,7 @@ struct IngestSession::Impl {
   struct Job {
     uint64_t Index = 0;
     uint64_t Bytes = 0;
-    uint64_t EndHash = 0;   ///< prefix hash through this shard
+    uint64_t EndHash = 0;   ///< prefix hash through this shard, if kept
     uint64_t EndOffset = 0; ///< prefix bytes through this shard
     std::string_view Text;
     std::string Owned; ///< backing storage when the bytes are not mapped
@@ -269,12 +271,14 @@ struct IngestSession::Impl {
 
   // --- Sharding ---------------------------------------------------------
 
-  /// Hashes, lexes (inline or on the pool), and merges one shard whose
-  /// Text view (and Owned backing, if any) is already set.
+  /// Hashes (when checkpointing), lexes (inline or on the pool), and
+  /// merges one shard whose Text view (and Owned backing, if any) is
+  /// already set.
   void dispatchShard(std::shared_ptr<Job> J) {
     J->Index = NextIndex++;
     J->Bytes = J->Text.size();
-    DispatchHash = fnv1a64(J->Text.data(), J->Text.size(), DispatchHash);
+    if (checkpointEnabled())
+      DispatchHash = fnv1a64(J->Text.data(), J->Text.size(), DispatchHash);
     DispatchOffset += J->Text.size();
     J->EndHash = DispatchHash;
     J->EndOffset = DispatchOffset;
@@ -324,53 +328,40 @@ struct IngestSession::Impl {
     dispatchShard(std::move(J));
   }
 
-  /// Cuts as many shards as the buffer allows.  A shard ends at the
-  /// first newline at or past ShardBytes, so cuts are a function of the
-  /// bytes alone; \p Final flushes the unterminated tail.
-  void cutShards(bool Final) {
-    for (;;) {
-      if (Machine.failed() || AbortRequested) {
-        Buffer.clear();
-        return;
-      }
-      size_t CutEnd;
-      if (Buffer.size() >= ShardBytes) {
-        size_t NL = Buffer.find('\n', static_cast<size_t>(ShardBytes - 1));
-        if (NL == std::string::npos) {
-          if (!Final)
-            return; // a longer-than-shard line: wait for its newline
-          CutEnd = Buffer.size();
-        } else {
-          CutEnd = NL + 1;
-        }
-      } else {
-        if (!Final || Buffer.empty())
-          return;
-        CutEnd = Buffer.size();
-      }
-      dispatchOwnedShard(Buffer.substr(0, CutEnd));
-      Buffer.erase(0, CutEnd);
-    }
-  }
-
-  /// Zero-copy twin of cutShards over a read-only mapping: cuts the
-  /// *same* shard boundaries (first newline at or past ShardBytes --
-  /// a pure function of the bytes, so cut points, hashes, and merge
-  /// order are bit-identical to the streamed path) directly as views
-  /// into \p Data.  Returns the uncut sub-shard tail, which the caller
-  /// copies into Buffer so later feed() chunks see an unchanged stream.
-  std::string_view cutMappedShards(std::string_view Data) {
+  /// Cuts every full shard off the front of \p Data and dispatches it.
+  /// A shard ends at the first newline at or past ShardBytes, so cut
+  /// points (and with them prefix hashes and merge order) are a function
+  /// of the bytes alone, whichever path feeds them.  Shards of a mapping
+  /// (\p Borrowed) are dispatched as views, which the mapping outlives;
+  /// any other bytes are copied.  Returns the uncut sub-shard tail, or
+  /// an empty view once the machine has hard-failed.
+  std::string_view cutFullShards(std::string_view Data, bool Borrowed) {
     while (!Machine.failed() && !AbortRequested &&
            Data.size() >= ShardBytes) {
       size_t NL = Data.find('\n', static_cast<size_t>(ShardBytes - 1));
       if (NL == std::string_view::npos)
         return Data; // a longer-than-shard line: wait for its newline
-      dispatchMappedShard(Data.substr(0, NL + 1));
+      if (Borrowed)
+        dispatchMappedShard(Data.substr(0, NL + 1));
+      else
+        dispatchOwnedShard(std::string(Data.substr(0, NL + 1)));
       Data.remove_prefix(NL + 1);
     }
     if (Machine.failed() || AbortRequested)
       return {}; // hard-failed: drop the remaining stream
     return Data;
+  }
+
+  /// Cuts the full shards out of Buffer; \p Final also flushes the
+  /// unterminated tail as the last shard.  The consumed prefix is erased
+  /// once, so one large feed() chunk is not shifted once per shard.
+  void cutShards(bool Final) {
+    std::string_view Tail = cutFullShards(Buffer, /*Borrowed=*/false);
+    if (Final && !Tail.empty()) {
+      dispatchOwnedShard(std::string(Tail));
+      Tail = {};
+    }
+    Buffer.erase(0, Buffer.size() - Tail.size());
   }
 
   // --- Input ------------------------------------------------------------
@@ -427,7 +418,7 @@ struct IngestSession::Impl {
       cutShards(/*Final=*/false);
       return;
     }
-    Buffer.assign(cutMappedShards(Data));
+    Buffer.assign(cutFullShards(Data, /*Borrowed=*/true));
   }
 
   void rejectResume(std::string Reason) {

@@ -134,8 +134,10 @@ struct IngestOptions {
   /// Target shard size in bytes; each shard is extended to the next
   /// line boundary.  Shard cuts depend only on the input bytes and this
   /// value, never on thread scheduling, so they are reproducible across
-  /// runs (which checkpoint/resume relies on).
-  uint64_t ShardBytes = 4ull << 20;
+  /// runs (which checkpoint/resume relies on).  The default cuts a 1 MB
+  /// app trace into eight shards, so every lexer thread gets work while
+  /// the session thread merges.
+  uint64_t ShardBytes = 128ull << 10;
 
   /// When non-empty, the merge phase writes crash-safe progress
   /// snapshots ("ingest.snapshot") into this directory.  Coexists with

@@ -60,7 +60,7 @@ enum class LineKind : uint8_t {
   Blank,    ///< blank / comment / whitespace-only (emitted for RelLine 1
             ///< only, so the machine can run its first-line logic)
   Magic,    ///< exactly the 'cafa-trace v1' header line
-  Unknown,  ///< unrecognized directive; Token holds it
+  Unknown,  ///< unrecognized directive; Name holds it
   Drop,     ///< structurally malformed; DropMsg is the diagnostic
   Rec,
   Method,
@@ -70,6 +70,7 @@ enum class LineKind : uint8_t {
 };
 
 /// One lexed input line.  Field meaning depends on Kind:
+///  - Unknown:  Name = the directive
 ///  - Method:   Id, Name, Aux = code size
 ///  - Queue:    Id, Name, Aux = raw looper task id
 ///  - Listener: Id, Name, Aux = instrumented flag
@@ -81,9 +82,8 @@ struct LexedLine {
   LineKind Kind = LineKind::Blank;
   OpKind Op = OpKind::TaskBegin;
   uint8_t TaskFlags = 0; ///< Task lines: see TaskFlag* below
+  StrId Name;            ///< a name in the shard interner
   const char *DropMsg = nullptr; ///< Drop lines: static diagnostic text
-  StrId Name;                    ///< decl name in the shard interner
-  std::string Token;             ///< Unknown lines: the directive
   uint32_t Id = 0;
   uint32_t Aux = 0;
   uint32_t Aux2 = 0;
@@ -95,6 +95,10 @@ struct LexedLine {
   uint64_t Arg2 = 0;
   uint64_t Time = 0;
 };
+
+// Every admissible line of a shard is buffered as one of these until the
+// merge consumes it.
+static_assert(sizeof(LexedLine) <= 80, "keep LexedLine small");
 
 inline constexpr uint8_t TaskFlagEvent = 1 << 0;
 inline constexpr uint8_t TaskFlagFront = 1 << 1;

@@ -25,6 +25,7 @@
 #include "support/Ids.h"
 
 #include <cstdint>
+#include <string_view>
 
 namespace cafa {
 
@@ -79,8 +80,9 @@ enum class OpKind : uint8_t {
 /// serialization and diagnostics).
 const char *opKindName(OpKind Kind);
 
-/// Parses \p Name back into an OpKind; returns false on unknown names.
-bool opKindFromName(const char *Name, OpKind &KindOut);
+/// Parses \p Name back into an OpKind; returns false unless \p Name is a
+/// whole mnemonic (a C string converts up to its NUL).
+bool opKindFromName(std::string_view Name, OpKind &KindOut);
 
 /// Number of distinct OpKind values (for stats arrays).
 constexpr unsigned NumOpKinds = static_cast<unsigned>(OpKind::MethodExit) + 1;
