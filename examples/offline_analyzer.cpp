@@ -418,9 +418,10 @@ int main(int argc, char **argv) {
       applyConfirmVerdicts(CSum, Doc);
       std::fprintf(stderr,
                    "confirm: %u confirmed, %u infeasible, %u unconfirmed "
-                   "(%llu replay(s))\n",
+                   "(%llu replay(s), %u fixpoint round(s))\n",
                    CSum.Confirmed, CSum.Infeasible, CSum.Unconfirmed,
-                   static_cast<unsigned long long>(CSum.SchedulesRun));
+                   static_cast<unsigned long long>(CSum.SchedulesRun),
+                   CSum.FixpointRounds);
       for (size_t I = 0; I < CSum.PerRace.size(); ++I)
         std::fprintf(stderr, "confirm #%zu: %s\n", I + 1,
                      CSum.PerRace[I].Detail.c_str());

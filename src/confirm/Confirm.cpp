@@ -102,12 +102,26 @@ ConfirmSummary cafa::confirmRaces(const Scenario &S, const Trace &T,
     return Sum;
   const unsigned Budget = resolveConfirmBound(Options.MaxSchedules);
 
-  // Feasibility is judged against a freshly *saturated* relation: the
-  // report may carry provisional races from a deadline-cut build, and
-  // triaging exactly those into "infeasible" is half the point.
+  // Feasibility is judged against the *saturated* relation: the report
+  // may carry provisional races from a deadline-cut build, and triaging
+  // exactly those into "infeasible" is half the point.  The report's own
+  // relation is resumed, not derived again.  A saturated one runs no
+  // rule and serves only ~2 queries per race, so it gets the chain
+  // oracle: an app trace's saturated cover is a few dozen chains, so the
+  // clocks commit at construction with no closure rows.  Should HbIndex
+  // drop the relation as not fitting T, the fixpoint it runs instead
+  // stays at app-scale speed under the chain oracle; under BFS it would
+  // take minutes to hours.
+  const HbFrontier *Relation = Report.Relation.get();
   TaskIndex Index(T);
   HbOptions HbOpts;
-  HbIndex Hb(T, Index, HbOpts);
+  HbOpts.Threads = Options.Threads;
+  if (Relation && Relation->Saturated)
+    HbOpts.Reach = ReachMode::Chain;
+  HbCheckpointing Resume;
+  Resume.Resume = Relation;
+  HbIndex Hb(T, Index, HbOpts, &Resume);
+  Sum.FixpointRounds = Hb.roundsRun();
 
   TaskPicker Picker(T, S.module());
   AccessDb Db = extractAccesses(T, Index);

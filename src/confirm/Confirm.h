@@ -21,6 +21,10 @@
 ///    happens-before relation (the pair is ordered, or same-task), so no
 ///    legal reordering can produce the crash.  The report row was noise
 ///    -- typically a provisional race from a deadline-cut relation.
+///    The relation is the analysis's own, carried by the report
+///    (RaceReport::Relation) and resumed, not derived again: a saturated
+///    one is used as is, a deadline-cut one is resumed to saturation, and
+///    a report without one gets the relation rebuilt from round zero.
 ///  - *unconfirmed*: the schedule budget ran out without a crash.  The
 ///    race stays a prediction; a human (or a bigger budget) decides.
 ///
@@ -60,9 +64,9 @@ struct ConfirmOptions {
   /// environment variable if set, else 4 (request > env > default,
   /// like every other knob; see resolveConfirmBound).
   unsigned MaxSchedules = 0;
-  /// Worker threads for the per-race replay fan-out.  0 = auto
-  /// (CAFA_ANALYSIS_THREADS, then hardware concurrency).  Any count
-  /// produces byte-identical verdicts.
+  /// Worker threads for the happens-before build and the per-race
+  /// replay fan-out.  0 = auto (CAFA_ANALYSIS_THREADS, then hardware
+  /// concurrency).  Any count produces byte-identical verdicts.
   unsigned Threads = 0;
   /// Base options for the replay runs.  Tracing and stream mirroring
   /// are forced off (replays only need the crash sites); the schedule
@@ -90,6 +94,12 @@ struct ConfirmSummary {
   unsigned Unconfirmed = 0;
   /// Total replay executions across all races.
   uint64_t SchedulesRun = 0;
+  /// Fixpoint rounds confirmation ran itself to saturate the relation:
+  /// 0 when the report carried a saturated relation, the rounds still
+  /// missing when it carried a deadline-cut one, and the whole fixpoint
+  /// when it carried none or one that does not fit the trace.  The same
+  /// at every thread count; verdicts never depend on it.
+  uint32_t FixpointRounds = 0;
 };
 
 /// Resolves the schedule budget: \p Requested unless 0, else the
@@ -104,10 +114,15 @@ unsigned resolveConfirmBound(unsigned Requested);
 /// replay's creation order, which is why the scenario must match.
 ///
 /// The report is treated as untrusted claims: same-task and
-/// happens-before-ordered pairs (checked against a freshly saturated
-/// relation) come back infeasible even though the detector normally
-/// filters them -- that is exactly the triage needed for provisional
-/// races out of deadline-cut partial reports.
+/// happens-before-ordered pairs come back infeasible even though the
+/// detector normally filters them -- that is exactly the triage needed
+/// for provisional races out of deadline-cut partial reports.  Order is
+/// judged against the saturated relation: the report's own when it
+/// carries a saturated one, its cut frontier resumed to saturation for
+/// an "hb-deadline" report, and a relation rebuilt from round zero when
+/// the report carries none or one that does not fit \p T (HbIndex
+/// ignores it).  Every path yields the same relation, so verdicts are
+/// identical; ConfirmSummary::FixpointRounds tells them apart.
 ConfirmSummary confirmRaces(const Scenario &S, const Trace &T,
                             const RaceReport &Report,
                             const ConfirmOptions &Options = ConfirmOptions());

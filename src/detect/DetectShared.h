@@ -102,12 +102,14 @@ inline StaticKey staticKey(const PtrAccess &Use, const PtrAccess &Free) {
   return {Use.Method.value(), Use.Pc, Free.Method.value(), Free.Pc};
 }
 
-/// Starts a scan's report over \p Hb.  A fixpoint cut by its deadline
-/// under-approximates the relation, so extra candidates may survive the
-/// ordering filter: the report is flagged "hb-deadline", naming the
-/// unsaturated rule families, and every race in it is provisional.
+/// Starts a scan's report over \p Hb, carrying its relation.  A
+/// fixpoint cut by its deadline under-approximates the relation, so
+/// extra candidates may survive the ordering filter: the report is
+/// flagged "hb-deadline", naming the unsaturated rule families, and
+/// every race in it is provisional.
 inline RaceReport beginReport(const HbIndex &Hb) {
   RaceReport Report;
+  Report.Relation = Hb.relation();
   if (!Hb.degradation().DeadlineExceeded)
     return Report;
   Report.Partial = true;

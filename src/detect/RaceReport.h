@@ -17,10 +17,13 @@
 
 #include "detect/Accesses.h"
 
+#include <memory>
 #include <string>
 #include <vector>
 
 namespace cafa {
+
+struct HbFrontier;
 
 /// Table 1 true-race categories (assigned by the detector; whether the
 /// race is actually harmful is the evaluation harness's ground truth).
@@ -81,6 +84,12 @@ struct RaceReport {
   /// *provisional*: it may be ordered away once the fixpoint saturates.
   /// Empty when Partial is false or no detail is known.
   std::string PartialDetail;
+  /// The happens-before relation the report was detected against
+  /// (HbIndex::relation()): saturated, or cut short for an "hb-deadline"
+  /// report.  Confirmation resumes it instead of deriving it again.
+  /// Null when the analysis ran another model or with a rule family
+  /// ablated.  Never rendered; copies of a report share it.
+  std::shared_ptr<const HbFrontier> Relation;
 
   size_t numRaces() const { return Races.size(); }
   size_t countCategory(RaceCategory C) const;

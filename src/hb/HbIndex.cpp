@@ -28,6 +28,29 @@ struct SendOp {
   bool AtFront;
 };
 
+/// True when \p F was derived on the base graph \p G built here, whose
+/// base rule counters are \p Base (see HbCheckpointing::Resume).
+bool frontierFits(const HbFrontier &F, const HbRuleStats &Base,
+                  const HbGraph &G) {
+  const HbRuleStats &S = F.Stats;
+  if (S.ProgramOrderEdges != Base.ProgramOrderEdges ||
+      S.ForkJoinEdges != Base.ForkJoinEdges ||
+      S.NotifyWaitEdges != Base.NotifyWaitEdges ||
+      S.ListenerEdges != Base.ListenerEdges ||
+      S.SendEdges != Base.SendEdges ||
+      S.ExternalChainEdges != Base.ExternalChainEdges ||
+      S.IpcEdges != Base.IpcEdges ||
+      S.ConventionalOrderEdges != Base.ConventionalOrderEdges)
+    return false;
+  // Node ids ascend in record order, so From < To is HbGraph::addEdge's
+  // forward-in-trace-order test.
+  return std::all_of(F.DerivedEdges.begin(), F.DerivedEdges.end(),
+                     [&](const HbEdge &E) {
+                       return E.From.isValid() && E.From < E.To &&
+                              E.To.index() < G.numNodes();
+                     });
+}
+
 } // namespace
 
 /// Performs the rule evaluation for one HbIndex.
@@ -761,8 +784,11 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
   // base graph.  Base construction is deterministic, so after the replay
   // the graph matches the checkpointed run's graph edge for edge; the
   // counters are then restored wholesale (their base components are
-  // identical by the same argument).
+  // identical by the same argument).  A frontier that does not fit this
+  // trace is dropped before any edge is replayed.
   const HbFrontier *R = Checkpoint ? Checkpoint->Resume : nullptr;
+  if (R && !frontierFits(*R, Stats, *Graph))
+    R = nullptr;
   if (R) {
     for (const HbEdge &E : R->DerivedEdges)
       Graph->addEdge(E.From, E.To);
@@ -867,6 +893,7 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
         PrintWork();
       }
     }
+    RoundsRun = Stats.FixpointRounds - StartRound;
     if (!Converged) {
       // The cut relation is missing edges from exactly the rule families
       // the fixpoint was still deriving.
@@ -885,11 +912,22 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
   // so re-measure: degradation() reports the kept oracle's final shape.
   Degrade.MeasuredReachBytes = Reach->memoryBytes();
   Degrade.ChainCount = Reach->chainCount();
+
+  // Publish the relation.  The edges move, not copy: a million-event
+  // trace derives about a million of them.
+  if (Options.Model == OrderingModel::Cafa && Options.EnableAtomicityRule &&
+      Options.EnableQueueRules && Options.EnableListenerRule &&
+      Options.EnableExternalInputRule)
+    Relation = std::make_shared<const HbFrontier>(
+        HbFrontier{Converged, Stats, std::move(DerivedEdges),
+                   Degrade.UnsaturatedRules});
 }
 
 HbIndex::~HbIndex() = default;
 
 HbFrontier HbIndex::exportFrontier() const {
+  if (Relation)
+    return *Relation;
   return {Converged, Stats, DerivedEdges, Degrade.UnsaturatedRules};
 }
 

@@ -163,6 +163,10 @@ struct HbRuleStats {
 /// fixpoint of monotone rules and the rounds are deterministic, so the
 /// resumed run converges to the same relation -- and therefore the same
 /// reports -- as an uninterrupted one, under whichever oracle it picks.
+///
+/// The same shape is the relation a finished HbIndex publishes
+/// (HbIndex::relation()) and a race report carries, so confirmation
+/// resumes the analysis's relation instead of deriving it again.
 struct HbFrontier {
   /// The fixpoint converged; a resume can skip rule evaluation entirely.
   bool Saturated = false;
@@ -181,7 +185,12 @@ struct HbFrontier {
 /// tick (EveryMillis of wall time since the build started) and always
 /// when the deadline rung cuts the fixpoint; Resume, when set, seeds
 /// construction from a previously saved frontier instead of starting
-/// the fixpoint from round zero.
+/// the fixpoint from round zero.  A Resume frontier that does not fit
+/// the trace is ignored, and the fixpoint starts from round zero: its
+/// base rule counters must equal those of the trace's own base graph,
+/// and every derived edge must be one that graph accepts (inside it,
+/// forward in trace order).  A frontier from another trace is thus
+/// never replayed, and never indexes out of range.
 struct HbCheckpointing {
   double EveryMillis = 0;
   std::function<void(const HbFrontier &)> Save;
@@ -224,6 +233,19 @@ public:
   /// Freezes the current state as a resumable frontier (see HbFrontier).
   HbFrontier exportFrontier() const;
 
+  /// The finished relation as a shared frontier, equal to
+  /// exportFrontier() and published once at the end of construction,
+  /// for race reports to carry (RaceReport::Relation).  Null unless the
+  /// index was built under OrderingModel::Cafa with all four rule
+  /// toggles on: any other relation is not the one confirmation judges
+  /// claims against, and its base graph may differ.
+  std::shared_ptr<const HbFrontier> relation() const { return Relation; }
+
+  /// Fixpoint rounds this construction ran itself: ruleStats()'s
+  /// FixpointRounds less those of an accepted Resume frontier, so 0 when
+  /// it resumed a saturated one.
+  uint32_t roundsRun() const { return RoundsRun; }
+
   /// Swaps the reachability oracle for the BFS floor, releasing its
   /// precomputed state (closure rows or chain clocks).  For callers
   /// that are done with bulk ordering queries -- the windowed detector
@@ -259,8 +281,11 @@ private:
   HbRuleStats Stats;
   HbDegradation Degrade;
   /// Every derived edge inserted so far, in insertion order (the
-  /// frontier's edges; exportFrontier() adds the live counters).
+  /// frontier's edges; exportFrontier() adds the live counters).  Moved
+  /// into Relation when construction publishes one.
   std::vector<HbEdge> DerivedEdges;
+  std::shared_ptr<const HbFrontier> Relation;
+  uint32_t RoundsRun = 0;
   bool Converged = false;
 };
 

@@ -10,7 +10,9 @@
 // synthesized free-before-use schedule; claims that violate program
 // order or happens-before come back infeasible without running a single
 // replay; the schedule budget resolves request > environment > default;
-// and the whole summary is byte-identical at every worker-thread count.
+// the whole summary is byte-identical at every worker-thread count; and
+// it is byte-identical whether confirmation resumed the report's own
+// happens-before relation or rebuilt it (FixpointRounds tells which).
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,8 +27,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 using namespace cafa;
 using namespace cafa::apps;
@@ -110,6 +114,8 @@ TEST(ConfirmTest, ConfirmsSeededIntraThreadRace) {
 TEST(ConfirmTest, SameTaskClaimIsInfeasibleWithoutReplay) {
   RacyFixture F = makeRacyFixture();
   ASSERT_EQ(F.R.Report.Races.size(), 1u);
+  ASSERT_TRUE(F.R.Report.Relation && F.R.Report.Relation->Saturated)
+      << "the forged copy must carry the analysis's saturated relation";
 
   // Forge a claim the detector would normally filter: use and free in
   // one task.  Confirmation treats the report as untrusted and must
@@ -130,6 +136,8 @@ TEST(ConfirmTest, SameTaskClaimIsInfeasibleWithoutReplay) {
 TEST(ConfirmTest, HbOrderedClaimIsInfeasibleWithoutReplay) {
   RacyFixture F = makeRacyFixture();
   ASSERT_EQ(F.R.Report.Races.size(), 1u);
+  ASSERT_TRUE(F.R.Report.Relation && F.R.Report.Relation->Saturated)
+      << "the forged copy must carry the analysis's saturated relation";
 
   // Find a cross-task happens-before-ordered record pair (a parent's
   // record and a record of a task it transitively caused) and forge a
@@ -191,6 +199,156 @@ TEST(ConfirmTest, VerdictsByteIdenticalAcrossThreadCounts) {
   std::string B = serializeSummary(confirmRaces(Model.S, T, R.Report, Four));
   EXPECT_EQ(A, B);
   EXPECT_NE(A.find("confirmed: crash at "), std::string::npos) << A;
+}
+
+/// One committed app model, recorded and analyzed with \p Opt.
+RacyFixture analyzeApp(const std::string &Name,
+                       const DetectorOptions &Opt = DetectorOptions()) {
+  RacyFixture F;
+  F.Model = buildApp(Name);
+  F.T = runScenario(F.Model.S, RuntimeOptions());
+  F.R = analyzeTrace(F.T, Opt);
+  return F;
+}
+
+/// \p Report with its relation replaced by \p Relation.
+RaceReport withRelation(const RaceReport &Report,
+                        std::shared_ptr<const HbFrontier> Relation) {
+  RaceReport Out = Report;
+  Out.Relation = std::move(Relation);
+  return Out;
+}
+
+class ConfirmAppTest : public testing::TestWithParam<std::string> {};
+
+TEST_P(ConfirmAppTest, ResumedRelationConfirmsLikeARebuiltOne) {
+  // The analysis's saturated relation is resumed with no fixpoint round;
+  // without it confirmation rebuilds the relation from round zero.  The
+  // verdicts and evidence must not tell the two apart.
+  RacyFixture F = analyzeApp(GetParam());
+  ASSERT_TRUE(F.R.Report.Relation && F.R.Report.Relation->Saturated);
+  RaceReport Bare = withRelation(F.R.Report, nullptr);
+
+  std::string Want;
+  for (unsigned Threads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << Threads << " thread(s)");
+    ConfirmOptions Opt;
+    Opt.Threads = Threads;
+    ConfirmSummary Resumed = confirmRaces(F.Model.S, F.T, F.R.Report, Opt);
+    ConfirmSummary Rebuilt = confirmRaces(F.Model.S, F.T, Bare, Opt);
+    EXPECT_EQ(Resumed.FixpointRounds, 0u);
+    EXPECT_GT(Rebuilt.FixpointRounds, 0u);
+    EXPECT_EQ(Rebuilt.FixpointRounds, F.R.HbStats.FixpointRounds);
+    if (Want.empty())
+      Want = serializeSummary(Rebuilt);
+    EXPECT_EQ(serializeSummary(Rebuilt), Want);
+    EXPECT_EQ(serializeSummary(Resumed), Want);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllApps, ConfirmAppTest,
+                         testing::ValuesIn(appNames()),
+                         [](const testing::TestParamInfo<std::string> &I) {
+                           return I.param;
+                         });
+
+TEST(ConfirmTest, CutRelationIsResumedToSaturation) {
+  // Two cut relations: the deadline rung's, before round zero (an
+  // "hb-deadline" report, as in DegradationTest), and a one-round cap's,
+  // which leaves derived edges to resume from.  Either is resumed to
+  // saturation, running only the rounds it still lacks, and confirms
+  // exactly as a rebuilt relation does -- including the provisional
+  // races the deadline let through, which come back infeasible.
+  struct Case {
+    const char *Name;
+    DetectorOptions Opt;
+    bool Provisional;
+  };
+  Case Cases[] = {{"deadline", {}, true}, {"one round", {}, false}};
+  Cases[0].Opt.DeadlineMillis = 1e-6;
+  Cases[1].Opt.Hb.MaxFixpointRounds = 1;
+  const uint32_t FullRounds = analyzeApp("todolist").R.HbStats.FixpointRounds;
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    RacyFixture F = analyzeApp("todolist", C.Opt);
+    ASSERT_EQ(F.R.Report.racesProvisional(), C.Provisional);
+    const std::shared_ptr<const HbFrontier> &Cut = F.R.Report.Relation;
+    ASSERT_TRUE(Cut);
+    ASSERT_FALSE(Cut->Saturated);
+    ASSERT_LT(Cut->Stats.FixpointRounds, FullRounds);
+
+    ConfirmSummary Resumed = confirmRaces(F.Model.S, F.T, F.R.Report);
+    ConfirmSummary Rebuilt =
+        confirmRaces(F.Model.S, F.T, withRelation(F.R.Report, nullptr));
+    EXPECT_EQ(serializeSummary(Resumed), serializeSummary(Rebuilt));
+    if (C.Provisional) {
+      EXPECT_GT(Resumed.Infeasible, 0u) << serializeSummary(Resumed);
+    }
+    EXPECT_EQ(Rebuilt.FixpointRounds, FullRounds);
+    EXPECT_EQ(Resumed.FixpointRounds,
+              FullRounds - Cut->Stats.FixpointRounds);
+  }
+}
+
+TEST(ConfirmTest, AblatedOrConventionalReportsCarryNoRelation) {
+  // Only the full CAFA relation is the one confirmation judges claims
+  // against; any other model's relation stays off the report, and
+  // confirmation rebuilds the full one.
+  std::vector<DetectorOptions> Variants(5);
+  Variants[0].Hb.EnableQueueRules = false;
+  Variants[1].Hb.EnableAtomicityRule = false;
+  Variants[2].Hb.EnableListenerRule = false;
+  Variants[3].Hb.EnableExternalInputRule = false;
+  Variants[4].Hb.Model = OrderingModel::Conventional;
+  RacyFixture Full = makeRacyFixture();
+  for (size_t I = 0; I != Variants.size(); ++I) {
+    SCOPED_TRACE(testing::Message() << "variant " << I);
+    AnalysisResult R = analyzeTrace(Full.T, Variants[I]);
+    EXPECT_FALSE(R.Report.Relation);
+    // The conventional model orders the fixture's one intra-looper race
+    // away, leaving nothing to confirm.
+    if (R.Report.Races.empty())
+      continue;
+    ConfirmSummary Sum = confirmRaces(Full.Model.S, Full.T, R.Report);
+    EXPECT_EQ(Sum.FixpointRounds, Full.R.HbStats.FixpointRounds);
+  }
+}
+
+TEST(ConfirmTest, RelationThatDoesNotFitTheTraceIsIgnored) {
+  // A report paired with another app's relation, or with one holding an
+  // edge outside the trace's graph or against its order: the relation
+  // is ignored -- no crash, no edge replayed -- and confirmation rebuilds
+  // the trace's own, verdict for verdict.
+  RacyFixture A = analyzeApp("connectbot");
+  RacyFixture B = analyzeApp("vlc");
+  ASSERT_TRUE(A.R.Report.Relation && B.R.Report.Relation);
+
+  auto WithEdge = [&](HbEdge Extra) {
+    auto Bad = std::make_shared<HbFrontier>(*A.R.Report.Relation);
+    Bad->DerivedEdges.push_back(Extra);
+    return std::shared_ptr<const HbFrontier>(std::move(Bad));
+  };
+  struct Case {
+    const char *Name;
+    RacyFixture &App;
+    std::shared_ptr<const HbFrontier> Relation;
+  };
+  Case Cases[] = {
+      {"vlc relation on connectbot", A, B.R.Report.Relation},
+      {"connectbot relation on vlc", B, A.R.Report.Relation},
+      {"edge past the graph", A, WithEdge({NodeId(0), NodeId(0x7FFFFFFFu)})},
+      {"edge against trace order", A, WithEdge({NodeId(5), NodeId(1)})},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    ConfirmSummary Want = confirmRaces(
+        C.App.Model.S, C.App.T, withRelation(C.App.R.Report, nullptr));
+    ConfirmSummary Got = confirmRaces(
+        C.App.Model.S, C.App.T, withRelation(C.App.R.Report, C.Relation));
+    EXPECT_EQ(serializeSummary(Got), serializeSummary(Want));
+    EXPECT_EQ(Got.FixpointRounds, Want.FixpointRounds);
+    EXPECT_GT(Got.FixpointRounds, 0u);
+  }
 }
 
 TEST(ConfirmTest, AppliesVerdictsToDocumentAndJson) {
