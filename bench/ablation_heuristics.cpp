@@ -36,7 +36,6 @@ int main() {
       Opt.IfGuardFilter = IfGuard;
       Opt.IntraEventAllocFilter = IntraAlloc;
       Opt.LocksetFilter = Lockset;
-      Opt.Classify = false; // classification does not affect the count
       return detectUseFreeRaces(T, Index, Db, Hb, Opt).Races.size();
     };
 

@@ -37,7 +37,6 @@ int main() {
     auto count = [&](HbOptions HbOpt) {
       HbIndex Hb(T, Index, HbOpt);
       DetectorOptions Opt;
-      Opt.Classify = false;
       return detectUseFreeRaces(T, Index, Db, Hb, Opt).Races.size();
     };
 

@@ -62,7 +62,6 @@ void analyzeWith(benchmark::State &State, ReachMode Mode) {
     HbOpt.Reach = Mode;
     HbIndex Hb(T, Index, HbOpt);
     DetectorOptions Opt;
-    Opt.Classify = false;
     RaceReport Report = detectUseFreeRaces(T, Index, Db, Hb, Opt);
     benchmark::DoNotOptimize(Report.Races.size());
     HbMem = Hb.memoryBytes();

@@ -36,7 +36,7 @@ int main(int argc, char **argv) {
     HbIndex Hb(T, Index, HbOptions());
 
     NaiveRaceResult Naive =
-        detectLowLevelRaces(T, Index, Hb, NaiveDetectorOptions());
+        detectLowLevelRaces(T, Hb, NaiveDetectorOptions());
     AccessDb Db = extractAccesses(T, Index);
     RaceReport Report =
         detectUseFreeRaces(T, Index, Db, Hb, DetectorOptions());

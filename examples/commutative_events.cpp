@@ -48,7 +48,7 @@ int main() {
   AccessDb Db = extractAccesses(T, Index);
 
   NaiveRaceResult Naive =
-      detectLowLevelRaces(T, Index, Hb, NaiveDetectorOptions());
+      detectLowLevelRaces(T, Hb, NaiveDetectorOptions());
   std::printf("naive low-level detector:   %llu races "
               "(commutative conflicts included)\n",
               static_cast<unsigned long long>(Naive.StaticRaces));

@@ -16,6 +16,9 @@
 //   $ ./offline_analyzer analyze /tmp/big.trace --window=65536
 //   $ ./offline_analyzer dot /tmp/zxing.trace            # Graphviz digest
 //
+// Both analyze and dot read a trace the same way: the salvage lexer, the
+// grammar's only reader, then validateTrace.
+//
 // --reach selects the happens-before reachability oracle (incremental /
 // chain / bfs; see the mode decision table in docs/hb-reachability.md
 // for when to pick which).  Unset, the choice also honors the
@@ -25,9 +28,10 @@
 // report.  Unset, CAFA_WINDOW decides; --window=off pins the batch scan
 // even under memory pressure.  The stats block (stderr) reports the
 // process peak RSS and the window overlay's high-water mark.
-// Damaged dumps are salvaged by default (--strict insists on a pristine
-// file); --mem-limit=<bytes> and --deadline=<ms> engage the graceful-
-// degradation ladder (docs/robustness.md).
+// Damaged dumps are salvaged (--strict insists on a pristine file: any
+// line salvage would drop or repair is an error); --mem-limit=<bytes>
+// and --deadline=<ms> engage the graceful-degradation ladder
+// (docs/robustness.md).
 //
 // Ingestion is sharded across --ingest-threads=<n> worker threads
 // (default: hardware concurrency; the CAFA_INGEST_THREADS environment
@@ -55,6 +59,7 @@
 //   4  clean analysis resumed from a checkpoint and completed (races
 //      or not -- the report says; distinguishes "finished the
 //      interrupted job" for orchestrating scripts)
+// dot exits 0, 2 or 3 by the same rules: clean, unreadable, salvaged.
 // The full contract is pinned by tests/integration/ExitCodesTest and
 // documented in docs/robustness.md §6; the fleet supervisor's retry
 // policy (docs/fleet.md) keys off exactly these codes.
@@ -92,7 +97,7 @@ static int usage(const char *Prog) {
   std::fprintf(stderr,
                "usage:\n"
                "  %s record <app> <trace-file>      collect a trace\n"
-               "  %s analyze <trace-file> [--json] [--strict|--salvage]\n"
+               "  %s analyze <trace-file> [--json] [--strict]\n"
                "     [--ingest-threads=<n>] [--analysis-threads=<n>]\n"
                "     [--reach=incremental|chain|bfs]\n"
                "     [--window=<records>|--window=off]\n"
@@ -104,6 +109,8 @@ static int usage(const char *Prog) {
                "      --chaos-alloc-mb=<n>]  fault hooks for the fleet\n"
                "                             chaos suite (docs/fleet.md)\n"
                "  %s dot <trace-file>               task-order Graphviz\n"
+               "     (reads as analyze does; exits 0 clean, 2 unreadable,\n"
+               "      3 salvaged)\n"
                "exit codes: 0 no races, 1 races, 2 unreadable input,\n"
                "            3 degraded/partial analysis,\n"
                "            4 resumed from checkpoint and completed\n"
@@ -113,6 +120,28 @@ static int usage(const char *Prog) {
     std::fprintf(stderr, " %s", Name.c_str());
   std::fprintf(stderr, "\n");
   return 2;
+}
+
+/// The reading contract analyze and dot share.  An ingest failure, or a
+/// trace validateTrace rejects (unsent events allowed: salvage admits
+/// them), is unreadable input; a salvaged trace's ingest summary goes to
+/// stderr.  Returns false after saying why the trace is unreadable.
+static bool acceptIngested(const Status &IngestStatus,
+                           const IngestReport &Ingested, const Trace &T) {
+  if (!IngestStatus.ok()) {
+    std::fprintf(stderr, "error: %s\n%s", IngestStatus.message().c_str(),
+                 Ingested.summary().c_str());
+    return false;
+  }
+  if (!Ingested.clean())
+    std::fprintf(stderr, "%s", Ingested.summary().c_str());
+  ValidateOptions VOpt;
+  VOpt.AllowUnsentEvents = true;
+  if (Status S = validateTrace(T, VOpt); !S.ok()) {
+    std::fprintf(stderr, "invalid trace: %s\n", S.message().c_str());
+    return false;
+  }
+  return true;
 }
 
 int main(int argc, char **argv) {
@@ -151,8 +180,6 @@ int main(int argc, char **argv) {
         Json = true;
       } else if (std::strcmp(argv[I], "--strict") == 0) {
         Ingest.Salvage.Strict = true;
-      } else if (std::strcmp(argv[I], "--salvage") == 0) {
-        Ingest.Salvage.Strict = false; // the default; kept for scripts
       } else if (std::strncmp(argv[I], "--ingest-threads=", 17) == 0) {
         char *End = nullptr;
         unsigned long N = std::strtoul(argv[I] + 17, &End, 10);
@@ -274,19 +301,8 @@ int main(int argc, char **argv) {
                      "re-ingesting from the start\n",
                      IRes.RejectReason.c_str());
     }
-    if (!IngestStatus.ok()) {
-      std::fprintf(stderr, "error: %s\n%s", IngestStatus.message().c_str(),
-                   Ingested.summary().c_str());
+    if (!acceptIngested(IngestStatus, Ingested, T))
       return 2;
-    }
-    if (!Ingested.clean())
-      std::fprintf(stderr, "%s", Ingested.summary().c_str());
-    ValidateOptions VOpt;
-    VOpt.AllowUnsentEvents = true;
-    if (Status S = validateTrace(T, VOpt); !S.ok()) {
-      std::fprintf(stderr, "invalid trace: %s\n", S.message().c_str());
-      return 2;
-    }
 
     // Chaos hooks (fleet chaos suite; see the file header).  The hang
     // and allocation land *before* analyzeTrace so --deadline cannot
@@ -437,14 +453,13 @@ int main(int argc, char **argv) {
 
   if (argc >= 3 && std::strcmp(argv[1], "dot") == 0) {
     Trace T;
-    if (Status S = readTraceFile(argv[2], T); !S.ok()) {
-      std::fprintf(stderr, "error: %s\n", S.message().c_str());
+    IngestReport Ingested;
+    if (!acceptIngested(ingestTraceFile(argv[2], T, Ingested), Ingested, T))
       return 2;
-    }
     TaskIndex Index(T);
     HbIndex Hb(T, Index, HbOptions());
     std::printf("%s", exportTaskOrderDot(Hb, T).c_str());
-    return 0;
+    return Ingested.clean() ? 0 : 3;
   }
 
   return usage(argv[0]);

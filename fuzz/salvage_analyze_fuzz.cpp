@@ -10,9 +10,13 @@
 // is then re-serialized, damaged once more by the deterministic
 // FaultInjector (the mutation family and seed are derived from the
 // input, so every crash is replayable), and pushed through the pipeline
-// again.  The property under test is the robustness contract from
-// docs/robustness.md: no byte stream may crash, hang, or trip
-// ASan/UBSan anywhere in salvage -> validate -> analyze.
+// again.  The properties under test are the robustness contract from
+// docs/robustness.md -- no byte stream may crash, hang, or trip
+// ASan/UBSan anywhere in salvage -> validate -> analyze -- and the
+// byte-identity contract: every complete report renders the same JSON,
+// with the same rule-engine counters, under the batch and the windowed
+// scan, under each reachability oracle, and at 1 and 2 analysis
+// threads.  A divergence prints both renders and aborts.
 //
 // Two build modes (see fuzz/CMakeLists.txt):
 //   - default: a standalone driver; run it over corpus files/directories
@@ -24,14 +28,19 @@
 //===----------------------------------------------------------------------===//
 
 #include "cafa/Cafa.h"
+#include "cafa/ReportJson.h"
+#include "support/Format.h"
 #include "trace/FaultInjector.h"
 #include "trace/IngestSession.h"
 #include "trace/TraceIO.h"
 #include "trace/Validate.h"
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 using namespace cafa;
 
@@ -46,8 +55,55 @@ uint64_t fnv1a(const uint8_t *Data, size_t Size) {
   return H;
 }
 
-/// Salvage -> validate -> analyze one candidate stream.  Returns false
-/// when salvage rejected the stream outright (over error budget).
+/// Salvaged streams whose renders were compared, and those skipped
+/// because a deadline left some report partial (a cut report depends on
+/// timing, so it has no byte-identity contract).
+int Compared = 0;
+int Skipped = 0;
+
+/// One analysis configuration of the differential: each differs from
+/// the first in exactly one axis.
+struct Leg {
+  const char *Name;
+  uint64_t Window;
+  ReachMode Reach;
+  unsigned Threads;
+};
+
+const Leg Legs[] = {
+    {"batch/incremental/1 thread", DetectorOptions::WindowOff,
+     ReachMode::Incremental, 1},
+    {"window 16", 16, ReachMode::Incremental, 1},
+    {"reach chain", DetectorOptions::WindowOff, ReachMode::Chain, 1},
+    {"reach bfs", DetectorOptions::WindowOff, ReachMode::Bfs, 1},
+    {"2 analysis threads", DetectorOptions::WindowOff,
+     ReachMode::Incremental, 2},
+};
+
+/// The BFS oracle's fixpoint is far slower than the others' (minutes on
+/// a 3k-event app), so its leg runs only on traces up to this size.
+constexpr size_t BfsMaxRecords = 4096;
+
+/// What every leg must agree on: the JSON report and the rule engine's
+/// counters.  The counters see what the report cannot: an oracle that
+/// loses an addEdges batch has the next round re-derive it, which heals
+/// the relation and the report but costs a round and duplicate edges.
+std::string render(const AnalysisResult &R, const Trace &T) {
+  const HbRuleStats &S = R.HbStats;
+  return renderRaceReportJson(R.Report, T) +
+         formatString("rounds %u, derived atomicity %llu, queue %llu %llu "
+                      "%llu %llu\n",
+                      S.FixpointRounds,
+                      static_cast<unsigned long long>(S.AtomicityEdges),
+                      static_cast<unsigned long long>(S.QueueRule1Edges),
+                      static_cast<unsigned long long>(S.QueueRule2Edges),
+                      static_cast<unsigned long long>(S.QueueRule3Edges),
+                      static_cast<unsigned long long>(S.QueueRule4Edges));
+}
+
+/// Salvage -> validate -> analyze one candidate stream under every leg,
+/// then compare the renders.  Returns false when salvage rejected the
+/// stream outright (over error budget).
 bool pipelineOnce(const std::string &Text) {
   Trace T;
   IngestReport Ingest;
@@ -68,26 +124,39 @@ bool pipelineOnce(const std::string &Text) {
   if (!validateTrace(T, VOpt).ok())
     return false;
 
-  // Keep per-input cost bounded: classification off, a round cap for
-  // pathological queue structures, and a generous deadline backstop so
-  // a quadratic corner becomes a partial report instead of a hang.
-  // Two analysis threads put the parallel rule-engine / detector paths
-  // (and their sequential-fallback commit logic) under fuzz as well.
-  DetectorOptions Opt;
-  Opt.Classify = false;
-  Opt.Hb.MaxFixpointRounds = 8;
-  Opt.Hb.Threads = 2;
-  Opt.DeadlineMillis = 50;
-  AnalysisResult R = analyzeTrace(T, Opt);
-  (void)R;
-
-  // Same trace through the windowed streaming scan at a deliberately
-  // tiny sweep cadence: salvaged traces are exactly the hostile shapes
-  // (quiet tasks, dangling events, mid-record damage) where the
-  // per-task retirement horizons and push pruning earn their keep.
-  Opt.WindowEvents = 16;
-  AnalysisResult W = analyzeTrace(T, Opt);
-  (void)W;
+  // Keep per-input cost bounded: a round cap for pathological queue
+  // structures, and a deadline backstop so a quadratic corner becomes a
+  // partial report instead of a hang.  The window leg's tiny sweep
+  // cadence and the two-thread leg put the streaming retirement horizons
+  // and the parallel rule-engine / detector paths under fuzz on exactly
+  // the hostile shapes salvage produces (quiet tasks, dangling events,
+  // mid-record damage).
+  std::vector<std::string> Renders;
+  for (const Leg &L : Legs) {
+    if (L.Reach == ReachMode::Bfs && T.numRecords() > BfsMaxRecords)
+      continue;
+    DetectorOptions Opt;
+    Opt.Hb.MaxFixpointRounds = 8;
+    Opt.DeadlineMillis = 50;
+    Opt.WindowEvents = L.Window;
+    Opt.Hb.Reach = L.Reach;
+    Opt.Hb.Threads = L.Threads;
+    AnalysisResult R = analyzeTrace(T, Opt);
+    if (R.Report.Partial) {
+      ++Skipped;
+      return true;
+    }
+    Renders.push_back(render(R, T));
+    if (Renders.back() != Renders.front()) {
+      std::fprintf(stderr,
+                   "divergence: '%s' renders differently from '%s'\n"
+                   "--- %s ---\n%s\n--- %s ---\n%s\n",
+                   L.Name, Legs[0].Name, Legs[0].Name,
+                   Renders.front().c_str(), L.Name, Renders.back().c_str());
+      std::abort();
+    }
+  }
+  ++Compared;
   return true;
 }
 
@@ -125,11 +194,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
 #else // standalone driver
 
 #include <algorithm>
-#include <cstdio>
 #include <dirent.h>
 #include <fstream>
 #include <sys/stat.h>
-#include <vector>
 
 namespace {
 
@@ -204,6 +271,10 @@ int main(int argc, char **argv) {
       runPath(argv[I]);
   }
   std::fprintf(stderr, "executed %d input(s)\n", Executed);
+  std::fprintf(stderr,
+               "differential: compared %d salvaged stream(s), skipped %d "
+               "with a partial report\n",
+               Compared, Skipped);
   return Executed > 0 ? 0 : 1;
 }
 

@@ -222,7 +222,6 @@ uint64_t cafa::detectorOptionsDigest(const DetectorOptions &Options,
   H = fnv1a64Mix(H, Options.IfGuardFilter);
   H = fnv1a64Mix(H, Options.IntraEventAllocFilter);
   H = fnv1a64Mix(H, Options.LocksetFilter);
-  H = fnv1a64Mix(H, Options.Classify);
   H = fnv1a64Mix(H, HasResolver);
   return H;
 }

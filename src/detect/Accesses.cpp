@@ -210,7 +210,6 @@ StreamExtractCounts cafa::streamAccesses(const Trace &T,
 
 AccessDb cafa::extractAccesses(const Trace &T, const TaskIndex &Index,
                                const DerefResolver *Resolver) {
-  (void)Index;
   AccessDb Db;
   DbSink Sink(Db);
   StreamExtractCounts Counts = streamAccesses(T, Resolver, Sink);

@@ -55,7 +55,6 @@ bool locksetsIntersect(const std::vector<uint32_t> &A,
 } // namespace
 
 NaiveRaceResult cafa::detectLowLevelRaces(const Trace &T,
-                                          const TaskIndex &Index,
                                           const HbIndex &Hb,
                                           const NaiveDetectorOptions &Opt) {
   NaiveRaceResult Result;

@@ -45,8 +45,7 @@ struct NaiveDetectorOptions {
 };
 
 /// Counts low-level races in \p T under the causality model \p Hb.
-NaiveRaceResult detectLowLevelRaces(const Trace &T, const TaskIndex &Index,
-                                    const HbIndex &Hb,
+NaiveRaceResult detectLowLevelRaces(const Trace &T, const HbIndex &Hb,
                                     const NaiveDetectorOptions &Options);
 
 } // namespace cafa

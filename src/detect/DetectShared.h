@@ -341,15 +341,13 @@ private:
 /// Table 1's (b)/(c) split, run once after the scan over every
 /// committed cross-looper race: (c) when a conventional thread-based
 /// order leaves it unordered too, (b) otherwise.  Skipped (all (b))
-/// when Options.Classify is off or \p Hb is a deadline-cut fixpoint --
-/// the split is a refinement, not a soundness requirement, and a run
-/// already past its budget spends nothing more on it.  Each race is one
-/// ConventionalOrder search over \p Hb's own graph in each direction,
-/// set up the first time a race crosses loopers.
-inline void classifyRaces(const HbIndex &Hb, const DetectorOptions &Options,
-                          RaceReport &Report) {
-  const bool Enabled =
-      Options.Classify && !Hb.degradation().DeadlineExceeded;
+/// when \p Hb is a deadline-cut fixpoint -- the split is a refinement,
+/// not a soundness requirement, and a run already past its budget
+/// spends nothing more on it.  Each race is one ConventionalOrder search
+/// over \p Hb's own graph in each direction, set up the first time a
+/// race crosses loopers.
+inline void classifyRaces(const HbIndex &Hb, RaceReport &Report) {
+  const bool Enabled = !Hb.degradation().DeadlineExceeded;
   std::optional<ConventionalOrder> Conv;
   for (UseFreeRace &Race : Report.Races) {
     if (Race.Category == RaceCategory::IntraThread)

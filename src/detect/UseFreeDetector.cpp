@@ -321,7 +321,7 @@ RaceReport cafa::detectUseFreeRaces(const Trace &T, const TaskIndex &Index,
     }
   }
   Ladder.finish();
-  classifyRaces(Hb, Options, Report);
+  classifyRaces(Hb, Report);
   return Report;
 }
 

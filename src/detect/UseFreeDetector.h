@@ -35,11 +35,6 @@ struct DetectorOptions {
   bool IntraEventAllocFilter = true;
   /// Suppress pairs protected by a common lock.
   bool LocksetFilter = true;
-  /// Split non-(a) races into (b)/(c) by asking the conventional model
-  /// about each one: after the scan, one search per race over the
-  /// happens-before graph the analysis already built (ConventionalOrder).
-  /// Off leaves every cross-looper race (b).
-  bool Classify = true;
   /// Graceful degradation: when positive, a wall-clock budget in
   /// milliseconds for the candidate-pair scan, measured from detector
   /// entry.  The deadline is a two-rung ladder (docs/robustness.md):
@@ -179,8 +174,7 @@ struct WindowedDetectStats {
 /// retirement sweep cadence -- while never holding the full access
 /// tables or a full reachability closure resident.  \p WindowEvents
 /// must be a concrete cadence (not 0/WindowOff; callers resolve
-/// first).  \p Index is only consulted for the conventional-model
-/// classification pass.
+/// first).
 RaceReport detectUseFreeRacesWindowed(
     const Trace &T, const TaskIndex &Index, const HbIndex &Hb,
     const DetectorOptions &Options, uint64_t WindowEvents,

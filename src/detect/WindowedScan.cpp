@@ -648,7 +648,7 @@ RaceReport cafa::detectUseFreeRacesWindowed(
       Race->Free = M.Free;
     }
   }
-  classifyRaces(Hb, Options, Report);
+  classifyRaces(Hb, Report);
 
   if (Stats) {
     Stats->WindowEvents = WindowEvents;

@@ -40,7 +40,7 @@ bool ConventionalOrder::happensBefore(uint32_t A, uint32_t B) const {
     return false;
   const Trace &T = G.trace();
   if (T.record(A).Task == T.record(B).Task)
-    return G.taskIndex().localIndexOf(A) < G.taskIndex().localIndexOf(B);
+    return A < B; // a task's records ascend in record order
   NodeId P = G.firstNodeAtOrAfter(A);
   NodeId Q = G.lastNodeAtOrBefore(B);
   return P.isValid() && Q.isValid() && reaches(P, Q);

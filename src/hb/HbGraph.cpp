@@ -32,8 +32,8 @@ bool cafa::isRelevantOp(OpKind Kind) {
   }
 }
 
-HbGraph::HbGraph(const Trace &T, const TaskIndex &Index)
-    : T(T), Index(Index), RecordNodes(T.numRecords(), 0xFFFFFFFFu),
+HbGraph::HbGraph(const Trace &T)
+    : T(T), RecordNodes(T.numRecords(), 0xFFFFFFFFu),
       PerTaskNodes(T.numTasks()), BeginNodes(T.numTasks()),
       EndNodes(T.numTasks()) {
   for (uint32_t I = 0, E = static_cast<uint32_t>(T.numRecords()); I != E;

@@ -42,7 +42,7 @@ bool isRelevantOp(OpKind Kind);
 /// reachability live in separate classes.
 class HbGraph {
 public:
-  HbGraph(const Trace &T, const TaskIndex &Index);
+  explicit HbGraph(const Trace &T);
 
   size_t numNodes() const { return NodeRecords.size(); }
   size_t numEdges() const { return EdgeCount; }
@@ -95,11 +95,9 @@ public:
   }
 
   const Trace &trace() const { return T; }
-  const TaskIndex &taskIndex() const { return Index; }
 
 private:
   const Trace &T;
-  const TaskIndex &Index;
   /// Node -> record index (ascending; node ids are in record order).
   std::vector<uint32_t> NodeRecords;
   /// Record index -> node id or 0xFFFFFFFF.

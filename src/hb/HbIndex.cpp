@@ -756,7 +756,7 @@ struct HbIndex::Builder {
 
 HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
                  const HbOptions &Options, const HbCheckpointing *Checkpoint)
-    : T(T), Index(Index) {
+    : T(T) {
   bool Profile = std::getenv("CAFA_HB_PROFILE") != nullptr;
   auto Now = [] { return std::chrono::steady_clock::now(); };
   auto Ms = [](auto A, auto B) {
@@ -766,7 +766,7 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
   // The clock starts before the graph is built: the profile's graph+base
   // span, the deadline and the checkpoint cadence all count it.
   auto TGraph = Now();
-  Graph = std::make_unique<HbGraph>(T, Index);
+  Graph = std::make_unique<HbGraph>(T);
   // Parallel analysis mode: Threads-1 helpers (the constructing thread
   // participates in every parallelFor), shared by the oracle's
   // column-strip sweeps and the rule engine's passes.  Thread
@@ -937,7 +937,7 @@ bool HbIndex::happensBefore(uint32_t A, uint32_t B) const {
   const TraceRecord &RecA = T.record(A);
   const TraceRecord &RecB = T.record(B);
   if (RecA.Task == RecB.Task)
-    return Index.localIndexOf(A) < Index.localIndexOf(B);
+    return A < B; // a task's records ascend in record order
   NodeId P = Graph->firstNodeAtOrAfter(A);
   NodeId Q = Graph->lastNodeAtOrBefore(B);
   if (!P.isValid() || !Q.isValid())

@@ -270,7 +270,6 @@ private:
   struct Builder;
 
   const Trace &T;
-  const TaskIndex &Index;
   std::unique_ptr<HbGraph> Graph;
   /// Worker pool for the parallel analysis mode (HbOptions::Threads):
   /// shared by the oracle's column-strip sweeps and the rule engine's

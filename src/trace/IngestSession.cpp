@@ -20,8 +20,8 @@
 // later run can verify by re-hashing, then skip.
 //
 // Ingest snapshot layout (magic "CAFAING1", via support/Snapshot framing):
-//   u64 options digest   (semantic salvage options + mode; thread count
-//                         and shard size deliberately excluded -- they
+//   u64 options digest   (semantic salvage options; thread count and
+//                         shard size deliberately excluded -- they
 //                         cannot change the output)
 //   u64 prefix bytes     (input bytes fully merged at snapshot time)
 //   u64 prefix FNV-1a    (hash of exactly those bytes)
@@ -113,12 +113,6 @@ struct IngestSession::Impl {
   bool AnyInput = false;
   char LastByte = '\n';
 
-  // Parse mode hands the whole input to the strict parser at finish();
-  // a single mapped file stays a borrowed view (ParseView), any other
-  // input shape is accumulated in ParseBuffer.
-  std::string ParseBuffer;
-  std::string_view ParseView;
-
   // Bytes fed but not yet cut into a shard.  The mmap path bypasses
   // this entirely for full shards and only copies the sub-shard tail.
   std::string Buffer;
@@ -187,7 +181,6 @@ struct IngestSession::Impl {
     H = fnv1a64Mix(H, Opt.Salvage.MaxSynthesizedEntries);
     H = fnv1a64Mix(H, Opt.Salvage.MaxEntityId);
     H = fnv1a64Mix(H, Opt.Salvage.RepairTruncation ? 1 : 0);
-    H = fnv1a64Mix(H, static_cast<uint64_t>(Opt.Mode));
     return H;
   }
 
@@ -201,9 +194,9 @@ struct IngestSession::Impl {
     Machine.beginShard(J.Frag.Names);
     const bool FinalShard = J.Frag.EndsWithoutNewline;
     for (const ingest::LexedLine &L : J.Frag.Lines) {
-      // The historical reader marked a truncated final line just before
-      // processing it -- but only if it had not already hard-failed, so
-      // the flag placement is failure-order sensitive.
+      // A truncated final line is marked just before it is processed --
+      // but only if the machine has not already hard-failed, so the flag
+      // placement is failure-order sensitive.
       if (FinalShard && L.RelLine == J.Frag.LineCount && !Machine.failed())
         Machine.noteTruncatedFinalLine();
       Machine.admit(L);
@@ -371,25 +364,10 @@ struct IngestSession::Impl {
       return;
     AnyInput = true;
     LastByte = Chunk.back();
-    if (Opt.Mode == IngestMode::Parse) {
-      materializeParseView();
-      ParseBuffer.append(Chunk);
-      return;
-    }
     if (Machine.failed() || AbortRequested)
       return; // hard-failed: drop the remaining stream, keep LastByte
     Buffer.append(Chunk);
     cutShards(/*Final=*/false);
-  }
-
-  /// Collapses a borrowed Parse-mode view into ParseBuffer so further
-  /// chunks can be appended (the single-mapped-file fast path is gone
-  /// the moment the input stops being exactly one file).
-  void materializeParseView() {
-    if (ParseView.empty())
-      return;
-    ParseBuffer.assign(ParseView);
-    ParseView = {};
   }
 
   /// feedImpl twin for a mapped file: full shards are dispatched as
@@ -397,18 +375,8 @@ struct IngestSession::Impl {
   void feedMapped(std::string_view Data) {
     if (Finished || Data.empty())
       return;
-    const bool FirstInput = !AnyInput;
     AnyInput = true;
     LastByte = Data.back();
-    if (Opt.Mode == IngestMode::Parse) {
-      if (FirstInput && ParseBuffer.empty()) {
-        ParseView = Data; // whole input = this mapping: parse in place
-      } else {
-        materializeParseView();
-        ParseBuffer.append(Data);
-      }
-      return;
-    }
     if (Machine.failed() || AbortRequested)
       return;
     if (!Buffer.empty()) {
@@ -547,10 +515,7 @@ struct IngestSession::Impl {
       rewindStream(IS);
   }
 
-  bool resumeWanted() const {
-    return Opt.Resume && checkpointEnabled() &&
-           Opt.Mode == IngestMode::Salvage;
-  }
+  bool resumeWanted() const { return Opt.Resume && checkpointEnabled(); }
 
   /// True when the resume gate passes (a resume needs the file to be
   /// the session's whole input, or the prefix hash is meaningless).
@@ -622,16 +587,6 @@ struct IngestSession::Impl {
     if (Finished)
       return Status::error("IngestSession::finish() called twice");
     Finished = true;
-
-    if (Opt.Mode == IngestMode::Parse) {
-      ReportOut = IngestReport();
-      Status S = ingest::parseTraceImpl(
-          ParseView.empty() ? std::string_view(ParseBuffer) : ParseView,
-          Out);
-      if (S.ok())
-        ReportOut.RecordsKept = Out.numRecords();
-      return S;
-    }
 
     cutShards(/*Final=*/true);
     if (Threads > 1) {

@@ -8,23 +8,17 @@
 /// \file
 /// The single public entry point for turning trace text into a Trace.
 ///
-/// IngestSession subsumes the three historical entry points (parseTrace,
-/// TraceReader, salvageTrace — their deprecated wrapper shims have since
-/// been deleted): configure an IngestOptions, feed the stream in
-/// arbitrary chunks (or point it at a file), then finish() to receive
-/// the Trace and a structured IngestReport.
+/// Configure an IngestOptions, feed the stream in arbitrary chunks (or
+/// point it at a file), then finish() to receive the Trace and a
+/// structured IngestReport.  Every reader of the `cafa-trace v1` grammar
+/// goes through here, and through one lexer: the salvage pipeline
+/// documented in docs/robustness.md — malformed lines are dropped at
+/// per-line resynchronization points under error budgets, structural
+/// violations are repaired when a sound repair exists, and every
+/// decision is accounted in the IngestReport.  SalvageOptions::Strict
+/// turns every such decision into a failure instead.
 ///
-/// Two ingestion modes:
-///  - IngestMode::Salvage (default): the fault-tolerant repair pipeline
-///    documented in docs/robustness.md — malformed lines are dropped at
-///    per-line resynchronization points under error budgets, structural
-///    violations are repaired when a sound repair exists, and every
-///    decision is accounted in the IngestReport;
-///  - IngestMode::Parse: the historical strict parser — fail on the first
-///    offending byte with a strong guarantee (the output Trace is
-///    untouched on error).
-///
-/// Salvage mode shards the input into byte ranges aligned to line
+/// The session shards the input into byte ranges aligned to line
 /// boundaries and runs the expensive line-local work (tokenizing, numeric
 /// parsing, name interning) in IngestOptions::Threads worker threads.
 /// The stateful salvage decisions (drop/repair/synthesize) are made in a
@@ -59,9 +53,9 @@ namespace cafa {
 
 /// Tuning knobs for the salvage parser.
 struct SalvageOptions {
-  /// Treat every incident (drop or repair) as fatal: the reader then
-  /// accepts exactly the traces that pass IngestMode::Parse +
-  /// validateTrace().
+  /// Strict reading: every line must lex and admit with no drop or
+  /// repair, and no end-of-input repair runs.  The first incident fails
+  /// the session, and finish() then leaves its output Trace untouched.
   bool Strict = false;
   /// Keep at most this many detailed diagnostics in the report (all
   /// incidents are still counted).
@@ -112,20 +106,12 @@ struct IngestReport {
   std::string summary() const;
 };
 
-/// Which parsing pipeline an IngestSession runs.
-enum class IngestMode : uint8_t {
-  Salvage, ///< fault-tolerant drop/repair/synthesize pipeline (default)
-  Parse,   ///< strict: fail on the first offending byte, strong guarantee
-};
-
 /// Configuration for an IngestSession.
 struct IngestOptions {
-  IngestMode Mode = IngestMode::Salvage;
-
-  /// Salvage-mode tuning knobs (ignored in Parse mode).
+  /// Salvage tuning knobs, strict reading included.
   SalvageOptions Salvage;
 
-  /// Lexer worker threads for salvage mode.  0 means auto: the
+  /// Lexer worker threads.  0 means auto: the
   /// CAFA_INGEST_THREADS environment variable if set, else
   /// std::thread::hardware_concurrency().  The output is bit-identical
   /// at every thread count.
@@ -197,9 +183,8 @@ public:
 
   /// Completes ingestion: drains the workers, merges the remaining
   /// shards, applies end-of-input repairs, and moves the result into
-  /// \p Out.  Fails (leaving \p Out untouched) in Parse mode on any
-  /// syntax error, and in Salvage mode only under Strict or a blown
-  /// error budget; \p ReportOut is filled either way in salvage mode.
+  /// \p Out.  Fails (leaving \p Out untouched) only under Strict or a
+  /// blown error budget; \p ReportOut is filled either way.
   Status finish(Trace &Out, IngestReport &ReportOut);
 
   /// Details of the resume decision (valid after feedFile).

@@ -5,8 +5,8 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The salvage pipeline merges three passes the strict pipeline runs
-// separately -- parsing, validation, and repair -- because a sound repair
+// The salvage pipeline is the only reader of the trace grammar.  It runs
+// parsing, validation, and repair as one pass, because a sound repair
 // decision needs the running validation state: whether the task has begun,
 // what it holds locked, which event owns its queue.  Each input line is
 // either admitted (possibly after an in-place fixup), admitted together
@@ -19,10 +19,8 @@
 // the stateless per-line half (tokenize, parse numbers, intern names)
 // and runs concurrently over byte-range shards; SalvageMachine is the
 // stateful half and runs over the lexed shards in original byte order.
-// The admission logic is a line-for-line port of the historical
-// streaming TraceReader -- every diagnostic string, every budget check,
-// and the intern-before-drop ordering are preserved so the output is
-// byte-compatible with the single-pass parser.
+// Every diagnostic string, every budget check, and the intern-before-drop
+// ordering are part of the output LexerGoldenTest pins.
 //
 //===----------------------------------------------------------------------===//
 
@@ -44,10 +42,10 @@ namespace {
 constexpr uint32_t SentinelId = 0xFFFFFFFFu;
 
 //===----------------------------------------------------------------------===//
-// Lexing helpers (must replicate TraceTextFormat semantics exactly)
+// Lexing helpers
 //===----------------------------------------------------------------------===//
 
-/// The whitespace set istringstream extraction skips in the "C" locale.
+/// The token-separating whitespace: isspace() in the "C" locale.
 constexpr std::array<bool, 256> SpaceBytes = [] {
   std::array<bool, 256> Table{};
   for (unsigned char C : {' ', '\t', '\n', '\v', '\f', '\r'})
@@ -63,8 +61,7 @@ constexpr size_t MaxTok = 12; // the widest directive (task) has 12 tokens
 
 /// Splits \p Line into whitespace-separated tokens.  Returns the token
 /// count; MaxTok + 1 signals "more than MaxTok" (every directive's
-/// token-count equality check then fails, matching the vector-based
-/// tokenizer's behavior).
+/// token-count equality check then fails).
 size_t splitTokens(std::string_view Line, std::string_view *Toks) {
   size_t N = 0;
   size_t I = 0;
@@ -124,9 +121,8 @@ bool parseU32Sv(std::string_view S, uint32_t &Out) {
   return true;
 }
 
-/// The op token as the historical C-string lookup saw it: a token of 16
-/// bytes or more never matches, and a shorter one is compared up to its
-/// first NUL byte.
+/// The op token's kind: a token of 16 bytes or more never matches, and a
+/// shorter one is compared up to its first NUL byte.
 bool opKindFromSv(std::string_view S, OpKind &Out) {
   if (S.size() >= 16)
     return false;
@@ -765,9 +761,9 @@ void SalvageMachine::admit(const LexedLine &L) {
 
 void SalvageMachine::handleMethod(const LexedLine &L, size_t Ln) {
   MethodInfo Info;
-  // Intern before the re-declare check: the historical parser interned
-  // unconditionally after the numeric parse, and the interner's id
-  // assignment order is part of the bit-identity contract.
+  // Intern before the re-declare check, even for a line that is then
+  // dropped: the interner's id assignment order is part of the
+  // bit-identity contract.
   Info.Name = remapName(L.Name);
   Info.CodeSize = L.Aux;
   uint32_t Id = L.Id;

@@ -6,8 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Internal machinery behind IngestSession's salvage mode, split along
-/// the only line that keeps parallel ingestion deterministic:
+/// Internal machinery behind IngestSession, the trace grammar's only
+/// reader, split along the only line that keeps parallel ingestion
+/// deterministic:
 ///
 ///  - lexShard() does every piece of per-line work that needs no parser
 ///    state: splitting a byte range into lines, tokenizing, numeric
@@ -25,8 +26,8 @@
 ///
 /// Shard-private name ids are rebuilt into the merged trace's dense id
 /// space through a lazily memoized remap table (see remapName), interned
-/// at the same control-flow points the historical single-pass parser
-/// used, so even the interner's id assignment order is preserved.
+/// at fixed control-flow points of the merge, so the interner's id
+/// assignment order does not depend on the shard cuts either.
 ///
 /// The machine's full state (trace under construction, report, validator
 /// mirrors) can round-trip through support/Snapshot, which is how the
@@ -119,7 +120,8 @@ void lexShard(std::string_view Text, ShardFragment &Out);
 
 /// The stateful salvage pipeline: consumes LexedLines in original byte
 /// order and applies the drop/repair/synthesize policy documented in
-/// docs/robustness.md, byte-compatible with the historical TraceReader.
+/// docs/robustness.md.  Under SalvageOptions::Strict the first drop or
+/// repair fails the machine instead.
 class SalvageMachine {
 public:
   explicit SalvageMachine(const SalvageOptions &Options);
@@ -175,7 +177,7 @@ private:
 
   StrId remapName(StrId ShardId);
 
-  // --- Validator state mirror (see TraceReader provenance notes) -------
+  // --- Validator state mirror (what validateTrace would check) ---------
   struct TaskState {
     bool Begun = false;
     bool Ended = false;
@@ -227,10 +229,6 @@ private:
   void handleTask(const LexedLine &L, size_t Ln);
   void handleRec(const LexedLine &L, size_t Ln);
 };
-
-/// Strict parser implementation behind IngestMode::Parse and
-/// readTraceFile() (defined in TraceIO.cpp).
-Status parseTraceImpl(std::string_view Text, Trace &Out);
 
 } // namespace ingest
 } // namespace cafa

@@ -36,17 +36,3 @@ size_t Trace::numEvents() const {
       ++N;
   return N;
 }
-
-TaskIndex::TaskIndex(const Trace &T)
-    : PerTask(T.numTasks()), LocalIndex(T.numRecords(), 0) {
-  const std::vector<TraceRecord> &Records = T.records();
-  for (uint32_t I = 0, E = static_cast<uint32_t>(Records.size()); I != E;
-       ++I) {
-    TaskId Task = Records[I].Task;
-    assert(Task.isValid() && Task.index() < PerTask.size() &&
-           "record references unknown task");
-    std::vector<uint32_t> &List = PerTask[Task.index()];
-    LocalIndex[I] = static_cast<uint32_t>(List.size());
-    List.push_back(I);
-  }
-}

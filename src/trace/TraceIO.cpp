@@ -8,12 +8,9 @@
 #include "trace/TraceIO.h"
 
 #include "support/Format.h"
-#include "trace/SalvageEngine.h"
 #include "trace/TraceTextFormat.h"
 
 #include <cinttypes>
-#include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -69,178 +66,6 @@ std::string cafa::serializeTrace(const Trace &T) {
   return OS.str();
 }
 
-namespace {
-
-Status lineError(size_t LineNo, const char *What) {
-  return Status::error(
-      formatString("trace line %zu: %s", LineNo, What));
-}
-
-/// getline-equivalent splitting over a borrowed view, so the parser can
-/// run directly on an mmap'd file without first copying the bytes into
-/// a stream.  Yields lines without their '\n'; a final unterminated
-/// line is yielded too, and a trailing '\n' does not produce an empty
-/// extra line -- exactly std::getline's behavior.
-class LineSplitter {
-public:
-  explicit LineSplitter(std::string_view Text) : Rest(Text) {}
-
-  bool next(std::string &LineOut) {
-    if (Rest.empty())
-      return false;
-    size_t NL = Rest.find('\n');
-    if (NL == std::string_view::npos) {
-      LineOut.assign(Rest);
-      Rest = {};
-    } else {
-      LineOut.assign(Rest.substr(0, NL));
-      Rest.remove_prefix(NL + 1);
-    }
-    return true;
-  }
-
-private:
-  std::string_view Rest;
-};
-
-} // namespace
-
-Status cafa::ingest::parseTraceImpl(std::string_view Text, Trace &Out) {
-  // Strong guarantee: parse into a local trace and hand it over only on
-  // success, so a failure leaves *Out exactly as the caller passed it.
-  Trace Parsed;
-  LineSplitter IS(Text);
-  std::string Line;
-  size_t LineNo = 0;
-
-  if (!IS.next(Line) || Line != MagicLine)
-    return Status::error("missing or unrecognized trace header; expected "
-                         "'cafa-trace v1'");
-  ++LineNo;
-
-  while (IS.next(Line)) {
-    ++LineNo;
-    if (Line.empty() || Line[0] == '#')
-      continue;
-    std::vector<std::string> Tok = tokenize(Line);
-    if (Tok.empty())
-      continue;
-
-    if (Tok[0] == "method") {
-      if (Tok.size() != 4)
-        return lineError(LineNo, "malformed method line");
-      uint32_t Id, CodeSize;
-      if (!parseU32(Tok[1], Id) || !parseU32(Tok[3], CodeSize))
-        return lineError(LineNo, "bad number in method line");
-      MethodInfo Info;
-      if (Tok[2] != "-")
-        Info.Name = Parsed.names().intern(unescapeName(Tok[2]));
-      Info.CodeSize = CodeSize;
-      MethodId Got = Parsed.addMethod(Info);
-      if (Got.value() != Id)
-        return lineError(LineNo, "method ids must be dense and in order");
-      continue;
-    }
-
-    if (Tok[0] == "queue") {
-      if (Tok.size() != 4)
-        return lineError(LineNo, "malformed queue line");
-      uint32_t Id, Looper;
-      if (!parseU32(Tok[1], Id) || !parseU32(Tok[3], Looper))
-        return lineError(LineNo, "bad number in queue line");
-      QueueInfo Info;
-      if (Tok[2] != "-")
-        Info.Name = Parsed.names().intern(unescapeName(Tok[2]));
-      Info.Looper = idFromRaw<TaskId>(Looper);
-      QueueId Got = Parsed.addQueue(Info);
-      if (Got.value() != Id)
-        return lineError(LineNo, "queue ids must be dense and in order");
-      continue;
-    }
-
-    if (Tok[0] == "listener") {
-      if (Tok.size() != 4)
-        return lineError(LineNo, "malformed listener line");
-      uint32_t Id, Instr;
-      if (!parseU32(Tok[1], Id) || !parseU32(Tok[3], Instr))
-        return lineError(LineNo, "bad number in listener line");
-      ListenerInfo Info;
-      if (Tok[2] != "-")
-        Info.Name = Parsed.names().intern(unescapeName(Tok[2]));
-      Info.Instrumented = Instr != 0;
-      ListenerId Got = Parsed.addListener(Info);
-      if (Got.value() != Id)
-        return lineError(LineNo, "listener ids must be dense and in order");
-      continue;
-    }
-
-    if (Tok[0] == "task") {
-      if (Tok.size() != 12)
-        return lineError(LineNo, "malformed task line");
-      uint32_t Id, Process, Queue, Handler, Front, External, Parent, Looper;
-      uint64_t DelayMs;
-      if (!parseU32(Tok[1], Id) || !parseU32(Tok[4], Process) ||
-          !parseU32(Tok[5], Queue) || !parseU32(Tok[6], Handler) ||
-          !parseU64(Tok[7], DelayMs) || !parseU32(Tok[8], Front) ||
-          !parseU32(Tok[9], External) || !parseU32(Tok[10], Parent) ||
-          !parseU32(Tok[11], Looper))
-        return lineError(LineNo, "bad number in task line");
-      TaskInfo Info;
-      if (Tok[2] == "thread") {
-        Info.Kind = TaskKind::Thread;
-      } else if (Tok[2] == "event") {
-        Info.Kind = TaskKind::Event;
-      } else {
-        return lineError(LineNo, "task kind must be 'thread' or 'event'");
-      }
-      if (Tok[3] != "-")
-        Info.Name = Parsed.names().intern(unescapeName(Tok[3]));
-      Info.Process = idFromRaw<ProcessId>(Process);
-      Info.Queue = idFromRaw<QueueId>(Queue);
-      Info.Handler = idFromRaw<MethodId>(Handler);
-      Info.DelayMs = DelayMs;
-      Info.SentAtFront = Front != 0;
-      Info.External = External != 0;
-      Info.Parent = idFromRaw<TaskId>(Parent);
-      Info.IsLooper = Looper != 0;
-      TaskId Got = Parsed.addTask(Info);
-      if (Got.value() != Id)
-        return lineError(LineNo, "task ids must be dense and in order");
-      continue;
-    }
-
-    if (Tok[0] == "rec") {
-      if (Tok.size() != 9)
-        return lineError(LineNo, "malformed rec line");
-      uint32_t Task, Method, Pc;
-      uint64_t A0, A1, A2, Time;
-      OpKind Kind;
-      if (!parseU32(Tok[1], Task) || !opKindFromName(Tok[2].c_str(), Kind) ||
-          !parseU32(Tok[3], Method) || !parseU32(Tok[4], Pc) ||
-          !parseU64(Tok[5], A0) || !parseU64(Tok[6], A1) ||
-          !parseU64(Tok[7], A2) || !parseU64(Tok[8], Time))
-        return lineError(LineNo, "bad field in rec line");
-      if (Task >= Parsed.numTasks())
-        return lineError(LineNo, "rec references an undeclared task");
-      TraceRecord Rec;
-      Rec.Task = TaskId(Task);
-      Rec.Kind = Kind;
-      Rec.Method = idFromRaw<MethodId>(Method);
-      Rec.Pc = Pc;
-      Rec.Arg0 = A0;
-      Rec.Arg1 = A1;
-      Rec.Arg2 = A2;
-      Rec.Time = Time;
-      Parsed.append(Rec);
-      continue;
-    }
-
-    return lineError(LineNo, "unknown directive");
-  }
-  Out = std::move(Parsed);
-  return Status::success();
-}
-
 Status cafa::writeTraceFile(const Trace &T, const std::string &Path) {
   std::ofstream OS(Path, std::ios::binary);
   if (!OS)
@@ -251,14 +76,4 @@ Status cafa::writeTraceFile(const Trace &T, const std::string &Path) {
   if (!OS)
     return Status::error(formatString("write to '%s' failed", Path.c_str()));
   return Status::success();
-}
-
-Status cafa::readTraceFile(const std::string &Path, Trace &Out) {
-  std::ifstream IS(Path, std::ios::binary);
-  if (!IS)
-    return Status::error(formatString("cannot open '%s' for reading",
-                                      Path.c_str()));
-  std::ostringstream Buffer;
-  Buffer << IS.rdbuf();
-  return ingest::parseTraceImpl(Buffer.str(), Out);
 }

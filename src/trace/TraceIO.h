@@ -8,9 +8,10 @@
 /// \file
 /// Versioned line-oriented text serialization of traces.  This plays the
 /// role of the paper's logger-device stream read over ADB: the customized
-/// runtime writes it during execution, the offline analyzer parses it
-/// back.  The format is deliberately simple (one record per line) so that
-/// traces can be inspected and diffed by hand.
+/// runtime writes it during execution, the offline analyzer reads it back
+/// through IngestSession, whose salvage lexer is the grammar's only
+/// reader (docs/trace-format.md).  The format is deliberately simple (one
+/// record per line) so that traces can be inspected and diffed by hand.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,9 +34,6 @@ std::string serializeRecordLine(const TraceRecord &Rec);
 
 /// Writes the serialized trace to \p Path.
 Status writeTraceFile(const Trace &T, const std::string &Path);
-
-/// Reads and parses a trace from \p Path.
-Status readTraceFile(const std::string &Path, Trace &Out);
 
 } // namespace cafa
 

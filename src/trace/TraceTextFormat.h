@@ -6,10 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Internal helpers shared by the strict parser (TraceIO.cpp) and the
-/// salvage engine (SalvageEngine.cpp): the v1 magic line, name escaping,
-/// tokenization and bounded integer parsing.  Not installed; include only
-/// from src/trace.
+/// Internal helpers shared by the writer (TraceIO.cpp) and the salvage
+/// lexer (SalvageEngine.cpp), the grammar's only reader: the v1 magic
+/// line, name escaping, and the sentinel encoding of absent ids.  Not
+/// installed; include only from src/trace.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,10 +17,7 @@
 #define CAFA_TRACE_TRACETEXTFORMAT_H
 
 #include <cstdint>
-#include <cstdlib>
-#include <sstream>
 #include <string>
-#include <vector>
 
 namespace cafa {
 namespace tracetext {
@@ -28,7 +25,8 @@ namespace tracetext {
 inline constexpr const char MagicLine[] = "cafa-trace v1";
 
 /// Names may contain spaces in principle; we escape spaces and backslashes
-/// so each header line stays whitespace-separated.
+/// so each header line stays whitespace-separated.  The lexer's
+/// internName undoes it.
 inline std::string escapeName(const std::string &S) {
   std::string Out;
   Out.reserve(S.size());
@@ -42,45 +40,6 @@ inline std::string escapeName(const std::string &S) {
     }
   }
   return Out;
-}
-
-inline std::string unescapeName(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (size_t I = 0; I != S.size(); ++I) {
-    if (S[I] == '\\' && I + 1 < S.size()) {
-      ++I;
-      Out.push_back(S[I] == 's' ? ' ' : S[I]);
-      continue;
-    }
-    Out.push_back(S[I]);
-  }
-  return Out;
-}
-
-/// Splits one line into whitespace-separated tokens.
-inline std::vector<std::string> tokenize(const std::string &Line) {
-  std::vector<std::string> Tokens;
-  std::istringstream IS(Line);
-  std::string Tok;
-  while (IS >> Tok)
-    Tokens.push_back(Tok);
-  return Tokens;
-}
-
-inline bool parseU32(const std::string &S, uint32_t &Out) {
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(S.c_str(), &End, 10);
-  if (End == S.c_str() || *End != '\0' || V > 0xFFFFFFFFull)
-    return false;
-  Out = static_cast<uint32_t>(V);
-  return true;
-}
-
-inline bool parseU64(const std::string &S, uint64_t &Out) {
-  char *End = nullptr;
-  Out = std::strtoull(S.c_str(), &End, 10);
-  return End != S.c_str() && *End == '\0';
 }
 
 template <typename IdT> IdT idFromRaw(uint32_t Raw) {

@@ -67,15 +67,14 @@ private:
 /// the first node at or after record A to the last node at or before B.
 class ReferenceHappensBefore {
 public:
-  ReferenceHappensBefore(const Trace &T, const TaskIndex &Index,
-                         const HbGraph &G)
-      : T(T), Index(Index), G(G), Closure(G) {}
+  ReferenceHappensBefore(const Trace &T, const HbGraph &G)
+      : T(T), G(G), Closure(G) {}
 
   bool operator()(uint32_t A, uint32_t B) const {
     if (A == B)
       return false;
     if (T.record(A).Task == T.record(B).Task)
-      return Index.localIndexOf(A) < Index.localIndexOf(B);
+      return A < B;
     NodeId P = G.firstNodeAtOrAfter(A);
     NodeId Q = G.lastNodeAtOrBefore(B);
     return P.isValid() && Q.isValid() && Closure.reaches(P, Q);
@@ -83,7 +82,6 @@ public:
 
 private:
   const Trace &T;
-  const TaskIndex &Index;
   const HbGraph &G;
   ClosureReachability Closure;
 };

@@ -203,7 +203,7 @@ TEST(AppKitTest, NaiveNoiseProducesFourRacesPerField) {
   TaskIndex Index(T);
   HbIndex Hb(T, Index, HbOptions());
   NaiveRaceResult Naive =
-      detectLowLevelRaces(T, Index, Hb, NaiveDetectorOptions());
+      detectLowLevelRaces(T, Hb, NaiveDetectorOptions());
   EXPECT_EQ(Naive.StaticRaces, 40u);
   // And none of it is a use-free race.
   AccessDb Db = extractAccesses(T, Index);
@@ -221,7 +221,7 @@ TEST(AppKitTest, ExtraReadPcsAddTwoRacesEach) {
   TaskIndex Index(T);
   HbIndex Hb(T, Index, HbOptions());
   NaiveRaceResult Naive =
-      detectLowLevelRaces(T, Index, Hb, NaiveDetectorOptions());
+      detectLowLevelRaces(T, Hb, NaiveDetectorOptions());
   EXPECT_EQ(Naive.StaticRaces, 46u);
 }
 

@@ -19,7 +19,7 @@ NaiveRaceResult runNaive(const Trace &T,
                          NaiveDetectorOptions Opt = NaiveDetectorOptions()) {
   TaskIndex Index(T);
   HbIndex Hb(T, Index, HbOptions());
-  return detectLowLevelRaces(T, Index, Hb, Opt);
+  return detectLowLevelRaces(T, Hb, Opt);
 }
 
 TEST(BaselinesTest, UnorderedConflictingPairCounts) {

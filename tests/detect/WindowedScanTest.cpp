@@ -111,7 +111,6 @@ TEST(WindowedScanTest, CutThenResumeIsBitIdentical) {
   DetectorOptions Opt;
   // Disable the sheddable filters so the deadline ladder's first rung
   // has nothing to shed and the first expiry cuts the scan outright.
-  Opt.Classify = false;
   Opt.LocksetFilter = false;
   Opt.IfGuardFilter = false;
   HbIndex Hb(T, Index, Opt.Hb);
@@ -173,7 +172,6 @@ TEST(WindowedScanTest, ShedStateSurvivesResume) {
   Trace T = TB.take();
   TaskIndex Index(T);
   DetectorOptions Tiny;
-  Tiny.Classify = false;
   Tiny.DeadlineMillis = 1e-6;
   HbIndex Hb(T, Index, Tiny.Hb);
 
@@ -195,7 +193,6 @@ TEST(WindowedScanTest, ShedStateSurvivesResume) {
   WindowedDetectCheckpointing ResumeCk;
   ResumeCk.Resume = &Saved;
   DetectorOptions NoLimit;
-  NoLimit.Classify = false;
   RaceReport Resumed =
       detectUseFreeRacesWindowed(T, Index, Hb, NoLimit, 32, nullptr, nullptr,
                                  &ResumeCk);
@@ -209,7 +206,6 @@ TEST(WindowedScanTest, StaleFrontierDegradesToACleanRescan) {
   Trace T = buildWideScanTrace();
   TaskIndex Index(T);
   DetectorOptions Opt;
-  Opt.Classify = false;
   Opt.LocksetFilter = false;
   Opt.IfGuardFilter = false;
   HbIndex Hb(T, Index, Opt.Hb);

@@ -27,8 +27,7 @@ TEST(HbGraphTest, OnlyRelevantOpsBecomeNodes) {
   TB.end(T1);            // node
   TB.begin(E1).end(E1);  // 2 nodes
   Trace T = TB.take();
-  TaskIndex Index(T);
-  HbGraph G(T, Index);
+  HbGraph G(T);
   EXPECT_EQ(G.numNodes(), 5u);
   EXPECT_FALSE(G.nodeForRecord(1).isValid()); // the scalar read
   EXPECT_TRUE(G.nodeForRecord(3).isValid());  // the send
@@ -57,8 +56,7 @@ TEST(HbGraphTest, NeighborLookups) {
   TB.read(T1, 2);         // record 4
   TB.end(T1);             // record 5, node
   Trace T = TB.take();
-  TaskIndex Index(T);
-  HbGraph G(T, Index);
+  HbGraph G(T);
 
   // First at-or-after: a relevant record maps to itself.
   EXPECT_EQ(G.recordOfNode(G.firstNodeAtOrAfter(3)), 3u);
@@ -80,8 +78,7 @@ TEST(HbGraphTest, BeginEndNodesAndTaskPositions) {
   TB.end(T2);
   // T1 never ends (live at cutoff).
   Trace T = TB.take();
-  TaskIndex Index(T);
-  HbGraph G(T, Index);
+  HbGraph G(T);
   EXPECT_TRUE(G.beginNode(T1).isValid());
   EXPECT_FALSE(G.endNode(T1).isValid());
   EXPECT_TRUE(G.endNode(T2).isValid());
@@ -96,8 +93,7 @@ TEST(HbGraphTest, ProgramOrderEdgesChainTaskNodes) {
   TaskId T1 = TB.addThread("t");
   TB.begin(T1).notify(T1, 0).end(T1);
   Trace T = TB.take();
-  TaskIndex Index(T);
-  HbGraph G(T, Index);
+  HbGraph G(T);
   // begin -> notify -> end: exactly 2 program-order edges.
   EXPECT_EQ(G.numEdges(), 2u);
   NodeId Begin = G.beginNode(T1);

@@ -173,7 +173,7 @@ TEST_P(ReachabilityPropertyTest, AllOraclesAgreeOnRandomTraces) {
   HbIndex HbBfs(T, Index, BfsOpt);
   // The expected side: the reference closure of the BFS-built graph (the
   // oracle that reads live edges and caches nothing).
-  ReferenceHappensBefore Expected(T, Index, HbBfs.graph());
+  ReferenceHappensBefore Expected(T, HbBfs.graph());
   HbOptions IncOpt;
   IncOpt.Reach = ReachMode::Incremental;
   HbIndex HbInc(T, Index, IncOpt);
@@ -301,8 +301,7 @@ TEST_P(IncrementalDifferentialTest, OraclesAgreeUnderIncrementalBatches) {
   uint64_t Seed = GetParam();
   Trace T = randomTrace(Seed * 7919 + 17, 150);
   ASSERT_TRUE(validateTrace(T).ok());
-  TaskIndex Index(T);
-  HbGraph G(T, Index); // program-order chains only
+  HbGraph G(T); // program-order chains only
 
   ClosureReachability Closure(G);
   BfsReachability Bfs(G);
@@ -410,8 +409,7 @@ TEST(ChainEdgeStormTest, CrossChainBatchesWidenClocksConsistently) {
     TB.end(T);
   Trace T = TB.take();
   ASSERT_TRUE(validateTrace(T).ok());
-  TaskIndex Index(T);
-  HbGraph G(T, Index);
+  HbGraph G(T);
 
   IncrementalClosureReachability Inc(G);
   ChainReachability Chain(G);
@@ -452,9 +450,8 @@ TEST_P(StripParityTest, PooledSweepsMatchSequentialBitForBit) {
   uint64_t Seed = GetParam();
   Trace T = randomTrace(Seed * 104729 + 31, 200);
   ASSERT_TRUE(validateTrace(T).ok());
-  TaskIndex Index(T);
-  HbGraph GSeq(T, Index);
-  HbGraph GPar(T, Index);
+  HbGraph GSeq(T);
+  HbGraph GPar(T);
 
   WorkerPool Pool(3); // up to 4-way sweeps, the initial build included
   IncrementalClosureReachability Seq(GSeq);

@@ -175,56 +175,51 @@ TEST(CheckpointTest, DetectScanCutThenResumeIsBitIdentical) {
   HbIndex Hb(T, Index, HbOptions());
   AccessDb Db = extractAccesses(T, Index);
 
-  // With classification on, the two threads' races are all (c); the
-  // frozen frontier holds them as (b) placeholders, which the resumed
-  // scan's closing classification must overwrite.
-  for (bool Classify : {false, true}) {
-    SCOPED_TRACE(Classify ? "classify" : "no classify");
-    // Disable the sheddable filters so the deadline ladder's first rung
-    // has nothing to shed and the first expiry cuts the scan outright
-    // (the shed rung itself is covered by DegradationTest).
-    DetectorOptions Opt;
-    Opt.Classify = Classify;
-    Opt.LocksetFilter = false;
-    Opt.IfGuardFilter = false;
-    RaceReport Clean = detectUseFreeRaces(T, Index, Db, Hb, Opt);
-    ASSERT_FALSE(Clean.Partial);
-    ASSERT_EQ(Clean.Filters.CandidatePairs, 4900u);
-    EXPECT_EQ(Clean.countCategory(Classify ? RaceCategory::Conventional
-                                           : RaceCategory::InterThread),
-              Clean.numRaces());
+  // The two threads' races are all (c); the frozen frontier holds them
+  // as (b) placeholders, which the resumed scan's closing classification
+  // must overwrite.  Disable the sheddable filters so the deadline
+  // ladder's first rung has nothing to shed and the first expiry cuts
+  // the scan outright (the shed rung itself is covered by
+  // DegradationTest).
+  DetectorOptions Opt;
+  Opt.LocksetFilter = false;
+  Opt.IfGuardFilter = false;
+  RaceReport Clean = detectUseFreeRaces(T, Index, Db, Hb, Opt);
+  ASSERT_FALSE(Clean.Partial);
+  ASSERT_EQ(Clean.Filters.CandidatePairs, 4900u);
+  EXPECT_EQ(Clean.countCategory(RaceCategory::Conventional),
+            Clean.numRaces());
 
-    // Cut the scan at its first clock poll; the deadline forces a save.
-    DetectFrontier Saved;
-    bool Wrote = false;
-    DetectCheckpointing CutCk;
-    CutCk.Save = [&](const DetectFrontier &F) {
-      Saved = F;
-      Wrote = true;
-    };
-    DetectorOptions Tiny = Opt;
-    Tiny.DeadlineMillis = 1e-6;
-    RaceReport Cut = detectUseFreeRaces(T, Index, Db, Hb, Tiny, &CutCk);
-    ASSERT_TRUE(Cut.Partial);
-    EXPECT_EQ(Cut.PartialCause, "detect-deadline");
-    ASSERT_TRUE(Wrote);
-    EXPECT_LT(Cut.Filters.CandidatePairs, 4900u);
-    EXPECT_FALSE(Saved.Races.empty());
+  // Cut the scan at its first clock poll; the deadline forces a save.
+  DetectFrontier Saved;
+  bool Wrote = false;
+  DetectCheckpointing CutCk;
+  CutCk.Save = [&](const DetectFrontier &F) {
+    Saved = F;
+    Wrote = true;
+  };
+  DetectorOptions Tiny = Opt;
+  Tiny.DeadlineMillis = 1e-6;
+  RaceReport Cut = detectUseFreeRaces(T, Index, Db, Hb, Tiny, &CutCk);
+  ASSERT_TRUE(Cut.Partial);
+  EXPECT_EQ(Cut.PartialCause, "detect-deadline");
+  ASSERT_TRUE(Wrote);
+  EXPECT_LT(Cut.Filters.CandidatePairs, 4900u);
+  EXPECT_FALSE(Saved.Races.empty());
 
-    // Resume from the saved frontier: the remaining pairs are scanned
-    // and the rendered report matches the uninterrupted one byte for
-    // byte.
-    DetectCheckpointing ResumeCk;
-    ResumeCk.Resume = &Saved;
-    RaceReport Resumed =
-        detectUseFreeRaces(T, Index, Db, Hb, Opt, &ResumeCk);
-    EXPECT_TRUE(ResumeCk.ResumeAccepted);
-    EXPECT_FALSE(Resumed.Partial);
-    EXPECT_EQ(Resumed.Filters.CandidatePairs, 4900u);
-    EXPECT_EQ(renderRaceReportJson(Resumed, T),
-              renderRaceReportJson(Clean, T));
-    EXPECT_EQ(renderRaceReport(Resumed, T), renderRaceReport(Clean, T));
-  }
+  // Resume from the saved frontier: the remaining pairs are scanned
+  // and the rendered report matches the uninterrupted one byte for
+  // byte.
+  DetectCheckpointing ResumeCk;
+  ResumeCk.Resume = &Saved;
+  RaceReport Resumed =
+      detectUseFreeRaces(T, Index, Db, Hb, Opt, &ResumeCk);
+  EXPECT_TRUE(ResumeCk.ResumeAccepted);
+  EXPECT_FALSE(Resumed.Partial);
+  EXPECT_EQ(Resumed.Filters.CandidatePairs, 4900u);
+  EXPECT_EQ(renderRaceReportJson(Resumed, T),
+            renderRaceReportJson(Clean, T));
+  EXPECT_EQ(renderRaceReport(Resumed, T), renderRaceReport(Clean, T));
 }
 
 TEST(CheckpointTest, ShedStateSurvivesDetectCheckpointResume) {
@@ -260,7 +255,6 @@ TEST(CheckpointTest, ShedStateSurvivesDetectCheckpointResume) {
     Wrote = true;
   };
   DetectorOptions Tiny;
-  Tiny.Classify = false;
   Tiny.DeadlineMillis = 1e-6;
   RaceReport Cut = detectUseFreeRaces(T, Index, Db, Hb, Tiny, &CutCk);
   ASSERT_TRUE(Cut.Partial);
@@ -273,7 +267,6 @@ TEST(CheckpointTest, ShedStateSurvivesDetectCheckpointResume) {
   DetectCheckpointing ResumeCk;
   ResumeCk.Resume = &Saved;
   DetectorOptions NoLimit;
-  NoLimit.Classify = false;
   RaceReport Resumed = detectUseFreeRaces(T, Index, Db, Hb, NoLimit, &ResumeCk);
   EXPECT_TRUE(ResumeCk.ResumeAccepted);
   ASSERT_TRUE(Resumed.Partial);

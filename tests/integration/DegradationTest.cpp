@@ -119,7 +119,6 @@ TEST(DegradationTest, MemoryCeilingUsesChainRungWhenClosureDoesNotFit) {
   // Downgrading never changes the relation, hence never the report.
   AccessDb Db = extractAccesses(T, Index);
   DetectorOptions DOpt;
-  DOpt.Classify = false;
   RaceReport A = detectUseFreeRaces(T, Index, Db, ChainIdx, DOpt);
   RaceReport B = detectUseFreeRaces(T, Index, Db, Limited, DOpt);
   EXPECT_EQ(renderRaceReportJson(A, T), renderRaceReportJson(B, T));
@@ -181,7 +180,6 @@ TEST(DegradationTest, BlownDetectDeadlineShedsFiltersFirst) {
   Trace T = buildPairGridTrace(70);
 
   DetectorOptions Fast;
-  Fast.Classify = false;
   Fast.DeadlineMillis = 1e-6;
   RaceReport R = detectUseFreeRaces(T, Fast);
   ASSERT_TRUE(R.Partial);
@@ -191,7 +189,6 @@ TEST(DegradationTest, BlownDetectDeadlineShedsFiltersFirst) {
 
   // Without a deadline the same trace scans every pair, cleanly.
   DetectorOptions NoLimit;
-  NoLimit.Classify = false;
   RaceReport FullR = detectUseFreeRaces(T, NoLimit);
   EXPECT_FALSE(FullR.Partial);
   EXPECT_EQ(FullR.Filters.CandidatePairs, 4900u);
@@ -204,7 +201,6 @@ TEST(DegradationTest, BlownDetectDeadlineCutsTheScanAfterShedding) {
   Trace T = buildPairGridTrace(104);
 
   DetectorOptions Fast;
-  Fast.Classify = false;
   Fast.DeadlineMillis = 1e-6;
   RaceReport R = detectUseFreeRaces(T, Fast);
   ASSERT_TRUE(R.Partial);
@@ -219,7 +215,6 @@ TEST(DegradationTest, BlownDetectDeadlineCutsDirectlyWithoutSheddableFilters) {
   Trace T = buildPairGridTrace(70);
 
   DetectorOptions Fast;
-  Fast.Classify = false;
   Fast.LocksetFilter = false;
   Fast.IfGuardFilter = false;
   Fast.DeadlineMillis = 1e-6;
@@ -259,7 +254,6 @@ TEST(DegradationTest, FilterShedReportsAreASupersetOfCompleteOnes) {
   Trace T = TB.take();
 
   DetectorOptions NoLimit;
-  NoLimit.Classify = false;
   RaceReport Complete = detectUseFreeRaces(T, NoLimit);
   EXPECT_FALSE(Complete.Partial);
   EXPECT_GT(Complete.Filters.LocksetProtected, 0u);

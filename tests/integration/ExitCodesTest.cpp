@@ -176,6 +176,30 @@ TEST_F(ExitCodesTest, Exit2UsageAndUnreadableTrace) {
   EXPECT_EQ(Chaos.ExitCode, 2) << Chaos.Err;
 }
 
+TEST_F(ExitCodesTest, DotReadsTheTraceAsAnalyzeDoes) {
+  // A clean app trace: exit 0 and the Graphviz digest on stdout.
+  ExitRun Clean = runAnalyzer({"dot", RacyTrace}, Scratch);
+  EXPECT_EQ(Clean.ExitCode, 0) << Clean.Err;
+  EXPECT_EQ(Clean.Out.rfind("digraph", 0), 0u) << Clean.Out;
+
+  // A well-formed trace whose only fork targets a task it never
+  // declares.  Salvage drops the fork (exit 3, like analyze); a reader
+  // without salvage's reference checks let the graph index past the
+  // task table.
+  std::string Dangling =
+      std::string(CAFA_TRACE_FIXTURE_DIR) + "/dangling_fork_target.trace";
+  ExitRun Salvaged = runAnalyzer({"dot", Dangling}, Scratch);
+  EXPECT_EQ(Salvaged.ExitCode, 3) << Salvaged.Err;
+  EXPECT_NE(Salvaged.Err.find("fork target 99999"), std::string::npos)
+      << Salvaged.Err;
+  EXPECT_EQ(Salvaged.Out.rfind("digraph", 0), 0u) << Salvaged.Out;
+  EXPECT_EQ(runAnalyzer({"analyze", Dangling}, Scratch).ExitCode, 3);
+
+  // Unreadable input exits 2, as analyze does.
+  ExitRun Missing = runAnalyzer({"dot", Scratch + "/nope.trace"}, Scratch);
+  EXPECT_EQ(Missing.ExitCode, 2) << Missing.Err;
+}
+
 TEST_F(ExitCodesTest, Exit3DeadlineDegradesToPartial) {
   std::string Dir = Scratch + "/deg";
   ::mkdir(Dir.c_str(), 0755);

@@ -41,7 +41,10 @@ TEST(PipelineTest, TraceFileRoundTripPreservesAnalysis) {
   std::string Path = uniqueScratchDir() + "/roundtrip.trace";
   ASSERT_TRUE(writeTraceFile(Original, Path).ok());
   Trace Reloaded;
-  ASSERT_TRUE(readTraceFile(Path, Reloaded).ok());
+  IngestOptions Strict;
+  Strict.Salvage.Strict = true;
+  IngestReport Report;
+  ASSERT_TRUE(ingestTraceFile(Path, Reloaded, Report, Strict).ok());
   std::remove(Path.c_str());
   ASSERT_TRUE(validateTrace(Reloaded).ok());
 
@@ -137,7 +140,6 @@ TEST(PipelineTest, AllOraclesReproduceTheAppReport) {
   AccessDb Db = extractAccesses(T, Index);
 
   DetectorOptions Opt;
-  Opt.Classify = false;
   std::vector<std::unique_ptr<HbIndex>> Hbs;
   std::vector<RaceReport> Reports;
   for (ReachMode Mode :
@@ -150,7 +152,7 @@ TEST(PipelineTest, AllOraclesReproduceTheAppReport) {
   // The expected side: the reference closure of the BFS-built graph
   // orders every use/free pair the way each oracle does, so the reports
   // rest on the same verdicts.
-  ReferenceHappensBefore Expected(T, Index, Hbs.front()->graph());
+  ReferenceHappensBefore Expected(T, Hbs.front()->graph());
   for (const std::unique_ptr<HbIndex> &Hb : Hbs)
     for (const PtrAccess &Use : Db.Uses)
       for (const PtrAccess &Free : Db.Frees)
@@ -179,7 +181,7 @@ TEST(PipelineTest, SerializedAppTraceValidates) {
   EXPECT_GT(Text.size(), 100'000u);
   Trace Parsed;
   IngestOptions Strict;
-  Strict.Mode = IngestMode::Parse;
+  Strict.Salvage.Strict = true;
   IngestReport Report;
   ASSERT_TRUE(ingestTrace(Text, Parsed, Report, Strict).ok());
   EXPECT_TRUE(validateTrace(Parsed).ok());

@@ -71,7 +71,7 @@ TEST_P(RuntimeFuzzTest, OraclesAgreeOnRandomPrograms) {
   HbOptions BfsOpt;
   BfsOpt.Reach = ReachMode::Bfs;
   HbIndex HbBfs(T, Index, BfsOpt);
-  ReferenceHappensBefore Expected(T, Index, HbBfs.graph());
+  ReferenceHappensBefore Expected(T, HbBfs.graph());
   HbOptions IncOpt;
   IncOpt.Reach = ReachMode::Incremental;
   HbIndex HbInc(T, Index, IncOpt);

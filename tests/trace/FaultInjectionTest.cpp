@@ -46,12 +46,12 @@ Status salvage(const std::string &Text, Trace &Out, IngestReport &Report,
   return ingestTrace(Text, Out, Report, IO);
 }
 
-/// Strict parse (IngestMode::Parse) through the same API.
+/// Strict reading (SalvageOptions::Strict) through the same API.
 Status parseStrict(const std::string &Text, Trace &Out) {
-  IngestOptions Opt;
-  Opt.Mode = IngestMode::Parse;
+  SalvageOptions Strict;
+  Strict.Strict = true;
   IngestReport Report;
-  return ingestTrace(Text, Out, Report, Opt);
+  return salvage(Text, Out, Report, Strict);
 }
 
 /// A compact hand-built trace exercising every record kind and every
@@ -141,7 +141,6 @@ void runPipelineOn(const std::string &Text, const std::string &What) {
                       << Report.summary();
 
   DetectorOptions DOpt;
-  DOpt.Classify = false;
   AnalysisResult R = analyzeTrace(T, DOpt);
   // Any answer is acceptable; reaching here without a crash is the test.
   (void)R;
@@ -258,7 +257,6 @@ TEST(FaultInjectionTest, TruncationMidEventStillAnalyzable) {
   EXPECT_TRUE(validateTrace(T, VOpt).ok());
 
   DetectorOptions DOpt;
-  DOpt.Classify = false;
   AnalysisResult R = analyzeTrace(T, DOpt);
   EXPECT_GT(R.HbStats.ProgramOrderEdges, 0u);
 }
@@ -273,9 +271,10 @@ TEST(FaultInjectionTest, StrictModeAcceptsExactlyPristineInput) {
   ASSERT_TRUE(salvage(Base, Clean, CleanReport, Strict).ok());
   EXPECT_TRUE(CleanReport.clean());
 
-  Trace Parsed;
-  ASSERT_TRUE(parseStrict(Base, Parsed).ok());
-  EXPECT_EQ(Clean.numRecords(), Parsed.numRecords());
+  Trace Salvaged;
+  IngestReport SalvagedReport;
+  ASSERT_TRUE(salvage(Base, Salvaged, SalvagedReport).ok());
+  EXPECT_EQ(Clean.numRecords(), Salvaged.numRecords());
 
   // Any corruption that actually lands must be rejected in strict mode,
   // while non-strict salvage still gets through.

@@ -9,7 +9,7 @@
 // of IngestSession are bit-identical at every thread count and every
 // shard size -- on pristine dumps, on every damaged fixture, and on 100
 // randomized FaultInjector corruptions with shard boundaries landing
-// mid-record.  Plus the strict Parse mode honouring its strong error
+// mid-record.  Plus strict reading honouring its strong error
 // guarantee (the output Trace is untouched on failure).
 //
 //===----------------------------------------------------------------------===//
@@ -140,10 +140,11 @@ std::string readFileOrDie(const std::string &Path) {
 }
 
 const char *AllFixtures[] = {
-    "minimal_truncated.trace", "mytracks_droppeddup.trace",
-    "mytracks_head.trace",     "todolist_garbage.trace",
-    "todolist_head.trace",     "zxing_cut.trace",
-    "zxing_fielddamage.trace", "zxing_head.trace",
+    "dangling_fork_target.trace", "minimal_truncated.trace",
+    "mytracks_droppeddup.trace",  "mytracks_head.trace",
+    "todolist_garbage.trace",     "todolist_head.trace",
+    "zxing_cut.trace",            "zxing_fielddamage.trace",
+    "zxing_head.trace",
 };
 
 } // namespace
@@ -335,12 +336,12 @@ TEST(IngestSessionTest, ResolveThreadsHonorsEnvironment) {
     ::unsetenv("CAFA_INGEST_THREADS");
 }
 
-TEST(IngestSessionTest, ParseModeIsStrict) {
+TEST(IngestSessionTest, StrictReadingRejectsAnyRepair) {
   std::string Good = buildRichTraceText(5);
   std::string Bad = injectFault(Good, FaultKind::GarbageLine, 11).Text;
 
   IngestOptions O;
-  O.Mode = IngestMode::Parse;
+  O.Salvage.Strict = true;
 
   // A pristine dump parses cleanly and keeps every record.
   {
@@ -351,15 +352,15 @@ TEST(IngestSessionTest, ParseModeIsStrict) {
     EXPECT_TRUE(R.clean());
   }
 
-  // A damaged dump fails at the first offending byte, leaving the output
-  // Trace untouched (strong guarantee) — while the default salvage mode
-  // still repairs the same text.
+  // A damaged dump fails at its first damaged line, leaving the output
+  // Trace untouched (strong guarantee) — while default salvage still
+  // repairs the same text.
   {
     Trace T;
     IngestReport R;
     Status St = ingestTrace(Bad, T, R, O);
     ASSERT_FALSE(St.ok());
-    EXPECT_NE(St.message().find("trace line"), std::string::npos);
+    EXPECT_NE(St.message().find("strict mode: line"), std::string::npos);
     EXPECT_EQ(T.numRecords(), 0u);
     EXPECT_EQ(T.numTasks(), 0u);
 

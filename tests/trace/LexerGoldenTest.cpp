@@ -108,7 +108,7 @@ const char *const OpNames[] = {
 };
 
 /// Op tokens one byte off a real name, too long, differently cased, or
-/// holding a NUL byte (the historical lookup compared up to the NUL).
+/// holding a NUL byte (the lookup compares up to the NUL).
 /// "end" and "join" are left out: a variant that still reads as one ends
 /// a thread, and every later record of it would be dropped unread.
 std::string opVariant(Rng &R) {
@@ -470,8 +470,8 @@ TEST(LexerGoldenTest, DigestsMatchAtEveryShardSizeAndThreadCount) {
 }
 
 TEST(LexerGoldenTest, OpNamesMatchWholeTokensUpToAnEmbeddedNul) {
-  // The op token is compared the way the historical C-string lookup
-  // compared it: up to its first NUL byte, and only whole names.
+  // The op token is compared up to its first NUL byte, and only whole
+  // names match.
   auto kindOf = [](std::string_view Op, std::string &Diag) -> std::string {
     std::string Text = "cafa-trace v1\ntask 0 thread t 0 4294967295 0 0 0 0 "
                        "4294967295 0\nrec 0 begin 4294967295 0 0 0 0 1\n"

@@ -17,18 +17,23 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <vector>
 
 using namespace cafa;
 
 namespace {
 
-/// Strict parse through the unified ingestion API (IngestMode::Parse):
-/// fails on the first offending byte, leaving \p Out untouched.
-Status parseStrict(const std::string &Text, Trace &Out) {
+IngestOptions strictOptions() {
   IngestOptions Opt;
-  Opt.Mode = IngestMode::Parse;
+  Opt.Salvage.Strict = true;
+  return Opt;
+}
+
+/// Strict reading through the one ingestion API: fails on the first line
+/// salvage would drop or repair, leaving \p Out untouched.
+Status parseStrict(const std::string &Text, Trace &Out) {
   IngestReport Report;
-  return ingestTrace(Text, Out, Report, Opt);
+  return ingestTrace(Text, Out, Report, strictOptions());
 }
 
 Trace makeSampleTrace() {
@@ -116,7 +121,8 @@ TEST(TraceIOTest, FileRoundTrip) {
   std::string Path = uniqueScratchDir() + "/roundtrip.trace";
   ASSERT_TRUE(writeTraceFile(Original, Path).ok());
   Trace Parsed;
-  Status S = readTraceFile(Path, Parsed);
+  IngestReport Report;
+  Status S = ingestTraceFile(Path, Parsed, Report, strictOptions());
   ASSERT_TRUE(S.ok()) << S.message();
   expectTracesEqual(Original, Parsed);
   std::remove(Path.c_str());
@@ -158,7 +164,7 @@ TEST(TraceIOTest, NonDenseIdsRejected) {
   Trace Out;
   Status S = parseStrict("cafa-trace v1\nmethod 3 foo 10\n", Out);
   EXPECT_FALSE(S.ok());
-  EXPECT_NE(S.message().find("dense"), std::string::npos);
+  EXPECT_NE(S.message().find("gap before method 3"), std::string::npos);
 }
 
 TEST(TraceIOTest, CommentsAndBlankLinesIgnored) {
@@ -182,12 +188,14 @@ TEST(TraceIOTest, NameEscapingSurvivesSpacesAndBackslashes) {
 
 TEST(TraceIOTest, ReadMissingFileFails) {
   Trace Out;
-  Status S = readTraceFile("/nonexistent/path/file.trace", Out);
+  IngestReport Report;
+  Status S = ingestTraceFile("/nonexistent/path/file.trace", Out, Report,
+                             strictOptions());
   EXPECT_FALSE(S.ok());
 }
 
 TEST(TraceIOTest, ParseFailureLeavesOutputUntouched) {
-  // IngestMode::Parse documents the strong error guarantee: on failure the
+  // Strict reading documents the strong error guarantee: on failure the
   // output trace is exactly what the caller passed in, never a
   // half-parsed hybrid.
   Trace Out = makeSampleTrace();
@@ -201,9 +209,10 @@ TEST(TraceIOTest, ParseFailureLeavesOutputUntouched) {
   expectTracesEqual(Out, makeSampleTrace());
 }
 
-/// Builds a structurally arbitrary trace from \p Seed: every record
-/// kind, full-range argument values, sentinel and valid cross-table
-/// references, and names exercising the escaping rules.
+/// Builds a random trace from \p Seed that validateTrace accepts: every
+/// record kind, full-range values wherever the grammar admits them,
+/// sentinel and valid cross-table references, and names exercising the
+/// escaping rules.
 Trace makeRandomTrace(uint64_t Seed) {
   Rng R(Seed);
   Trace T;
@@ -220,6 +229,12 @@ Trace makeRandomTrace(uint64_t Seed) {
   };
 
   size_t NumMethods = 1 + R.below(4);
+  size_t NumQueues = 1 + R.below(3);
+  size_t NumListeners = 1 + R.below(3);
+  size_t NumTasks = 2 + R.below(6);
+  auto randomTask = [&] {
+    return TaskId(static_cast<uint32_t>(R.below(NumTasks)));
+  };
   for (size_t I = 0; I != NumMethods; ++I) {
     MethodInfo M;
     if (!R.chance(1, 4))
@@ -227,16 +242,14 @@ Trace makeRandomTrace(uint64_t Seed) {
     M.CodeSize = static_cast<uint32_t>(R.next());
     T.addMethod(M);
   }
-  size_t NumQueues = 1 + R.below(3);
   for (size_t I = 0; I != NumQueues; ++I) {
     QueueInfo Q;
     if (!R.chance(1, 4))
       Q.Name = randomName("q\\");
     if (R.chance(1, 2))
-      Q.Looper = TaskId(static_cast<uint32_t>(R.below(8)));
+      Q.Looper = randomTask();
     T.addQueue(Q);
   }
-  size_t NumListeners = R.below(3);
   for (size_t I = 0; I != NumListeners; ++I) {
     ListenerInfo L;
     if (!R.chance(1, 4))
@@ -244,7 +257,6 @@ Trace makeRandomTrace(uint64_t Seed) {
     L.Instrumented = R.chance(1, 2);
     T.addListener(L);
   }
-  size_t NumTasks = 2 + R.below(6);
   for (size_t I = 0; I != NumTasks; ++I) {
     TaskInfo Info;
     Info.Kind = R.chance(1, 2) ? TaskKind::Event : TaskKind::Thread;
@@ -252,7 +264,7 @@ Trace makeRandomTrace(uint64_t Seed) {
       Info.Name = randomName("t ");
     if (R.chance(1, 2))
       Info.Process = ProcessId(static_cast<uint32_t>(R.below(4)));
-    if (R.chance(2, 3))
+    if (Info.Kind == TaskKind::Event || R.chance(1, 2))
       Info.Queue = QueueId(static_cast<uint32_t>(R.below(NumQueues)));
     if (R.chance(1, 2))
       Info.Handler = MethodId(static_cast<uint32_t>(R.below(NumMethods)));
@@ -260,23 +272,122 @@ Trace makeRandomTrace(uint64_t Seed) {
     Info.SentAtFront = R.chance(1, 3);
     Info.External = R.chance(1, 3);
     if (R.chance(1, 2))
-      Info.Parent = TaskId(static_cast<uint32_t>(R.below(NumTasks)));
+      Info.Parent = randomTask();
     Info.IsLooper = R.chance(1, 4);
     T.addTask(Info);
   }
 
-  size_t NumRecords = 20 + R.below(60);
-  for (size_t I = 0; I != NumRecords; ++I) {
+  // Records: random operations of random tasks, each kept only where it
+  // leaves the trace valid.
+  struct TaskState {
+    bool Begun = false, Ended = false, Sent = false;
+    std::vector<uint64_t> Locks, Frames;
+  };
+  std::vector<TaskState> States(NumTasks);
+  std::vector<TaskId> ActiveEvent(NumQueues, TaskId::invalid());
+  constexpr uint64_t MaxEntityId = 1 << 20; // SalvageOptions' default
+  uint64_t Time = R.next() >> 1;
+  uint64_t NextFrame = R.next() >> 1;
+  for (size_t Step = 0, E = 60 + R.below(120); Step != E; ++Step) {
+    TaskId Task = randomTask();
+    const TaskInfo &Info = T.taskInfo(Task);
+    TaskState &S = States[Task.index()];
     TraceRecord Rec;
-    Rec.Task = TaskId(static_cast<uint32_t>(R.below(NumTasks)));
+    Rec.Task = Task;
     Rec.Kind = static_cast<OpKind>(R.below(NumOpKinds));
-    if (R.chance(1, 2))
+    if (R.chance(1, 2) || Rec.Kind == OpKind::Branch)
       Rec.Method = MethodId(static_cast<uint32_t>(R.below(NumMethods)));
     Rec.Pc = static_cast<uint32_t>(R.next());
     Rec.Arg0 = R.next();
     Rec.Arg1 = R.next();
     Rec.Arg2 = R.next();
-    Rec.Time = R.next();
+    if (Rec.Kind == OpKind::TaskBegin) {
+      if (S.Begun)
+        continue;
+      if (Info.Kind == TaskKind::Event) {
+        TaskId &Active = ActiveEvent[Info.Queue.index()];
+        if ((!Info.External && !S.Sent) || Active.isValid())
+          continue;
+        Active = Task;
+      }
+      S.Begun = true;
+    } else if (!S.Begun || S.Ended) {
+      continue;
+    }
+    switch (Rec.Kind) {
+    case OpKind::TaskBegin:
+      break;
+    case OpKind::TaskEnd:
+      if (!S.Locks.empty() || !S.Frames.empty())
+        continue;
+      if (Info.Kind == TaskKind::Event)
+        ActiveEvent[Info.Queue.index()] = TaskId::invalid();
+      S.Ended = true;
+      break;
+    case OpKind::Read:
+    case OpKind::Write:
+    case OpKind::PtrRead:
+    case OpKind::PtrWrite:
+    case OpKind::Wait:
+    case OpKind::Notify:
+      Rec.Arg0 = R.below(MaxEntityId + 1);
+      break;
+    case OpKind::Fork:
+    case OpKind::Join: {
+      TaskId Target = randomTask();
+      if (T.taskInfo(Target).Kind != TaskKind::Thread ||
+          (Rec.Kind == OpKind::Join && !States[Target.index()].Ended))
+        continue;
+      Rec.Arg0 = Target.value();
+      break;
+    }
+    case OpKind::Send:
+    case OpKind::SendAtFront: {
+      TaskId Target = randomTask();
+      const TaskInfo &TI = T.taskInfo(Target);
+      const TaskState &TS = States[Target.index()];
+      if (TI.Kind != TaskKind::Event || TS.Sent || TS.Begun)
+        continue;
+      States[Target.index()].Sent = true;
+      Rec.Arg0 = Target.value();
+      Rec.Arg2 = TI.Queue.value();
+      break;
+    }
+    case OpKind::RegisterListener:
+    case OpKind::PerformListener:
+      Rec.Arg0 = R.below(NumListeners);
+      break;
+    case OpKind::LockAcquire:
+      S.Locks.push_back(Rec.Arg0);
+      break;
+    case OpKind::LockRelease:
+      if (S.Locks.empty())
+        continue;
+      Rec.Arg0 = S.Locks.back();
+      S.Locks.pop_back();
+      break;
+    case OpKind::IpcSend:
+    case OpKind::IpcRecv:
+    case OpKind::Deref:
+      break;
+    case OpKind::Branch:
+      Rec.Arg0 = R.below(3);
+      Rec.Arg2 = static_cast<uint32_t>(Rec.Arg2);
+      break;
+    case OpKind::MethodEnter:
+      NextFrame += 1 + R.below(1000);
+      Rec.Arg0 = NextFrame;
+      S.Frames.push_back(NextFrame);
+      break;
+    case OpKind::MethodExit:
+      if (S.Frames.empty())
+        continue;
+      Rec.Arg0 = S.Frames.back();
+      S.Frames.pop_back();
+      break;
+    }
+    Time += R.below(1000);
+    Rec.Time = Time;
     T.append(Rec);
   }
   return T;
@@ -284,20 +395,29 @@ Trace makeRandomTrace(uint64_t Seed) {
 
 TEST(TraceIOTest, RandomizedRoundTripIsIdentity) {
   // The property pin: parseStrict(serializeTrace(T)) == T over 100
-  // randomized traces covering every record kind, full-range values,
-  // sentinel ids, and names with spaces and backslashes.
+  // randomized valid traces covering every record kind, full-range
+  // values, sentinel ids, and names with spaces and backslashes.
+  std::vector<bool> KindSeen(NumOpKinds, false);
   for (uint64_t Seed = 0; Seed != 100; ++Seed) {
     Trace Original = makeRandomTrace(Seed);
+    Status V = validateTrace(Original);
+    ASSERT_TRUE(V.ok()) << "seed " << Seed << ": " << V.message();
+    for (const TraceRecord &Rec : Original.records())
+      KindSeen[static_cast<unsigned>(Rec.Kind)] = true;
+    std::string Text = serializeTrace(Original);
     Trace Parsed;
-    Status S = parseStrict(serializeTrace(Original), Parsed);
+    Status S = parseStrict(Text, Parsed);
     ASSERT_TRUE(S.ok()) << "seed " << Seed << ": " << S.message();
     expectTracesEqual(Original, Parsed);
+    EXPECT_EQ(serializeTrace(Parsed), Text) << "seed " << Seed;
     if (::testing::Test::HasFatalFailure() ||
         ::testing::Test::HasNonfatalFailure()) {
       ADD_FAILURE() << "round-trip diverged at seed " << Seed;
       return;
     }
   }
+  for (unsigned K = 0; K != NumOpKinds; ++K)
+    EXPECT_TRUE(KindSeen[K]) << opKindName(static_cast<OpKind>(K));
 }
 
 } // namespace

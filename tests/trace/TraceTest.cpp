@@ -79,29 +79,6 @@ TEST(TraceTest, NumEventsCountsOnlyEvents) {
   EXPECT_EQ(TB.trace().numEvents(), 2u);
 }
 
-TEST(TaskIndexTest, LocalIndicesAscendPerTask) {
-  TraceBuilder TB;
-  QueueId Q = TB.addQueue("main");
-  TaskId T1 = TB.addThread("t1");
-  TaskId E1 = TB.addEvent("e1", Q, 0, false, true);
-  TB.begin(T1);
-  TB.begin(E1);
-  TB.read(T1, 0);
-  TB.read(E1, 1);
-  TB.end(E1);
-  TB.end(T1);
-  Trace T = TB.take();
-  TaskIndex Index(T);
-  EXPECT_EQ(Index.recordsOf(T1).size(), 3u);
-  EXPECT_EQ(Index.recordsOf(E1).size(), 3u);
-  // Record 2 (read in T1) is T1's second record.
-  EXPECT_EQ(Index.localIndexOf(2), 1u);
-  // Record 3 (read in E1) is E1's second record.
-  EXPECT_EQ(Index.localIndexOf(3), 1u);
-  // Record 5 (end of T1) is T1's third record.
-  EXPECT_EQ(Index.localIndexOf(5), 2u);
-}
-
 TEST(TraceStatsTest, CountsKindsAndTasks) {
   TraceBuilder TB;
   QueueId Q = TB.addQueue("main");
