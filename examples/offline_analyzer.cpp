@@ -45,9 +45,8 @@
 // an interrupted analysis back up from the snapshot and continues to a
 // report bit-identical to an uninterrupted run.  A corrupt or mismatched
 // snapshot is rejected with a diagnostic and the analysis restarts
-// cleanly.  The same directory also holds the *ingest* checkpoint: a
-// crash mid-ingest resumes from the last merged shard instead of
-// re-reading the whole dump.
+// cleanly.  Ingestion keeps no checkpoint: a crash mid-ingest re-reads
+// the trace, which is faster than resuming a merge snapshot.
 //
 // Scripted callers triage on the exit code -- the report goes to stdout,
 // every diagnostic to stderr:
@@ -265,11 +264,6 @@ int main(int argc, char **argv) {
       }
     }
 
-    // The ingest checkpoint shares the analysis checkpoint directory:
-    // one --checkpoint-dir covers the whole pipeline.
-    Ingest.CheckpointDirectory = Ckpt.Directory;
-    Ingest.Resume = Ckpt.Resume;
-
     // A non-windowed run slurps the whole input; pre-check its size
     // against --mem-limit so an oversized dump fails with a usage error
     // up front instead of OOMing mid-ingest.  A windowed run streams
@@ -281,26 +275,9 @@ int main(int argc, char **argv) {
 
     Trace T;
     IngestReport Ingested;
-    IngestSession Session(Ingest);
     Timer IngestTimer;
-    Status FeedStatus = Session.feedFile(argv[2]);
-    Status IngestStatus =
-        FeedStatus.ok() ? Session.finish(T, Ingested) : FeedStatus;
+    Status IngestStatus = ingestTraceFile(argv[2], T, Ingested, Ingest);
     const double IngestMillis = IngestTimer.elapsedWallMillis();
-    const IngestResumeOutcome &IRes = Session.resumeOutcome();
-    if (IRes.Attempted) {
-      if (IRes.Resumed)
-        std::fprintf(stderr,
-                     "note: ingest resumed from checkpoint (%llu bytes / "
-                     "%llu shards already merged)\n",
-                     static_cast<unsigned long long>(IRes.BytesSkipped),
-                     static_cast<unsigned long long>(IRes.ShardsSkipped));
-      else if (!IRes.NoSnapshot)
-        std::fprintf(stderr,
-                     "warning: ingest checkpoint rejected (%s), "
-                     "re-ingesting from the start\n",
-                     IRes.RejectReason.c_str());
-    }
     if (!acceptIngested(IngestStatus, Ingested, T))
       return 2;
 

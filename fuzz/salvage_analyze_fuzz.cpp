@@ -16,7 +16,11 @@
 // byte-identity contract: every complete report renders the same JSON,
 // with the same rule-engine counters, under the batch and the windowed
 // scan, under each reachability oracle, and at 1 and 2 analysis
-// threads.  A divergence prints both renders and aborts.
+// threads.  A divergence prints both renders and aborts.  Agreement
+// between the legs cannot see a rule-engine fault they all share, so on
+// traces of at most 4,096 records the saturated relation is also checked
+// against the naive fixpoint of tests/ReferenceHb.h, task pair by task
+// pair; a mismatch prints both answers and aborts.
 //
 // Two build modes (see fuzz/CMakeLists.txt):
 //   - default: a standalone driver; run it over corpus files/directories
@@ -30,10 +34,13 @@
 #include "cafa/Cafa.h"
 #include "cafa/ReportJson.h"
 #include "support/Format.h"
+#include "support/Rng.h"
 #include "trace/FaultInjector.h"
 #include "trace/IngestSession.h"
 #include "trace/TraceIO.h"
 #include "trace/Validate.h"
+
+#include "ReferenceHb.h"
 
 #include <cstdint>
 #include <cstdio>
@@ -61,6 +68,11 @@ uint64_t fnv1a(const uint8_t *Data, size_t Size) {
 int Compared = 0;
 int Skipped = 0;
 
+/// Salvaged traces whose relation was checked against the naive
+/// fixpoint, and the task pairs asked.
+int RelationChecked = 0;
+uint64_t PairsChecked = 0;
+
 /// One analysis configuration of the differential: each differs from
 /// the first in exactly one axis.
 struct Leg {
@@ -81,8 +93,61 @@ const Leg Legs[] = {
 };
 
 /// The BFS oracle's fixpoint is far slower than the others' (minutes on
-/// a 3k-event app), so its leg runs only on traces up to this size.
+/// a 3k-event app), so its leg runs only on traces up to this size; so
+/// does the naive fixpoint, which rebuilds its closure every round.
 constexpr size_t BfsMaxRecords = 4096;
+
+/// Past this many ordered pairs of begun tasks, the relation check asks
+/// a seeded sample of this many instead of every pair.
+constexpr uint64_t MaxRelationPairs = 10000;
+
+/// Checks the saturated relation (default round cap, no deadline)
+/// against ReferenceHb on every ordered pair of begun tasks, or on a
+/// sample seeded by \p Seed.  The legs below compare the oracles with
+/// each other; only this sees a rule that none of them derives.  An
+/// unsaturated build has no complete relation to compare and is left
+/// out.
+void checkRelation(const Trace &T, uint64_t Seed) {
+  TaskIndex Index(T);
+  // One oracle at one thread suffices: the legs pin the rest to it.
+  HbOptions Opt;
+  Opt.Reach = ReachMode::Incremental;
+  Opt.Threads = 1;
+  HbIndex Hb(T, Index, Opt);
+  if (!Hb.saturated())
+    return;
+  ReferenceHb Ref(T, Index);
+  std::vector<TaskId> Begun;
+  for (uint32_t I = 0; I != T.numTasks(); ++I)
+    if (Hb.graph().beginNode(TaskId(I)).isValid())
+      Begun.push_back(TaskId(I));
+  auto check = [&](TaskId A, TaskId B) {
+    ++PairsChecked;
+    bool Want = Ref.taskOrdered(A, B), Got = Hb.taskOrdered(A, B);
+    if (Want == Got)
+      return;
+    std::fprintf(stderr,
+                 "relation divergence: task %u before task %u? naive "
+                 "fixpoint says %s, HbIndex says %s\n",
+                 A.value(), B.value(), Want ? "yes" : "no",
+                 Got ? "yes" : "no");
+    std::abort();
+  };
+  const uint64_t N = Begun.size();
+  if (N * (N - 1) <= MaxRelationPairs) { // unsigned: 0 pairs at N = 0
+    for (TaskId A : Begun)
+      for (TaskId B : Begun)
+        if (A != B)
+          check(A, B);
+  } else {
+    Rng R(Seed);
+    for (uint64_t I = 0; I != MaxRelationPairs; ++I) {
+      uint64_t A = R.below(N), B = R.below(N - 1);
+      check(Begun[A], Begun[B + (B >= A)]);
+    }
+  }
+  ++RelationChecked;
+}
 
 /// What every leg must agree on: the JSON report and the rule engine's
 /// counters.  The counters see what the report cannot: an oracle that
@@ -123,6 +188,10 @@ bool pipelineOnce(const std::string &Text) {
   VOpt.AllowUnsentEvents = true;
   if (!validateTrace(T, VOpt).ok())
     return false;
+
+  if (T.numRecords() <= BfsMaxRecords)
+    checkRelation(T, fnv1a(reinterpret_cast<const uint8_t *>(Text.data()),
+                           Text.size()));
 
   // Keep per-input cost bounded: a round cap for pathological queue
   // structures, and a deadline backstop so a quadratic corner becomes a
@@ -275,6 +344,10 @@ int main(int argc, char **argv) {
                "differential: compared %d salvaged stream(s), skipped %d "
                "with a partial report\n",
                Compared, Skipped);
+  std::fprintf(stderr,
+               "relation: checked %d salvaged trace(s) against the naive "
+               "fixpoint on %llu task pair(s)\n",
+               RelationChecked, static_cast<unsigned long long>(PairsChecked));
   return Executed > 0 ? 0 : 1;
 }
 

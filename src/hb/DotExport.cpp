@@ -7,8 +7,11 @@
 
 #include "hb/DotExport.h"
 
+#include "support/BitVec.h"
 #include "support/Format.h"
 
+#include <algorithm>
+#include <numeric>
 #include <sstream>
 #include <vector>
 
@@ -67,21 +70,34 @@ std::string cafa::exportHbGraphDot(const HbIndex &Hb, const Trace &T) {
 }
 
 std::string cafa::exportTaskOrderDot(const HbIndex &Hb, const Trace &T) {
+  const HbGraph &G = Hb.graph();
   // Tasks that actually began, in trace order.
   std::vector<TaskId> Tasks;
   for (uint32_t I = 0, E = static_cast<uint32_t>(T.numTasks()); I != E;
        ++I)
-    if (Hb.graph().beginNode(TaskId(I)).isValid())
+    if (G.beginNode(TaskId(I)).isValid())
       Tasks.push_back(TaskId(I));
+  const size_t N = Tasks.size();
 
-  // Pairwise order, then transitive reduction (edge a->b is redundant if
-  // a->m->b for some m).
-  size_t N = Tasks.size();
-  std::vector<std::vector<bool>> Ord(N, std::vector<bool>(N, false));
+  // Rank the tasks by begin node.  A task ordered before another ends
+  // before the other begins, and every edge points to a larger node id,
+  // so rank order is a topological order of the task order: a task is
+  // only ever ordered before tasks that rank after it.
+  std::vector<uint32_t> ByRank(N);
+  std::iota(ByRank.begin(), ByRank.end(), 0u);
+  std::sort(ByRank.begin(), ByRank.end(), [&](uint32_t A, uint32_t B) {
+    return G.beginNode(Tasks[A]) < G.beginNode(Tasks[B]);
+  });
+  std::vector<uint32_t> RankOf(N);
+  for (uint32_t R = 0; R != N; ++R)
+    RankOf[ByRank[R]] = R;
+
+  // Later[r]: the ranks of the tasks the rank-r task is ordered before.
+  std::vector<BitVec> Later(N, BitVec(N));
   for (size_t A = 0; A != N; ++A)
-    for (size_t B = 0; B != N; ++B)
-      if (A != B)
-        Ord[A][B] = Hb.taskOrdered(Tasks[A], Tasks[B]);
+    for (size_t B = A + 1; B != N; ++B)
+      if (Hb.taskOrdered(Tasks[ByRank[A]], Tasks[ByRank[B]]))
+        Later[A].set(B);
 
   std::ostringstream OS;
   OS << "digraph cafa_task_order {\n"
@@ -95,17 +111,26 @@ std::string cafa::exportTaskOrderDot(const HbIndex &Hb, const Trace &T) {
         dotEscape(T.taskName(Tasks[A])).c_str(), Shape,
         Info.External ? ", style=filled, fillcolor=lightgrey" : "");
   }
+
+  // Transitive reduction: an edge a->b is redundant if a->m->b for some
+  // m.  Walking a's successors in rank order, b is redundant exactly
+  // when a successor kept before it is ordered before it: a redundant m
+  // is itself ordered after a kept one, which then orders b too.
+  BitVec Covered(N);
+  std::vector<uint32_t> Kept;
   for (size_t A = 0; A != N; ++A) {
-    for (size_t B = 0; B != N; ++B) {
-      if (!Ord[A][B])
-        continue;
-      bool Redundant = false;
-      for (size_t Mid = 0; Mid != N && !Redundant; ++Mid)
-        Redundant = Mid != A && Mid != B && Ord[A][Mid] && Ord[Mid][B];
-      if (!Redundant)
-        OS << formatString("  t%u -> t%u;\n", Tasks[A].value(),
-                           Tasks[B].value());
-    }
+    Covered.clear();
+    Kept.clear();
+    Later[RankOf[A]].forEachSetBit([&](size_t B) {
+      if (Covered.test(B))
+        return;
+      Kept.push_back(ByRank[B]);
+      Covered.orWithFrom(Later[B], B);
+    });
+    std::sort(Kept.begin(), Kept.end());
+    for (uint32_t B : Kept)
+      OS << formatString("  t%u -> t%u;\n", Tasks[A].value(),
+                         Tasks[B].value());
   }
   OS << "}\n";
   return OS.str();

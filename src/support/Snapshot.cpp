@@ -9,7 +9,6 @@
 
 #include "support/DurableFile.h"
 
-#include <bit>
 #include <cstdio>
 #include <cstring>
 
@@ -52,16 +51,6 @@ void SnapshotWriter::u64(uint64_t V) { appendLe(Buf, V, 8); }
 void SnapshotWriter::str(std::string_view S) {
   u32(static_cast<uint32_t>(S.size()));
   Buf.append(S.data(), S.size());
-}
-
-void SnapshotWriter::u64s(const uint64_t *Words, size_t N) {
-  if constexpr (std::endian::native == std::endian::little) {
-    // Bulk append: one copy instead of the per-word loop below.
-    Buf.append(reinterpret_cast<const char *>(Words), N * 8);
-  } else {
-    for (size_t I = 0; I != N; ++I)
-      u64(Words[I]);
-  }
 }
 
 Status SnapshotWriter::writeFileAtomic(const std::string &Path,
@@ -149,16 +138,3 @@ bool SnapshotReader::str(std::string &S, size_t MaxLen) {
   return true;
 }
 
-bool SnapshotReader::u64s(uint64_t *Words, size_t N) {
-  if (N > (Payload.size() - Pos) / 8)
-    return false;
-  if constexpr (std::endian::native == std::endian::little) {
-    if (N) // an empty destination vector may hand us a null pointer
-      std::memcpy(Words, Payload.data() + Pos, N * 8);
-    Pos += N * 8;
-  } else {
-    for (size_t I = 0; I != N; ++I)
-      u64(Words[I]);
-  }
-  return true;
-}

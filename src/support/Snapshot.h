@@ -63,8 +63,6 @@ public:
   void u64(uint64_t V);
   /// Length-prefixed string (u32 length + raw bytes).
   void str(std::string_view S);
-  /// \p N raw 64-bit words (the caller writes the count separately).
-  void u64s(const uint64_t *Words, size_t N);
 
   const std::string &buffer() const { return Buf; }
 
@@ -101,7 +99,6 @@ public:
   /// Reads a length-prefixed string of at most \p MaxLen bytes (the cap
   /// guards decode loops against corrupt lengths).
   bool str(std::string &S, size_t MaxLen = 1 << 20);
-  bool u64s(uint64_t *Words, size_t N);
 
   /// True when the whole payload was consumed (decoders should verify
   /// this to reject trailing garbage).

@@ -28,13 +28,9 @@
 /// else.  See docs/trace-format.md ("Sharded ingestion") for the
 /// shard-boundary and id-remap design.
 ///
-/// The merge pass can checkpoint its progress through the same
-/// support/Snapshot layer the analysis pipeline uses (PR 3): give the
-/// session a CheckpointDirectory and a crash mid-ingest resumes from the
-/// last durable shard cut instead of re-reading the whole dump.  Resume
-/// is only honored for file-based ingestion (feedFile), because the
-/// session must re-verify that the already-merged prefix matches the
-/// snapshot before skipping it.
+/// Ingestion keeps no checkpoint: re-reading a trace is cheaper than
+/// resuming a merge snapshot, so a crash mid-ingest re-reads the file.
+/// Crash-safe resume belongs to the analysis (cafa/Checkpoint.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -118,30 +114,10 @@ struct IngestOptions {
   unsigned Threads = 0;
 
   /// Target shard size in bytes; each shard is extended to the next
-  /// line boundary.  Shard cuts depend only on the input bytes and this
-  /// value, never on thread scheduling, so they are reproducible across
-  /// runs (which checkpoint/resume relies on).  The default cuts a 1 MB
-  /// app trace into eight shards, so every lexer thread gets work while
-  /// the session thread merges.
+  /// line boundary.  The output is bit-identical at every shard size.
+  /// The default cuts a 1 MB app trace into eight shards, so every
+  /// lexer thread gets work while the session thread merges.
   uint64_t ShardBytes = 128ull << 10;
-
-  /// When non-empty, the merge phase writes crash-safe progress
-  /// snapshots ("ingest.snapshot") into this directory.  Coexists with
-  /// the analysis checkpoint in the same directory.
-  std::string CheckpointDirectory;
-
-  /// Snapshot cadence: write a merge snapshot after at least this many
-  /// input bytes have been merged since the last one.
-  uint64_t CheckpointEveryBytes = 64ull << 20;
-
-  /// Attempt to resume from an existing ingest snapshot.  Only honored
-  /// by feedFile() (the already-merged prefix must be re-hashable);
-  /// mismatches reject to a clean full restart, never a wrong merge.
-  bool Resume = false;
-
-  /// Testing hook: abort the merge with an error after this many shards
-  /// (0 = disabled).  Simulates a crash mid-merge deterministically.
-  uint32_t DebugAbortAfterShards = 0;
 
   /// Input size budget in bytes (0 = unlimited).  feedFile() fstat's the
   /// target and fails up front with a usage error when a regular file
@@ -149,17 +125,6 @@ struct IngestOptions {
   /// halfway through the slurp.  Drivers set this from --mem-limit when
   /// no streaming window is active.
   uint64_t MaxInputBytes = 0;
-};
-
-/// What happened when IngestOptions::Resume asked for a resume.
-struct IngestResumeOutcome {
-  bool Attempted = false;  ///< Resume was requested and evaluated
-  bool NoSnapshot = false; ///< no snapshot file existed (fresh run)
-  bool Resumed = false;    ///< merge state restored from the snapshot
-  /// Why a present snapshot was rejected (empty when unused/accepted).
-  std::string RejectReason;
-  uint64_t BytesSkipped = 0;  ///< input prefix covered by the snapshot
-  uint64_t ShardsSkipped = 0; ///< shards already merged by the crashed run
 };
 
 /// Streaming trace ingestion.  Feed the input in arbitrary chunks (or
@@ -176,9 +141,9 @@ public:
   /// align with lines.
   void feed(std::string_view Chunk);
 
-  /// Streams \p Path into the session.  This is the entry point that
-  /// honors IngestOptions::Resume; it must be the session's only input
-  /// source.  Returns an error if the file cannot be opened.
+  /// Streams \p Path into the session, straight out of a mapping when
+  /// the file can be mapped.  Returns an error if the file cannot be
+  /// opened or exceeds IngestOptions::MaxInputBytes.
   Status feedFile(const std::string &Path);
 
   /// Completes ingestion: drains the workers, merges the remaining
@@ -186,9 +151,6 @@ public:
   /// \p Out.  Fails (leaving \p Out untouched) only under Strict or a
   /// blown error budget; \p ReportOut is filled either way.
   Status finish(Trace &Out, IngestReport &ReportOut);
-
-  /// Details of the resume decision (valid after feedFile).
-  const IngestResumeOutcome &resumeOutcome() const;
 
   /// The thread count \p Requested resolves to (0 = auto: environment,
   /// then hardware concurrency).
@@ -198,9 +160,6 @@ private:
   struct Impl;
   std::unique_ptr<Impl> P;
 };
-
-/// Path of the ingest snapshot inside a checkpoint directory.
-std::string ingestCheckpointPath(const std::string &Directory);
 
 /// One-shot convenience: ingest \p Text under \p Options.
 Status ingestTrace(const std::string &Text, Trace &Out, IngestReport &Report,

@@ -27,7 +27,6 @@
 #include "trace/SalvageEngine.h"
 
 #include "support/Format.h"
-#include "support/Snapshot.h"
 #include "trace/TraceTextFormat.h"
 
 #include <algorithm>
@@ -1312,296 +1311,4 @@ Status SalvageMachine::finish(Trace &Out, IngestReport &ReportOut) {
     return Fail;
   Out = std::move(T);
   return Status::success();
-}
-
-//===----------------------------------------------------------------------===//
-// SalvageMachine: snapshot round-trip
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Sanity bound on decoded element counts; real counts are bounded by
-/// the payload length anyway (every element costs bytes), this just
-/// keeps a corrupt count from driving a huge loop before reads fail.
-constexpr uint64_t MaxDecodeCount = 1ull << 28;
-
-void encodeStrId(SnapshotWriter &W, StrId Id) {
-  W.u32(tracetext::idOrSentinel(Id));
-}
-
-template <typename IdT> bool decodeId(SnapshotReader &R, IdT &Out) {
-  uint32_t Raw;
-  if (!R.u32(Raw))
-    return false;
-  Out = tracetext::idFromRaw<IdT>(Raw);
-  return true;
-}
-
-} // namespace
-
-void SalvageMachine::encodeState(SnapshotWriter &W) const {
-  // Stream position.
-  W.u64(LineBase);
-  W.u8(SeenFirstLine ? 1 : 0);
-  W.u64(LastTime);
-
-  // Report.
-  W.u64(Report.LinesTotal);
-  W.u64(Report.LinesDropped);
-  W.u64(Report.RecordsKept);
-  W.u64(Report.RecordsRepaired);
-  W.u64(Report.RecordsSynthesized);
-  W.u64(Report.TableEntriesSynthesized);
-  W.u64(Report.UnsentEventBegins);
-  W.u8(Report.MissingHeader ? 1 : 0);
-  W.u8(Report.TruncatedFinalLine ? 1 : 0);
-  W.u64(Report.IncidentsTotal);
-  W.u32(static_cast<uint32_t>(Report.Diagnostics.size()));
-  for (const IngestDiagnostic &D : Report.Diagnostics) {
-    W.u64(D.LineNo);
-    W.str(D.Message);
-  }
-
-  // Interner (ids are dense indices, so order is the content).
-  W.u32(static_cast<uint32_t>(T.names().size()));
-  for (uint32_t I = 0, E = static_cast<uint32_t>(T.names().size()); I != E;
-       ++I)
-    W.str(T.names().str(StrId(I)));
-
-  // Records.
-  W.u64(T.numRecords());
-  for (const TraceRecord &R : T.records()) {
-    W.u32(tracetext::idOrSentinel(R.Task));
-    W.u8(static_cast<uint8_t>(R.Kind));
-    W.u32(tracetext::idOrSentinel(R.Method));
-    W.u32(R.Pc);
-    W.u64(R.Arg0);
-    W.u64(R.Arg1);
-    W.u64(R.Arg2);
-    W.u64(R.Time);
-  }
-
-  // Side tables + their validator mirrors, element-wise so the decoder
-  // can rebuild both in one pass.
-  W.u32(static_cast<uint32_t>(T.numTasks()));
-  for (uint32_t I = 0, E = static_cast<uint32_t>(T.numTasks()); I != E; ++I) {
-    const TaskInfo &Info = T.taskInfo(TaskId(I));
-    W.u8(Info.Kind == TaskKind::Event ? 1 : 0);
-    encodeStrId(W, Info.Name);
-    W.u32(tracetext::idOrSentinel(Info.Process));
-    W.u32(tracetext::idOrSentinel(Info.Queue));
-    W.u32(tracetext::idOrSentinel(Info.Handler));
-    W.u64(Info.DelayMs);
-    W.u8(Info.SentAtFront ? 1 : 0);
-    W.u8(Info.External ? 1 : 0);
-    W.u32(tracetext::idOrSentinel(Info.Parent));
-    W.u8(Info.IsLooper ? 1 : 0);
-    const TaskState &S = States[I];
-    W.u8(S.Begun ? 1 : 0);
-    W.u8(S.Ended ? 1 : 0);
-    W.u32(static_cast<uint32_t>(S.LockStack.size()));
-    W.u64s(S.LockStack.data(), S.LockStack.size());
-    W.u32(static_cast<uint32_t>(S.FrameStack.size()));
-    W.u64s(S.FrameStack.data(), S.FrameStack.size());
-    W.u8(EventSent[I] ? 1 : 0);
-    W.u8(SynthTask[I] ? 1 : 0);
-  }
-
-  W.u32(static_cast<uint32_t>(T.numQueues()));
-  for (uint32_t I = 0, E = static_cast<uint32_t>(T.numQueues()); I != E;
-       ++I) {
-    const QueueInfo &Info = T.queueInfo(QueueId(I));
-    encodeStrId(W, Info.Name);
-    W.u32(tracetext::idOrSentinel(Info.Looper));
-    W.u32(tracetext::idOrSentinel(ActiveEvent[I]));
-    W.u8(SynthQueue[I] ? 1 : 0);
-  }
-
-  W.u32(static_cast<uint32_t>(T.numMethods()));
-  for (uint32_t I = 0, E = static_cast<uint32_t>(T.numMethods()); I != E;
-       ++I) {
-    const MethodInfo &Info = T.methodInfo(MethodId(I));
-    encodeStrId(W, Info.Name);
-    W.u32(Info.CodeSize);
-    W.u8(SynthMethod[I] ? 1 : 0);
-  }
-
-  W.u32(static_cast<uint32_t>(T.numListeners()));
-  for (uint32_t I = 0, E = static_cast<uint32_t>(T.numListeners()); I != E;
-       ++I) {
-    const ListenerInfo &Info = T.listenerInfo(ListenerId(I));
-    encodeStrId(W, Info.Name);
-    W.u8(Info.Instrumented ? 1 : 0);
-    W.u8(SynthListener[I] ? 1 : 0);
-  }
-
-  // Frame-id history, sorted so the encoding is deterministic.
-  std::vector<uint64_t> Frames(SeenFrameIds.begin(), SeenFrameIds.end());
-  std::sort(Frames.begin(), Frames.end());
-  W.u64(Frames.size());
-  W.u64s(Frames.data(), Frames.size());
-}
-
-bool SalvageMachine::decodeState(SnapshotReader &R) {
-  uint8_t B;
-  if (!R.u64(LineBase) || !R.u8(B))
-    return false;
-  SeenFirstLine = B != 0;
-  if (!R.u64(LastTime))
-    return false;
-
-  if (!R.u64(Report.LinesTotal) || !R.u64(Report.LinesDropped) ||
-      !R.u64(Report.RecordsKept) || !R.u64(Report.RecordsRepaired) ||
-      !R.u64(Report.RecordsSynthesized) ||
-      !R.u64(Report.TableEntriesSynthesized) ||
-      !R.u64(Report.UnsentEventBegins))
-    return false;
-  if (!R.u8(B))
-    return false;
-  Report.MissingHeader = B != 0;
-  if (!R.u8(B))
-    return false;
-  Report.TruncatedFinalLine = B != 0;
-  if (!R.u64(Report.IncidentsTotal))
-    return false;
-  uint32_t DiagCount;
-  if (!R.u32(DiagCount) || DiagCount > MaxDecodeCount)
-    return false;
-  Report.Diagnostics.clear();
-  for (uint32_t I = 0; I != DiagCount; ++I) {
-    IngestDiagnostic D;
-    uint64_t Ln;
-    if (!R.u64(Ln) || !R.str(D.Message))
-      return false;
-    D.LineNo = static_cast<size_t>(Ln);
-    Report.Diagnostics.push_back(std::move(D));
-  }
-
-  uint32_t NameCount;
-  if (!R.u32(NameCount) || NameCount > MaxDecodeCount)
-    return false;
-  for (uint32_t I = 0; I != NameCount; ++I) {
-    std::string S;
-    if (!R.str(S))
-      return false;
-    // Duplicate strings would silently renumber every name reference.
-    if (T.names().intern(S).value() != I)
-      return false;
-  }
-
-  uint64_t RecCount;
-  if (!R.u64(RecCount) || RecCount > MaxDecodeCount)
-    return false;
-  for (uint64_t I = 0; I != RecCount; ++I) {
-    TraceRecord Rec;
-    uint8_t Kind;
-    if (!decodeId(R, Rec.Task) || !R.u8(Kind) || Kind >= NumOpKinds ||
-        !decodeId(R, Rec.Method) || !R.u32(Rec.Pc) || !R.u64(Rec.Arg0) ||
-        !R.u64(Rec.Arg1) || !R.u64(Rec.Arg2) || !R.u64(Rec.Time))
-      return false;
-    Rec.Kind = static_cast<OpKind>(Kind);
-    T.append(Rec);
-  }
-
-  uint32_t TaskCount;
-  if (!R.u32(TaskCount) || TaskCount > MaxDecodeCount)
-    return false;
-  for (uint32_t I = 0; I != TaskCount; ++I) {
-    TaskInfo Info;
-    uint8_t Kind, Front, External, Looper, Begun, Ended, Sent, Synth;
-    if (!R.u8(Kind))
-      return false;
-    Info.Kind = Kind ? TaskKind::Event : TaskKind::Thread;
-    if (!decodeId(R, Info.Name) || !decodeId(R, Info.Process) ||
-        !decodeId(R, Info.Queue) || !decodeId(R, Info.Handler) ||
-        !R.u64(Info.DelayMs) || !R.u8(Front) || !R.u8(External) ||
-        !decodeId(R, Info.Parent) || !R.u8(Looper))
-      return false;
-    if (Info.Name.isValid() && Info.Name.index() >= T.names().size())
-      return false;
-    Info.SentAtFront = Front != 0;
-    Info.External = External != 0;
-    Info.IsLooper = Looper != 0;
-    TaskState S;
-    uint32_t Depth;
-    if (!R.u8(Begun) || !R.u8(Ended) || !R.u32(Depth) ||
-        Depth > MaxDecodeCount)
-      return false;
-    S.Begun = Begun != 0;
-    S.Ended = Ended != 0;
-    S.LockStack.resize(Depth);
-    if (!R.u64s(S.LockStack.data(), Depth))
-      return false;
-    if (!R.u32(Depth) || Depth > MaxDecodeCount)
-      return false;
-    S.FrameStack.resize(Depth);
-    if (!R.u64s(S.FrameStack.data(), Depth))
-      return false;
-    if (!R.u8(Sent) || !R.u8(Synth))
-      return false;
-    T.addTask(Info);
-    States.push_back(std::move(S));
-    EventSent.push_back(Sent != 0);
-    SynthTask.push_back(Synth != 0);
-  }
-
-  uint32_t QueueCount;
-  if (!R.u32(QueueCount) || QueueCount > MaxDecodeCount)
-    return false;
-  for (uint32_t I = 0; I != QueueCount; ++I) {
-    QueueInfo Info;
-    TaskId Active;
-    uint8_t Synth;
-    if (!decodeId(R, Info.Name) || !decodeId(R, Info.Looper) ||
-        !decodeId(R, Active) || !R.u8(Synth))
-      return false;
-    if (Info.Name.isValid() && Info.Name.index() >= T.names().size())
-      return false;
-    if (Active.isValid() && Active.index() >= T.numTasks())
-      return false;
-    T.addQueue(Info);
-    ActiveEvent.push_back(Active);
-    SynthQueue.push_back(Synth != 0);
-  }
-
-  uint32_t MethodCount;
-  if (!R.u32(MethodCount) || MethodCount > MaxDecodeCount)
-    return false;
-  for (uint32_t I = 0; I != MethodCount; ++I) {
-    MethodInfo Info;
-    uint8_t Synth;
-    if (!decodeId(R, Info.Name) || !R.u32(Info.CodeSize) || !R.u8(Synth))
-      return false;
-    if (Info.Name.isValid() && Info.Name.index() >= T.names().size())
-      return false;
-    T.addMethod(Info);
-    SynthMethod.push_back(Synth != 0);
-  }
-
-  uint32_t ListenerCount;
-  if (!R.u32(ListenerCount) || ListenerCount > MaxDecodeCount)
-    return false;
-  for (uint32_t I = 0; I != ListenerCount; ++I) {
-    ListenerInfo Info;
-    uint8_t Instr, Synth;
-    if (!decodeId(R, Info.Name) || !R.u8(Instr) || !R.u8(Synth))
-      return false;
-    if (Info.Name.isValid() && Info.Name.index() >= T.names().size())
-      return false;
-    Info.Instrumented = Instr != 0;
-    T.addListener(Info);
-    SynthListener.push_back(Synth != 0);
-  }
-
-  uint64_t FrameCount;
-  if (!R.u64(FrameCount) || FrameCount > MaxDecodeCount)
-    return false;
-  for (uint64_t I = 0; I != FrameCount; ++I) {
-    uint64_t F;
-    if (!R.u64(F))
-      return false;
-    SeenFrameIds.insert(F);
-  }
-
-  return true;
 }

@@ -29,10 +29,6 @@
 /// at fixed control-flow points of the merge, so the interner's id
 /// assignment order does not depend on the shard cuts either.
 ///
-/// The machine's full state (trace under construction, report, validator
-/// mirrors) can round-trip through support/Snapshot, which is how the
-/// merge phase checkpoints mid-ingest (docs/robustness.md).
-///
 /// Not installed; include only from src/trace.
 ///
 //===----------------------------------------------------------------------===//
@@ -50,10 +46,6 @@
 #include <vector>
 
 namespace cafa {
-
-class SnapshotReader;
-class SnapshotWriter;
-
 namespace ingest {
 
 /// What a line lexed into, before any stateful decision.
@@ -149,15 +141,6 @@ public:
 
   /// Global 1-based number of the last line consumed (shards ended).
   uint64_t lineBase() const { return LineBase; }
-
-  /// Serializes the complete machine state (trace under construction,
-  /// report, validator mirrors).  Must not be called after a hard fail.
-  void encodeState(SnapshotWriter &W) const;
-
-  /// Rebuilds the machine from \p R into this freshly constructed
-  /// instance.  Returns false on a malformed payload; the machine is
-  /// then unusable and must be discarded.
-  bool decodeState(SnapshotReader &R);
 
 private:
   // --- Configuration & lifecycle ---------------------------------------

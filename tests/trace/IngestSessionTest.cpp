@@ -140,11 +140,11 @@ std::string readFileOrDie(const std::string &Path) {
 }
 
 const char *AllFixtures[] = {
-    "dangling_fork_target.trace", "minimal_truncated.trace",
-    "mytracks_droppeddup.trace",  "mytracks_head.trace",
-    "todolist_garbage.trace",     "todolist_head.trace",
-    "zxing_cut.trace",            "zxing_fielddamage.trace",
-    "zxing_head.trace",
+    "dangling_fork_target.trace", "looper_derived_order.trace",
+    "minimal_truncated.trace",    "mytracks_droppeddup.trace",
+    "mytracks_head.trace",        "todolist_garbage.trace",
+    "todolist_head.trace",        "zxing_cut.trace",
+    "zxing_fielddamage.trace",    "zxing_head.trace",
 };
 
 } // namespace
