@@ -93,7 +93,7 @@ bool ConventionalOrder::reaches(NodeId From, NodeId To) const {
   while (!Ranges.empty()) {
     Range R = Ranges.back();
     Ranges.pop_back();
-    const std::vector<NodeId> &Nodes = G.taskNodes(R.Task);
+    std::span<const NodeId> Nodes = G.taskNodes(R.Task);
     NodeId End = G.endNode(R.Task);
     for (uint32_t P = R.Lo; P != R.Hi && Nodes[P].index() < To.index(); ++P) {
       NodeId Node = Nodes[P];

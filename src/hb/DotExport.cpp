@@ -42,7 +42,7 @@ std::string cafa::exportHbGraphDot(const HbIndex &Hb, const Trace &T) {
   // One cluster per task that has nodes.
   for (uint32_t Task = 0, E = static_cast<uint32_t>(T.numTasks());
        Task != E; ++Task) {
-    const std::vector<NodeId> &Nodes = G.taskNodes(TaskId(Task));
+    std::span<const NodeId> Nodes = G.taskNodes(TaskId(Task));
     if (Nodes.empty())
       continue;
     OS << formatString("  subgraph cluster_t%u {\n", Task)

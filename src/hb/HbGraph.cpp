@@ -34,8 +34,11 @@ bool cafa::isRelevantOp(OpKind Kind) {
 
 HbGraph::HbGraph(const Trace &T)
     : T(T), RecordNodes(T.numRecords(), 0xFFFFFFFFu),
-      PerTaskNodes(T.numTasks()), BeginNodes(T.numTasks()),
+      TaskStart(T.numTasks() + 1, 0), BeginNodes(T.numTasks()),
       EndNodes(T.numTasks()) {
+  // One record walk numbers the nodes and counts each task's nodes
+  // (TaskStart[t + 1], prefix-summed below): a node's position in its
+  // task is the count before it.
   for (uint32_t I = 0, E = static_cast<uint32_t>(T.numRecords()); I != E;
        ++I) {
     const TraceRecord &Rec = T.record(I);
@@ -45,25 +48,37 @@ HbGraph::HbGraph(const Trace &T)
     NodeRecords.push_back(I);
     RecordNodes[I] = Node.value();
     NodeTasks.push_back(Rec.Task);
-    NodePos.push_back(
-        static_cast<uint32_t>(PerTaskNodes[Rec.Task.index()].size()));
-    PerTaskNodes[Rec.Task.index()].push_back(Node);
+    NodePos.push_back(TaskStart[Rec.Task.index() + 1]++);
     if (Rec.Kind == OpKind::TaskBegin)
       BeginNodes[Rec.Task.index()] = Node;
     else if (Rec.Kind == OpKind::TaskEnd)
       EndNodes[Rec.Task.index()] = Node;
   }
-  Successors.resize(NodeRecords.size());
+  for (size_t Task = 0; Task != T.numTasks(); ++Task)
+    TaskStart[Task + 1] += TaskStart[Task];
 
-  // Program-order chain within each task.
-  for (const std::vector<NodeId> &Nodes : PerTaskNodes)
-    for (size_t I = 0; I + 1 < Nodes.size(); ++I)
-      addEdge(Nodes[I], Nodes[I + 1]);
+  // One node walk fills the task slices and lays down program order:
+  // every node but its task's last has one successor, the next node of
+  // its task.
+  const uint32_t N = static_cast<uint32_t>(numNodes());
+  TaskNodeIds.resize(N);
+  SuccStart.resize(N + 1);
+  for (uint32_t Node = 0; Node != N; ++Node) {
+    uint32_t Task = NodeTasks[Node].index();
+    uint32_t Slot = TaskStart[Task] + NodePos[Node];
+    TaskNodeIds[Slot] = NodeId(Node);
+    SuccStart[Node + 1] = SuccStart[Node] + (Slot + 1 < TaskStart[Task + 1]);
+  }
+  SuccTargets.resize(SuccStart[N]);
+  for (uint32_t Node = 0; Node != N; ++Node)
+    if (SuccStart[Node] != SuccStart[Node + 1])
+      SuccTargets[SuccStart[Node]] =
+          taskNodes(NodeTasks[Node])[NodePos[Node] + 1].value();
+  EdgeCount = SuccTargets.size();
 }
 
 NodeId HbGraph::firstNodeAtOrAfter(uint32_t RecordIndex) const {
-  const TraceRecord &Rec = T.record(RecordIndex);
-  const std::vector<NodeId> &Nodes = PerTaskNodes[Rec.Task.index()];
+  std::span<const NodeId> Nodes = taskNodes(T.record(RecordIndex).Task);
   // Node ids are assigned in record order, so record indices of a task's
   // nodes are ascending; binary search on the underlying record index.
   auto It = std::lower_bound(
@@ -73,8 +88,7 @@ NodeId HbGraph::firstNodeAtOrAfter(uint32_t RecordIndex) const {
 }
 
 NodeId HbGraph::lastNodeAtOrBefore(uint32_t RecordIndex) const {
-  const TraceRecord &Rec = T.record(RecordIndex);
-  const std::vector<NodeId> &Nodes = PerTaskNodes[Rec.Task.index()];
+  std::span<const NodeId> Nodes = taskNodes(T.record(RecordIndex).Task);
   auto It = std::upper_bound(
       Nodes.begin(), Nodes.end(), RecordIndex,
       [this](uint32_t R, NodeId N) { return R < NodeRecords[N.index()]; });
@@ -95,7 +109,36 @@ bool HbGraph::addEdge(NodeId From, NodeId To) {
     ++RejectedEdgeCount;
     return false;
   }
-  Successors[From.index()].push_back(To.value());
+  Unfolded.push_back({From, To});
   ++EdgeCount;
   return true;
+}
+
+void HbGraph::foldEdges() {
+  if (Unfolded.empty())
+    return;
+  // Batch[n]: the queued edges out of node n, later the slot where the
+  // next of them goes.
+  const size_t N = numNodes();
+  std::vector<uint32_t> Batch(N, 0);
+  for (const HbEdge &E : Unfolded)
+    ++Batch[E.From.index()];
+  // Grow the targets in place, then walk the nodes down: each node's
+  // old successors move up by the batch edges of the nodes below it,
+  // and its own batch edges go right after them.
+  const size_t Old = SuccTargets.size();
+  SuccTargets.reserve(Old + Unfolded.size());
+  SuccTargets.resize(Old + Unfolded.size());
+  uint32_t Shift = static_cast<uint32_t>(Unfolded.size());
+  for (size_t I = N; I-- > 0;) {
+    uint32_t Lo = SuccStart[I], Hi = SuccStart[I + 1];
+    Shift -= Batch[I];
+    std::copy_backward(SuccTargets.begin() + Lo, SuccTargets.begin() + Hi,
+                       SuccTargets.begin() + Hi + Shift);
+    SuccStart[I + 1] = Hi + Shift + Batch[I];
+    Batch[I] = Hi + Shift;
+  }
+  for (const HbEdge &E : Unfolded)
+    SuccTargets[Batch[E.From.index()]++] = E.To.value();
+  Unfolded = {};
 }

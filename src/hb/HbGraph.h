@@ -31,6 +31,8 @@
 #include "support/Ids.h"
 #include "trace/Trace.h"
 
+#include <cassert>
+#include <span>
 #include <vector>
 
 namespace cafa {
@@ -38,13 +40,30 @@ namespace cafa {
 /// Returns true if \p Kind forms a node in the happens-before graph.
 bool isRelevantOp(OpKind Kind);
 
+/// One happens-before edge, as queued by addEdge() and handed to the
+/// delta-aware oracle path.
+struct HbEdge {
+  NodeId From;
+  NodeId To;
+};
+
 /// The graph structure (nodes + adjacency).  Rule evaluation and
 /// reachability live in separate classes.
+///
+/// Layout: flat offset arrays (CSR), not a heap vector per node or
+/// task.  A task's nodes are one slice of a node-id array, and a node's
+/// successors one slice of a target array.  The constructor lays down
+/// the program-order successors; every later edge is queued by
+/// addEdge() and folded in by foldEdges(), one batch at a time (the
+/// base rules, a checkpoint replay, one fixpoint round), after the
+/// node's earlier successors.  A node's successors are therefore in
+/// the order their edges were added.
 class HbGraph {
 public:
   explicit HbGraph(const Trace &T);
 
   size_t numNodes() const { return NodeRecords.size(); }
+  /// Edges accepted so far, folded or not.
   size_t numEdges() const { return EdgeCount; }
 
   /// The trace record index a node stands for.
@@ -59,8 +78,9 @@ public:
   }
 
   /// All nodes of \p Task in ascending task-local order.
-  const std::vector<NodeId> &taskNodes(TaskId Task) const {
-    return PerTaskNodes[Task.index()];
+  std::span<const NodeId> taskNodes(TaskId Task) const {
+    return {TaskNodeIds.data() + TaskStart[Task.index()],
+            TaskNodeIds.data() + TaskStart[Task.index() + 1]};
   }
 
   /// The task that performed \p Node's record.
@@ -78,20 +98,35 @@ public:
   /// Last node of record's task at-or-before the record (for targets).
   NodeId lastNodeAtOrBefore(uint32_t RecordIndex) const;
 
-  /// Adds edge From -> To and returns true; ignores duplicates lazily
-  /// (callers dedup via reachability).  Edges violating the
-  /// forward-in-record-order invariant (possible with salvaged traces
-  /// that contradict their own linearization) are dropped and counted
-  /// instead of added, returning false -- trace order is ground truth,
-  /// and a missing edge is the conservative direction for detection.
+  /// Queues edge From -> To for the next foldEdges() and returns true;
+  /// ignores duplicates lazily (callers dedup via reachability).  Edges
+  /// violating the forward-in-record-order invariant (possible with
+  /// salvaged traces that contradict their own linearization) are
+  /// dropped and counted instead of added, returning false -- trace
+  /// order is ground truth, and a missing edge is the conservative
+  /// direction for detection.
   bool addEdge(NodeId From, NodeId To);
+
+  /// Folds the queued edges into the successor arrays, each after its
+  /// source's earlier successors and in the order it was added.  One
+  /// O(N + E) merge per batch.
+  void foldEdges();
 
   /// Edges addEdge() refused because they contradicted trace order.
   size_t numRejectedEdges() const { return RejectedEdgeCount; }
 
-  /// Successor node ids of \p Node.
-  const std::vector<uint32_t> &successors(NodeId Node) const {
-    return Successors[Node.index()];
+  /// Successor node ids of \p Node.  Every queued edge must have been
+  /// folded in first.
+  std::span<const uint32_t> successors(NodeId Node) const {
+    assert(Unfolded.empty() && "successors read with unfolded edges");
+    return {SuccTargets.data() + SuccStart[Node.index()],
+            SuccTargets.data() + SuccStart[Node.index() + 1]};
+  }
+
+  /// Bytes the successor arrays hold (their capacity).
+  size_t successorBytes() const {
+    return (SuccStart.capacity() + SuccTargets.capacity()) *
+           sizeof(uint32_t);
   }
 
   const Trace &trace() const { return T; }
@@ -102,12 +137,19 @@ private:
   std::vector<uint32_t> NodeRecords;
   /// Record index -> node id or 0xFFFFFFFF.
   std::vector<uint32_t> RecordNodes;
-  std::vector<std::vector<NodeId>> PerTaskNodes;
+  /// Task -> its first slot in TaskNodeIds (numTasks + 1 offsets);
+  /// TaskNodeIds holds every task's nodes, task after task.
+  std::vector<uint32_t> TaskStart;
+  std::vector<NodeId> TaskNodeIds;
   std::vector<TaskId> NodeTasks;
   std::vector<uint32_t> NodePos;
   std::vector<NodeId> BeginNodes;
   std::vector<NodeId> EndNodes;
-  std::vector<std::vector<uint32_t>> Successors;
+  /// Node -> its first slot in SuccTargets (numNodes + 1 offsets).
+  std::vector<uint32_t> SuccStart;
+  std::vector<uint32_t> SuccTargets;
+  /// Accepted edges not yet folded into the successor arrays.
+  std::vector<HbEdge> Unfolded;
   size_t EdgeCount = 0;
   size_t RejectedEdgeCount = 0;
 };

@@ -744,6 +744,7 @@ struct HbIndex::Builder {
     for (auto [From, To] : NewEdges)
       if (G.addEdge(From, To))
         Batch.push_back({From, To});
+    G.foldEdges();
 
     Stats.AtomicityEdges += Main.Atomicity;
     Stats.QueueRule1Edges += Main.Q1;
@@ -795,6 +796,9 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
     Stats = R->Stats;
     DerivedEdges = R->DerivedEdges;
   }
+  // The base edges and the replay fold in as one batch: the merge keeps
+  // every node's successors in the order they were added.
+  Graph->foldEdges();
   auto TBase = Now();
 
   // Memory rung of the degradation ladder: build under a byte budget
@@ -875,8 +879,9 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
         }
         break;
       }
-      // Delta protocol: the graph already holds this round's edges; the
-      // oracle either folds them in incrementally or rebuilds.
+      // Delta protocol: the graph already holds this round's edges,
+      // folded into its successor arrays; the oracle either absorbs
+      // them incrementally or rebuilds.
       Reach->addEdges(Delta);
       DerivedEdges.insert(DerivedEdges.end(), Delta.begin(), Delta.end());
       // Cadence checkpoint: the graph holds exactly base + DerivedEdges,
@@ -964,9 +969,5 @@ void HbIndex::shedOracle() {
 }
 
 size_t HbIndex::memoryBytes() const {
-  size_t Adj = 0;
-  for (uint32_t I = 0, E = static_cast<uint32_t>(Graph->numNodes()); I != E;
-       ++I)
-    Adj += Graph->successors(NodeId(I)).capacity() * 4;
-  return Adj + Reach->memoryBytes();
+  return Graph->successorBytes() + Reach->memoryBytes();
 }

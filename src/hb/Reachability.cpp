@@ -302,7 +302,7 @@ bool BfsReachability::reaches(NodeId From, NodeId To) const {
   while (!Ranges.empty()) {
     Range R = Ranges.back();
     Ranges.pop_back();
-    const std::vector<NodeId> &Nodes = G.taskNodes(R.Task);
+    std::span<const NodeId> Nodes = G.taskNodes(R.Task);
     for (uint32_t P = R.Lo; P != R.Hi; ++P) {
       for (uint32_t S : G.successors(Nodes[P])) {
         NodeId Succ(S);
@@ -332,7 +332,7 @@ void cafa::greedyChainCover(const HbGraph &G, ChainCover &Out) {
   size_t N = G.numNodes();
   Out.ChainOf.assign(N, ChainCover::Unassigned);
   Out.PosInChain.assign(N, 0);
-  Out.ChainNodes.clear();
+  Out.NumChains = 0;
   // Greedy path cover: walk ids ascending, start a chain at every
   // unassigned node, extend along the smallest-id unassigned successor.
   // Edges point forward in id order, so every chain's members ascend --
@@ -343,13 +343,11 @@ void cafa::greedyChainCover(const HbGraph &G, ChainCover &Out) {
   for (uint32_t I = 0, E = static_cast<uint32_t>(N); I != E; ++I) {
     if (Out.ChainOf[I] != ChainCover::Unassigned)
       continue;
-    uint32_t C = static_cast<uint32_t>(Out.ChainNodes.size());
-    Out.ChainNodes.emplace_back();
+    uint32_t C = Out.NumChains++;
     uint32_t U = I;
-    for (;;) {
+    for (uint32_t Pos = 0;; ++Pos) {
       Out.ChainOf[U] = C;
-      Out.PosInChain[U] = static_cast<uint32_t>(Out.ChainNodes[C].size());
-      Out.ChainNodes[C].push_back(U);
+      Out.PosInChain[U] = Pos;
       uint32_t NextU = ChainCover::Unassigned;
       for (uint32_t S : G.successors(NodeId(U)))
         if (Out.ChainOf[S] == ChainCover::Unassigned && S < NextU)
@@ -503,12 +501,10 @@ void ChainReachability::decompose() {
   ChainCover Cover;
   Cover.ChainOf = std::move(ChainOf);
   Cover.PosInChain = std::move(PosInChain);
-  Cover.ChainNodes = std::move(ChainNodes);
   greedyChainCover(G, Cover);
   ChainOf = std::move(Cover.ChainOf);
   PosInChain = std::move(Cover.PosInChain);
-  ChainNodes = std::move(Cover.ChainNodes);
-  NumChains = static_cast<uint32_t>(ChainNodes.size());
+  NumChains = Cover.NumChains;
 }
 
 void ChainReachability::maybeBootstrap() {
@@ -530,13 +526,9 @@ void ChainReachability::maybeBootstrap() {
 }
 
 size_t ChainReachability::baseBytes() const {
-  size_t Total = ChainOf.capacity() * 4 + PosInChain.capacity() * 4 +
-                 Dirty.capacity() + SortedBatch.capacity() * sizeof(HbEdge) +
-                 ChainNodes.capacity() * sizeof(std::vector<uint32_t>) +
-                 Search.memoryBytes();
-  for (const std::vector<uint32_t> &CN : ChainNodes)
-    Total += CN.capacity() * 4;
-  return Total;
+  return ChainOf.capacity() * 4 + PosInChain.capacity() * 4 +
+         Dirty.capacity() + SortedBatch.capacity() * sizeof(HbEdge) +
+         Search.memoryBytes();
 }
 
 bool ChainReachability::buildClocks() {
@@ -588,8 +580,6 @@ void ChainReachability::refresh() {
     ChainOf.shrink_to_fit();
     PosInChain.clear();
     PosInChain.shrink_to_fit();
-    ChainNodes.clear();
-    ChainNodes.shrink_to_fit();
     Dirty.clear();
     Dirty.shrink_to_fit();
     Clocks.clear();
@@ -758,8 +748,8 @@ size_t cafa::estimateReachabilityMemory(size_t NumNodes, ReachMode Mode) {
     // Rows, plus one strip's per-node dirty flags.
     return NumNodes * RowBytes + NumNodes;
   case ReachMode::Chain: {
-    // Linear structures (chain ids, positions, members, dirty flags,
-    // search scratch, container overhead) at ~48 bytes/node, plus the
+    // Linear structures (chain ids, positions, dirty flags, search
+    // scratch, container overhead) at ~48 bytes/node, plus the
     // clock matrix at the largest shape buildClocks() will ever commit:
     // 4 bytes per (node, chain) with chains capped structurally.  Errs
     // high -- the measured cover is usually far narrower than the cap.

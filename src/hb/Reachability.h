@@ -45,12 +45,6 @@ namespace cafa {
 
 class WorkerPool;
 
-/// One happens-before edge, as handed to the delta-aware oracle path.
-struct HbEdge {
-  NodeId From;
-  NodeId To;
-};
-
 /// Which reachability oracle backs queries and rule evaluation.  Never
 /// serialized: a checkpoint carries edges, and every resume rebuilds the
 /// oracle of its own choosing from them.
@@ -89,12 +83,9 @@ struct ChainCover {
   /// Sentinel in ChainOf while the cover is being built; never present
   /// in a finished cover.
   static constexpr uint32_t Unassigned = 0xFFFFFFFFu;
-  std::vector<uint32_t> ChainOf;     ///< node id -> chain index
-  std::vector<uint32_t> PosInChain;  ///< node id -> position in its chain
-  std::vector<std::vector<uint32_t>> ChainNodes; ///< chain -> node ids
-  uint32_t numChains() const {
-    return static_cast<uint32_t>(ChainNodes.size());
-  }
+  std::vector<uint32_t> ChainOf;    ///< node id -> chain index
+  std::vector<uint32_t> PosInChain; ///< node id -> position in its chain
+  uint32_t NumChains = 0;
 };
 
 /// Computes the canonical greedy path cover of \p G: walk ids
@@ -431,7 +422,6 @@ private:
   uint32_t NumChains = 0;
   std::vector<uint32_t> ChainOf;    // node -> chain index
   std::vector<uint32_t> PosInChain; // node -> position within its chain
-  std::vector<std::vector<uint32_t>> ChainNodes; // chain -> members, ascending
 
   bool ClocksValid = false;
   std::vector<uint32_t> Clocks; // row-major, N rows of NumChains entries

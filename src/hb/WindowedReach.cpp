@@ -16,11 +16,7 @@ using namespace cafa;
 WindowedReach::WindowedReach(const HbGraph &G, uint32_t QueryHorizon)
     : G(G) {
   greedyChainCover(G, Cover);
-  NumChains = Cover.numChains();
-  // Only the per-node arrays are needed for queries; the member lists
-  // are the build scaffolding.
-  Cover.ChainNodes.clear();
-  Cover.ChainNodes.shrink_to_fit();
+  NumChains = Cover.NumChains;
 
   const uint32_t N = static_cast<uint32_t>(G.numNodes());
   // lastNodeAtOrBefore is *per-task*: the query at record L targets the
@@ -81,7 +77,7 @@ void WindowedReach::freeRow(uint32_t Node) {
 }
 
 void WindowedReach::admit(uint32_t Node) {
-  const std::vector<uint32_t> &Succ = G.successors(NodeId(Node));
+  std::span<const uint32_t> Succ = G.successors(NodeId(Node));
   if (Succ.empty())
     return;
   // Push only to the *earliest* successor on each chain.  A saturated

@@ -50,8 +50,10 @@ public:
       Added = false;
       for (auto [From, To] : Proposed)
         Added |= G->addEdge(From, To); // the graph refuses contradictions
-      if (Added)
+      if (Added) {
+        G->foldEdges();
         Closure->refresh();
+      }
     }
   }
 

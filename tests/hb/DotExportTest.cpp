@@ -7,8 +7,11 @@
 
 #include "hb/DotExport.h"
 
+#include "apps/Apps.h"
 #include "cafa/Fig4.h"
+#include "rt/Runtime.h"
 #include "support/Format.h"
+#include "support/Snapshot.h"
 #include "trace/TraceBuilder.h"
 
 #include "HbTestTraces.h"
@@ -65,6 +68,36 @@ std::string edgeLines(const std::string &Dot) {
     if (Line.find(" -> ") != std::string::npos)
       Edges += Line + "\n";
   return Edges;
+}
+
+/// FNV-1a of the node graph's rendering, which prints every node's
+/// successors in the order the graph keeps them, derived edges included.
+uint64_t nodeGraphDigest(const Trace &T) {
+  TaskIndex Index(T);
+  HbIndex Hb(T, Index, HbOptions());
+  std::string Dot = exportHbGraphDot(Hb, T);
+  return fnv1a64(Dot.data(), Dot.size());
+}
+
+TEST(DotExportTest, NodeGraphKeepsSuccessorOrder) {
+  // Pinned renderings: a node's successors are program order first,
+  // then the base rules' edges, then each fixpoint round's, each batch
+  // in the order it was added.  A change to that order shows here; a
+  // deliberate change to the runtime's schedules or the rules re-pins.
+  bool SawLooper = false;
+  for (const auto &[Name, T] : salvageCorpus())
+    if (Name == "looper_derived_order.trace") {
+      SawLooper = true;
+      EXPECT_EQ(nodeGraphDigest(T), 0xf56aed023f4ac99full) << Name;
+    }
+  EXPECT_TRUE(SawLooper);
+  for (auto [App, Want] :
+       {std::pair<const char *, uint64_t>{"vlc", 0x2544e987b315c956ull},
+        {"mytracks", 0x9174d683406adc91ull}}) {
+    apps::AppModel Model = apps::buildApp(App);
+    EXPECT_EQ(nodeGraphDigest(runScenario(Model.S, RuntimeOptions())), Want)
+        << App;
+  }
 }
 
 TEST(DotExportTest, NodeGraphContainsTasksOpsAndEdges) {

@@ -332,6 +332,7 @@ TEST_P(IncrementalDifferentialTest, OraclesAgreeUnderIncrementalBatches) {
       G.addEdge(NodeId(A), NodeId(B));
       Edges.push_back({NodeId(A), NodeId(B)});
     }
+    G.foldEdges();
 
     Closure.refresh();
     bool UsedDelta = !R.chance(1, 3);
@@ -429,6 +430,7 @@ TEST(ChainEdgeStormTest, CrossChainBatchesWidenClocksConsistently) {
       G.addEdge(NodeId(A), NodeId(B));
       Edges.push_back({NodeId(A), NodeId(B)});
     }
+    G.foldEdges();
     Inc.addEdges(Edges);
     Chain.addEdges(Edges);
     ASSERT_TRUE(Chain.clocksActive()) << "batch " << Batch;
@@ -474,6 +476,8 @@ TEST_P(StripParityTest, PooledSweepsMatchSequentialBitForBit) {
       GPar.addEdge(NodeId(A), NodeId(B));
       Edges.push_back({NodeId(A), NodeId(B)});
     }
+    GSeq.foldEdges();
+    GPar.foldEdges();
     bool UseDelta = !R.chance(1, 3);
     if (UseDelta) {
       Seq.addEdges(Edges);

@@ -21,7 +21,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <dirent.h>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -127,7 +129,7 @@ std::string buildRichTraceText(uint32_t Volume) {
   return serializeTrace(TB.take());
 }
 
-std::string fixturePath(const char *Name) {
+std::string fixturePath(const std::string &Name) {
   return std::string(CAFA_TRACE_FIXTURE_DIR) + "/" + Name;
 }
 
@@ -139,13 +141,21 @@ std::string readFileOrDie(const std::string &Path) {
   return SS.str();
 }
 
-const char *AllFixtures[] = {
-    "dangling_fork_target.trace", "looper_derived_order.trace",
-    "minimal_truncated.trace",    "mytracks_droppeddup.trace",
-    "mytracks_head.trace",        "todolist_garbage.trace",
-    "todolist_head.trace",        "zxing_cut.trace",
-    "zxing_fielddamage.trace",    "zxing_head.trace",
-};
+/// Every fixture file name, sorted, read from the directory so that a
+/// new fixture is never left out.
+std::vector<std::string> allFixtures() {
+  std::vector<std::string> Names;
+  if (DIR *D = ::opendir(CAFA_TRACE_FIXTURE_DIR)) {
+    while (dirent *E = ::readdir(D)) {
+      std::string Name = E->d_name;
+      if (Name.size() > 6 && Name.rfind(".trace") == Name.size() - 6)
+        Names.push_back(Name);
+    }
+    ::closedir(D);
+  }
+  std::sort(Names.begin(), Names.end());
+  return Names;
+}
 
 } // namespace
 
@@ -154,7 +164,9 @@ const char *AllFixtures[] = {
 //===----------------------------------------------------------------------===//
 
 TEST(IngestSessionTest, ShardedMatchesSingleThreadOnEveryFixture) {
-  for (const char *Name : AllFixtures) {
+  std::vector<std::string> Names = allFixtures();
+  ASSERT_GE(Names.size(), 13u);
+  for (const std::string &Name : Names) {
     SCOPED_TRACE(Name);
     std::string Text = readFileOrDie(fixturePath(Name));
     // Reference: one thread, one shard (the whole input).
