@@ -7,11 +7,12 @@
 //
 // Ablation B: the reachability oracle behind the happens-before graph.
 // Sweeps a synthetic app over event counts and compares two oracles on
-// total analysis time and happens-before memory: the incremental bitset
-// transitive closure (O(1) queries, quadratic memory, delta propagation
-// per fixpoint round) and the pruned BFS (linear memory, per-query
-// search).  This is the trade-off Section 4.2 alludes to when rejecting
-// vector clocks for event-driven traces; see docs/hb-reachability.md.
+// total analysis time and happens-before memory: chain clocks built by
+// the forward rule pass (O(1) queries, O(N * chains) memory) and the
+// pruned BFS under fixpoint rounds (linear memory, per-query search).
+// Section 4.2 rejects per-access vector clocks for event-driven traces;
+// clocks over an online chain cover of the relevant nodes stay narrow
+// once the rules serialize each looper (docs/hb-reachability.md).
 //
 // Uses google-benchmark so per-size timings come with proper repetition.
 //
@@ -75,18 +76,19 @@ void BM_AnalyzeBfs(benchmark::State &State) {
   analyzeWith(State, ReachMode::Bfs);
 }
 
-void BM_AnalyzeIncremental(benchmark::State &State) {
-  analyzeWith(State, ReachMode::Incremental);
+void BM_AnalyzeChain(benchmark::State &State) {
+  analyzeWith(State, ReachMode::Chain);
 }
 
 } // namespace
 
 // The BFS oracle pays per-query search inside the rule sweeps,
 // so it is only practical on small traces -- which is exactly the point
-// of the ablation.  The closure gets extra sizes to show its headroom.
+// of the ablation.  The chain clocks get extra sizes to show their
+// headroom.
 BENCHMARK(BM_AnalyzeBfs)->Arg(250)->Arg(500)->Arg(1000)
     ->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK(BM_AnalyzeIncremental)->Arg(250)->Arg(500)->Arg(1000)->Arg(2000)
+BENCHMARK(BM_AnalyzeChain)->Arg(250)->Arg(500)->Arg(1000)->Arg(2000)
     ->Arg(4000)
     ->Unit(benchmark::kMillisecond)->Iterations(2);
 

@@ -10,9 +10,8 @@
 // minutes to 10 hours for most apps and ~16 h / ~1 day for the
 // event-heavy ToDoList and Music).  We sweep a synthetic app over event
 // counts and report the analysis phase breakdown (access extraction,
-// happens-before construction incl. the fixpoint, race detection) and
-// the happens-before memory footprint under the default incremental
-// closure oracle.
+// happens-before construction incl. the rule pass, race detection) and
+// the happens-before memory footprint under the default chain oracle.
 //
 //===----------------------------------------------------------------------===//
 
@@ -57,9 +56,8 @@ Scenario buildSynthetic(uint64_t Events) {
 /// queue-FIFO order coincides with post order, every consecutive pair
 /// is covered by a post edge, and the happens-before relation is a
 /// union of a few long chains.  This is the shape the chain oracle is
-/// built for -- the greedy cover finds one chain per looper -- and the
-/// shape where the closure-family oracles drown in O(N^2 / 8) row
-/// bytes.  A small cross-looper use/free on one object seeds real
+/// built for -- the cover has one chain per looper -- and the shape
+/// where a transitive closure would drown in O(N^2 / 8) row bytes.  A small cross-looper use/free on one object seeds real
 /// races so the detector scan is exercised, not skipped.
 Trace buildChainable(uint64_t Events) {
   TraceBuilder TB;
@@ -109,13 +107,11 @@ Trace buildChainable(uint64_t Events) {
 /// ReachMode::Chain on chainable traces from 8k up to \p MaxEvents
 /// (default 1M) event tasks.  The bytes/event column is the honesty
 /// check on the O(N * chains) memory claim -- it must stay flat while
-/// events grow 125x.  Rows small enough for the closure-family oracles
-/// also run those and byte-compare the reports: Incremental at <= 8k
-/// (its row bytes pass 2 GB long before 250k), Bfs at <= 100k (its
-/// per-query cost makes the rule sweeps quadratic past that).
+/// events grow 125x.  Rows up to 100k events also run the Bfs rounds and
+/// byte-compare the reports (past that, its per-query cost makes the
+/// rule sweeps quadratic).
 void sweepChainScaling(uint64_t MaxEvents) {
   const uint64_t BfsVerifyMax = 100000;
-  const uint64_t IncVerifyMax = 8000;
 
   std::printf("\nchain-oracle scaling axis (single-poster chainable "
               "traces, 1 analysis thread):\n");
@@ -148,18 +144,6 @@ void sweepChainScaling(uint64_t MaxEvents) {
                     B.HbBuildMillis,
                     static_cast<double>(B.HbMemoryBytes) / 1e6);
       CrossModes += Buf;
-      if (Events <= IncVerifyMax) {
-        DetectorOptions IncOpt;
-        IncOpt.Hb.Reach = ReachMode::Incremental;
-        AnalysisResult I = analyzeTrace(T, IncOpt);
-        Verdict += renderRaceReportJson(I.Report, T) == Json
-                       ? ",=incr"
-                       : ",DIFFERS(incr)";
-        std::snprintf(Buf, sizeof(Buf), " [incr hb=%.1fms mem=%.1fMB]",
-                      I.HbBuildMillis,
-                      static_cast<double>(I.HbMemoryBytes) / 1e6);
-        CrossModes += Buf;
-      }
     }
 
     double PerEvent =
@@ -382,7 +366,7 @@ void sweepIngestThreads(const Trace &Pristine) {
 }
 
 /// Analysis thread-count axis: wall time of the happens-before build
-/// (closure sweeps + rule-engine sweeps) and the detector pair scan at
+/// (one sequential pass) and the detector pair scan at
 /// 1/2/4/8 analysis threads, with the bit-identity contract checked on
 /// every row -- the rendered JSON report must match the 1-thread
 /// reference byte for byte.  Speedup is relative to the 1-thread run;
@@ -529,18 +513,16 @@ int main(int argc, char **argv) {
     Scenario S = buildSynthetic(Events);
     Trace T = runScenario(S, RuntimeOptions());
 
-    DetectorOptions Incremental;
-    Incremental.Hb.Reach = ReachMode::Incremental;
-    AnalysisResult R = analyzeTrace(T, Incremental);
+    AnalysisResult R = analyzeTrace(T, DetectorOptions());
     std::printf("%8s %10s %12.1f %10.1f %12.1f %12.1f\n",
                 withThousandsSep(Events).c_str(),
                 withThousandsSep(T.numRecords()).c_str(), R.ExtractMillis,
                 R.HbBuildMillis, R.DetectMillis,
                 static_cast<double>(R.HbMemoryBytes) / 1e6);
   }
-  std::printf("\nshape to compare with the paper: happens-before "
-              "construction dominates and grows superlinearly in events,\n"
-              "with the N^2/8-byte closure\n");
+  std::printf("\nshape to compare with the paper: the paper's offline "
+              "fixpoint took 30 minutes to 10 hours per app; one forward\n"
+              "pass over chain clocks grows with events times chains\n");
 
   // Fixed-size trace for the corruption sweep: the axis of interest is
   // damage ratio, not event count.
@@ -555,10 +537,8 @@ int main(int argc, char **argv) {
   sweepCheckpointCadence(Large);
 
   // Chain-oracle axis on its own trace family, last because it dwarfs
-  // the others in size: the app-shaped synthetic above interleaves
-  // external events, which keeps the chain cover wide and leaves it to
-  // the quadratic closure; the chainable family isolates what the chain
-  // oracle changes ("Breaking the quadratic wall" in EXPERIMENTS.md).
+  // the others in size: the chainable family isolates how the chain
+  // oracle scales ("Breaking the quadratic wall" in EXPERIMENTS.md).
   sweepChainScaling(ChainMaxEvents);
 
   // Windowed-scan axis on the same trace family: with the chain oracle

@@ -19,10 +19,9 @@
 // Both analyze and dot read a trace the same way: the salvage lexer, the
 // grammar's only reader, then validateTrace.
 //
-// --reach selects the happens-before reachability oracle (incremental /
-// chain / bfs; see the mode decision table in docs/hb-reachability.md
-// for when to pick which).  Unset, the choice also honors the
-// CAFA_REACH environment variable.
+// --reach selects the happens-before reachability oracle (chain, the
+// default, or bfs; see docs/hb-reachability.md).  Unset, the choice
+// also honors the CAFA_REACH environment variable.
 // --window=<records> runs the windowed streaming detector scan
 // (docs/windowed-analysis.md): bounded resident overlay, byte-identical
 // report.  Unset, CAFA_WINDOW decides; --window=off pins the batch scan
@@ -98,7 +97,7 @@ static int usage(const char *Prog) {
                "  %s record <app> <trace-file>      collect a trace\n"
                "  %s analyze <trace-file> [--json] [--strict]\n"
                "     [--ingest-threads=<n>] [--analysis-threads=<n>]\n"
-               "     [--reach=incremental|chain|bfs]\n"
+               "     [--reach=chain|bfs]\n"
                "     [--window=<records>|--window=off]\n"
                "     [--mem-limit=<bytes>] [--deadline=<ms>]\n"
                "     [--checkpoint-dir=<dir>] [--checkpoint-every=<ms>]\n"
@@ -191,8 +190,6 @@ int main(int argc, char **argv) {
         if (End == argv[I] + 19 || *End != '\0' || N == 0)
           return usage(argv[0]);
         Options.Hb.Threads = static_cast<unsigned>(N);
-      } else if (std::strcmp(argv[I], "--reach=incremental") == 0) {
-        Options.Hb.Reach = ReachMode::Incremental;
       } else if (std::strcmp(argv[I], "--reach=chain") == 0) {
         Options.Hb.Reach = ReachMode::Chain;
       } else if (std::strcmp(argv[I], "--reach=bfs") == 0) {

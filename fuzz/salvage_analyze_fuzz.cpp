@@ -13,14 +13,17 @@
 // again.  The properties under test are the robustness contract from
 // docs/robustness.md -- no byte stream may crash, hang, or trip
 // ASan/UBSan anywhere in salvage -> validate -> analyze -- and the
-// byte-identity contract: every complete report renders the same JSON,
-// with the same rule-engine counters, under the batch and the windowed
-// scan, under each reachability oracle, and at 1 and 2 analysis
-// threads.  A divergence prints both renders and aborts.  Agreement
-// between the legs cannot see a rule-engine fault they all share, so on
-// traces of at most 4,096 records the saturated relation is also checked
-// against the naive fixpoint of tests/ReferenceHb.h, task pair by task
-// pair; a mismatch prints both answers and aborts.
+// byte-identity contract: every complete report renders the same JSON
+// under the batch and the windowed scan, under each reachability
+// oracle, and at 1 and 2 analysis threads -- with the same rule-engine
+// counters wherever the forward pass derives the rules (the BFS leg
+// runs fixpoint rounds, whose counters count their own proposals).  A
+// divergence prints both renders and aborts.  Agreement between the
+// legs cannot see a rule-engine fault they all share, so on traces of
+// at most 4,096 records the saturated relation of each engine, pass and
+// rounds, is also checked against the naive fixpoint of
+// tests/ReferenceHb.h, task pair by task pair; a mismatch prints both
+// answers and aborts.
 //
 // Two build modes (see fuzz/CMakeLists.txt):
 //   - default: a standalone driver; run it over corpus files/directories
@@ -83,40 +86,37 @@ struct Leg {
 };
 
 const Leg Legs[] = {
-    {"batch/incremental/1 thread", DetectorOptions::WindowOff,
-     ReachMode::Incremental, 1},
-    {"window 16", 16, ReachMode::Incremental, 1},
-    {"reach chain", DetectorOptions::WindowOff, ReachMode::Chain, 1},
+    {"batch/chain/1 thread", DetectorOptions::WindowOff, ReachMode::Chain,
+     1},
+    {"window 16", 16, ReachMode::Chain, 1},
     {"reach bfs", DetectorOptions::WindowOff, ReachMode::Bfs, 1},
-    {"2 analysis threads", DetectorOptions::WindowOff,
-     ReachMode::Incremental, 2},
+    {"2 analysis threads", DetectorOptions::WindowOff, ReachMode::Chain, 2},
 };
 
-/// The BFS oracle's fixpoint is far slower than the others' (minutes on
-/// a 3k-event app), so its leg runs only on traces up to this size; so
-/// does the naive fixpoint, which rebuilds its closure every round.
+/// The BFS oracle's fixpoint rounds are far slower than the pass
+/// (minutes on a 3k-event app), so its leg runs only on traces up to
+/// this size; so does the naive fixpoint, which rebuilds its closure
+/// every round.
 constexpr size_t BfsMaxRecords = 4096;
 
 /// Past this many ordered pairs of begun tasks, the relation check asks
 /// a seeded sample of this many instead of every pair.
 constexpr uint64_t MaxRelationPairs = 10000;
 
-/// Checks the saturated relation (default round cap, no deadline)
-/// against ReferenceHb on every ordered pair of begun tasks, or on a
-/// sample seeded by \p Seed.  The legs below compare the oracles with
-/// each other; only this sees a rule that none of them derives.  An
-/// unsaturated build has no complete relation to compare and is left
-/// out.
-void checkRelation(const Trace &T, uint64_t Seed) {
+/// Checks the saturated relation of \p Mode's engine (default cap, no
+/// deadline) against ReferenceHb on every ordered pair of begun tasks,
+/// or on a sample seeded by \p Seed.  The legs below compare the
+/// oracles with each other; only this sees a rule that none of them
+/// derives.  An unsaturated build has no complete relation to compare
+/// and is left out.
+void checkRelation(const Trace &T, const ReferenceHb &Ref, ReachMode Mode,
+                   uint64_t Seed) {
   TaskIndex Index(T);
-  // One oracle at one thread suffices: the legs pin the rest to it.
   HbOptions Opt;
-  Opt.Reach = ReachMode::Incremental;
-  Opt.Threads = 1;
+  Opt.Reach = Mode;
   HbIndex Hb(T, Index, Opt);
   if (!Hb.saturated())
     return;
-  ReferenceHb Ref(T, Index);
   std::vector<TaskId> Begun;
   for (uint32_t I = 0; I != T.numTasks(); ++I)
     if (Hb.graph().beginNode(TaskId(I)).isValid())
@@ -128,9 +128,9 @@ void checkRelation(const Trace &T, uint64_t Seed) {
       return;
     std::fprintf(stderr,
                  "relation divergence: task %u before task %u? naive "
-                 "fixpoint says %s, HbIndex says %s\n",
+                 "fixpoint says %s, HbIndex (%s) says %s\n",
                  A.value(), B.value(), Want ? "yes" : "no",
-                 Got ? "yes" : "no");
+                 reachModeName(Mode), Got ? "yes" : "no");
     std::abort();
   };
   const uint64_t N = Begun.size();
@@ -146,17 +146,14 @@ void checkRelation(const Trace &T, uint64_t Seed) {
       check(Begun[A], Begun[B + (B >= A)]);
     }
   }
-  ++RelationChecked;
 }
 
-/// What every leg must agree on: the JSON report and the rule engine's
-/// counters.  The counters see what the report cannot: an oracle that
-/// loses an addEdges batch has the next round re-derive it, which heals
-/// the relation and the report but costs a round and duplicate edges.
-std::string render(const AnalysisResult &R, const Trace &T) {
+/// The rule engine's counters, which the legs deriving by the forward
+/// pass must agree on too: they see what the report cannot, such as a
+/// pass that derives an edge twice.
+std::string counters(const AnalysisResult &R) {
   const HbRuleStats &S = R.HbStats;
-  return renderRaceReportJson(R.Report, T) +
-         formatString("rounds %u, derived atomicity %llu, queue %llu %llu "
+  return formatString("rounds %u, derived atomicity %llu, queue %llu %llu "
                       "%llu %llu\n",
                       S.FixpointRounds,
                       static_cast<unsigned long long>(S.AtomicityEdges),
@@ -189,18 +186,24 @@ bool pipelineOnce(const std::string &Text) {
   if (!validateTrace(T, VOpt).ok())
     return false;
 
-  if (T.numRecords() <= BfsMaxRecords)
-    checkRelation(T, fnv1a(reinterpret_cast<const uint8_t *>(Text.data()),
-                           Text.size()));
+  if (T.numRecords() <= BfsMaxRecords) {
+    TaskIndex Index(T);
+    ReferenceHb Ref(T, Index);
+    uint64_t Seed =
+        fnv1a(reinterpret_cast<const uint8_t *>(Text.data()), Text.size());
+    checkRelation(T, Ref, ReachMode::Chain, Seed);
+    checkRelation(T, Ref, ReachMode::Bfs, Seed);
+    ++RelationChecked;
+  }
 
-  // Keep per-input cost bounded: a round cap for pathological queue
-  // structures, and a deadline backstop so a quadratic corner becomes a
-  // partial report instead of a hang.  The window leg's tiny sweep
-  // cadence and the two-thread leg put the streaming retirement horizons
-  // and the parallel rule-engine / detector paths under fuzz on exactly
-  // the hostile shapes salvage produces (quiet tasks, dangling events,
+  // Keep per-input cost bounded: a pass/round cap for pathological
+  // queue structures, and a deadline backstop so a quadratic corner
+  // becomes a partial report instead of a hang.  The window leg's tiny
+  // sweep cadence and the two-thread leg put the streaming retirement
+  // horizons and the parallel detector paths under fuzz on exactly the
+  // hostile shapes salvage produces (quiet tasks, dangling events,
   // mid-record damage).
-  std::vector<std::string> Renders;
+  std::string FirstJson, FirstCounters;
   for (const Leg &L : Legs) {
     if (L.Reach == ReachMode::Bfs && T.numRecords() > BfsMaxRecords)
       continue;
@@ -215,13 +218,21 @@ bool pipelineOnce(const std::string &Text) {
       ++Skipped;
       return true;
     }
-    Renders.push_back(render(R, T));
-    if (Renders.back() != Renders.front()) {
+    std::string Json = renderRaceReportJson(R.Report, T);
+    std::string Counters = counters(R);
+    if (&L == Legs) {
+      FirstJson = Json;
+      FirstCounters = Counters;
+    }
+    if (L.Reach == ReachMode::Bfs)
+      Counters = FirstCounters;
+    if (Json != FirstJson || Counters != FirstCounters) {
       std::fprintf(stderr,
                    "divergence: '%s' renders differently from '%s'\n"
-                   "--- %s ---\n%s\n--- %s ---\n%s\n",
-                   L.Name, Legs[0].Name, Legs[0].Name,
-                   Renders.front().c_str(), L.Name, Renders.back().c_str());
+                   "--- %s ---\n%s%s\n--- %s ---\n%s%s\n",
+                   L.Name, Legs[0].Name, Legs[0].Name, FirstJson.c_str(),
+                   FirstCounters.c_str(), L.Name, Json.c_str(),
+                   Counters.c_str());
       std::abort();
     }
   }

@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <set>
 #include <tuple>
 
@@ -46,18 +45,10 @@ AnalysisResult cafa::analyzeTrace(const Trace &T,
                     0.001);
   };
 
-  // Windowed streaming detection (docs/windowed-analysis.md): resolved
-  // up front so the primary fixpoint can pick a frontier-friendly
-  // oracle; the memory-pressure ladder may still engage it after the
-  // build (below).  A windowed run changes the reach *default* from
-  // Incremental to Chain -- the windowed scan sheds the oracle right
-  // after the fixpoint, so the low-memory rung is the right pick -- but
-  // an explicit request or CAFA_REACH keeps full precedence.
+  // Windowed streaming detection (docs/windowed-analysis.md): the
+  // memory-pressure ladder may still engage it after the build (below).
   uint64_t Window = resolveWindowEvents(Options.WindowEvents);
   bool Windowed = Window != DetectorOptions::WindowOff;
-  if (Windowed && Opt.Hb.Reach == ReachMode::Auto &&
-      !std::getenv("CAFA_REACH"))
-    Opt.Hb.Reach = ReachMode::Chain;
 
   // Checkpoint identity: every snapshot carries the trace fingerprint
   // and the semantic-options digest, and resume refuses anything that

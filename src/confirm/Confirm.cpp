@@ -107,11 +107,7 @@ ConfirmSummary cafa::confirmRaces(const Scenario &S, const Trace &T,
   // exactly those into "infeasible" is half the point.  The report's own
   // relation is resumed, not derived again.  A saturated one runs no
   // rule and serves only ~2 queries per race, so it gets the chain
-  // oracle: an app trace's saturated cover is a few dozen chains, so the
-  // clocks commit at construction with no closure rows.  Should HbIndex
-  // drop the relation as not fitting T, the fixpoint it runs instead
-  // stays at app-scale speed under the chain oracle; under BFS it would
-  // take minutes to hours.
+  // oracle, whose clocks-only pass is linear, whatever CAFA_REACH says.
   const HbFrontier *Relation = Report.Relation.get();
   TaskIndex Index(T);
   HbOptions HbOpts;

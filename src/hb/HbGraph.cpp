@@ -115,21 +115,37 @@ bool HbGraph::addEdge(NodeId From, NodeId To) {
 }
 
 void HbGraph::foldEdges() {
-  if (Unfolded.empty())
+  fold(Unfolded);
+  Unfolded = {};
+}
+
+void HbGraph::foldEdges(std::span<const HbEdge> Edges) {
+  assert(Unfolded.empty() && "a held batch folds alone");
+  for (const HbEdge &E : Edges) {
+    assert(E.From < E.To && E.To.index() < numNodes() &&
+           NodeRecords[E.From.index()] < NodeRecords[E.To.index()]);
+    (void)E;
+  }
+  EdgeCount += Edges.size();
+  fold(Edges);
+}
+
+void HbGraph::fold(std::span<const HbEdge> Edges) {
+  if (Edges.empty())
     return;
-  // Batch[n]: the queued edges out of node n, later the slot where the
+  // Batch[n]: the batch's edges out of node n, later the slot where the
   // next of them goes.
   const size_t N = numNodes();
   std::vector<uint32_t> Batch(N, 0);
-  for (const HbEdge &E : Unfolded)
+  for (const HbEdge &E : Edges)
     ++Batch[E.From.index()];
   // Grow the targets in place, then walk the nodes down: each node's
   // old successors move up by the batch edges of the nodes below it,
   // and its own batch edges go right after them.
   const size_t Old = SuccTargets.size();
-  SuccTargets.reserve(Old + Unfolded.size());
-  SuccTargets.resize(Old + Unfolded.size());
-  uint32_t Shift = static_cast<uint32_t>(Unfolded.size());
+  SuccTargets.reserve(Old + Edges.size());
+  SuccTargets.resize(Old + Edges.size());
+  uint32_t Shift = static_cast<uint32_t>(Edges.size());
   for (size_t I = N; I-- > 0;) {
     uint32_t Lo = SuccStart[I], Hi = SuccStart[I + 1];
     Shift -= Batch[I];
@@ -138,7 +154,16 @@ void HbGraph::foldEdges() {
     SuccStart[I + 1] = Hi + Shift + Batch[I];
     Batch[I] = Hi + Shift;
   }
-  for (const HbEdge &E : Unfolded)
+  for (const HbEdge &E : Edges)
     SuccTargets[Batch[E.From.index()]++] = E.To.value();
-  Unfolded = {};
+}
+
+size_t HbGraph::memoryBytes() const {
+  return (NodeRecords.capacity() + RecordNodes.capacity() +
+          TaskStart.capacity() + TaskNodeIds.capacity() +
+          NodeTasks.capacity() + NodePos.capacity() + BeginNodes.capacity() +
+          EndNodes.capacity() + SuccStart.capacity() +
+          SuccTargets.capacity()) *
+             sizeof(uint32_t) +
+         Unfolded.capacity() * sizeof(HbEdge);
 }

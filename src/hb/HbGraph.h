@@ -31,7 +31,9 @@
 #include "support/Ids.h"
 #include "trace/Trace.h"
 
+#include <algorithm>
 #include <cassert>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -40,8 +42,7 @@ namespace cafa {
 /// Returns true if \p Kind forms a node in the happens-before graph.
 bool isRelevantOp(OpKind Kind);
 
-/// One happens-before edge, as queued by addEdge() and handed to the
-/// delta-aware oracle path.
+/// One happens-before edge, as queued by addEdge().
 struct HbEdge {
   NodeId From;
   NodeId To;
@@ -112,6 +113,11 @@ public:
   /// O(N + E) merge per batch.
   void foldEdges();
 
+  /// Adds \p Edges and folds them in at once, like a queued batch: for a
+  /// batch the caller holds itself, every edge forward in record order.
+  /// Nothing may be queued.
+  void foldEdges(std::span<const HbEdge> Edges);
+
   /// Edges addEdge() refused because they contradicted trace order.
   size_t numRejectedEdges() const { return RejectedEdgeCount; }
 
@@ -123,15 +129,14 @@ public:
             SuccTargets.data() + SuccStart[Node.index() + 1]};
   }
 
-  /// Bytes the successor arrays hold (their capacity).
-  size_t successorBytes() const {
-    return (SuccStart.capacity() + SuccTargets.capacity()) *
-           sizeof(uint32_t);
-  }
+  /// Bytes every table holds (their capacity).
+  size_t memoryBytes() const;
 
   const Trace &trace() const { return T; }
 
 private:
+  void fold(std::span<const HbEdge> Edges);
+
   const Trace &T;
   /// Node -> record index (ascending; node ids are in record order).
   std::vector<uint32_t> NodeRecords;
@@ -152,6 +157,35 @@ private:
   std::vector<HbEdge> Unfolded;
   size_t EdgeCount = 0;
   size_t RejectedEdgeCount = 0;
+};
+
+/// The in-edges a forward pass joins at each node besides program order:
+/// every edge between two tasks (one inside a task is implied by program
+/// order).  The pass calls forEach() for every node in id order; edges
+/// wait in a heap keyed by target from the visit of their source on, so
+/// only the edges spanning the current node are held.
+class CrossInEdges {
+public:
+  explicit CrossInEdges(const HbGraph &G) : G(G) {}
+
+  /// Calls \p Fn with the source of every edge into \p V, ascending,
+  /// then queues V's own out-edges.
+  template <typename FnT> void forEach(NodeId V, FnT Fn) {
+    while (!Pending.empty() && (Pending.front() >> 32) == V.value()) {
+      Fn(NodeId(static_cast<uint32_t>(Pending.front())));
+      std::pop_heap(Pending.begin(), Pending.end(), std::greater<>());
+      Pending.pop_back();
+    }
+    for (uint32_t S : G.successors(V))
+      if (G.taskOfNode(NodeId(S)) != G.taskOfNode(V)) {
+        Pending.push_back(uint64_t(S) << 32 | V.value());
+        std::push_heap(Pending.begin(), Pending.end(), std::greater<>());
+      }
+  }
+
+private:
+  const HbGraph &G;
+  std::vector<uint64_t> Pending; ///< min-heap of target << 32 | source
 };
 
 } // namespace cafa

@@ -9,7 +9,7 @@
 /// ClosureReachability, the oracle every production oracle is pinned
 /// against: the plain transitive closure of the happens-before graph, one
 /// bitset row per node, rebuilt from scratch by a sequential sweep on
-/// every refresh().  No budget, no worker pool, no delta path -- its only
+/// every refresh().  No budget, no cover, no forward pass -- its only
 /// job is to be obviously right.  ReferenceHappensBefore puts it behind
 /// HbIndex::happensBefore's record-level interface.
 ///
@@ -20,6 +20,7 @@
 
 #include "hb/HbIndex.h"
 #include "hb/Reachability.h"
+#include "support/BitVec.h"
 
 #include <vector>
 
@@ -36,7 +37,7 @@ public:
   /// Node ids ascend in trace-record order and every edge points
   /// forward, so descending id is a reverse topological order: every
   /// successor's row is final when a node absorbs it.
-  void refresh() override {
+  void refresh() {
     size_t N = G.numNodes();
     Rows.assign(N, BitVec(N));
     for (size_t I = N; I-- > 0;)
@@ -45,8 +46,6 @@ public:
         Rows[I].orWithFrom(Rows[S], S);
       }
   }
-
-  const BitVec *rowsOrNull() const override { return Rows.data(); }
 
   size_t memoryBytes() const override {
     size_t Total = 0;

@@ -325,6 +325,35 @@ TEST(HbIndexTest, TaskOrderedIsIrreflexiveAndAntisymmetric) {
   EXPECT_FALSE(Hb.taskOrdered(E2, E1));
 }
 
+TEST(HbIndexTest, MemoryBytesCountsTheGraphTablesAndTheOracle) {
+  // The graph alone keeps five 4-byte tables per node (record, task,
+  // position, slot in its task's list, first successor), one per record
+  // (its node) and three per task (first slot, begin, end); the oracle
+  // comes on top.
+  TraceBuilder TB;
+  QueueId Q = TB.addQueue("main");
+  TaskId Poster = TB.addThread("poster");
+  TB.begin(Poster);
+  std::vector<TaskId> Events;
+  for (int I = 0; I != 50; ++I) {
+    Events.push_back(TB.addEvent("e" + std::to_string(I), Q));
+    TB.send(Poster, Events.back());
+  }
+  TB.end(Poster);
+  for (TaskId E : Events) {
+    TB.begin(E);
+    for (uint32_t V = 0; V != 10; ++V)
+      TB.read(E, V);
+    TB.end(E);
+  }
+  Trace T = TB.take();
+  TaskIndex Index(T);
+  HbIndex Hb = build(T, Index);
+  const size_t Floor = Hb.graph().numNodes() * 20 + T.numRecords() * 4 +
+                       T.numTasks() * 12;
+  EXPECT_GE(Hb.memoryBytes(), Floor + Hb.degradation().MeasuredReachBytes);
+}
+
 TEST(HbIndexTest, RecordsWithoutRelevantNeighborsUnordered) {
   // A task whose only records are memory ops after its last relevant
   // node cannot be ordered with another task.

@@ -133,7 +133,7 @@ TEST_P(WindowedReachPropertyTest, MatchesBatchOracleAtEveryCursor) {
   ASSERT_TRUE(validateTrace(T).ok()) << validateTrace(T).message();
   TaskIndex Index(T);
   HbOptions Opt;
-  Opt.Reach = ReachMode::Incremental; // pinned: CI reach legs must not skew
+  Opt.Reach = ReachMode::Chain; // pinned: CI reach legs must not skew
   HbIndex Hb(T, Index, Opt);
 
   const uint32_t N = static_cast<uint32_t>(T.numRecords());
@@ -175,7 +175,7 @@ TEST(WindowedReachTest, RetiresRowsBehindTheCursor) {
 
   TaskIndex Index(T);
   HbOptions Opt;
-  Opt.Reach = ReachMode::Incremental;
+  Opt.Reach = ReachMode::Chain;
   HbIndex Hb(T, Index, Opt);
   const uint32_t N = static_cast<uint32_t>(T.numRecords());
   WindowedReach WR(Hb.graph(), N - 1);

@@ -38,12 +38,12 @@ AnalysisOptions withCheckpoint(const DetectorOptions &Det,
   return O;
 }
 
-Trace buildAppTrace() {
+Trace buildAppTrace(size_t Volume = 300) {
   apps::AppBuilder App("ckpt");
   App.seedIntraThreadRace("alpha");
   App.seedInterThreadRace("beta");
   App.addGuardedCommutativePair("delta");
-  App.fillVolumeTo(300);
+  App.fillVolumeTo(Volume);
   Table1Row Dummy;
   apps::AppModel Model = App.finish(Dummy);
   return runScenario(Model.S, RuntimeOptions());
@@ -284,28 +284,37 @@ TEST(CheckpointTest, ShedStateSurvivesDetectCheckpointResume) {
 }
 
 TEST(CheckpointTest, MidFlightHbFrontierResumesToSameRelation) {
-  Trace T = buildAppTrace();
+  Trace T = buildAppTrace(1600);
   TaskIndex Index(T);
+  HbOptions ChainOpt; // pinned: the cut and the counts are the pass's
+  ChainOpt.Reach = ReachMode::Chain;
 
-  HbIndex Clean(T, Index, HbOptions());
+  HbIndex Clean(T, Index, ChainOpt);
   ASSERT_TRUE(Clean.saturated());
+  ASSERT_GE(Clean.graph().numNodes(), 4096u);
 
-  // Freeze the fixpoint after one round, well short of saturation.
-  HbOptions OneRound;
-  OneRound.MaxFixpointRounds = 1;
-  HbIndex Stopped(T, Index, OneRound);
-  HbFrontier F = Stopped.exportFrontier();
+  // Freeze the pass at its first cadence point, 4096 nodes in, well
+  // short of saturation.
+  std::vector<HbFrontier> Saved;
+  HbCheckpointing Every;
+  Every.EveryMillis = 1e-9;
+  Every.Save = [&](const HbFrontier &F) { Saved.push_back(F); };
+  HbIndex Stopped(T, Index, ChainOpt, &Every);
+  ASSERT_FALSE(Saved.empty());
+  HbFrontier F = Saved.front();
   EXPECT_EQ(F.Stats.FixpointRounds, 1u);
   ASSERT_FALSE(F.Saturated);
   EXPECT_FALSE(F.DerivedEdges.empty());
+  EXPECT_LT(F.DerivedEdges.size(), Clean.exportFrontier().DerivedEdges.size());
 
-  // Resume: the replayed frontier continues to the same fixpoint, and
-  // the resumed round counter keeps counting from where it stopped.
+  // Resume: the replayed frontier continues to the same relation, and
+  // the resumed pass counter keeps counting from where it stopped.
   HbCheckpointing Ck;
   Ck.Resume = &F;
-  HbIndex Resumed(T, Index, HbOptions(), &Ck);
+  HbIndex Resumed(T, Index, ChainOpt, &Ck);
   EXPECT_TRUE(Resumed.saturated());
-  EXPECT_GT(Resumed.ruleStats().FixpointRounds, 1u);
+  EXPECT_EQ(Resumed.ruleStats().FixpointRounds, 2u);
+  EXPECT_EQ(Resumed.roundsRun(), 1u);
 
   AccessDb Db = extractAccesses(T, Index);
   DetectorOptions Opt;
@@ -315,8 +324,8 @@ TEST(CheckpointTest, MidFlightHbFrontierResumesToSameRelation) {
 }
 
 TEST(CheckpointTest, HbDeadlineCutUnderChainResumesBitIdentical) {
-  // Same cut/resume contract as the incremental-mode test above, with
-  // the chain oracle pinned end to end -- and the resumed chain report
+  // Same cut/resume contract as the test above, through a deadline cut
+  // with the chain oracle pinned end to end -- and the resumed chain report
   // must also match a default-oracle clean run, because no oracle choice
   // is allowed to change a report.
   Trace T = buildAppTrace();
@@ -388,11 +397,12 @@ TEST(CheckpointTest, CrossModeResumeRecomputesCleanly) {
   Trace T = buildAppTrace();
   TaskIndex Index(T);
 
-  // Incremental cut -> chain resume.
-  HbOptions IncCut;
-  IncCut.Reach = ReachMode::Incremental;
-  IncCut.MaxFixpointRounds = 1;
-  HbIndex Stopped(T, Index, IncCut);
+  // Bfs cut after one round -> chain resume, whose pass derives the
+  // rest.
+  HbOptions BfsCut;
+  BfsCut.Reach = ReachMode::Bfs;
+  BfsCut.MaxFixpointRounds = 1;
+  HbIndex Stopped(T, Index, BfsCut);
   HbFrontier F = Stopped.exportFrontier();
   ASSERT_FALSE(F.Saturated);
 
@@ -403,17 +413,17 @@ TEST(CheckpointTest, CrossModeResumeRecomputesCleanly) {
   HbIndex ChainResumed(T, Index, ChainOpt, &Ck);
   EXPECT_TRUE(ChainResumed.saturated());
 
-  // Chain cut -> incremental resume (the mirror image).
+  // Chain frontier -> Bfs resume (the mirror image).
   HbIndex ChainFull(T, Index, ChainOpt);
   HbFrontier FC = ChainFull.exportFrontier();
   HbCheckpointing Ck2;
   Ck2.Resume = &FC;
-  HbOptions IncOpt;
-  IncOpt.Reach = ReachMode::Incremental;
-  HbIndex IncResumed(T, Index, IncOpt, &Ck2);
-  EXPECT_TRUE(IncResumed.saturated());
+  HbOptions BfsOpt;
+  BfsOpt.Reach = ReachMode::Bfs;
+  HbIndex BfsResumed(T, Index, BfsOpt, &Ck2);
+  EXPECT_TRUE(BfsResumed.saturated());
 
-  // All four paths agree byte for byte.
+  // All paths agree byte for byte.
   HbIndex CleanDefault(T, Index, HbOptions());
   AccessDb Db = extractAccesses(T, Index);
   DetectorOptions Opt;
@@ -423,7 +433,7 @@ TEST(CheckpointTest, CrossModeResumeRecomputesCleanly) {
                 detectUseFreeRaces(T, Index, Db, ChainResumed, Opt), T),
             Ref);
   EXPECT_EQ(renderRaceReportJson(
-                detectUseFreeRaces(T, Index, Db, IncResumed, Opt), T),
+                detectUseFreeRaces(T, Index, Db, BfsResumed, Opt), T),
             Ref);
 }
 
@@ -583,11 +593,12 @@ TEST(CheckpointTest, VersionSixSnapshotIsRefusedWithACleanRestart) {
 }
 
 TEST(CheckpointTest, MidFixpointSnapshotHoldsEdgesNotOracleState) {
-  // A trace of several thousand HB nodes, snapshotted after the first
-  // fixpoint round under each oracle: the file is the edges -- a small
-  // constant plus 8 bytes per derived edge, where closure rows alone
-  // would be N^2/8 bytes -- and a resume from it rebuilds the oracle and
-  // renders the uninterrupted run's JSON.
+  // A trace of several thousand HB nodes, snapshotted at the first
+  // cadence point -- 4096 nodes into the pass, or after the first BFS
+  // round: the file is the edges -- a small constant plus 8 bytes per
+  // derived edge, where a closure alone would be N^2/8 bytes -- and a
+  // resume from it rebuilds the oracle and renders the uninterrupted
+  // run's JSON.
   apps::AppBuilder App("ckpt-large");
   App.seedIntraThreadRace("alpha");
   App.seedInterThreadRace("beta");
@@ -603,14 +614,14 @@ TEST(CheckpointTest, MidFixpointSnapshotHoldsEdgesNotOracleState) {
   BaseOnly.EnableQueueRules = false;
   ASSERT_GE(HbIndex(T, Index, BaseOnly).graph().numNodes(), 4000u);
 
-  for (ReachMode Mode : {ReachMode::Incremental, ReachMode::Chain}) {
+  for (ReachMode Mode : {ReachMode::Chain, ReachMode::Bfs}) {
     SCOPED_TRACE(reachModeName(Mode));
     DetectorOptions Det;
     Det.Hb.Reach = Mode;
     std::string Want = renderRaceReportJson(analyzeTrace(T, Det).Report, T);
 
-    // Keep the first snapshot, taken after round 1 of the fixpoint --
-    // what a crash right after that save would leave behind.
+    // Keep the first snapshot -- what a crash right after that save
+    // would leave behind.
     std::string Dir = freshCheckpointDir("mid-fixpoint");
     std::string Path = checkpointPath(Dir);
     std::string First;
@@ -642,38 +653,46 @@ TEST(CheckpointTest, MidFixpointSnapshotHoldsEdgesNotOracleState) {
 }
 
 TEST(CheckpointTest, ResumeFromEveryRoundBoundaryIsBitIdentical) {
-  // Cut the fixpoint at each of its round boundaries in turn, pass the
-  // frontier through the snapshot file format, and resume: every resume
-  // must land on the uninterrupted report byte for byte.
-  Trace T = buildAppTrace();
-  TaskIndex Index(T);
-  std::vector<HbFrontier> Frontiers;
-  HbCheckpointing Every;
-  Every.EveryMillis = 1e-9; // every round boundary
-  Every.Save = [&](const HbFrontier &F) { Frontiers.push_back(F); };
-  HbIndex Clean(T, Index, HbOptions(), &Every);
-  ASSERT_FALSE(Frontiers.empty());
-  AccessDb Db = extractAccesses(T, Index);
-  std::string Want = renderRaceReportJson(
-      detectUseFreeRaces(T, Index, Db, Clean, DetectorOptions()), T);
+  // Cut the derivation at each of its cadence points in turn -- every
+  // 4096 nodes of the pass, every BFS round boundary -- pass the frontier
+  // through the snapshot file format, and resume: every resume must land
+  // on the uninterrupted report byte for byte.
+  for (auto [Mode, Volume] :
+       {std::pair{ReachMode::Chain, size_t(2400)}, {ReachMode::Bfs, 300}}) {
+    SCOPED_TRACE(reachModeName(Mode));
+    Trace T = buildAppTrace(Volume);
+    TaskIndex Index(T);
+    HbOptions Opt;
+    Opt.Reach = Mode;
+    std::vector<HbFrontier> Frontiers;
+    HbCheckpointing Every;
+    Every.EveryMillis = 1e-9; // every cadence point
+    Every.Save = [&](const HbFrontier &F) { Frontiers.push_back(F); };
+    HbIndex Clean(T, Index, Opt, &Every);
+    ASSERT_FALSE(Frontiers.empty());
+    ASSERT_FALSE(Frontiers.front().Saturated); // one cut short of the end
+    AccessDb Db = extractAccesses(T, Index);
+    std::string Want = renderRaceReportJson(
+        detectUseFreeRaces(T, Index, Db, Clean, DetectorOptions()), T);
 
-  std::string Path = checkpointPath(freshCheckpointDir("rounds"));
-  for (const HbFrontier &F : Frontiers) {
-    SCOPED_TRACE("resumed after round " +
-                 std::to_string(F.Stats.FixpointRounds));
-    AnalysisSnapshot Snap;
-    Snap.Hb = F;
-    ASSERT_TRUE(saveAnalysisSnapshot(Snap, Path).ok());
-    AnalysisSnapshot Back;
-    ASSERT_TRUE(loadAnalysisSnapshot(Back, Path).ok());
-    HbCheckpointing Ck;
-    Ck.Resume = &Back.Hb;
-    HbIndex Resumed(T, Index, HbOptions(), &Ck);
-    EXPECT_TRUE(Resumed.saturated());
-    EXPECT_EQ(renderRaceReportJson(
-                  detectUseFreeRaces(T, Index, Db, Resumed, DetectorOptions()),
-                  T),
-              Want);
+    std::string Path = checkpointPath(freshCheckpointDir("rounds"));
+    for (const HbFrontier &F : Frontiers) {
+      SCOPED_TRACE("resumed after " + std::to_string(F.DerivedEdges.size()) +
+                   " derived edges");
+      AnalysisSnapshot Snap;
+      Snap.Hb = F;
+      ASSERT_TRUE(saveAnalysisSnapshot(Snap, Path).ok());
+      AnalysisSnapshot Back;
+      ASSERT_TRUE(loadAnalysisSnapshot(Back, Path).ok());
+      HbCheckpointing Ck;
+      Ck.Resume = &Back.Hb;
+      HbIndex Resumed(T, Index, Opt, &Ck);
+      EXPECT_TRUE(Resumed.saturated());
+      EXPECT_EQ(renderRaceReportJson(detectUseFreeRaces(T, Index, Db, Resumed,
+                                                        DetectorOptions()),
+                                     T),
+                Want);
+    }
   }
 }
 

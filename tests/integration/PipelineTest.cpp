@@ -124,7 +124,7 @@ TEST(PipelineTest, AnalysisResultCarriesPhaseStats) {
 }
 
 TEST(PipelineTest, AllOraclesReproduceTheAppReport) {
-  // End-to-end agreement of the three oracles on an app-shaped trace.
+  // End-to-end agreement of the two oracles on an app-shaped trace.
   // (Small volume: the BFS oracle pays per-query search inside the
   // rule sweeps, which is the point of the ablation bench.)
   AppBuilder App("mini");
@@ -142,8 +142,7 @@ TEST(PipelineTest, AllOraclesReproduceTheAppReport) {
   DetectorOptions Opt;
   std::vector<std::unique_ptr<HbIndex>> Hbs;
   std::vector<RaceReport> Reports;
-  for (ReachMode Mode :
-       {ReachMode::Bfs, ReachMode::Incremental, ReachMode::Chain}) {
+  for (ReachMode Mode : {ReachMode::Bfs, ReachMode::Chain}) {
     Opt.Hb.Reach = Mode;
     Hbs.push_back(std::make_unique<HbIndex>(T, Index, Opt.Hb));
     Reports.push_back(detectUseFreeRaces(T, Index, Db, *Hbs.back(), Opt));

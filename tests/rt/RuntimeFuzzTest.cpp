@@ -72,9 +72,9 @@ TEST_P(RuntimeFuzzTest, OraclesAgreeOnRandomPrograms) {
   BfsOpt.Reach = ReachMode::Bfs;
   HbIndex HbBfs(T, Index, BfsOpt);
   ReferenceHappensBefore Expected(T, HbBfs.graph());
-  HbOptions IncOpt;
-  IncOpt.Reach = ReachMode::Incremental;
-  HbIndex HbInc(T, Index, IncOpt);
+  HbOptions ChainOpt;
+  ChainOpt.Reach = ReachMode::Chain;
+  HbIndex HbChain(T, Index, ChainOpt);
 
   Rng R(GetParam());
   uint32_t N = static_cast<uint32_t>(T.numRecords());
@@ -85,7 +85,7 @@ TEST_P(RuntimeFuzzTest, OraclesAgreeOnRandomPrograms) {
     bool Want = Expected(A, B);
     ASSERT_EQ(Want, HbBfs.happensBefore(A, B))
         << "seed " << GetParam() << " records " << A << "->" << B;
-    ASSERT_EQ(Want, HbInc.happensBefore(A, B))
+    ASSERT_EQ(Want, HbChain.happensBefore(A, B))
         << "seed " << GetParam() << " records " << A << "->" << B;
   }
 }
