@@ -180,9 +180,8 @@ void sweepChainScaling(uint64_t MaxEvents) {
 void sweepWindowScaling(uint64_t MaxEvents) {
   std::printf("\nwindowed-scan axis (single-poster chainable traces, "
               "chain HB oracle, 1 analysis thread):\n");
-  std::printf("%10s %10s %8s %12s %14s %9s %11s\n", "events", "records",
-              "window", "detect(ms)", "overlay-hw(KB)", "rows-hw",
-              "verdict");
+  std::printf("%10s %10s %8s %12s %14s %11s\n", "events", "records",
+              "window", "detect(ms)", "overlay-hw(KB)", "verdict");
 
   for (uint64_t Events : {uint64_t(8000), uint64_t(100000),
                           uint64_t(1000000)}) {
@@ -195,11 +194,10 @@ void sweepWindowScaling(uint64_t MaxEvents) {
     BatchOpt.WindowEvents = DetectorOptions::WindowOff;
     AnalysisResult Batch = analyzeTrace(T, BatchOpt);
     std::string BatchJson = renderRaceReportJson(Batch.Report, T);
-    std::printf("%10s %10s %8s %12.1f %14s %9s %11s\n",
+    std::printf("%10s %10s %8s %12.1f %14s %11s\n",
                 withThousandsSep(Events).c_str(),
                 withThousandsSep(T.numRecords()).c_str(), "full",
-                Batch.ExtractMillis + Batch.DetectMillis, "-", "-",
-                "reference");
+                Batch.ExtractMillis + Batch.DetectMillis, "-", "reference");
 
     for (uint64_t W : {uint64_t(4096), uint64_t(65536)}) {
       DetectorOptions Opt = BatchOpt;
@@ -208,14 +206,14 @@ void sweepWindowScaling(uint64_t MaxEvents) {
       const char *Verdict =
           renderRaceReportJson(R.Report, T) == BatchJson ? "identical"
                                                          : "DIFFERS";
-      std::printf("%10s %10s %8s %12.1f %14.1f %9zu %11s\n",
+      std::printf("%10s %10s %8s %12.1f %14.1f %11s\n",
                   withThousandsSep(Events).c_str(),
                   withThousandsSep(T.numRecords()).c_str(),
                   withThousandsSep(W).c_str(), R.DetectMillis,
                   static_cast<double>(
                       R.WindowedDetect.OverlayHighWaterBytes) /
                       1e3,
-                  R.WindowedDetect.ReachHighWaterRows, Verdict);
+                  Verdict);
     }
   }
   std::printf("flat overlay-hw across 125x events is the bounded-memory "

@@ -375,12 +375,9 @@ int main(int argc, char **argv) {
                    PeakRssBytes, R.HbMemoryBytes);
       if (R.WindowEventsUsed)
         std::fprintf(stderr,
-                     ", window overlay high-water %zu bytes (%zu "
-                     "reachability rows x %u chains, retained %zu bytes)",
-                     R.WindowedDetect.OverlayHighWaterBytes,
-                     R.WindowedDetect.ReachHighWaterRows,
-                     R.WindowedDetect.Chains,
-                     R.WindowedDetect.RetainedHighWaterBytes);
+                     ", window overlay high-water %zu bytes (retained "
+                     "accesses)",
+                     R.WindowedDetect.OverlayHighWaterBytes);
       std::fprintf(stderr, "\n\n");
     } else {
       // One machine-readable stats line on stderr; stdout stays the
@@ -388,15 +385,11 @@ int main(int argc, char **argv) {
       std::fprintf(stderr,
                    "{\"stats\":{\"ingest_ms\":%.1f,\"peak_rss_bytes\":%llu,"
                    "\"hb_bytes\":%zu,\"window_events\":%llu,"
-                   "\"overlay_high_water_bytes\":%zu,"
-                   "\"reach_high_water_rows\":%zu,\"chains\":%u,"
-                   "\"retained_high_water_bytes\":%zu}}\n",
+                   "\"overlay_high_water_bytes\":%zu,\"chains\":%zu}}\n",
                    IngestMillis, PeakRssBytes, R.HbMemoryBytes,
                    static_cast<unsigned long long>(R.WindowEventsUsed),
                    R.WindowedDetect.OverlayHighWaterBytes,
-                   R.WindowedDetect.ReachHighWaterRows,
-                   R.WindowedDetect.Chains,
-                   R.WindowedDetect.RetainedHighWaterBytes);
+                   R.Degradation.ChainCount);
     }
     RaceDocument Doc = buildRaceDocument(R.Report, T);
     if (Confirm) {

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <set>
 #include <tuple>
 
@@ -53,16 +54,23 @@ AnalysisResult cafa::analyzeTrace(const Trace &T,
   // Checkpoint identity: every snapshot carries the trace fingerprint
   // and the semantic-options digest, and resume refuses anything that
   // does not match -- continuing another trace's fixpoint would produce
-  // confidently wrong reports, the one unacceptable failure mode.
+  // confidently wrong reports, the one unacceptable failure mode.  The
+  // fingerprint hashes every record, so it is computed on first use: a
+  // run that finds no snapshot and saves none never pays for it.
   ResumeOutcome &RO = Result.Resume;
   bool CkptOn = CkptOpt.enabled();
   std::string Path;
-  uint64_t Fp = 0, Digest = 0;
+  uint64_t Digest = 0;
   if (CkptOn) {
     Path = checkpointPath(CkptOpt.Directory);
-    Fp = traceFingerprint(T);
     Digest = detectorOptionsDigest(Options, Resolver != nullptr);
   }
+  std::optional<uint64_t> Fp;
+  auto Fingerprint = [&] {
+    if (!Fp)
+      Fp = traceFingerprint(T);
+    return *Fp;
+  };
   bool WroteSnapshot = false;
   auto RecordSaveError = [&](const Status &S) {
     if (S.ok()) {
@@ -74,7 +82,7 @@ AnalysisResult cafa::analyzeTrace(const Trace &T,
     }
   };
   auto StampIdentity = [&](AnalysisSnapshot &Out) {
-    Out.TraceFingerprint = Fp;
+    Out.TraceFingerprint = Fingerprint();
     Out.NumRecords = T.numRecords();
     Out.OptionsDigest = Digest;
   };
@@ -89,7 +97,7 @@ AnalysisResult cafa::analyzeTrace(const Trace &T,
       if (!S.ok())
         RO.RejectReason = S.message();
       else if (Snap.NumRecords != T.numRecords() ||
-               Snap.TraceFingerprint != Fp)
+               Snap.TraceFingerprint != Fingerprint())
         RO.RejectReason = "snapshot does not match this trace";
       else if (Snap.OptionsDigest != Digest)
         RO.RejectReason =
@@ -207,9 +215,6 @@ AnalysisResult cafa::analyzeTrace(const Trace &T,
     Opt.DeadlineMillis = Remaining();
   Phase.restart();
   if (Windowed) {
-    // The windowed scan orders pairs from its own frontier rows; the
-    // primary oracle is dead weight from here on.
-    Hb.shedOracle();
     Result.WindowEventsUsed = Window;
     Result.Report = detectUseFreeRacesWindowed(
         T, Index, Hb, Opt, Window, Resolver, &Result.WindowedDetect,

@@ -10,11 +10,12 @@
 /// enumeration, written once for the batch pair scan
 /// (UseFreeDetector.cpp) and the windowed streaming scan
 /// (WindowedScan.cpp): the hb-deadline preamble, the deadline ladder and
-/// its checkpoint cadence, the filter pipeline, the intra-event-alloc
-/// index, the commit, and the closing (b)/(c) classification.  The
-/// scans differ only in how they enumerate pairs, what they retain, and
-/// their frontier type; the differential suites pin their reports
-/// against each other byte for byte.
+/// its checkpoint cadence, the filter pipeline with its happens-before
+/// query to the HbIndex, the intra-event-alloc index, the commit, and
+/// the closing (b)/(c) classification.  The scans differ only in how
+/// they enumerate pairs, what they retain, and their frontier type; the
+/// differential suites pin their reports against each other byte for
+/// byte.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -151,31 +152,31 @@ private:
 };
 
 /// The per-pair filter pipeline.  Pure given its arguments, so the batch
-/// scan runs it from worker threads.
+/// scan runs it from worker threads when \p Hb's oracle allows.
 class PairFilter {
 public:
-  PairFilter(const Trace &T, const DetectorOptions &Options,
+  PairFilter(const Trace &T, const HbIndex &Hb, const DetectorOptions &Options,
              const AllocSpans &Allocs)
-      : T(T), Options(Options), Allocs(Allocs) {}
+      : T(T), Hb(Hb), Options(Options), Allocs(Allocs) {}
 
   /// Runs one candidate pair through the filters in their fixed order --
   /// same task, ordered, lockset, same looper, if-guard, intra-event
   /// alloc -- and counts it into \p C under the first that suppresses
-  /// it.  \p Ordered() asks the scan's happens-before oracle and
-  /// \p Guarded() whether a branch proves the use non-null; each runs
-  /// only when the pipeline gets that far.  \p Shed drops the lockset
-  /// and if-guard filters.  Returns true when the pair survives, with
-  /// \p SameLooper set for a Table 1 (a) race.
-  template <class OrderedFn, class GuardedFn>
+  /// it.  The ordering filter asks the index's oracle, and \p Guarded()
+  /// whether a branch proves the use non-null; each runs only when the
+  /// pipeline gets that far.  \p Shed drops the lockset and if-guard
+  /// filters.  Returns true when the pair survives, with \p SameLooper
+  /// set for a Table 1 (a) race.
+  template <class GuardedFn>
   bool survives(const PtrAccess &Use, const PtrAccess &Free, bool Shed,
-                FilterCounters &C, bool &SameLooper, OrderedFn &&Ordered,
+                FilterCounters &C, bool &SameLooper,
                 GuardedFn &&Guarded) const {
     ++C.CandidatePairs;
     if (Use.Task == Free.Task) {
       ++C.SameTask;
       return false;
     }
-    if (Ordered()) {
+    if (Hb.ordered(Use.Record, Free.Record)) {
       ++C.OrderedByHb;
       return false;
     }
@@ -202,6 +203,7 @@ public:
 
 private:
   const Trace &T;
+  const HbIndex &Hb;
   const DetectorOptions &Options;
   const AllocSpans &Allocs;
 };

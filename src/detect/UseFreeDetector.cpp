@@ -83,7 +83,7 @@ RaceReport cafa::detectUseFreeRaces(const Trace &T, const TaskIndex &Index,
   RaceReport Report = beginReport(Hb);
   DeadlineLadder Ladder(Options, Report, Ckpt);
   DetectIndexes Ix(Db);
-  const PairFilter Filter(T, Options, Ix.Allocs);
+  const PairFilter Filter(T, Hb, Options, Ix.Allocs);
 
   auto isGuarded = [&](uint32_t UseIdx) {
     int8_t &Memo = Ix.GuardedMemo[UseIdx];
@@ -186,10 +186,8 @@ RaceReport cafa::detectUseFreeRaces(const Trace &T, const TaskIndex &Index,
                       FilterCounters &C, bool &SameLooper) {
     const PtrAccess &Use = Db.Uses[UseIdx];
     const PtrAccess &Free = Db.Frees[FreeIdx];
-    return Filter.survives(
-        Use, Free, Shed, C, SameLooper,
-        [&] { return Hb.ordered(Use.Record, Free.Record); },
-        [&] { return isGuarded(UseIdx); });
+    return Filter.survives(Use, Free, Shed, C, SameLooper,
+                           [&] { return isGuarded(UseIdx); });
   };
 
   // Sequential commit of one surviving pair, in scan order.

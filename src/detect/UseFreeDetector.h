@@ -149,15 +149,11 @@ using WindowedDetectCheckpointing = ScanCheckpointing<WindowedDetectFrontier>;
 struct WindowedDetectStats {
   /// Retirement sweep cadence actually used (records).
   uint64_t WindowEvents = 0;
-  /// Chain count of the frontier reachability rows.
-  uint32_t Chains = 0;
-  /// Peak simultaneously-live reachability rows / their bytes.
+  /// Always 0: the scan keeps no reachability rows of its own.  Kept
+  /// only because the benchmark harness still prints it.
   size_t ReachHighWaterRows = 0;
-  size_t ReachHighWaterBytes = 0;
-  /// Peak bytes of retained (not yet retired) accesses and branches.
-  size_t RetainedHighWaterBytes = 0;
-  /// Peak of the combined analysis overlay (rows + retained accesses),
-  /// sampled at every insertion and sweep.
+  /// Peak bytes of retained (not yet retired) accesses and branches,
+  /// sampled at every insertion.
   size_t OverlayHighWaterBytes = 0;
   /// Extraction tallies.  The windowed path never materializes an
   /// AccessDb, so analyzeTrace fills its trace stats from these.
@@ -169,12 +165,12 @@ struct WindowedDetectStats {
 /// two extraction passes (a counting pre-pass deriving retention
 /// horizons, then the scan itself), pairs evaluated as their later
 /// access streams by, accesses retired once no future counterpart can
-/// pair with them.  Emits a report byte-identical to the batch
+/// pair with them.  Pairs are ordered by \p Hb's own oracle, as in
+/// the batch scan.  Emits a report byte-identical to the batch
 /// detectUseFreeRaces at every window size -- the window is only the
 /// retirement sweep cadence -- while never holding the full access
-/// tables or a full reachability closure resident.  \p WindowEvents
-/// must be a concrete cadence (not 0/WindowOff; callers resolve
-/// first).
+/// tables resident.  \p WindowEvents must be a concrete cadence (not
+/// 0/WindowOff; callers resolve first).
 RaceReport detectUseFreeRacesWindowed(
     const Trace &T, const TaskIndex &Index, const HbIndex &Hb,
     const DetectorOptions &Options, uint64_t WindowEvents,

@@ -14,8 +14,7 @@
 //
 //  - Pass A (PrePassSink) counts and indexes without retaining bodies:
 //    use ordinals keyed by read record, per-cell last-use/last-free
-//    records (the retention horizons), per-(task, cell) alloc spans,
-//    and the global query horizon for the frontier reachability rows.
+//    records (the retention horizons), and per-(task, cell) alloc spans.
 //
 //  - Pass B (WindowScanSink) streams accesses in record order.  A pair
 //    (use, free) is evaluated exactly once, at the record of its later
@@ -25,8 +24,8 @@
 //    record after which no future counterpart can pair with them --
 //    swept every WindowEvents records (the window is only the sweep
 //    cadence, which is why every window size emits identical reports).
-//    Happens-before queries go to WindowedReach, whose frontier rows
-//    advance with the same cursor.
+//    Happens-before queries go to the HbIndex's oracle through the
+//    shared filter, exactly as the batch scan's do.
 //
 // Surviving pairs are tiny ordinal tuples; the commit runs once at the
 // end, over the survivors sorted into the batch scan's (use, free)
@@ -38,7 +37,6 @@
 #include "detect/UseFreeDetector.h"
 
 #include "detect/DetectShared.h"
-#include "hb/WindowedReach.h"
 #include "support/Resolve.h"
 
 #include <algorithm>
@@ -89,9 +87,6 @@ public:
   std::vector<uint8_t> HasUseByVar;
   std::vector<uint8_t> HasFreeByVar;
   AllocSpans Allocs;
-  /// Last record that is the later element of any candidate pair
-  /// (over-approximated by the last access record overall).
-  uint32_t QueryHorizon = 0;
   uint64_t NumAllocs = 0;
   uint64_t NumBranches = 0;
 
@@ -105,7 +100,6 @@ public:
     growVar(V);
     LastUseReadByVar[V] = std::max(LastUseReadByVar[V], Use.Record);
     HasUseByVar[V] = 1;
-    QueryHorizon = std::max(QueryHorizon, Use.Record);
   }
 
   void onFree(PtrAccess Free) override {
@@ -114,7 +108,6 @@ public:
     growVar(V);
     LastFreeByVar[V] = std::max(LastFreeByVar[V], Free.Record);
     HasFreeByVar[V] = 1;
-    QueryHorizon = std::max(QueryHorizon, Free.Record);
   }
 
   void onAlloc(PtrAccess Alloc) override {
@@ -184,13 +177,12 @@ struct MinInst {
 /// Pass B: the streaming scan itself.
 class WindowScanSink final : public AccessSink {
 public:
-  WindowScanSink(const Trace &T, const DetectorOptions &Options,
-                 const PrePassSink &Pre, WindowedReach &WR,
+  WindowScanSink(const Trace &T, const HbIndex &Hb,
+                 const DetectorOptions &Options, const PrePassSink &Pre,
                  RaceReport &Report, uint64_t Window,
                  WindowedDetectCheckpointing *Ckpt)
-      : Ladder(Options, Report, Ckpt), T(T), Pre(Pre), WR(WR),
-        Report(Report), Window(Window), Ckpt(Ckpt),
-        Filter(T, Options, Pre.Allocs) {
+      : Ladder(Options, Report, Ckpt), T(T), Pre(Pre), Report(Report),
+        Window(Window), Ckpt(Ckpt), Filter(T, Hb, Options, Pre.Allocs) {
     NextSweepRecord = static_cast<uint64_t>(Window);
     buildSweepSchedule();
   }
@@ -202,7 +194,6 @@ public:
   // Scan results, read by the driver after streamAccesses returns.
   std::vector<WindowedDetectFrontier::SurvivorEntry> Survivors;
   std::map<StaticKey, MinInst> MinInstances;
-  size_t RetainedHighWaterBytes = 0;
   size_t OverlayHighWaterBytes = 0;
 
   // Resume state, seeded by the driver before the scan.
@@ -235,8 +226,6 @@ public:
 
     if (!Pre.hasFree(V))
       return; // the cell is never freed: no pairs, ever
-    if (!Ladder.outOfTime())
-      WR.advanceTo(Record);
 
     int8_t Memo = -1;
     auto BIt = Buckets.find(V);
@@ -269,8 +258,6 @@ public:
       CapturedFrees.emplace(Ord, Free);
     if (!Pre.hasUse(V))
       return; // the cell is never used: no pairs, ever
-    if (!Ladder.outOfTime())
-      WR.advanceTo(Free.Record);
 
     auto BIt = Buckets.find(V);
     if (BIt != Buckets.end()) {
@@ -312,11 +299,8 @@ public:
     PairsDoneThisRecord = 0;
     if (static_cast<uint64_t>(Record) >= NextSweepRecord) {
       NextSweepRecord = static_cast<uint64_t>(Record) + Window;
-      if (!Ladder.outOfTime()) {
-        WR.advanceTo(Record);
+      if (!Ladder.outOfTime())
         sweep(Record);
-        noteOverlay();
-      }
     }
     return !Ladder.outOfTime();
   }
@@ -388,10 +372,7 @@ private:
   }
 
   void noteOverlay() {
-    RetainedHighWaterBytes = std::max(RetainedHighWaterBytes, RetainedBytes);
-    size_t Overlay = RetainedBytes +
-                     WR.liveRows() * WR.numChains() * sizeof(uint32_t);
-    OverlayHighWaterBytes = std::max(OverlayHighWaterBytes, Overlay);
+    OverlayHighWaterBytes = std::max(OverlayHighWaterBytes, RetainedBytes);
   }
 
   bool isGuarded(const PtrAccess &Use, int8_t &Memo) {
@@ -437,10 +418,8 @@ private:
     ++PairsDoneThisRecord;
 
     bool SameLooper = false;
-    if (!Filter.survives(
-            Use, Free, Ladder.shed(), Report.Filters, SameLooper,
-            [&] { return WR.orderedCrossTask(Use.Record, Free.Record); },
-            [&] { return isGuarded(Use, Memo); }))
+    if (!Filter.survives(Use, Free, Ladder.shed(), Report.Filters, SameLooper,
+                         [&] { return isGuarded(Use, Memo); }))
       return;
 
     Survivors.push_back({UseOrd, FreeOrd, Use.Record, Free.Record,
@@ -465,7 +444,6 @@ private:
 
   const Trace &T;
   const PrePassSink &Pre;
-  WindowedReach &WR;
   RaceReport &Report;
   const uint64_t Window;
   WindowedDetectCheckpointing *Ckpt;
@@ -551,8 +529,7 @@ RaceReport cafa::detectUseFreeRacesWindowed(
   PrePassSink Pre;
   StreamExtractCounts Counts = streamAccesses(T, Resolver, Pre);
 
-  WindowedReach WR(Hb.graph(), Pre.QueryHorizon);
-  WindowScanSink Scan(T, Options, Pre, WR, Report, WindowEvents, Ckpt);
+  WindowScanSink Scan(T, Hb, Options, Pre, Report, WindowEvents, Ckpt);
 
   // Resume: validate the frontier's survivors against the pass-A
   // ordinals; any mismatch silently degrades to a full scan.
@@ -652,10 +629,6 @@ RaceReport cafa::detectUseFreeRacesWindowed(
 
   if (Stats) {
     Stats->WindowEvents = WindowEvents;
-    Stats->Chains = WR.numChains();
-    Stats->ReachHighWaterRows = WR.highWaterRows();
-    Stats->ReachHighWaterBytes = WR.highWaterRowBytes();
-    Stats->RetainedHighWaterBytes = Scan.RetainedHighWaterBytes;
     Stats->OverlayHighWaterBytes = Scan.OverlayHighWaterBytes;
     Stats->NumUses = Pre.UseRecordByOrd.size();
     Stats->NumFrees = Pre.FreeRecordByOrd.size();

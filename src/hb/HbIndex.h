@@ -117,9 +117,9 @@ struct HbDegradation {
   /// DeadlineMillis expired before the fixpoint converged; the relation
   /// under-approximates and reports derived from it are partial.
   bool DeadlineExceeded = false;
-  /// Measured footprint of the oracle actually kept, in bytes: the
-  /// number MemLimitBytes was compared against -- not the
-  /// estimateReachabilityMemory() over-approximation.
+  /// Measured footprint of the oracle actually kept, in bytes.  The
+  /// ladder steps on measurement alone: the chain pass checks its own
+  /// bytes against MemLimitBytes as its clocks grow.
   size_t MeasuredReachBytes = 0;
   /// Chains in the oracle's cover (0 unless UsedReach is Chain).
   /// Informational, for the scaling benches' chain statistics.
@@ -251,12 +251,10 @@ public:
   uint32_t roundsRun() const { return RoundsRun; }
 
   /// Swaps the reachability oracle for the BFS floor, releasing its
-  /// chain clocks.  For callers
-  /// that are done with bulk ordering queries -- the windowed detector
-  /// answers them from its own frontier rows -- but keep the index
-  /// alive for the graph and occasional queries.  All oracles answer
-  /// identically, so happensBefore() stays correct, just slower.
-  /// degradation() keeps reporting the build-time provenance.
+  /// chain clocks.  All oracles answer identically, so happensBefore()
+  /// stays correct, just slower; degradation() keeps reporting the
+  /// build-time provenance.  Its only caller is the benchmark harness's
+  /// traced windowed pass (perfbench.cpp), which sheds before its scan.
   void shedOracle();
 
   /// Analyzer memory: every table of the graph, the oracle, and the

@@ -87,41 +87,6 @@ size_t BfsReachability::memoryBytes() const {
 }
 
 //===----------------------------------------------------------------------===//
-// Chain cover
-//===----------------------------------------------------------------------===//
-
-void cafa::greedyChainCover(const HbGraph &G, ChainCover &Out) {
-  size_t N = G.numNodes();
-  Out.ChainOf.assign(N, ChainCover::Unassigned);
-  Out.PosInChain.assign(N, 0);
-  Out.NumChains = 0;
-  // Greedy path cover: walk ids ascending, start a chain at every
-  // unassigned node, extend along the smallest-id unassigned successor.
-  // Edges point forward in id order, so every chain's members ascend --
-  // which makes a chain's position order its id order, and makes the
-  // walk O(N + E) total.  The cover is a pure function of the adjacency
-  // lists: determinism is what lets a resume and the windowed frontier
-  // recompute the very same cover.
-  for (uint32_t I = 0, E = static_cast<uint32_t>(N); I != E; ++I) {
-    if (Out.ChainOf[I] != ChainCover::Unassigned)
-      continue;
-    uint32_t C = Out.NumChains++;
-    uint32_t U = I;
-    for (uint32_t Pos = 0;; ++Pos) {
-      Out.ChainOf[U] = C;
-      Out.PosInChain[U] = Pos;
-      uint32_t NextU = ChainCover::Unassigned;
-      for (uint32_t S : G.successors(NodeId(U)))
-        if (Out.ChainOf[S] == ChainCover::Unassigned && S < NextU)
-          NextU = S;
-      if (NextU == ChainCover::Unassigned)
-        break;
-      U = NextU;
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // Projection
 //===----------------------------------------------------------------------===//
 
@@ -343,15 +308,4 @@ const char *cafa::reachModeName(ReachMode Mode) {
     return "auto";
   }
   return "unknown";
-}
-
-size_t cafa::estimateReachabilityMemory(size_t NumNodes, ReachMode Mode) {
-  if (resolveReachMode(Mode) == ReachMode::Bfs)
-    // Per-task visited-position/version scratch plus the worklist; tasks
-    // never outnumber nodes, so per-node is a safe upper bound.
-    return NumNodes * 12;
-  // The per-node cover (chain, position, row) with room to spare and
-  // the clock rows' bound.  Errs high: the rows are usually far smaller.
-  return NumNodes * 16 +
-         NumNodes * 4 * size_t(ChainReachability::MaxChainsForClocks);
 }

@@ -56,28 +56,6 @@ enum class ReachMode : uint8_t {
 /// unset or unrecognized falls back to Chain, the default oracle.
 ReachMode resolveReachMode(ReachMode Requested);
 
-/// A greedy path cover of the happens-before DAG into chains.  Every
-/// node belongs to exactly one chain; a chain's members ascend in node
-/// id, and consecutive members are connected by graph edges, so earlier
-/// members reach later members (the chain-prefix property the windowed
-/// frontier summaries rely on).  Produced by greedyChainCover(); a pure
-/// function of the adjacency lists, so it is identical wherever it is
-/// recomputed.
-struct ChainCover {
-  /// Sentinel in ChainOf while the cover is being built; never present
-  /// in a finished cover.
-  static constexpr uint32_t Unassigned = 0xFFFFFFFFu;
-  std::vector<uint32_t> ChainOf;    ///< node id -> chain index
-  std::vector<uint32_t> PosInChain; ///< node id -> position in its chain
-  uint32_t NumChains = 0;
-};
-
-/// Computes the canonical greedy path cover of \p G: walk ids
-/// ascending, start a chain at every unassigned node, extend along the
-/// smallest-id unassigned successor.  O(N + E).  Used by
-/// hb/WindowedReach's backward frontier clocks.
-void greedyChainCover(const HbGraph &G, ChainCover &Out);
-
 /// A list of nodes ("members") for Reachability::project(), which
 /// answers "which members does this node reach" for all members at once.
 /// Member k is node(k); invalid members are allowed and are never
@@ -310,16 +288,6 @@ private:
 /// Returns a stable lowercase name for \p Mode ("chain", "bfs", "auto"),
 /// for CLI flags and degradation diagnostics.
 const char *reachModeName(ReachMode Mode);
-
-/// Upper-bound estimate of what the \p Mode oracle will allocate for a
-/// graph of \p NumNodes nodes, in bytes, *before* building it.  The
-/// degradation ladder (HbOptions::MemLimitBytes) steps rungs from the
-/// *measured* footprint of a budgeted build; this estimate is the
-/// planning aid for sizing limits up front and errs high.  Chain is the
-/// per-node cover plus the clock rows' bound (4 * MaxChainsForClocks
-/// bytes per node); Bfs keeps only per-task scratch, bounded above by
-/// per-node.
-size_t estimateReachabilityMemory(size_t NumNodes, ReachMode Mode);
 
 } // namespace cafa
 

@@ -39,14 +39,6 @@ Trace buildAppTrace() {
   return runScenario(Model.S, RuntimeOptions());
 }
 
-TEST(DegradationTest, EstimatesAreMonotoneAlongTheLadder) {
-  for (size_t N : {200u, 5000u, 100000u}) {
-    size_t Bfs = estimateReachabilityMemory(N, ReachMode::Bfs);
-    size_t Cha = estimateReachabilityMemory(N, ReachMode::Chain);
-    EXPECT_LT(Bfs, Cha) << N;
-  }
-}
-
 TEST(DegradationTest, MemoryCeilingFallsBackToBfsBitIdentical) {
   Trace T = buildAppTrace();
 

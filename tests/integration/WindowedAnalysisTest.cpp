@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 //
 // Pipeline-level contract of the windowed streaming analysis
-// (docs/windowed-analysis.md): at every window size and thread count
-// the analyzer renders byte-identical reports, the memory-pressure
+// (docs/windowed-analysis.md): at every window size, thread count and
+// oracle the analyzer renders byte-identical reports, the memory-pressure
 // ladder sheds to the window without changing a byte, a run cut in
 // either detect mode resumes in the other (the snapshot's happens-
 // before frontier is mode-agnostic and WindowEvents is excluded from
@@ -70,13 +70,16 @@ std::vector<std::string> fixtureFiles() {
   return Files;
 }
 
-/// Both renderings of an analysis at \p Window / \p Threads.
+/// Both renderings of an analysis at \p Window / \p Threads, ordered by
+/// the \p Reach oracle.
 std::pair<std::string, std::string> renderWith(const Trace &T,
                                                uint64_t Window,
-                                               unsigned Threads) {
+                                               unsigned Threads,
+                                               ReachMode Reach) {
   DetectorOptions Opt;
   Opt.WindowEvents = Window;
   Opt.Hb.Threads = Threads;
+  Opt.Hb.Reach = Reach;
   AnalysisResult R = analyzeTrace(T, Opt);
   if (Window != DetectorOptions::WindowOff) {
     EXPECT_EQ(R.WindowEventsUsed, Window);
@@ -97,10 +100,11 @@ TEST(WindowedAnalysisTest, FixturesByteIdenticalAcrossWindowSizes) {
     Status S = ingestTrace(readFile(Path), T, Ingest);
     if (!S.ok())
       continue; // rejected fixtures are ingest-layer tests, not ours
-    auto [RefText, RefJson] = renderWith(T, DetectorOptions::WindowOff, 1);
+    auto [RefText, RefJson] =
+        renderWith(T, DetectorOptions::WindowOff, 1, ReachMode::Auto);
     for (uint64_t Window : {uint64_t(64), uint64_t(4096)})
       for (unsigned Threads : {1u, 4u}) {
-        auto [Text, Json] = renderWith(T, Window, Threads);
+        auto [Text, Json] = renderWith(T, Window, Threads, ReachMode::Auto);
         EXPECT_EQ(Text, RefText)
             << "window " << Window << ", " << Threads << " threads";
         EXPECT_EQ(Json, RefJson)
@@ -204,17 +208,22 @@ class RandomWindowParityTest : public testing::TestWithParam<uint64_t> {};
 TEST_P(RandomWindowParityTest, ReportsByteIdenticalAcrossWindowSizes) {
   Trace T = randomPtrTrace(GetParam() * 0x9E3779B97F4A7C15ull + 3, 250);
   ASSERT_TRUE(validateTrace(T).ok()) << validateTrace(T).message();
-  auto [RefText, RefJson] = renderWith(T, DetectorOptions::WindowOff, 1);
+  auto [RefText, RefJson] =
+      renderWith(T, DetectorOptions::WindowOff, 1, ReachMode::Chain);
   // Window 64 is deliberately pathological: most traces span a few
-  // thousand records, so the scan sweeps dozens of times per run.
-  for (uint64_t Window : {uint64_t(64), uint64_t(1024)})
-    for (unsigned Threads : {1u, 4u}) {
-      auto [Text, Json] = renderWith(T, Window, Threads);
-      ASSERT_EQ(Text, RefText) << "seed " << GetParam() << " window "
-                               << Window << " at " << Threads << " threads";
-      ASSERT_EQ(Json, RefJson) << "seed " << GetParam() << " window "
-                               << Window << " at " << Threads << " threads";
-    }
+  // thousand records, so the scan sweeps dozens of times per run.  The
+  // oracle is an input too: under Bfs the scan's queries are searches.
+  for (ReachMode Reach : {ReachMode::Chain, ReachMode::Bfs})
+    for (uint64_t Window : {uint64_t(64), uint64_t(1024)})
+      for (unsigned Threads : {1u, 4u}) {
+        auto [Text, Json] = renderWith(T, Window, Threads, Reach);
+        ASSERT_EQ(Text, RefText)
+            << "seed " << GetParam() << " " << reachModeName(Reach)
+            << " window " << Window << " at " << Threads << " threads";
+        ASSERT_EQ(Json, RefJson)
+            << "seed " << GetParam() << " " << reachModeName(Reach)
+            << " window " << Window << " at " << Threads << " threads";
+      }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds100, RandomWindowParityTest,
@@ -322,8 +331,12 @@ TEST(WindowedAnalysisTest, MemoryPressureLadderShedsToTheWindow) {
   AnalysisResult Clean = analyzeTrace(T, Batch);
 
   // A 1-byte budget downgrades the reachability oracle; the ladder
-  // then sheds the detect phase to the windowed scan as well.
+  // then sheds the detect phase to the windowed scan as well, whose
+  // queries the BFS floor then answers.  Pin the chain request: the
+  // reach-bfs CI leg's CAFA_REACH would otherwise start at the floor,
+  // where there is nothing to downgrade.
   DetectorOptions Squeezed;
+  Squeezed.Hb.Reach = ReachMode::Chain;
   Squeezed.Hb.MemLimitBytes = 1;
   AnalysisResult R = analyzeTrace(T, Squeezed);
   EXPECT_TRUE(R.Degradation.DowngradedForMemory);
