@@ -114,7 +114,7 @@ void sweepChainScaling(uint64_t MaxEvents) {
   const uint64_t BfsVerifyMax = 100000;
 
   std::printf("\nchain-oracle scaling axis (single-poster chainable "
-              "traces, 1 analysis thread):\n");
+              "traces):\n");
   std::printf("%10s %10s %7s %10s %12s %11s %9s %14s\n", "events",
               "records", "chains", "hb(ms)", "detect(ms)", "hb-mem(MB)",
               "B/event", "verdict");
@@ -168,18 +168,19 @@ void sweepChainScaling(uint64_t MaxEvents) {
 
 /// Windowed-scan axis ("Bounding the memory wall" in EXPERIMENTS.md):
 /// detector wall time and analysis-overlay high-water at retirement
-/// cadences 4k / 64k / full (the batch scan) over the chainable
-/// family, chain HB oracle on every row so the only variable is the
-/// detector path.  The overlay high-water column is the honesty check
-/// on the bounded-memory claim -- it must stay flat while events grow
-/// 125x -- and every windowed report is byte-compared against the
-/// batch reference (the window is a memory knob, never a result
-/// knob).  The windowed scan streams its own extraction passes, so the
-/// full row's detect(ms) counts the batch path's AccessDb extraction
-/// too; detect(ms) against the full row is the streaming overhead.
+/// cadences 4k / 64k over the trace stream, and the scan over an
+/// extracted AccessDb ("full"), on the chainable family, chain HB
+/// oracle on every row so the only variable is the access source.  The
+/// overlay high-water column is the honesty check on the bounded-memory
+/// claim -- it must stay flat while events grow 125x -- and every
+/// windowed report is byte-compared against the full row's (the window
+/// is a memory knob, never a result knob).  The stream source runs its
+/// own extraction passes, so the full row's detect(ms) counts the
+/// AccessDb extraction too; detect(ms) against the full row is the
+/// streaming overhead.
 void sweepWindowScaling(uint64_t MaxEvents) {
   std::printf("\nwindowed-scan axis (single-poster chainable traces, "
-              "chain HB oracle, 1 analysis thread):\n");
+              "chain HB oracle):\n");
   std::printf("%10s %10s %8s %12s %14s %11s\n", "events", "records",
               "window", "detect(ms)", "overlay-hw(KB)", "verdict");
 
@@ -189,22 +190,22 @@ void sweepWindowScaling(uint64_t MaxEvents) {
       break;
     Trace T = buildChainable(Events);
 
-    DetectorOptions BatchOpt;
-    BatchOpt.Hb.Reach = ReachMode::Chain;
-    BatchOpt.WindowEvents = DetectorOptions::WindowOff;
-    AnalysisResult Batch = analyzeTrace(T, BatchOpt);
-    std::string BatchJson = renderRaceReportJson(Batch.Report, T);
+    DetectorOptions FullOpt;
+    FullOpt.Hb.Reach = ReachMode::Chain;
+    FullOpt.WindowEvents = DetectorOptions::WindowOff;
+    AnalysisResult Full = analyzeTrace(T, FullOpt);
+    std::string FullJson = renderRaceReportJson(Full.Report, T);
     std::printf("%10s %10s %8s %12.1f %14s %11s\n",
                 withThousandsSep(Events).c_str(),
                 withThousandsSep(T.numRecords()).c_str(), "full",
-                Batch.ExtractMillis + Batch.DetectMillis, "-", "reference");
+                Full.ExtractMillis + Full.DetectMillis, "-", "reference");
 
     for (uint64_t W : {uint64_t(4096), uint64_t(65536)}) {
-      DetectorOptions Opt = BatchOpt;
+      DetectorOptions Opt = FullOpt;
       Opt.WindowEvents = W;
       AnalysisResult R = analyzeTrace(T, Opt);
       const char *Verdict =
-          renderRaceReportJson(R.Report, T) == BatchJson ? "identical"
+          renderRaceReportJson(R.Report, T) == FullJson ? "identical"
                                                          : "DIFFERS";
       std::printf("%10s %10s %8s %12.1f %14.1f %11s\n",
                   withThousandsSep(Events).c_str(),
@@ -363,57 +364,6 @@ void sweepIngestThreads(const Trace &Pristine) {
   }
 }
 
-/// Analysis thread-count axis: wall time of the happens-before build
-/// (one sequential pass) and the detector pair scan at
-/// 1/2/4/8 analysis threads, with the bit-identity contract checked on
-/// every row -- the rendered JSON report must match the 1-thread
-/// reference byte for byte.  Speedup is relative to the 1-thread run;
-/// rows beyond the machine's core count cannot speed up and say so
-/// honestly.
-void sweepAnalysisThreads(const Trace &T) {
-  std::printf("\nanalysis thread axis (%s records, %u hardware "
-              "threads):\n",
-              withThousandsSep(T.numRecords()).c_str(),
-              std::thread::hardware_concurrency());
-  std::printf("%8s %10s %12s %10s %8s %10s\n", "threads", "hb(ms)",
-              "detect(ms)", "total(ms)", "speedup", "verdict");
-
-  std::string RefJson;
-  double RefHbMs = 0;
-  for (unsigned Threads : {1u, 2u, 4u, 8u}) {
-    DetectorOptions Opt;
-    Opt.Hb.Threads = Threads;
-
-    // Median-of-three (best-of, really): at bench sizes a stray
-    // scheduler tick would otherwise dominate the row.
-    double BestHb = 0, BestDetect = 0, BestTotal = 0;
-    std::string Json;
-    for (int Rep = 0; Rep != 3; ++Rep) {
-      Timer Total;
-      AnalysisResult R = analyzeTrace(T, Opt);
-      double TotalMs = Total.elapsedWallMillis();
-      if (Rep == 0 || R.HbBuildMillis < BestHb) {
-        BestHb = R.HbBuildMillis;
-        BestDetect = R.DetectMillis;
-        BestTotal = TotalMs;
-        Json = renderRaceReportJson(R.Report, T);
-      }
-    }
-
-    const char *Verdict;
-    if (Threads == 1) {
-      RefJson = std::move(Json);
-      RefHbMs = BestHb;
-      Verdict = "reference";
-    } else {
-      Verdict = Json == RefJson ? "identical" : "DIFFERS";
-    }
-    double Speedup = BestHb > 0 ? RefHbMs / BestHb : 0;
-    std::printf("%8u %10.1f %12.1f %10.1f %7.2fx %10s\n", Threads, BestHb,
-                BestDetect, BestTotal, Speedup, Verdict);
-  }
-}
-
 /// Size of the file at \p Path in bytes (0 when absent).
 size_t fileBytes(const std::string &Path) {
   struct stat St;
@@ -531,7 +481,6 @@ int main(int argc, char **argv) {
   // sweeps are big enough for the workers to have real work.
   Trace Large = runScenario(buildSynthetic(MaxEvents), RuntimeOptions());
   sweepIngestThreads(Large);
-  sweepAnalysisThreads(Large);
   sweepCheckpointCadence(Large);
 
   // Chain-oracle axis on its own trace family, last because it dwarfs

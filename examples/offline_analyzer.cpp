@@ -22,10 +22,11 @@
 // --reach selects the happens-before reachability oracle (chain, the
 // default, or bfs; see docs/hb-reachability.md).  Unset, the choice
 // also honors the CAFA_REACH environment variable.
-// --window=<records> runs the windowed streaming detector scan
+// --window=<records> feeds the detector's pair scan from the trace
+// stream instead of an extracted access table
 // (docs/windowed-analysis.md): bounded resident overlay, byte-identical
-// report.  Unset, CAFA_WINDOW decides; --window=off pins the batch scan
-// even under memory pressure.  The stats block (stderr) reports the
+// report.  Unset, CAFA_WINDOW decides; --window=off pins the access
+// table even under memory pressure.  The stats block (stderr) reports the
 // process peak RSS and the window overlay's high-water mark.
 // Damaged dumps are salvaged (--strict insists on a pristine file: any
 // line salvage would drop or repair is an error); --mem-limit=<bytes>
@@ -166,6 +167,7 @@ int main(int argc, char **argv) {
     bool Json = false;
     DetectorOptions Options;
     IngestOptions Ingest;
+    unsigned AnalysisThreads = 0; // confirmation's replay fan-out
     CheckpointOptions Ckpt;
     unsigned long ChaosHangMillis = 0;
     bool ChaosKillAfterSave = false;
@@ -189,7 +191,7 @@ int main(int argc, char **argv) {
         unsigned long N = std::strtoul(argv[I] + 19, &End, 10);
         if (End == argv[I] + 19 || *End != '\0' || N == 0)
           return usage(argv[0]);
-        Options.Hb.Threads = static_cast<unsigned>(N);
+        AnalysisThreads = static_cast<unsigned>(N);
       } else if (std::strcmp(argv[I], "--reach=chain") == 0) {
         Options.Hb.Reach = ReachMode::Chain;
       } else if (std::strcmp(argv[I], "--reach=bfs") == 0) {
@@ -351,7 +353,7 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "warning: partial analysis (%s)\n",
                    R.Report.PartialCause.c_str());
     // Peak RSS covers the whole process (trace included); the overlay
-    // high-water is the windowed scan's own resident analysis state.
+    // high-water is what the scan retains of the trace stream.
     struct rusage Usage;
     ::getrusage(RUSAGE_SELF, &Usage);
     unsigned long long PeakRssBytes =
@@ -396,7 +398,7 @@ int main(int argc, char **argv) {
       AppModel Model = buildApp(AppName);
       ConfirmOptions COpt;
       COpt.MaxSchedules = ConfirmBound;
-      COpt.Threads = Options.Hb.Threads;
+      COpt.Threads = AnalysisThreads;
       ConfirmSummary CSum = confirmRaces(Model.S, T, R.Report, COpt);
       applyConfirmVerdicts(CSum, Doc);
       std::fprintf(stderr,

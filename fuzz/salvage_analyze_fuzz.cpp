@@ -14,8 +14,9 @@
 // docs/robustness.md -- no byte stream may crash, hang, or trip
 // ASan/UBSan anywhere in salvage -> validate -> analyze -- and the
 // byte-identity contract: every complete report renders the same JSON
-// under the batch and the windowed scan, under each reachability
-// oracle, and at 1 and 2 analysis threads -- with the same rule-engine
+// whether the pair scan reads an extracted AccessDb or the trace stream,
+// under each reachability oracle, and as the use-major reference scan
+// of tests/ReferenceScan.h renders it -- with the same rule-engine
 // counters wherever the forward pass derives the rules (the BFS leg
 // runs fixpoint rounds, whose counters count their own proposals).  A
 // divergence prints both renders and aborts.  Agreement between the
@@ -44,6 +45,7 @@
 #include "trace/Validate.h"
 
 #include "ReferenceHb.h"
+#include "ReferenceScan.h"
 
 #include <cstdint>
 #include <cstdio>
@@ -82,15 +84,16 @@ struct Leg {
   const char *Name;
   uint64_t Window;
   ReachMode Reach;
-  unsigned Threads;
+  /// Render referenceScan over the same relation instead of running
+  /// analyzeTrace.
+  bool Reference;
 };
 
 const Leg Legs[] = {
-    {"batch/chain/1 thread", DetectorOptions::WindowOff, ReachMode::Chain,
-     1},
-    {"window 16", 16, ReachMode::Chain, 1},
-    {"reach bfs", DetectorOptions::WindowOff, ReachMode::Bfs, 1},
-    {"2 analysis threads", DetectorOptions::WindowOff, ReachMode::Chain, 2},
+    {"accessdb/chain", DetectorOptions::WindowOff, ReachMode::Chain, false},
+    {"window 16", 16, ReachMode::Chain, false},
+    {"reach bfs", DetectorOptions::WindowOff, ReachMode::Bfs, false},
+    {"reference scan", DetectorOptions::WindowOff, ReachMode::Chain, true},
 };
 
 /// The BFS oracle's fixpoint rounds are far slower than the pass
@@ -151,8 +154,7 @@ void checkRelation(const Trace &T, const ReferenceHb &Ref, ReachMode Mode,
 /// The rule engine's counters, which the legs deriving by the forward
 /// pass must agree on too: they see what the report cannot, such as a
 /// pass that derives an edge twice.
-std::string counters(const AnalysisResult &R) {
-  const HbRuleStats &S = R.HbStats;
+std::string counters(const HbRuleStats &S) {
   return formatString("rounds %u, derived atomicity %llu, queue %llu %llu "
                       "%llu %llu\n",
                       S.FixpointRounds,
@@ -199,10 +201,11 @@ bool pipelineOnce(const std::string &Text) {
   // Keep per-input cost bounded: a pass/round cap for pathological
   // queue structures, and a deadline backstop so a quadratic corner
   // becomes a partial report instead of a hang.  The window leg's tiny
-  // sweep cadence and the two-thread leg put the streaming retirement
-  // horizons and the parallel detector paths under fuzz on exactly the
-  // hostile shapes salvage produces (quiet tasks, dangling events,
-  // mid-record damage).
+  // sweep cadence puts the stream's retirement horizons under fuzz on
+  // exactly the hostile shapes salvage produces (quiet tasks, dangling
+  // events, mid-record damage), and the reference leg checks the scan's
+  // record-order enumeration and online commit against every pair in
+  // use-major order.
   std::string FirstJson, FirstCounters;
   for (const Leg &L : Legs) {
     if (L.Reach == ReachMode::Bfs && T.numRecords() > BfsMaxRecords)
@@ -212,14 +215,25 @@ bool pipelineOnce(const std::string &Text) {
     Opt.DeadlineMillis = 50;
     Opt.WindowEvents = L.Window;
     Opt.Hb.Reach = L.Reach;
-    Opt.Hb.Threads = L.Threads;
-    AnalysisResult R = analyzeTrace(T, Opt);
-    if (R.Report.Partial) {
+    RaceReport Report;
+    HbRuleStats Stats;
+    if (L.Reference) {
+      TaskIndex Index(T);
+      Opt.Hb.DeadlineMillis = Opt.DeadlineMillis;
+      HbIndex Hb(T, Index, Opt.Hb);
+      Report = referenceScan(T, extractAccesses(T, Index), Hb, Opt);
+      Stats = Hb.ruleStats();
+    } else {
+      AnalysisResult R = analyzeTrace(T, Opt);
+      Report = std::move(R.Report);
+      Stats = R.HbStats;
+    }
+    if (Report.Partial) {
       ++Skipped;
       return true;
     }
-    std::string Json = renderRaceReportJson(R.Report, T);
-    std::string Counters = counters(R);
+    std::string Json = renderRaceReportJson(Report, T);
+    std::string Counters = counters(Stats);
     if (&L == Legs) {
       FirstJson = Json;
       FirstCounters = Counters;

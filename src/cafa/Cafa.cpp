@@ -19,10 +19,11 @@ using namespace cafa;
 
 namespace {
 
-/// Retirement cadence the memory-pressure ladder uses when it engages
-/// the windowed scan on its own (no explicit --window / CAFA_WINDOW):
-/// large enough that the sweep cost is noise, small enough that retained
-/// accesses turn over well before the batch tables' footprint.
+/// Retirement cadence the memory-pressure ladder uses when it switches
+/// the scan to the trace stream on its own (no explicit --window /
+/// CAFA_WINDOW): large enough that the sweep cost is noise, small
+/// enough that retained accesses turn over well before the access
+/// tables' footprint.
 constexpr uint64_t DefaultPressureWindow = 65536;
 
 } // namespace
@@ -46,8 +47,9 @@ AnalysisResult cafa::analyzeTrace(const Trace &T,
                     0.001);
   };
 
-  // Windowed streaming detection (docs/windowed-analysis.md): the
-  // memory-pressure ladder may still engage it after the build (below).
+  // The scan's access source (docs/windowed-analysis.md): the
+  // memory-pressure ladder may still switch it to the stream after the
+  // build (below).
   uint64_t Window = resolveWindowEvents(Options.WindowEvents);
   bool Windowed = Window != DetectorOptions::WindowOff;
 
@@ -142,9 +144,9 @@ AnalysisResult cafa::analyzeTrace(const Trace &T,
 
   // Memory-pressure rung of the degradation ladder: when the oracle had
   // to be downgraded to fit Hb.MemLimitBytes and the caller left the
-  // window on auto, shed to the windowed scan before the batch detector
-  // materializes its access tables -- strictly less resident memory,
-  // byte-identical report.  An explicit WindowOff pins the batch scan.
+  // window on auto, scan the trace stream instead of materializing the
+  // access tables -- strictly less resident memory, byte-identical
+  // report.  An explicit WindowOff pins the AccessDb.
   if (!Windowed && Options.WindowEvents == 0 &&
       Hb.degradation().DowngradedForMemory) {
     Window = DefaultPressureWindow;
@@ -152,9 +154,9 @@ AnalysisResult cafa::analyzeTrace(const Trace &T,
     Result.WindowShedByMemory = true;
   }
 
-  // The batch detector scans a fully materialized AccessDb; the
-  // windowed scan streams its own extraction passes (ExtractMillis
-  // stays 0 and the tallies land in Result.WindowedDetect).
+  // Without a window the scan reads a fully materialized AccessDb; the
+  // stream source runs its own extraction passes (ExtractMillis stays 0
+  // and the tallies land in Result.WindowedDetect).
   AccessDb Db;
   if (!Windowed) {
     Phase.restart();
@@ -165,65 +167,48 @@ AnalysisResult cafa::analyzeTrace(const Trace &T,
   // Detector-phase checkpointing only makes sense over a saturated
   // relation: a frontier scanned against a cut relation would bake its
   // too-weak "unordered" verdicts into the resumed report, so such
-  // state is never saved and never reused.  Each scan mode has its own
-  // frontier shape; a snapshot cut in the other mode contributes its Hb
-  // frontier (adopted above) and detection restarts from scratch --
-  // recompute, never reject.
+  // state is never saved and never reused.  The frontier fits either
+  // access source, so a scan cut with a window resumes without one and
+  // the other way round.
   bool DetectCkptOn = CkptOn && !Hb.degradation().DeadlineExceeded;
   DetectCheckpointing DetCk;
-  WindowedDetectCheckpointing WDetCk;
   DetectFrontier LastDetect;
-  WindowedDetectFrontier LastWDetect;
-  bool HaveLastDetect = false, HaveLastWDetect = false;
+  bool HaveLastDetect = false;
+  auto DetectSnapshot = [&](const DetectFrontier &F) {
+    AnalysisSnapshot Out;
+    StampIdentity(Out);
+    Out.Phase = SnapshotPhase::Detect;
+    Out.Hb = Hb.exportFrontier();
+    Out.HasDetect = true;
+    Out.Detect = F;
+    return Out;
+  };
   if (DetectCkptOn) {
-    if (Windowed) {
-      WDetCk.EveryMillis = CkptOpt.EveryMillis;
-      WDetCk.Save = [&](const WindowedDetectFrontier &F) {
-        LastWDetect = F;
-        HaveLastWDetect = true;
-        AnalysisSnapshot Out;
-        StampIdentity(Out);
-        Out.Phase = SnapshotPhase::Detect;
-        Out.Hb = Hb.exportFrontier();
-        Out.HasWindowedDetect = true;
-        Out.WindowedDetect = F;
-        RecordSaveError(saveAnalysisSnapshot(Out, Path));
-      };
-      if (HaveSnap && Snap.Phase == SnapshotPhase::Detect &&
-          Snap.HasWindowedDetect && Snap.Hb.Saturated)
-        WDetCk.Resume = &Snap.WindowedDetect;
-    } else {
-      DetCk.EveryMillis = CkptOpt.EveryMillis;
-      DetCk.Save = [&](const DetectFrontier &F) {
-        LastDetect = F;
-        HaveLastDetect = true;
-        AnalysisSnapshot Out;
-        StampIdentity(Out);
-        Out.Phase = SnapshotPhase::Detect;
-        Out.Hb = Hb.exportFrontier();
-        Out.HasDetect = true;
-        Out.Detect = F;
-        RecordSaveError(saveAnalysisSnapshot(Out, Path));
-      };
-      if (HaveSnap && Snap.Phase == SnapshotPhase::Detect && Snap.HasDetect &&
-          Snap.Hb.Saturated)
-        DetCk.Resume = &Snap.Detect;
-    }
+    DetCk.EveryMillis = CkptOpt.EveryMillis;
+    DetCk.Save = [&](const DetectFrontier &F) {
+      LastDetect = F;
+      HaveLastDetect = true;
+      RecordSaveError(saveAnalysisSnapshot(DetectSnapshot(F), Path));
+    };
+    if (HaveSnap && Snap.Phase == SnapshotPhase::Detect && Snap.HasDetect &&
+        Snap.Hb.Saturated)
+      DetCk.Resume = &Snap.Detect;
   }
 
   if (Opt.DeadlineMillis > 0)
     Opt.DeadlineMillis = Remaining();
   Phase.restart();
+  DetectCheckpointing *Ck = DetectCkptOn ? &DetCk : nullptr;
   if (Windowed) {
     Result.WindowEventsUsed = Window;
     Result.Report = detectUseFreeRacesWindowed(
-        T, Index, Hb, Opt, Window, Resolver, &Result.WindowedDetect,
-        DetectCkptOn ? &WDetCk : nullptr);
+        T, Index, Hb, Opt, Window, Resolver, &Result.WindowedDetect, Ck);
   } else {
-    Result.Report = detectUseFreeRaces(T, Index, Db, Hb, Opt,
-                                       DetectCkptOn ? &DetCk : nullptr);
+    Result.Report = detectUseFreeRaces(T, Index, Db, Hb, Opt, Ck);
   }
   Result.DetectMillis = Phase.elapsedWallMillis();
+  if (RO.Resumed && !DetCk.ResumeAccepted)
+    RO.Phase = "hb-fixpoint";
 
   if (!CkptOn)
     return Result;
@@ -237,18 +222,10 @@ AnalysisResult cafa::analyzeTrace(const Trace &T,
     // partial report's races, so the run that finishes the job can diff
     // its complete report against this provisional one.
     AnalysisSnapshot Out;
-    StampIdentity(Out);
-    if (DetectCkptOn && HaveLastWDetect) {
-      Out.Phase = SnapshotPhase::Detect;
-      Out.Hb = Hb.exportFrontier();
-      Out.HasWindowedDetect = true;
-      Out.WindowedDetect = LastWDetect;
-    } else if (DetectCkptOn && HaveLastDetect) {
-      Out.Phase = SnapshotPhase::Detect;
-      Out.Hb = Hb.exportFrontier();
-      Out.HasDetect = true;
-      Out.Detect = LastDetect;
+    if (HaveLastDetect) {
+      Out = DetectSnapshot(LastDetect);
     } else {
+      StampIdentity(Out);
       Out.Phase = SnapshotPhase::HbFixpoint;
       Out.Hb = Hb.exportFrontier();
     }

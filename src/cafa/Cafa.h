@@ -52,17 +52,17 @@ struct AnalysisResult {
   /// Provenance only -- never feeds back into Report, so resumed runs
   /// stay bit-identical to uninterrupted ones.
   ResumeOutcome Resume;
-  /// Retirement cadence of the windowed streaming scan, or 0 when the
-  /// batch detector ran.  ExtractMillis is 0 on the windowed path --
-  /// its extraction passes stream inside DetectMillis and never
+  /// Retirement cadence of the scan over the trace stream, or 0 when it
+  /// read an extracted AccessDb.  ExtractMillis is 0 on the stream --
+  /// its extraction passes run inside DetectMillis and never
   /// materialize an AccessDb.
   uint64_t WindowEventsUsed = 0;
   /// The window was engaged by the memory-pressure ladder (the primary
   /// oracle had to be downgraded to fit Hb.MemLimitBytes) rather than
   /// by an explicit request or CAFA_WINDOW.
   bool WindowShedByMemory = false;
-  /// Observability counters of the windowed scan (zeroed on the batch
-  /// path).
+  /// Observability counters of the scan over the trace stream (zeroed
+  /// when it read an AccessDb).
   WindowedDetectStats WindowedDetect;
 };
 

@@ -18,14 +18,13 @@ namespace {
 /// answers from silently mis-decoded state are the one unacceptable
 /// failure mode.
 constexpr char SnapshotMagic[9] = "CAFACKPT";
-constexpr uint32_t SnapshotVersion = 7; // v7: edges only, no oracle state
+constexpr uint32_t SnapshotVersion = 8; // v8: one detect frontier, O(races)
 
 /// Caps on length-prefixed counts, so a corrupt count that slipped past
 /// the checksum cannot drive a multi-gigabyte allocation.  Generous:
 /// real traces stay orders of magnitude below these.
 constexpr uint64_t MaxEdges = uint64_t(1) << 32;
 constexpr uint64_t MaxRaces = uint64_t(1) << 24;
-constexpr uint64_t MaxSurvivors = uint64_t(1) << 28;
 constexpr uint32_t MaxRules = 16;
 
 void putStats(SnapshotWriter &W, const HbRuleStats &S) {
@@ -95,26 +94,6 @@ bool getHbFrontier(SnapshotReader &R, HbFrontier &F) {
 }
 
 void putDetectFrontier(SnapshotWriter &W, const DetectFrontier &F) {
-  W.u32(F.UseIdx);
-  W.u32(F.FreePos);
-  W.u8(F.FiltersShed ? 1 : 0);
-  W.u64(F.Filters.OrderedByHb);
-  W.u64(F.Filters.SameTask);
-  W.u64(F.Filters.LocksetProtected);
-  W.u64(F.Filters.IfGuardFiltered);
-  W.u64(F.Filters.IntraEventAlloc);
-  W.u64(F.Filters.CandidatePairs);
-  W.u64(F.Races.size());
-  for (const DetectFrontier::RaceEntry &E : F.Races) {
-    W.u32(E.UseRecord);
-    W.u32(E.FreeRecord);
-    W.u8(E.Category);
-    W.u32(E.DynamicCount);
-  }
-}
-
-void putWindowedDetectFrontier(SnapshotWriter &W,
-                               const WindowedDetectFrontier &F) {
   W.u32(F.CursorRecord);
   W.u64(F.PairsDoneAtCursor);
   W.u8(F.FiltersShed ? 1 : 0);
@@ -124,49 +103,25 @@ void putWindowedDetectFrontier(SnapshotWriter &W,
   W.u64(F.Filters.IfGuardFiltered);
   W.u64(F.Filters.IntraEventAlloc);
   W.u64(F.Filters.CandidatePairs);
-  W.u64(F.Survivors.size());
-  for (const WindowedDetectFrontier::SurvivorEntry &S : F.Survivors) {
-    W.u32(S.UseOrd);
-    W.u32(S.FreeOrd);
-    W.u32(S.UseRecord);
-    W.u32(S.FreeRecord);
-    W.u32(S.UseMethod);
-    W.u32(S.UsePc);
-    W.u32(S.FreeMethod);
-    W.u32(S.FreePc);
-    W.u8(S.SameLooper);
+  W.u64(F.Races.size());
+  for (const DetectFrontier::RaceEntry &E : F.Races) {
+    W.u32(E.UseOrd);
+    W.u32(E.FreeOrd);
+    W.u32(E.UseRecord);
+    W.u32(E.FreeRecord);
+    W.u32(E.UseMethod);
+    W.u32(E.UsePc);
+    W.u32(E.FreeMethod);
+    W.u32(E.FreePc);
+    W.u32(E.DynamicCount);
+    W.u8(E.SameLooper);
   }
-}
-
-bool getWindowedDetectFrontier(SnapshotReader &R,
-                               WindowedDetectFrontier &F) {
-  uint8_t Shed;
-  if (!R.u32(F.CursorRecord) || !R.u64(F.PairsDoneAtCursor) ||
-      !R.u8(Shed) || Shed > 1)
-    return false;
-  F.FiltersShed = Shed != 0;
-  if (!R.u64(F.Filters.OrderedByHb) || !R.u64(F.Filters.SameTask) ||
-      !R.u64(F.Filters.LocksetProtected) ||
-      !R.u64(F.Filters.IfGuardFiltered) ||
-      !R.u64(F.Filters.IntraEventAlloc) ||
-      !R.u64(F.Filters.CandidatePairs))
-    return false;
-  uint64_t N;
-  if (!R.u64(N) || N > MaxSurvivors)
-    return false;
-  F.Survivors.resize(N);
-  for (WindowedDetectFrontier::SurvivorEntry &S : F.Survivors)
-    if (!R.u32(S.UseOrd) || !R.u32(S.FreeOrd) || !R.u32(S.UseRecord) ||
-        !R.u32(S.FreeRecord) || !R.u32(S.UseMethod) || !R.u32(S.UsePc) ||
-        !R.u32(S.FreeMethod) || !R.u32(S.FreePc) || !R.u8(S.SameLooper) ||
-        S.SameLooper > 1)
-      return false;
-  return true;
 }
 
 bool getDetectFrontier(SnapshotReader &R, DetectFrontier &F) {
   uint8_t Shed;
-  if (!R.u32(F.UseIdx) || !R.u32(F.FreePos) || !R.u8(Shed) || Shed > 1)
+  if (!R.u32(F.CursorRecord) || !R.u64(F.PairsDoneAtCursor) ||
+      !R.u8(Shed) || Shed > 1)
     return false;
   F.FiltersShed = Shed != 0;
   if (!R.u64(F.Filters.OrderedByHb) || !R.u64(F.Filters.SameTask) ||
@@ -180,8 +135,10 @@ bool getDetectFrontier(SnapshotReader &R, DetectFrontier &F) {
     return false;
   F.Races.resize(N);
   for (DetectFrontier::RaceEntry &E : F.Races)
-    if (!R.u32(E.UseRecord) || !R.u32(E.FreeRecord) || !R.u8(E.Category) ||
-        !R.u32(E.DynamicCount))
+    if (!R.u32(E.UseOrd) || !R.u32(E.FreeOrd) || !R.u32(E.UseRecord) ||
+        !R.u32(E.FreeRecord) || !R.u32(E.UseMethod) || !R.u32(E.UsePc) ||
+        !R.u32(E.FreeMethod) || !R.u32(E.FreePc) || !R.u32(E.DynamicCount) ||
+        !R.u8(E.SameLooper) || E.SameLooper > 1)
       return false;
   return true;
 }
@@ -241,9 +198,6 @@ Status cafa::saveAnalysisSnapshot(const AnalysisSnapshot &Snap,
   W.u8(Snap.HasDetect ? 1 : 0);
   if (Snap.HasDetect)
     putDetectFrontier(W, Snap.Detect);
-  W.u8(Snap.HasWindowedDetect ? 1 : 0);
-  if (Snap.HasWindowedDetect)
-    putWindowedDetectFrontier(W, Snap.WindowedDetect);
   W.u8(Snap.HasPartialRaces ? 1 : 0);
   if (Snap.HasPartialRaces) {
     W.u32(static_cast<uint32_t>(Snap.PartialRaces.size()));
@@ -267,7 +221,7 @@ Status cafa::loadAnalysisSnapshot(AnalysisSnapshot &Snap,
   auto Malformed = [] {
     return Status::error("snapshot payload malformed");
   };
-  uint8_t Phase, HasDetect, HasWindowed, HasPartial;
+  uint8_t Phase, HasDetect, HasPartial;
   if (!R.u64(Snap.TraceFingerprint) || !R.u64(Snap.NumRecords) ||
       !R.u64(Snap.OptionsDigest) || !R.u8(Phase) ||
       Phase > static_cast<uint8_t>(SnapshotPhase::Detect))
@@ -279,12 +233,6 @@ Status cafa::loadAnalysisSnapshot(AnalysisSnapshot &Snap,
     return Malformed();
   Snap.HasDetect = HasDetect != 0;
   if (Snap.HasDetect && !getDetectFrontier(R, Snap.Detect))
-    return Malformed();
-  if (!R.u8(HasWindowed) || HasWindowed > 1)
-    return Malformed();
-  Snap.HasWindowedDetect = HasWindowed != 0;
-  if (Snap.HasWindowedDetect &&
-      !getWindowedDetectFrontier(R, Snap.WindowedDetect))
     return Malformed();
   if (!R.u8(HasPartial) || HasPartial > 1)
     return Malformed();

@@ -93,15 +93,11 @@ struct AnalysisSnapshot {
   uint64_t OptionsDigest = 0;
   SnapshotPhase Phase = SnapshotPhase::HbFixpoint;
   HbFrontier Hb;
+  /// The pair scan's frontier.  It names accesses by ordinal and
+  /// record, which both access sources share, so a scan cut over an
+  /// AccessDb resumes over the trace stream and the other way round.
   bool HasDetect = false;
   DetectFrontier Detect;
-  /// The detect phase was the windowed streaming scan; the snapshot
-  /// carries its frontier instead of (never alongside) the batch one.
-  /// Cross-mode resume recomputes rather than rejects: a batch run
-  /// finding a windowed frontier (or vice versa) adopts the Hb frontier
-  /// and redoes detection from scratch in its own mode.
-  bool HasWindowedDetect = false;
-  WindowedDetectFrontier WindowedDetect;
   /// Races of the partial report this snapshot accompanied, for the
   /// confirmed/retracted diff on resume.  Only final partial-result
   /// snapshots carry these.
@@ -122,7 +118,9 @@ struct ResumeOutcome {
   /// Why a present snapshot was rejected (corrupt file, trace mismatch,
   /// options mismatch).  Empty when nothing was rejected.
   std::string RejectReason;
-  /// Phase resumed from: "hb-fixpoint" or "detect".
+  /// Phase resumed from: "hb-fixpoint" or "detect" ("detect" only when
+  /// the pair scan accepted the snapshot's frontier; a refused one
+  /// leaves the relation resumed and the scan restarted).
   std::string Phase;
   /// Fixpoint rounds restored from the snapshot.
   uint32_t HbRoundsDone = 0;

@@ -111,7 +111,6 @@ ConfirmSummary cafa::confirmRaces(const Scenario &S, const Trace &T,
   const HbFrontier *Relation = Report.Relation.get();
   TaskIndex Index(T);
   HbOptions HbOpts;
-  HbOpts.Threads = Options.Threads;
   if (Relation && Relation->Saturated)
     HbOpts.Reach = ReachMode::Chain;
   HbCheckpointing Resume;

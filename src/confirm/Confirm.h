@@ -64,9 +64,9 @@ struct ConfirmOptions {
   /// environment variable if set, else 4 (request > env > default,
   /// like every other knob; see resolveConfirmBound).
   unsigned MaxSchedules = 0;
-  /// Worker threads for the happens-before build and the per-race
-  /// replay fan-out.  0 = auto (CAFA_ANALYSIS_THREADS, then hardware
-  /// concurrency).  Any count produces byte-identical verdicts.
+  /// Worker threads for the per-race replay fan-out (the
+  /// --analysis-threads knob).  0 = auto (CAFA_ANALYSIS_THREADS, then
+  /// hardware concurrency).  Any count produces byte-identical verdicts.
   unsigned Threads = 0;
   /// Base options for the replay runs.  Tracing and stream mirroring
   /// are forced off (replays only need the crash sites); the schedule

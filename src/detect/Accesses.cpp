@@ -48,7 +48,7 @@ bool usesScanState(OpKind K) {
          K == OpKind::Deref || K == OpKind::Branch;
 }
 
-/// Accumulates the streamed items into an AccessDb (the batch path).
+/// Accumulates the streamed items into an AccessDb (extractAccesses).
 class DbSink final : public AccessSink {
 public:
   explicit DbSink(AccessDb &Db) : Db(Db) {}

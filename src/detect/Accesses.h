@@ -85,13 +85,13 @@ struct AccessDb {
 /// promotes the read (so uses arrive in promotion order -- exactly the
 /// order of AccessDb::Uses -- and Use.Record is NOT monotone across
 /// calls); onPtrRead at every non-null pointer read in record order
-/// (passed by field so the common case copies nothing -- the windowed
-/// scan uses it to reconstruct a use *at its read record*, where pairs
-/// against earlier frees are admitted); onRecordDone after each
-/// record's extraction work, which is the windowed scan's admission
-/// cursor -- returning false stops the scan (deadline cut).
-/// UseOrdinal counts promotions and equals the use's index in the
-/// batch AccessDb::Uses.
+/// (passed by field so the common case copies nothing -- the pair
+/// scan's stream source uses it to reconstruct a use *at its read
+/// record*, where pairs against earlier frees are evaluated);
+/// onRecordDone after each record's extraction work, which is the
+/// scan's record cursor -- returning false stops the scan (deadline
+/// cut).  UseOrdinal counts promotions and equals the use's index in
+/// AccessDb::Uses.
 class AccessSink {
 public:
   virtual ~AccessSink();

@@ -1,4 +1,4 @@
-//===- detect/DetectShared.h - What both detector scans share --*- C++ -*-===//
+//===- detect/DetectShared.h - The per-pair pipeline ------------*- C++ -*-===//
 //
 // Part of the CAFA reproduction project.
 // SPDX-License-Identifier: MIT
@@ -6,16 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Everything a candidate (use, free) pair goes through after
-/// enumeration, written once for the batch pair scan
-/// (UseFreeDetector.cpp) and the windowed streaming scan
-/// (WindowedScan.cpp): the hb-deadline preamble, the deadline ladder and
-/// its checkpoint cadence, the filter pipeline with its happens-before
-/// query to the HbIndex, the intra-event-alloc index, the commit, and
-/// the closing (b)/(c) classification.  The scans differ only in how
-/// they enumerate pairs, what they retain, and their frontier type; the
-/// differential suites pin their reports against each other byte for
-/// byte.
+/// Everything a candidate (use, free) pair goes through after the pair
+/// scan (UseFreeDetector.cpp) enumerates it: the hb-deadline preamble,
+/// the deadline ladder and its checkpoint cadence, the filter pipeline
+/// with its happens-before query to the HbIndex, the intra-event-alloc
+/// index, and the closing (b)/(c) classification.  The reference scan
+/// in tests/ReferenceScan.h runs the same pieces over every pair of an
+/// AccessDb, and the differential suites pin the scan's reports against
+/// it byte for byte.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,7 +25,6 @@
 #include "support/Timer.h"
 
 #include <algorithm>
-#include <map>
 #include <optional>
 #include <tuple>
 #include <unordered_map>
@@ -151,8 +148,7 @@ private:
   std::unordered_map<uint64_t, std::pair<uint32_t, uint32_t>> Spans;
 };
 
-/// The per-pair filter pipeline.  Pure given its arguments, so the batch
-/// scan runs it from worker threads when \p Hb's oracle allows.
+/// The per-pair filter pipeline, pure given its arguments.
 class PairFilter {
 public:
   PairFilter(const Trace &T, const HbIndex &Hb, const DetectorOptions &Options,
@@ -218,18 +214,14 @@ class DeadlineLadder {
 public:
   static constexpr uint64_t PollPairs = 4096;
 
-  template <class Frontier>
   DeadlineLadder(const DetectorOptions &Options, RaceReport &Report,
-                 const ScanCheckpointing<Frontier> *Ckpt)
+                 const DetectCheckpointing *Ckpt)
       : Options(Options), Report(Report), CanSave(Ckpt && Ckpt->Save),
         SaveEveryMillis(Ckpt ? Ckpt->EveryMillis : 0),
         WantClock(Options.DeadlineMillis > 0 ||
                   (CanSave && SaveEveryMillis > 0)),
         Limit(Options.DeadlineMillis) {}
 
-  /// True when the scan must count pairs at all: a deadline or a save
-  /// cadence is set.
-  bool clockWanted() const { return WantClock; }
   bool shed() const { return Shed; }
   bool outOfTime() const { return OutOfTime; }
 
@@ -304,40 +296,6 @@ private:
   uint64_t SincePoll = 0;
   bool Shed = false;
   bool OutOfTime = false;
-};
-
-/// The commit, replayed in (use, free) scan order: one race per static
-/// site pair, its first dynamic instance kept and later ones counted.
-/// A same-looper race is committed as (a); a cross-looper one as (b)
-/// until classifyRaces() settles (b) against (c), so a category frozen
-/// mid-scan may be that placeholder.
-class RaceCommitter {
-public:
-  /// Indexes the races \p Report already holds (a resumed scan's).
-  explicit RaceCommitter(RaceReport &Report) : Report(Report) {
-    for (size_t I = 0; I != Report.Races.size(); ++I)
-      Dedup.emplace(staticKey(Report.Races[I].Use, Report.Races[I].Free),
-                    I);
-  }
-
-  /// Commits one surviving pair.  Returns the new race, for the caller
-  /// to fill its access bodies into, or nullptr when \p Key already has
-  /// one (whose dynamic count went up).
-  UseFreeRace *commit(const StaticKey &Key, bool SameLooper) {
-    auto [It, New] = Dedup.try_emplace(Key, Report.Races.size());
-    if (!New) {
-      ++Report.Races[It->second].DynamicCount;
-      return nullptr;
-    }
-    UseFreeRace &Race = Report.Races.emplace_back();
-    Race.Category =
-        SameLooper ? RaceCategory::IntraThread : RaceCategory::InterThread;
-    return &Race;
-  }
-
-private:
-  RaceReport &Report;
-  std::map<StaticKey, size_t> Dedup;
 };
 
 /// Table 1's (b)/(c) split, run once after the scan over every

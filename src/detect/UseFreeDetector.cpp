@@ -5,68 +5,64 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The batch pair scan over a fully materialized AccessDb: uses in
-// promotion order outer, the frees of the use's cell in record order
-// inner, fanned out over the analysis worker pool in blocks.  What it
-// keeps of its own is that enumeration, the per-(frame, cell) branch
-// index its if-guard lookups read, and the DetectFrontier cursor.
-// Everything a pair goes through after enumeration -- filters,
-// deadline ladder, commit, classification -- is DetectShared.h, shared
-// with the windowed streaming scan (WindowedScan.cpp).
+// The pair scan (docs/windowed-analysis.md).  A pair (use, free) of one
+// pointer cell is evaluated exactly once, at the record of its later
+// access: when a free comes by it meets the retained uses of its cell,
+// and when a use's read record comes by it meets the retained frees.  A
+// retained access drops at its horizon -- the record after which no
+// future counterpart can pair with it -- in sweeps every window records;
+// the cadence changes what stays resident, never a pair.  Everything a
+// pair goes through after enumeration (filters, deadline ladder, the
+// (b)/(c) split) is DetectShared.h.
+//
+// The scan reads one of two sources, which hand it the same accesses in
+// the same record order under the same ordinals:
+//
+//  - an extracted AccessDb (detectUseFreeRaces): the horizons, ordinals
+//    and alloc spans are read off the tables, and the uses (by read
+//    record), frees and branches are merged in record order;
+//
+//  - the trace stream (detectUseFreeRacesWindowed): a pre-pass derives
+//    the same plan without keeping any access body, and a second
+//    extraction pass feeds the scan, each use at its read record.
+//
+// The scan commits online, one entry per static (use site, free site)
+// pair holding its first instance by (use ordinal, free ordinal), so its
+// state and its frontier stay O(static races), and the report lists the
+// races in the order a use-major scan would commit them.  A scan cut
+// under either source resumes under either.
 //
 //===----------------------------------------------------------------------===//
 
 #include "detect/UseFreeDetector.h"
 
 #include "detect/DetectShared.h"
-#include "support/WorkerPool.h"
+#include "support/Resolve.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cstdlib>
+#include <map>
+#include <numeric>
+#include <optional>
 #include <unordered_map>
+#include <unordered_set>
 
 using namespace cafa;
 using namespace cafa::detail;
 
-namespace {
-
-/// Indexes built once per detection run.
-struct DetectIndexes {
-  /// var id -> indices into Db.Frees.
-  std::vector<std::vector<uint32_t>> FreesByVar;
-  AllocSpans Allocs;
-  /// (task, frame, var) -> indices into Db.Branches.
-  std::unordered_map<uint64_t, std::vector<uint32_t>> BranchesByFrameVar;
-  /// Memoized if-guard verdicts per use (-1 unknown, 0 no, 1 yes).
-  std::vector<int8_t> GuardedMemo;
-
-  static uint64_t frameVarKey(uint64_t Frame, VarId Var) {
-    // Frame ids are globally unique, so (frame, var) needs no task.
-    return (Frame << 20) ^ Var.value();
-  }
-
-  DetectIndexes(const AccessDb &Db) {
-    uint32_t MaxVar = 0;
-    for (const PtrAccess &A : Db.Frees)
-      MaxVar = std::max(MaxVar, A.Var.value() + 1);
-    for (const PtrAccess &A : Db.Uses)
-      MaxVar = std::max(MaxVar, A.Var.value() + 1);
-    FreesByVar.resize(MaxVar);
-    for (uint32_t I = 0, E = static_cast<uint32_t>(Db.Frees.size()); I != E;
-         ++I)
-      FreesByVar[Db.Frees[I].Var.index()].push_back(I);
-    for (const PtrAccess &A : Db.Allocs)
-      Allocs.add(A);
-    for (uint32_t I = 0, E = static_cast<uint32_t>(Db.Branches.size());
-         I != E; ++I) {
-      const GuardBranch &Br = Db.Branches[I];
-      if (Br.Var.isValid())
-        BranchesByFrameVar[frameVarKey(Br.Frame, Br.Var)].push_back(I);
-    }
-    GuardedMemo.assign(Db.Uses.size(), -1);
-  }
-};
-
-} // namespace
+uint64_t cafa::resolveWindowEvents(uint64_t Requested) {
+  return resolveRequestEnv<uint64_t>(
+      Requested, 0, "CAFA_WINDOW",
+      [](const char *S) -> std::optional<uint64_t> {
+        char *End = nullptr;
+        unsigned long long V = std::strtoull(S, &End, 10);
+        if (End == S || *End != '\0' || V == 0)
+          return std::nullopt;
+        return static_cast<uint64_t>(V);
+      },
+      [] { return DetectorOptions::WindowOff; });
+}
 
 bool cafa::isUseIfGuarded(const Trace &T, const AccessDb &Db,
                           const PtrAccess &Use) {
@@ -76,250 +72,541 @@ bool cafa::isUseIfGuarded(const Trace &T, const AccessDb &Db,
   return false;
 }
 
-RaceReport cafa::detectUseFreeRaces(const Trace &T, const TaskIndex &Index,
-                                    const AccessDb &Db, const HbIndex &Hb,
-                                    const DetectorOptions &Options,
-                                    DetectCheckpointing *Ckpt) {
-  RaceReport Report = beginReport(Hb);
-  DeadlineLadder Ladder(Options, Report, Ckpt);
-  DetectIndexes Ix(Db);
-  const PairFilter Filter(T, Hb, Options, Ix.Allocs);
+namespace {
 
-  auto isGuarded = [&](uint32_t UseIdx) {
-    int8_t &Memo = Ix.GuardedMemo[UseIdx];
+/// What the scan knows before its first record: each access's record
+/// by ordinal (what a resume validates against), per cell the last
+/// use-read and last free record (the retention horizons), and the
+/// alloc spans of the intra-event-alloc filter.
+struct ScanPlan {
+  std::vector<uint32_t> UseRecords, FreeRecords;
+  std::vector<uint32_t> LastUseRead, LastFree;
+  std::vector<uint8_t> HasUse, HasFree;
+  AllocSpans Allocs;
+
+  /// Adds the next use in promotion order.
+  void addUse(const PtrAccess &Use) {
+    UseRecords.push_back(Use.Record);
+    uint32_t V = grow(Use.Var);
+    LastUseRead[V] = std::max(LastUseRead[V], Use.Record);
+    HasUse[V] = 1;
+  }
+
+  /// Adds the next free in record order.
+  void addFree(const PtrAccess &Free) {
+    FreeRecords.push_back(Free.Record);
+    uint32_t V = grow(Free.Var);
+    LastFree[V] = std::max(LastFree[V], Free.Record);
+    HasFree[V] = 1;
+  }
+
+  bool hasUse(uint32_t V) const { return V < HasUse.size() && HasUse[V]; }
+  bool hasFree(uint32_t V) const { return V < HasFree.size() && HasFree[V]; }
+
+private:
+  uint32_t grow(VarId Var) {
+    uint32_t V = Var.index();
+    if (V >= HasUse.size()) {
+      LastUseRead.resize(V + 1, 0);
+      LastFree.resize(V + 1, 0);
+      HasUse.resize(V + 1, 0);
+      HasFree.resize(V + 1, 0);
+    }
+    return V;
+  }
+};
+
+/// One retained access: its body, its ordinal, and for a use the
+/// memoized if-guard verdict (-1 unknown).
+struct Retained {
+  PtrAccess A;
+  uint32_t Ord = 0;
+  int8_t GuardMemo = -1;
+};
+
+/// Everything retained for one pointer cell, dropped kind by kind as
+/// the sweep passes each kind's horizon.
+struct VarBucket {
+  std::vector<Retained> Uses, Frees;
+  /// frame id -> branches of this cell in that frame (record order).
+  std::unordered_map<uint64_t, std::vector<GuardBranch>> BranchesByFrame;
+  size_t UseBytes = 0, FreeBytes = 0, BranchBytes = 0;
+
+  bool empty() const {
+    return Uses.empty() && Frees.empty() && BranchesByFrame.empty();
+  }
+};
+
+/// One committed race: the first surviving instance of its static pair
+/// by (use ordinal, free ordinal), the bodies of that instance once
+/// known, and how many instances survived.
+struct Commit {
+  uint32_t UseOrd = 0, FreeOrd = 0;
+  uint32_t Count = 0;
+  bool SameLooper = false;
+  bool HasBodies = false;
+  PtrAccess Use, Free;
+};
+
+class PairScan {
+public:
+  PairScan(const Trace &T, const HbIndex &Hb, const DetectorOptions &Options,
+           const ScanPlan &Plan, RaceReport &Report, uint64_t Window,
+           DetectCheckpointing *Ckpt)
+      : T(T), Hb(Hb), Plan(Plan), Report(Report), Window(Window),
+        Ckpt(Ckpt), Ladder(Options, Report, Ckpt),
+        Filter(T, Hb, Options, Plan.Allocs), NextSweepRecord(Window) {
+    buildSweepSchedule();
+    if (Ckpt && Ckpt->Resume)
+      resume(*Ckpt->Resume);
+  }
+
+  /// A use, at its read record.
+  void onUse(const PtrAccess &Use, uint32_t Ord) {
+    if (!NeededUses.empty() && NeededUses.count(Ord))
+      CapturedUses.emplace(Ord, Use);
+    const uint32_t V = Use.Var.index();
+    if (!Plan.hasFree(V))
+      return; // the cell is never freed: no pairs, ever
+    int8_t Memo = -1;
+    auto It = Buckets.find(V);
+    if (It != Buckets.end()) {
+      // Every earlier free of the cell is still retained: the frees'
+      // horizon is the cell's last use read, at or after this one.
+      for (const Retained &F : It->second.Frees)
+        if (!evaluate(Use, Ord, Memo, F.A, F.Ord, Use.Record))
+          return;
+    }
+    if (Plan.LastFree[V] > Use.Record) {
+      // Frees of this cell are still to come: keep the use until the
+      // last of them has gone by.
+      VarBucket &B = Buckets[V];
+      retain(B.Uses, B.UseBytes, Use, Ord, Memo);
+    }
+  }
+
+  /// A free, at its record.
+  void onFree(const PtrAccess &Free, uint32_t Ord) {
+    if (!NeededFrees.empty() && NeededFrees.count(Ord))
+      CapturedFrees.emplace(Ord, Free);
+    const uint32_t V = Free.Var.index();
+    if (!Plan.hasUse(V))
+      return; // the cell is never used: no pairs, ever
+    auto It = Buckets.find(V);
+    if (It != Buckets.end())
+      for (Retained &U : It->second.Uses)
+        if (!evaluate(U.A, U.Ord, U.GuardMemo, Free, Ord, Free.Record))
+          return;
+    if (Plan.LastUseRead[V] > Free.Record) {
+      VarBucket &B = Buckets[V];
+      retain(B.Frees, B.FreeBytes, Free, Ord, -1);
+    }
+  }
+
+  /// A guarded branch, at its record.
+  void onBranch(const GuardBranch &Br) {
+    if (!Br.Var.isValid())
+      return; // unmatched branches never guard anything
+    const uint32_t V = Br.Var.index();
+    if (!Plan.hasUse(V) || !Plan.hasFree(V))
+      return; // no pairs on this cell: isGuarded is never consulted
+    if (Br.Record >= Plan.LastUseRead[V])
+      return; // guards only reads after it; none are coming
+    VarBucket &B = Buckets[V];
+    B.BranchBytes += sizeof(GuardBranch);
+    RetainedBytes += sizeof(GuardBranch);
+    B.BranchesByFrame[Br.Frame].push_back(Br);
+    noteOverlay();
+  }
+
+  /// Ends \p Record, sweeping at the window cadence.  False once the
+  /// scan is cut.
+  bool onRecordDone(uint32_t Record) {
+    PairsDoneThisRecord = 0;
+    if (Record >= NextSweepRecord) {
+      NextSweepRecord = static_cast<uint64_t>(Record) + Window;
+      sweep(Record);
+    }
+    return !Ladder.outOfTime();
+  }
+
+  /// Closes the scan: the ladder, the committed races in the order of
+  /// their first instances, and the (b)/(c) split.
+  void finish() {
+    Ladder.finish();
+    std::vector<Commit *> Order;
+    Order.reserve(Commits.size());
+    for (auto &[Key, C] : Commits) {
+      (void)Key;
+      if (!C.HasBodies) {
+        // A resumed entry whose first instance came before the cursor:
+        // the replay up to the cursor brought both bodies by.
+        C.Use = CapturedUses.at(C.UseOrd);
+        C.Free = CapturedFrees.at(C.FreeOrd);
+      }
+      Order.push_back(&C);
+    }
+    std::sort(Order.begin(), Order.end(), [](const Commit *A, const Commit *B) {
+      return std::tie(A->UseOrd, A->FreeOrd) < std::tie(B->UseOrd, B->FreeOrd);
+    });
+    for (Commit *C : Order) {
+      UseFreeRace &Race = Report.Races.emplace_back();
+      Race.Use = std::move(C->Use);
+      Race.Free = std::move(C->Free);
+      Race.Category = C->SameLooper ? RaceCategory::IntraThread
+                                    : RaceCategory::InterThread;
+      Race.DynamicCount = C->Count;
+    }
+    classifyRaces(Hb, Report);
+  }
+
+  size_t overlayHighWaterBytes() const { return OverlayHighWaterBytes; }
+
+private:
+  /// Evaluates one pair at \p Record, the record of its later access.
+  /// False once the scan is cut.
+  bool evaluate(const PtrAccess &Use, uint32_t UseOrd, int8_t &Memo,
+                const PtrAccess &Free, uint32_t FreeOrd, uint32_t Record) {
+    // Pairs before the resume cursor are already in the restored
+    // counters and commits.
+    if (Record < ResumeCursor ||
+        (Record == ResumeCursor && PairsDoneThisRecord < ResumeSkip)) {
+      ++PairsDoneThisRecord;
+      return true;
+    }
+    if (Ladder.due(1)) {
+      if (Ladder.poll())
+        Ckpt->Save(freeze(Record));
+      if (Ladder.outOfTime())
+        return false;
+    }
+    ++PairsDoneThisRecord;
+    bool SameLooper = false;
+    if (Filter.survives(Use, Free, Ladder.shed(), Report.Filters, SameLooper,
+                        [&] { return isGuarded(Use, Memo); }))
+      commit(Use, UseOrd, Free, FreeOrd, SameLooper);
+    return true;
+  }
+
+  void commit(const PtrAccess &Use, uint32_t UseOrd, const PtrAccess &Free,
+              uint32_t FreeOrd, bool SameLooper) {
+    auto [It, New] = Commits.try_emplace(staticKey(Use, Free));
+    Commit &C = It->second;
+    ++C.Count;
+    if (New || std::tie(UseOrd, FreeOrd) < std::tie(C.UseOrd, C.FreeOrd)) {
+      C.UseOrd = UseOrd;
+      C.FreeOrd = FreeOrd;
+      C.SameLooper = SameLooper;
+      C.Use = Use;
+      C.Free = Free;
+      C.HasBodies = true;
+    }
+  }
+
+  /// The scan at the next unevaluated pair of \p Record.
+  DetectFrontier freeze(uint32_t Record) const {
+    DetectFrontier F;
+    F.CursorRecord = Record;
+    F.PairsDoneAtCursor = PairsDoneThisRecord;
+    F.FiltersShed = Ladder.shed();
+    F.Filters = Report.Filters;
+    F.Races.reserve(Commits.size());
+    for (const auto &[Key, C] : Commits)
+      F.Races.push_back({C.UseOrd, C.FreeOrd, Plan.UseRecords[C.UseOrd],
+                         Plan.FreeRecords[C.FreeOrd], Key.UseMethod,
+                         Key.UsePc, Key.FreeMethod, Key.FreePc, C.Count,
+                         static_cast<uint8_t>(C.SameLooper)});
+    return F;
+  }
+
+  /// Restores a frozen scan if \p R fits these accesses: every entry
+  /// names a use and a free at their recorded records, both at or before
+  /// the cursor, so the replay up to the cursor brings their bodies by.
+  /// Anything else belongs to another trace or extractor, and the scan
+  /// silently starts from scratch -- always correct, just slower.
+  void resume(const DetectFrontier &R) {
+    if (R.CursorRecord > T.numRecords())
+      return;
+    std::map<StaticKey, Commit> Restored;
+    for (const DetectFrontier::RaceEntry &E : R.Races) {
+      bool Fits = E.UseOrd < Plan.UseRecords.size() &&
+                  Plan.UseRecords[E.UseOrd] == E.UseRecord &&
+                  E.FreeOrd < Plan.FreeRecords.size() &&
+                  Plan.FreeRecords[E.FreeOrd] == E.FreeRecord &&
+                  E.UseRecord <= R.CursorRecord &&
+                  E.FreeRecord <= R.CursorRecord && E.DynamicCount > 0;
+      Commit C;
+      C.UseOrd = E.UseOrd;
+      C.FreeOrd = E.FreeOrd;
+      C.Count = E.DynamicCount;
+      C.SameLooper = E.SameLooper != 0;
+      StaticKey Key{E.UseMethod, E.UsePc, E.FreeMethod, E.FreePc};
+      if (!Fits || !Restored.try_emplace(Key, std::move(C)).second)
+        return;
+    }
+    Commits = std::move(Restored);
+    for (const auto &[Key, C] : Commits) {
+      (void)Key;
+      NeededUses.insert(C.UseOrd);
+      NeededFrees.insert(C.FreeOrd);
+    }
+    ResumeCursor = R.CursorRecord;
+    ResumeSkip = R.PairsDoneAtCursor;
+    Report.Filters = R.Filters;
+    if (R.FiltersShed)
+      Ladder.markShed();
+    Ckpt->ResumeAccepted = true;
+  }
+
+  bool isGuarded(const PtrAccess &Use, int8_t &Memo) {
     if (Memo >= 0)
       return Memo != 0;
-    const PtrAccess &Use = Db.Uses[UseIdx];
     bool Guarded = false;
-    auto It = Ix.BranchesByFrameVar.find(
-        DetectIndexes::frameVarKey(Use.Frame, Use.Var));
-    if (It != Ix.BranchesByFrameVar.end()) {
-      for (uint32_t BrIdx : It->second) {
-        if (branchGuardsUse(T, Db.Branches[BrIdx], Use)) {
-          Guarded = true;
-          break;
-        }
-      }
+    auto BIt = Buckets.find(Use.Var.index());
+    if (BIt != Buckets.end()) {
+      auto FIt = BIt->second.BranchesByFrame.find(Use.Frame);
+      if (FIt != BIt->second.BranchesByFrame.end())
+        for (const GuardBranch &Br : FIt->second)
+          if (branchGuardsUse(T, Br, Use)) {
+            Guarded = true;
+            break;
+          }
     }
     Memo = Guarded ? 1 : 0;
     return Guarded;
+  }
+
+  void retain(std::vector<Retained> &List, size_t &ListBytes,
+              const PtrAccess &A, uint32_t Ord, int8_t Memo) {
+    size_t Bytes = sizeof(Retained) + A.Lockset.size() * sizeof(uint32_t);
+    ListBytes += Bytes;
+    RetainedBytes += Bytes;
+    List.push_back(Retained{A, Ord, Memo});
+    noteOverlay();
+  }
+
+  void noteOverlay() {
+    OverlayHighWaterBytes = std::max(OverlayHighWaterBytes, RetainedBytes);
+  }
+
+  enum Kind : uint8_t { KindFrees = 0, KindUses = 1, KindBranches = 2 };
+  struct SweepEntry {
+    uint32_t Horizon;
+    uint32_t Var;
+    uint8_t Kind;
   };
 
-  // Resume path: restore the races, counters, and cursor of a frozen
-  // scan.  Records are validated against the freshly extracted accesses
-  // -- any mismatch means the frontier belongs to a different trace or
-  // extractor and the scan silently restarts from scratch, which is
-  // always correct, just slower.
-  uint32_t StartUse = 0, StartFree = 0;
-  if (Ckpt && Ckpt->Resume) {
-    const DetectFrontier &R = *Ckpt->Resume;
-    std::unordered_map<uint32_t, uint32_t> UseByRecord, FreeByRecord;
-    for (uint32_t I = 0, E = static_cast<uint32_t>(Db.Uses.size()); I != E;
-         ++I)
-      UseByRecord.emplace(Db.Uses[I].Record, I);
-    for (uint32_t I = 0, E = static_cast<uint32_t>(Db.Frees.size()); I != E;
-         ++I)
-      FreeByRecord.emplace(Db.Frees[I].Record, I);
-    bool Ok = R.UseIdx <= Db.Uses.size();
-    if (Ok && R.UseIdx < Db.Uses.size()) {
-      const PtrAccess &U = Db.Uses[R.UseIdx];
-      Ok = U.Var.index() < Ix.FreesByVar.size()
-               ? R.FreePos <= Ix.FreesByVar[U.Var.index()].size()
-               : R.FreePos == 0;
+  void buildSweepSchedule() {
+    for (uint32_t V = 0, E = static_cast<uint32_t>(Plan.HasUse.size());
+         V != E; ++V) {
+      if (!Plan.HasUse[V] || !Plan.HasFree[V])
+        continue; // nothing of this cell is ever retained
+      uint32_t LastUse = Plan.LastUseRead[V];
+      uint32_t LastFree = Plan.LastFree[V];
+      // Frees serve use reads up to the last one; uses serve frees up
+      // to the last one; branches serve if-guard checks at any pair,
+      // bounded by the later of the two.
+      Schedule.push_back({LastUse, V, KindFrees});
+      Schedule.push_back({LastFree, V, KindUses});
+      Schedule.push_back({std::max(LastUse, LastFree), V, KindBranches});
     }
-    std::vector<UseFreeRace> Restored;
-    for (const DetectFrontier::RaceEntry &E : R.Races) {
-      auto UIt = UseByRecord.find(E.UseRecord);
-      auto FIt = FreeByRecord.find(E.FreeRecord);
-      if (UIt == UseByRecord.end() || FIt == FreeByRecord.end() ||
-          E.Category > static_cast<uint8_t>(RaceCategory::Conventional)) {
-        Ok = false;
+    std::sort(Schedule.begin(), Schedule.end(),
+              [](const SweepEntry &A, const SweepEntry &B) {
+                return std::tie(A.Horizon, A.Var, A.Kind) <
+                       std::tie(B.Horizon, B.Var, B.Kind);
+              });
+  }
+
+  void sweep(uint32_t Record) {
+    while (SweepPtr < Schedule.size() &&
+           Schedule[SweepPtr].Horizon <= Record) {
+      const SweepEntry &E = Schedule[SweepPtr++];
+      auto It = Buckets.find(E.Var);
+      if (It == Buckets.end())
+        continue;
+      VarBucket &B = It->second;
+      switch (E.Kind) {
+      case KindFrees:
+        RetainedBytes -= B.FreeBytes;
+        B.FreeBytes = 0;
+        std::vector<Retained>().swap(B.Frees);
+        break;
+      case KindUses:
+        RetainedBytes -= B.UseBytes;
+        B.UseBytes = 0;
+        std::vector<Retained>().swap(B.Uses);
+        break;
+      case KindBranches:
+        RetainedBytes -= B.BranchBytes;
+        B.BranchBytes = 0;
+        B.BranchesByFrame.clear();
         break;
       }
-      UseFreeRace Race;
-      Race.Use = Db.Uses[UIt->second];
-      Race.Free = Db.Frees[FIt->second];
-      Race.Category = static_cast<RaceCategory>(E.Category);
-      Race.DynamicCount = E.DynamicCount;
-      Restored.push_back(std::move(Race));
-    }
-    if (Ok) {
-      StartUse = R.UseIdx;
-      StartFree = R.FreePos;
-      if (R.FiltersShed)
-        Ladder.markShed();
-      Report.Filters = R.Filters;
-      Report.Races = std::move(Restored);
-      Ckpt->ResumeAccepted = true;
+      if (B.empty())
+        Buckets.erase(It);
     }
   }
-  RaceCommitter Committer(Report);
 
-  // Snapshots the scan at the next unprocessed pair (\p UseIdx, \p J).
-  auto freezeScan = [&](uint32_t UseIdx, uint32_t J) {
-    DetectFrontier F;
-    F.UseIdx = UseIdx;
-    F.FreePos = J;
-    F.FiltersShed = Ladder.shed();
-    F.Filters = Report.Filters;
-    F.Races.reserve(Report.Races.size());
-    for (const UseFreeRace &Race : Report.Races)
-      F.Races.push_back({Race.Use.Record, Race.Free.Record,
-                         static_cast<uint8_t>(Race.Category),
-                         Race.DynamicCount});
-    return F;
+  const Trace &T;
+  const HbIndex &Hb;
+  const ScanPlan &Plan;
+  RaceReport &Report;
+  const uint64_t Window;
+  DetectCheckpointing *Ckpt;
+  DeadlineLadder Ladder;
+  const PairFilter Filter;
+
+  std::unordered_map<uint32_t, VarBucket> Buckets;
+  std::vector<SweepEntry> Schedule;
+  size_t SweepPtr = 0;
+  uint64_t NextSweepRecord;
+  size_t RetainedBytes = 0, OverlayHighWaterBytes = 0;
+  uint64_t PairsDoneThisRecord = 0;
+
+  std::map<StaticKey, Commit> Commits;
+
+  // Resume state: the cursor, and the first-instance bodies the replay
+  // captures by ordinal.
+  uint32_t ResumeCursor = 0;
+  uint64_t ResumeSkip = 0;
+  std::unordered_set<uint32_t> NeededUses, NeededFrees;
+  std::unordered_map<uint32_t, PtrAccess> CapturedUses, CapturedFrees;
+};
+
+/// The stream source's pre-pass: the scan plan, and which pointer reads
+/// are promoted to uses, without keeping any access body.
+class PlanSink final : public AccessSink {
+public:
+  struct Promotion {
+    uint32_t Ordinal = 0;
+    uint32_t DerefRecord = 0;
   };
 
-  // Polls the ladder with the next unprocessed pair at (\p UseIdx, \p J);
-  // false once the scan is cut.
-  auto pollClock = [&](uint32_t UseIdx, uint32_t J) {
-    if (Ladder.poll())
-      Ckpt->Save(freezeScan(UseIdx, J));
-    return !Ladder.outOfTime();
-  };
+  explicit PlanSink(ScanPlan &Plan) : Plan(Plan) {}
 
-  // The per-pair verdict, pure given the frozen shed state, which is
-  // what makes it safe to evaluate from worker threads.  GuardedMemo
-  // stays safe in parallel because uses are partitioned: exactly one
-  // worker ever touches a given use's memo slot.
-  auto evalPair = [&](uint32_t UseIdx, uint32_t FreeIdx, bool Shed,
-                      FilterCounters &C, bool &SameLooper) {
-    const PtrAccess &Use = Db.Uses[UseIdx];
-    const PtrAccess &Free = Db.Frees[FreeIdx];
-    return Filter.survives(Use, Free, Shed, C, SameLooper,
-                           [&] { return isGuarded(UseIdx); });
-  };
+  /// read record -> its promotion (only promoted reads are uses).
+  std::unordered_map<uint32_t, Promotion> PromoByRead;
 
-  // Sequential commit of one surviving pair, in scan order.
-  auto commitPair = [&](uint32_t UseIdx, uint32_t FreeIdx,
-                        bool SameLooper) {
-    const PtrAccess &Use = Db.Uses[UseIdx];
-    const PtrAccess &Free = Db.Frees[FreeIdx];
-    if (UseFreeRace *Race =
-            Committer.commit(staticKey(Use, Free), SameLooper)) {
-      Race->Use = Use;
-      Race->Free = Free;
-    }
-  };
-
-  const uint32_t UE = static_cast<uint32_t>(Db.Uses.size());
-
-  // Parallel analysis mode (Options.Hb.Threads, docs/robustness.md):
-  // uses are scanned in contiguous blocks; each block fans its pairs
-  // out across workers as per-worker survivor lists, then the
-  // survivors are committed in scan order.  Every per-pair verdict is
-  // pure given the frozen shed state, and the commit order equals the
-  // sequential scan's, so reports are bit-identical at every thread
-  // count.  Requires an oracle whose queries are safe from many
-  // threads (row-backed closures; the BFS floor mutates scratch).
-  unsigned Threads = resolveAnalysisThreads(Options.Hb.Threads);
-  bool Parallel =
-      Threads > 1 && Hb.concurrentQueriesSafe() && Db.Uses.size() >= 64;
-  WorkerPool Pool(Parallel ? Threads - 1 : 0);
-
-  if (!Parallel) {
-    for (uint32_t UseIdx = StartUse; UseIdx != UE && !Ladder.outOfTime();
-         ++UseIdx) {
-      const PtrAccess &Use = Db.Uses[UseIdx];
-      if (Use.Var.index() >= Ix.FreesByVar.size())
-        continue;
-      const std::vector<uint32_t> &FreeList =
-          Ix.FreesByVar[Use.Var.index()];
-      for (uint32_t J = UseIdx == StartUse ? StartFree : 0,
-                    JE = static_cast<uint32_t>(FreeList.size());
-           J != JE; ++J) {
-        if (Ladder.due(1) && !pollClock(UseIdx, J))
-          break;
-        bool SameLooper = false;
-        if (evalPair(UseIdx, FreeList[J], Ladder.shed(), Report.Filters,
-                     SameLooper))
-          commitPair(UseIdx, FreeList[J], SameLooper);
-      }
-    }
-  } else {
-    // Blocks match the sequential clock cadence when the clock matters,
-    // so deadline cuts and cadence saves land at comparable pair counts;
-    // otherwise they are sized for throughput.
-    const uint64_t BlockPairs =
-        Ladder.clockWanted() ? DeadlineLadder::PollPairs : 65536;
-    const uint64_t ChunkPairs =
-        std::max<uint64_t>(BlockPairs / (Pool.helperThreads() + 1), 512);
-    struct Survivor {
-      uint32_t UseIdx, FreeIdx;
-      bool SameLooper;
-    };
-    struct Chunk {
-      uint32_t UseBegin, UseEnd;
-      FilterCounters C;
-      std::vector<Survivor> Out;
-    };
-    // Pairs of a use before the scan cursor (only the resume use can
-    // have any).
-    auto SkippedPairs = [&](uint32_t UseIdx, uint64_t N) {
-      return UseIdx == StartUse ? std::min<uint64_t>(N, StartFree) : 0;
-    };
-    uint32_t UseIdx = StartUse;
-    while (UseIdx < UE && !Ladder.outOfTime()) {
-      // Carve the next block of ~BlockPairs pairs into contiguous
-      // per-worker chunks balanced by pair count.
-      std::vector<Chunk> Chunks;
-      uint64_t InBlock = 0, InChunk = 0;
-      uint32_t ChunkBegin = UseIdx, U = UseIdx;
-      for (; U < UE && InBlock < BlockPairs; ++U) {
-        const PtrAccess &Use = Db.Uses[U];
-        uint64_t N = Use.Var.index() < Ix.FreesByVar.size()
-                         ? Ix.FreesByVar[Use.Var.index()].size()
-                         : 0;
-        N -= SkippedPairs(U, N);
-        InBlock += N;
-        InChunk += N;
-        if (InChunk >= ChunkPairs) {
-          Chunks.push_back({ChunkBegin, U + 1, {}, {}});
-          ChunkBegin = U + 1;
-          InChunk = 0;
-        }
-      }
-      if (ChunkBegin < U)
-        Chunks.push_back({ChunkBegin, U, {}, {}});
-      const bool Shed = Ladder.shed(); // frozen for the whole block
-      Pool.parallelFor(Chunks.size(), [&](size_t CI) {
-        Chunk &Ch = Chunks[CI];
-        for (uint32_t UI = Ch.UseBegin; UI != Ch.UseEnd; ++UI) {
-          const PtrAccess &Use = Db.Uses[UI];
-          if (Use.Var.index() >= Ix.FreesByVar.size())
-            continue;
-          const std::vector<uint32_t> &FreeList =
-              Ix.FreesByVar[Use.Var.index()];
-          for (uint32_t J = UI == StartUse ? StartFree : 0,
-                        JE = static_cast<uint32_t>(FreeList.size());
-               J != JE; ++J) {
-            bool SameLooper = false;
-            if (evalPair(UI, FreeList[J], Shed, Ch.C, SameLooper))
-              Ch.Out.push_back({UI, FreeList[J], SameLooper});
-          }
-        }
-      });
-      for (Chunk &Ch : Chunks) {
-        Report.Filters.OrderedByHb += Ch.C.OrderedByHb;
-        Report.Filters.SameTask += Ch.C.SameTask;
-        Report.Filters.LocksetProtected += Ch.C.LocksetProtected;
-        Report.Filters.IfGuardFiltered += Ch.C.IfGuardFiltered;
-        Report.Filters.IntraEventAlloc += Ch.C.IntraEventAlloc;
-        Report.Filters.CandidatePairs += Ch.C.CandidatePairs;
-        for (const Survivor &S : Ch.Out)
-          commitPair(S.UseIdx, S.FreeIdx, S.SameLooper);
-      }
-      UseIdx = U;
-      // Same cadence as the sequential scan: poll once PollPairs pairs
-      // have been evaluated since the last poll, with the cursor at the
-      // next unprocessed pair.  No trailing poll after the final block
-      // -- a finished scan is complete, not cut.
-      if (Ladder.due(InBlock) && UseIdx < UE)
-        pollClock(UseIdx, UseIdx == StartUse ? StartFree : 0);
-    }
+  void onUse(PtrAccess Use, size_t Ordinal) override {
+    PromoByRead.emplace(Use.Record, Promotion{static_cast<uint32_t>(Ordinal),
+                                              Use.DerefRecord});
+    Plan.addUse(Use);
   }
-  Ladder.finish();
-  classifyRaces(Hb, Report);
+  void onFree(PtrAccess Free) override { Plan.addFree(Free); }
+  void onAlloc(PtrAccess Alloc) override { Plan.Allocs.add(Alloc); }
+
+private:
+  ScanPlan &Plan;
+};
+
+/// The stream source's scan pass: hands the scan each use at its read
+/// record, rebuilt from the read and the pre-pass's promotion.
+class StreamSink final : public AccessSink {
+public:
+  StreamSink(const PlanSink &Pre, PairScan &Scan) : Pre(Pre), Scan(Scan) {}
+
+  void onPtrRead(uint32_t Record, TaskId Task, VarId Var, MethodId Method,
+                 uint32_t Pc, uint64_t Frame,
+                 const std::vector<uint32_t> &SortedLockset) override {
+    auto It = Pre.PromoByRead.find(Record);
+    if (It == Pre.PromoByRead.end())
+      return; // this read is never dereferenced: not a use
+    PtrAccess Use;
+    Use.Record = Record;
+    Use.Task = Task;
+    Use.Var = Var;
+    Use.Method = Method;
+    Use.Pc = Pc;
+    Use.Frame = Frame;
+    Use.DerefRecord = It->second.DerefRecord;
+    Use.Lockset = SortedLockset;
+    Scan.onUse(Use, It->second.Ordinal);
+  }
+  void onFree(PtrAccess Free) override { Scan.onFree(Free, NextFreeOrd++); }
+  void onBranch(GuardBranch Br) override { Scan.onBranch(Br); }
+  bool onRecordDone(uint32_t Record) override {
+    return Scan.onRecordDone(Record);
+  }
+
+private:
+  const PlanSink &Pre;
+  PairScan &Scan;
+  uint32_t NextFreeOrd = 0;
+};
+
+} // namespace
+
+RaceReport cafa::detectUseFreeRaces(const Trace &T, const TaskIndex &,
+                                    const AccessDb &Db, const HbIndex &Hb,
+                                    const DetectorOptions &Options,
+                                    DetectCheckpointing *Ckpt) {
+  ScanPlan Plan;
+  for (const PtrAccess &Use : Db.Uses)
+    Plan.addUse(Use);
+  for (const PtrAccess &Free : Db.Frees)
+    Plan.addFree(Free);
+  for (const PtrAccess &Alloc : Db.Allocs)
+    Plan.Allocs.add(Alloc);
+  // Uses come in promotion order; the scan takes them at their reads.
+  std::vector<uint32_t> UsesByRead(Db.Uses.size());
+  std::iota(UsesByRead.begin(), UsesByRead.end(), 0u);
+  std::sort(UsesByRead.begin(), UsesByRead.end(), [&](uint32_t A, uint32_t B) {
+    return Db.Uses[A].Record < Db.Uses[B].Record;
+  });
+
+  RaceReport Report = beginReport(Hb);
+  // The tables stay resident anyway; sweeping at every record keeps the
+  // scan's copies to the accesses that can still pair.
+  PairScan Scan(T, Hb, Options, Plan, Report, /*Window=*/1, Ckpt);
+  constexpr uint32_t None = ~0u;
+  size_t U = 0, F = 0, B = 0;
+  for (;;) {
+    uint32_t UseRec = U != UsesByRead.size() ? Db.Uses[UsesByRead[U]].Record
+                                             : None;
+    uint32_t FreeRec = F != Db.Frees.size() ? Db.Frees[F].Record : None;
+    uint32_t BrRec = B != Db.Branches.size() ? Db.Branches[B].Record : None;
+    uint32_t Record = std::min({UseRec, FreeRec, BrRec});
+    if (Record == None)
+      break;
+    if (Record == UseRec) {
+      Scan.onUse(Db.Uses[UsesByRead[U]], UsesByRead[U]);
+      ++U;
+    } else if (Record == FreeRec) {
+      Scan.onFree(Db.Frees[F], static_cast<uint32_t>(F));
+      ++F;
+    } else {
+      Scan.onBranch(Db.Branches[B++]);
+    }
+    if (!Scan.onRecordDone(Record))
+      break;
+  }
+  Scan.finish();
+  return Report;
+}
+
+RaceReport cafa::detectUseFreeRacesWindowed(
+    const Trace &T, const TaskIndex &, const HbIndex &Hb,
+    const DetectorOptions &Options, uint64_t WindowEvents,
+    const DerefResolver *Resolver, WindowedDetectStats *Stats,
+    DetectCheckpointing *Ckpt) {
+  assert(WindowEvents != 0 && WindowEvents != DetectorOptions::WindowOff &&
+         "callers resolve the window first");
+  ScanPlan Plan;
+  PlanSink Pre(Plan);
+  streamAccesses(T, Resolver, Pre);
+
+  RaceReport Report = beginReport(Hb);
+  PairScan Scan(T, Hb, Options, Plan, Report, WindowEvents, Ckpt);
+  StreamSink Sink(Pre, Scan);
+  streamAccesses(T, Resolver, Sink);
+  Scan.finish();
+
+  if (Stats) {
+    Stats->WindowEvents = WindowEvents;
+    Stats->OverlayHighWaterBytes = Scan.overlayHighWaterBytes();
+    Stats->NumUses = Plan.UseRecords.size();
+    Stats->NumFrees = Plan.FreeRecords.size();
+  }
   return Report;
 }
 

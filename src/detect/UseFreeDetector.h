@@ -49,16 +49,17 @@ struct DetectorOptions {
   /// detector whatever the extract and happens-before phases left
   /// over.  0 = off.
   double DeadlineMillis = 0;
-  /// Windowed streaming scan (docs/windowed-analysis.md).  0 = auto:
-  /// the CAFA_WINDOW environment variable decides; when it is unset
-  /// the batch scan runs, unless analyzeTrace sheds to the windowed
-  /// scan under memory pressure.  WindowOff pins the batch scan
-  /// regardless of the environment.  Any other value runs the
-  /// windowed scan with retirement sweeps every WindowEvents records.
-  /// The two scans emit byte-identical reports; the window trades
-  /// resident overlay memory for a second extraction pass.
+  /// Where the pair scan reads its accesses from
+  /// (docs/windowed-analysis.md).  0 = auto: the CAFA_WINDOW environment
+  /// variable decides; when it is unset the scan reads an extracted
+  /// AccessDb, unless analyzeTrace sheds to the trace stream under
+  /// memory pressure.  WindowOff pins the AccessDb regardless of the
+  /// environment.  Any other value streams the trace in two extraction
+  /// passes and retires retained accesses every WindowEvents records.
+  /// Both sources feed one scan, so the report is the same; the window
+  /// trades the resident access tables for a second extraction pass.
   uint64_t WindowEvents = 0;
-  /// Sentinel for WindowEvents: never use the windowed scan.
+  /// Sentinel for WindowEvents: scan an extracted AccessDb.
   static constexpr uint64_t WindowOff = ~0ull;
 };
 
@@ -67,85 +68,57 @@ struct DetectorOptions {
 /// precedence.
 uint64_t resolveWindowEvents(uint64_t Requested);
 
-/// Everything needed to freeze the candidate-pair scan at a pair
-/// boundary and restore it in another process.  The scan order
-/// (Db.Uses outer, FreesByVar[use.var] inner) is deterministic, so a
-/// cursor plus the accumulated races and counters resumes to exactly
-/// the report an uninterrupted scan produces.
+/// The pair scan frozen at a pair boundary.  The scan evaluates each
+/// (use, free) pair once, at the record of its later access, in an
+/// order that depends only on the trace, so a record cursor plus the
+/// committed races and counters resumes to exactly the report an
+/// uninterrupted scan produces -- under either access source.  Uses and
+/// frees are named by ordinal: a use's position in promotion order (its
+/// index in AccessDb::Uses), a free's in record order.
 struct DetectFrontier {
-  /// Next unprocessed pair: use index into Db.Uses, position into that
-  /// use's FreesByVar list.  Everything lexicographically below has been
-  /// scanned and is reflected in Races/Filters.
-  uint32_t UseIdx = 0;
-  uint32_t FreePos = 0;
+  /// First record whose pairs are not all evaluated.
+  uint32_t CursorRecord = 0;
+  /// Pairs of CursorRecord already evaluated (the order within a record
+  /// is fixed, so a count is a cursor).
+  uint64_t PairsDoneAtCursor = 0;
   /// The deadline ladder's first rung had already shed the lockset and
   /// if-guard filters when this frontier was frozen; a resume continues
   /// with them shed (and the report flagged accordingly), so the
   /// resumed report equals the uninterrupted shed run's.
   bool FiltersShed = false;
   FilterCounters Filters;
-  /// One reported race, keyed by the trace records of its first dynamic
-  /// instance (stable across processes; the full PtrAccess is
-  /// rehydrated from a freshly extracted AccessDb on resume).  A
-  /// cross-looper race's Category may be the (b) placeholder: the (b)/(c)
-  /// split runs once, after the scan.
+  /// One committed race: its static (use site, free site) pair, its
+  /// first dynamic instance by (use ordinal, free ordinal), how many
+  /// instances survived so far, and whether the first one is between
+  /// events of one looper.  The records ride along for validation; a
+  /// resume takes the access bodies from the replayed records.
   struct RaceEntry {
-    uint32_t UseRecord = 0;
-    uint32_t FreeRecord = 0;
-    uint8_t Category = 0;
-    uint32_t DynamicCount = 1;
+    uint32_t UseOrd = 0, FreeOrd = 0;
+    uint32_t UseRecord = 0, FreeRecord = 0;
+    uint32_t UseMethod = 0, UsePc = 0, FreeMethod = 0, FreePc = 0;
+    uint32_t DynamicCount = 0;
+    uint8_t SameLooper = 0;
   };
   std::vector<RaceEntry> Races;
 };
 
-/// Checkpoint hooks for a detector scan.  Save, when set, is called at
-/// cadence ticks (EveryMillis of wall time since detector entry,
-/// polled at the same ~4k-pair granularity as the deadline clock) and
-/// always when the detect deadline cuts the scan.  Resume seeds the
-/// scan from a saved frontier; the detector validates it against the
-/// extracted accesses and sets ResumeAccepted, silently starting from
-/// scratch on any mismatch (a stale frontier must degrade to a clean
-/// run, never a wrong report).
-template <class Frontier> struct ScanCheckpointing {
+/// Checkpoint hooks for the pair scan.  Save, when set, is called at
+/// cadence ticks (EveryMillis of wall time since detector entry, polled
+/// at the same ~4k-pair granularity as the deadline clock) and always
+/// when the detect deadline cuts the scan.  Resume seeds the scan from
+/// a saved frontier; the scan validates it against the accesses and
+/// sets ResumeAccepted, silently starting from scratch on any mismatch
+/// (a stale frontier must degrade to a clean run, never a wrong
+/// report).
+struct DetectCheckpointing {
   double EveryMillis = 0;
-  std::function<void(const Frontier &)> Save;
-  const Frontier *Resume = nullptr;
+  std::function<void(const DetectFrontier &)> Save;
+  const DetectFrontier *Resume = nullptr;
   bool ResumeAccepted = false;
 };
 
-using DetectCheckpointing = ScanCheckpointing<DetectFrontier>;
-
-/// Frozen state of the windowed streaming scan (WindowedScan.cpp) at a
-/// pair boundary.  Unlike the batch DetectFrontier, races are not yet
-/// committed when the scan freezes -- dedup and classification run once
-/// at the end over the survivor set -- so the frontier carries the
-/// surviving pairs instead, identified by their stable use/free
-/// ordinals (positions in promotion/record order, identical across
-/// processes by construction).
-struct WindowedDetectFrontier {
-  /// First record whose admitted pairs are not fully processed.
-  uint32_t CursorRecord = 0;
-  /// Pairs admitted at CursorRecord that were already processed (the
-  /// within-record enumeration order -- retained-bucket insertion
-  /// order -- is deterministic, so a count is a cursor).
-  uint64_t PairsDoneAtCursor = 0;
-  bool FiltersShed = false;
-  FilterCounters Filters;
-  /// One surviving pair.  Records and sites ride along for validation
-  /// and for rebuilding the dedup key without the access bodies.
-  struct SurvivorEntry {
-    uint32_t UseOrd = 0, FreeOrd = 0;
-    uint32_t UseRecord = 0, FreeRecord = 0;
-    uint32_t UseMethod = 0, UsePc = 0, FreeMethod = 0, FreePc = 0;
-    uint8_t SameLooper = 0;
-  };
-  std::vector<SurvivorEntry> Survivors;
-};
-
-using WindowedDetectCheckpointing = ScanCheckpointing<WindowedDetectFrontier>;
-
-/// Observability counters of one windowed scan, surfaced in the
-/// analyzer's stats block and the scaling bench.
+/// Observability counters of one scan over the trace stream, surfaced
+/// in the analyzer's stats block and the scaling bench.
 struct WindowedDetectStats {
   /// Retirement sweep cadence actually used (records).
   uint64_t WindowEvents = 0;
@@ -155,44 +128,42 @@ struct WindowedDetectStats {
   /// Peak bytes of retained (not yet retired) accesses and branches,
   /// sampled at every insertion.
   size_t OverlayHighWaterBytes = 0;
-  /// Extraction tallies.  The windowed path never materializes an
-  /// AccessDb, so analyzeTrace fills its trace stats from these.
-  uint64_t NumUses = 0, NumFrees = 0, NumAllocs = 0, NumBranches = 0;
-  uint64_t UnmatchedReads = 0, UnmatchedDerefs = 0;
+  /// Uses and frees the pre-pass extracted (the stream source keeps no
+  /// AccessDb to count them in).
+  uint64_t NumUses = 0, NumFrees = 0;
 };
 
-/// Windowed streaming detection over a *final* (post-fixpoint) \p Hb:
-/// two extraction passes (a counting pre-pass deriving retention
-/// horizons, then the scan itself), pairs evaluated as their later
-/// access streams by, accesses retired once no future counterpart can
-/// pair with them.  Pairs are ordered by \p Hb's own oracle, as in
-/// the batch scan.  Emits a report byte-identical to the batch
-/// detectUseFreeRaces at every window size -- the window is only the
-/// retirement sweep cadence -- while never holding the full access
-/// tables resident.  \p WindowEvents must be a concrete cadence (not
-/// 0/WindowOff; callers resolve first).
+/// The pair scan over the trace stream, against a *final*
+/// (post-fixpoint) \p Hb: a counting pre-pass derives the retention
+/// horizons, and a second extraction pass feeds the scan, which retires
+/// accesses once no future counterpart can pair with them.  Emits the
+/// report of detectUseFreeRaces over an extracted AccessDb at every
+/// window size -- the window is only the retirement sweep cadence --
+/// while never holding the full access tables resident.
+/// \p WindowEvents must be a concrete cadence (not 0/WindowOff; callers
+/// resolve first).
 RaceReport detectUseFreeRacesWindowed(
     const Trace &T, const TaskIndex &Index, const HbIndex &Hb,
     const DetectorOptions &Options, uint64_t WindowEvents,
     const DerefResolver *Resolver = nullptr,
     WindowedDetectStats *Stats = nullptr,
-    WindowedDetectCheckpointing *Ckpt = nullptr);
+    DetectCheckpointing *Ckpt = nullptr);
 
 /// Runs the full CAFA pipeline on \p T: extract accesses, build the
 /// causality model, detect and filter use-free races, classify.
 RaceReport detectUseFreeRaces(const Trace &T, const DetectorOptions &Options);
 
-/// Same, but reuses an already-extracted \p Db and built \p Hb (the
+/// The pair scan over an already-extracted \p Db and built \p Hb (the
 /// benchmarks time phases separately).  \p Ckpt, when non-null, enables
-/// crash-safe checkpoint/resume of the pair scan (see
-/// DetectCheckpointing).
+/// crash-safe checkpoint/resume of the scan (see DetectCheckpointing).
 RaceReport detectUseFreeRaces(const Trace &T, const TaskIndex &Index,
                               const AccessDb &Db, const HbIndex &Hb,
                               const DetectorOptions &Options,
                               DetectCheckpointing *Ckpt = nullptr);
 
 /// Returns true if \p Use is proven safe by a guarded branch, per the
-/// Figure 6 pc-interval rules.  Exposed for unit testing.
+/// Figure 6 pc-interval rules, by a linear search of \p Db.Branches
+/// (the unit tests and the reference scan in tests/ ask it).
 bool isUseIfGuarded(const Trace &T, const AccessDb &Db, const PtrAccess &Use);
 
 } // namespace cafa

@@ -1164,10 +1164,6 @@ bool HbIndex::taskOrdered(TaskId E1, TaskId E2) const {
   return Reach->reaches(End1, Begin2);
 }
 
-bool HbIndex::concurrentQueriesSafe() const {
-  return Reach->concurrentQueriesSafe();
-}
-
 void HbIndex::shedOracle() {
   Reach = std::make_unique<BfsReachability>(*Graph);
 }

@@ -92,14 +92,10 @@ struct HbOptions {
   /// degradation().DeadlineExceeded is set so downstream reports get
   /// flagged partial.  0 = off.
   double DeadlineMillis = 0;
-  /// Analysis worker threads (the --analysis-threads knob): the
-  /// detector's pair scan and confirmation's replays fan out across
-  /// this many threads; the happens-before build itself is one
-  /// sequential pass.  0 = auto: the CAFA_ANALYSIS_THREADS
-  /// environment variable if set, else hardware concurrency.  Purely a
-  /// wall-clock knob -- every thread count produces bit-identical
-  /// reports (docs/robustness.md, "Parallel analysis"), which is also
-  /// why the checkpoint options digest excludes it.
+  /// Read by nothing in the analysis: the happens-before build and the
+  /// pair scan are sequential, and confirmation's replays take their
+  /// thread count from ConfirmOptions::Threads.  Kept only because the
+  /// benchmark harness still writes it; it goes once that write does.
   unsigned Threads = 0;
 };
 
@@ -260,12 +256,6 @@ public:
   /// Analyzer memory: every table of the graph, the oracle, and the
   /// derived edges the relation keeps.
   size_t memoryBytes() const;
-
-  /// True when happensBefore()/ordered() may be issued from several
-  /// threads at once: the chain oracle answers from an immutable clock
-  /// matrix.  False for the BFS floor, which reuses per-query scratch --
-  /// callers (the parallel detector scan) must then stay sequential.
-  bool concurrentQueriesSafe() const;
 
 private:
   struct Builder;

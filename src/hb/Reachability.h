@@ -93,12 +93,6 @@ public:
   /// the degradation ladder's measured reading).
   virtual size_t memoryBytes() const = 0;
 
-  /// True when reaches() may be issued from several threads at once.
-  /// The chain clocks are an immutable matrix once built;
-  /// BfsReachability overrides to false (per-query scratch).  The
-  /// detector's parallel pair scan gates on this.
-  virtual bool concurrentQueriesSafe() const { return true; }
-
   /// Chains in the oracle's cover (0 for oracles that do not
   /// decompose).  Informational: surfaces in HbDegradation for the
   /// scaling benches' chain-count statistics.
@@ -117,7 +111,6 @@ public:
   size_t project(NodeId From, const NodeProjection &P, size_t Lo,
                  const uint64_t *Want, uint64_t *Out) const override;
   size_t memoryBytes() const override;
-  bool concurrentQueriesSafe() const override { return false; }
 
 private:
   /// Searches from \p From, stopping early once \p To (if valid) is

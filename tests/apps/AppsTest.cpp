@@ -18,6 +18,8 @@
 #include "cafa/ReportJson.h"
 #include "trace/Validate.h"
 
+#include "ReferenceScan.h"
+
 #include <gtest/gtest.h>
 
 using namespace cafa;
@@ -57,25 +59,25 @@ TEST_P(AppTable1Test, ReproducesPaperRowExactly) {
 }
 
 TEST_P(AppTable1Test, StreamingScanRendersLikeTheBatchScan) {
-  // The labelled apps through both detector scans: the batch scan
-  // (window off) and the streaming scan at the tightest and a typical
-  // retirement cadence must render the same bytes.
+  // The labelled apps through the pair scan over both sources -- the
+  // extracted AccessDb (window off), and the trace stream at the
+  // tightest and a typical retirement cadence -- must render the bytes
+  // of the use-major reference scan (tests/ReferenceScan.h).
   AppModel Model = buildApp(GetParam());
   Trace T = runScenario(Model.S, RuntimeOptions());
-  auto render = [&](uint64_t Window) {
+  RaceReport Ref = referenceScan(T, DetectorOptions());
+  std::string RefText = renderRaceReport(Ref, T);
+  std::string RefJson = renderRaceReportJson(Ref, T);
+  for (uint64_t Window :
+       {DetectorOptions::WindowOff, uint64_t(1), uint64_t(4096)}) {
     DetectorOptions Opt;
     Opt.WindowEvents = Window;
     AnalysisResult R = analyzeTrace(T, Opt);
     EXPECT_EQ(R.WindowEventsUsed,
               Window == DetectorOptions::WindowOff ? 0u : Window);
-    return std::make_pair(renderRaceReport(R.Report, T),
-                          renderRaceReportJson(R.Report, T));
-  };
-  auto [BatchText, BatchJson] = render(DetectorOptions::WindowOff);
-  for (uint64_t Window : {uint64_t(1), uint64_t(4096)}) {
-    auto [Text, Json] = render(Window);
-    EXPECT_EQ(Text, BatchText) << "window " << Window;
-    EXPECT_EQ(Json, BatchJson) << "window " << Window;
+    EXPECT_EQ(renderRaceReport(R.Report, T), RefText) << "window " << Window;
+    EXPECT_EQ(renderRaceReportJson(R.Report, T), RefJson)
+        << "window " << Window;
   }
 }
 

@@ -10,6 +10,8 @@
 #include "detect/GroundTruth.h"
 #include "trace/TraceBuilder.h"
 
+#include "ReferenceScan.h"
+
 #include <gtest/gtest.h>
 
 using namespace cafa;
@@ -235,6 +237,86 @@ TEST(UseFreeDetectorTest, DynamicInstancesDeduplicateToStaticPair) {
   RaceReport R = detectUseFreeRaces(TB.take(), DetectorOptions());
   ASSERT_EQ(R.Races.size(), 1u);
   EXPECT_EQ(R.Races[0].DynamicCount, 2u);
+}
+
+TEST(UseFreeDetectorTest, ManyDynamicInstancesFreezeAsOneCommittedRace) {
+  // The shape above at scale: 100 events use the cell at one site and
+  // 50 free it at one site, all on one looper and unordered -- 5,000
+  // dynamic instances of one static pair.  A deadline cut at the scan's
+  // first poll, 4,096 pairs in, must freeze one committed race, not one
+  // entry per instance, under either access source; and a resume under
+  // either must land on the reference report.
+  TraceBuilder TB;
+  QueueId Q = TB.addQueue("main");
+  MethodId UseM = TB.addMethod("useM", 40);
+  MethodId FreeM = TB.addMethod("freeM", 40);
+  TaskId UseSender = TB.addThread("us");
+  TaskId FreeSender = TB.addThread("fs");
+  std::vector<TaskId> Users, Freers;
+  for (int I = 0; I != 100; ++I)
+    Users.push_back(TB.addEvent("u" + std::to_string(I), Q));
+  for (int I = 0; I != 50; ++I)
+    Freers.push_back(TB.addEvent("f" + std::to_string(I), Q));
+  TB.begin(UseSender);
+  for (TaskId U : Users)
+    TB.send(UseSender, U, 0);
+  TB.end(UseSender);
+  TB.begin(FreeSender);
+  for (TaskId F : Freers)
+    TB.send(FreeSender, F, 0);
+  TB.end(FreeSender);
+  // Frees interleave with the uses, so pairs are evaluated at both
+  // kinds of record.
+  for (int I = 0; I != 100; ++I) {
+    TB.begin(Users[I]);
+    TB.ptrRead(Users[I], 5, 9, UseM, 3);
+    TB.deref(Users[I], 9, DerefKind::Invoke, UseM, 4);
+    TB.end(Users[I]);
+    if (I % 2 == 1) {
+      TB.begin(Freers[I / 2]);
+      TB.ptrWrite(Freers[I / 2], 5, 0, FreeM, 7);
+      TB.end(Freers[I / 2]);
+    }
+  }
+  Trace T = TB.take();
+  TaskIndex Index(T);
+  AccessDb Db = extractAccesses(T, Index);
+  DetectorOptions Opt; // nothing to shed: the first expiry cuts
+  Opt.LocksetFilter = false;
+  Opt.IfGuardFilter = false;
+  HbIndex Hb(T, Index, Opt.Hb);
+  RaceReport Ref = referenceScan(T, Db, Hb, Opt);
+  ASSERT_EQ(Ref.Races.size(), 1u);
+  ASSERT_EQ(Ref.Races[0].DynamicCount, 5000u);
+
+  auto scan = [&](bool Stream, const DetectorOptions &O,
+                  DetectCheckpointing *Ck) {
+    return Stream ? detectUseFreeRacesWindowed(T, Index, Hb, O, 64, nullptr,
+                                               nullptr, Ck)
+                  : detectUseFreeRaces(T, Index, Db, Hb, O, Ck);
+  };
+  DetectorOptions Tiny = Opt;
+  Tiny.DeadlineMillis = 1e-6;
+  for (bool CutStream : {false, true})
+    for (bool ResumeStream : {false, true}) {
+      SCOPED_TRACE(std::string(CutStream ? "stream" : "db") + " cut, " +
+                   (ResumeStream ? "stream" : "db") + " resume");
+      DetectFrontier Saved;
+      DetectCheckpointing CutCk;
+      CutCk.Save = [&](const DetectFrontier &F) { Saved = F; };
+      RaceReport Cut = scan(CutStream, Tiny, &CutCk);
+      ASSERT_EQ(Cut.PartialCause, "detect-deadline");
+      ASSERT_EQ(Saved.Races.size(), 1u);
+      EXPECT_EQ(Saved.Races[0].DynamicCount, Saved.Filters.CandidatePairs);
+      EXPECT_GT(Saved.Races[0].DynamicCount, 4000u);
+
+      DetectCheckpointing ResumeCk;
+      ResumeCk.Resume = &Saved;
+      RaceReport Resumed = scan(ResumeStream, Opt, &ResumeCk);
+      EXPECT_TRUE(ResumeCk.ResumeAccepted);
+      EXPECT_FALSE(Resumed.Partial);
+      EXPECT_EQ(renderRaceReport(Resumed, T), renderRaceReport(Ref, T));
+    }
 }
 
 TEST(UseFreeDetectorTest, ClassificationInterThreadVsConventional) {

@@ -175,9 +175,9 @@ TEST(CheckpointTest, DetectScanCutThenResumeIsBitIdentical) {
   HbIndex Hb(T, Index, HbOptions());
   AccessDb Db = extractAccesses(T, Index);
 
-  // The two threads' races are all (c); the frozen frontier holds them
-  // as (b) placeholders, which the resumed scan's closing classification
-  // must overwrite.  Disable the sheddable filters so the deadline
+  // The two threads' races are all (c); the frozen frontier holds only
+  // their same-looper bit, and the resumed scan's closing
+  // classification must split them again.  Disable the sheddable filters so the deadline
   // ladder's first rung has nothing to shed and the first expiry cuts
   // the scan outright (the shed rung itself is covered by
   // DegradationTest).
@@ -449,10 +449,13 @@ TEST(CheckpointTest, SnapshotSurvivesAnEncodeDecodeRoundTrip) {
   Snap.Hb.DerivedEdges = {{NodeId(3), NodeId(4)}, {NodeId(9), NodeId(1)}};
   Snap.Hb.UnsaturatedRules = {"atomicity"};
   Snap.HasDetect = true;
-  Snap.Detect.UseIdx = 11;
-  Snap.Detect.FreePos = 3;
+  Snap.Detect.CursorRecord = 37;
+  Snap.Detect.PairsDoneAtCursor = 12;
+  Snap.Detect.FiltersShed = true;
   Snap.Detect.Filters.CandidatePairs = 4096;
-  Snap.Detect.Races = {{5, 6, 2, 3}};
+  Snap.Detect.Filters.SameTask = 7;
+  Snap.Detect.Races = {{1, 2, 10, 20, 5, 6, 7, 8, 3, 1},
+                       {3, 4, 30, 40, 9, 10, 11, 12, 1, 0}};
   Snap.HasPartialRaces = true;
   Snap.PartialRaces = {{1, 2, 3, 4, "label one"}, {5, 6, 7, 8, "two"}};
 
@@ -475,11 +478,17 @@ TEST(CheckpointTest, SnapshotSurvivesAnEncodeDecodeRoundTrip) {
   ASSERT_EQ(Back.Hb.UnsaturatedRules.size(), 1u);
   EXPECT_EQ(Back.Hb.UnsaturatedRules[0], "atomicity");
   ASSERT_TRUE(Back.HasDetect);
-  EXPECT_EQ(Back.Detect.UseIdx, 11u);
-  EXPECT_EQ(Back.Detect.FreePos, 3u);
+  EXPECT_EQ(Back.Detect.CursorRecord, 37u);
+  EXPECT_EQ(Back.Detect.PairsDoneAtCursor, 12u);
+  EXPECT_TRUE(Back.Detect.FiltersShed);
   EXPECT_EQ(Back.Detect.Filters.CandidatePairs, 4096u);
-  ASSERT_EQ(Back.Detect.Races.size(), 1u);
+  EXPECT_EQ(Back.Detect.Filters.SameTask, 7u);
+  ASSERT_EQ(Back.Detect.Races.size(), 2u);
+  EXPECT_EQ(Back.Detect.Races[0].FreeRecord, 20u);
   EXPECT_EQ(Back.Detect.Races[0].DynamicCount, 3u);
+  EXPECT_EQ(Back.Detect.Races[0].SameLooper, 1u);
+  EXPECT_EQ(Back.Detect.Races[1].FreeOrd, 4u);
+  EXPECT_EQ(Back.Detect.Races[1].FreePc, 12u);
   ASSERT_TRUE(Back.HasPartialRaces);
   ASSERT_EQ(Back.PartialRaces.size(), 2u);
   EXPECT_EQ(Back.PartialRaces[0].Label, "label one");
@@ -557,7 +566,7 @@ void expectOldVersionRefused(uint8_t Version) {
   std::string Bytes = readFile(Path);
   // Framing: an 8-byte magic, then the version as a little-endian u32.
   ASSERT_GT(Bytes.size(), 12u);
-  ASSERT_EQ(Bytes.substr(8, 4), std::string("\x07\0\0\0", 4));
+  ASSERT_EQ(Bytes.substr(8, 4), std::string("\x08\0\0\0", 4));
   Bytes[8] = static_cast<char>(Version);
   writeFile(Path, Bytes);
 
@@ -590,6 +599,13 @@ TEST(CheckpointTest, VersionSixSnapshotIsRefusedWithACleanRestart) {
   // Snapshot v7 dropped the oracle state (closure rows, chain clocks)
   // and the oracle tag: every resume rebuilds the oracle from the edges.
   expectOldVersionRefused(6);
+}
+
+TEST(CheckpointTest, VersionSevenSnapshotIsRefusedWithACleanRestart) {
+  // Snapshot v8 keeps one detect frontier for both access sources: a
+  // record cursor and one entry per committed race, where v7 carried a
+  // use-major cursor with every race, or every surviving dynamic pair.
+  expectOldVersionRefused(7);
 }
 
 TEST(CheckpointTest, MidFixpointSnapshotHoldsEdgesNotOracleState) {

@@ -5,19 +5,20 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Pipeline-level contract of the windowed streaming analysis
-// (docs/windowed-analysis.md): at every window size, thread count and
-// oracle the analyzer renders byte-identical reports, the memory-pressure
-// ladder sheds to the window without changing a byte, a run cut in
-// either detect mode resumes in the other (the snapshot's happens-
-// before frontier is mode-agnostic and WindowEvents is excluded from
-// the options digest), SIGKILL mid-windowed-run resumes byte-identical
-// at the process level, and an input too big for --mem-limit fails
-// with a clean usage error unless a window streams it.
+// Pipeline-level contract of the pair scan's two access sources
+// (docs/windowed-analysis.md): over an extracted AccessDb and over the
+// trace stream at every window size and oracle the analyzer renders the
+// reference scan's report (tests/ReferenceScan.h), the memory-pressure
+// ladder sheds to the stream without changing a byte, a detect scan cut
+// under either source resumes under the other (the frontier names
+// accesses by ordinal and record, and WindowEvents is excluded from the
+// options digest), SIGKILL mid-windowed-run resumes byte-identical at
+// the process level, and an input too big for --mem-limit fails with a
+// clean usage error unless a window streams it.
 //
-// Batch references pin WindowEvents = WindowOff: these tests also run
-// under the windowed CI leg, where CAFA_WINDOW is set for the whole
-// suite and would otherwise silently turn the reference windowed.
+// AccessDb runs pin WindowEvents = WindowOff: these tests also run under
+// the windowed CI leg, where CAFA_WINDOW is set for the whole suite and
+// would otherwise silently turn them into stream runs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +32,7 @@
 #include "trace/TraceIO.h"
 #include "trace/Validate.h"
 
+#include "ReferenceScan.h"
 #include "TestScratch.h"
 
 #include <gtest/gtest.h>
@@ -70,15 +72,13 @@ std::vector<std::string> fixtureFiles() {
   return Files;
 }
 
-/// Both renderings of an analysis at \p Window / \p Threads, ordered by
-/// the \p Reach oracle.
-std::pair<std::string, std::string> renderWith(const Trace &T,
-                                               uint64_t Window,
-                                               unsigned Threads,
-                                               ReachMode Reach) {
+using Render = std::pair<std::string, std::string>;
+
+/// Both renderings of an analysis at \p Window, ordered by the \p Reach
+/// oracle.
+Render renderWith(const Trace &T, uint64_t Window, ReachMode Reach) {
   DetectorOptions Opt;
   Opt.WindowEvents = Window;
-  Opt.Hb.Threads = Threads;
   Opt.Hb.Reach = Reach;
   AnalysisResult R = analyzeTrace(T, Opt);
   if (Window != DetectorOptions::WindowOff) {
@@ -88,6 +88,14 @@ std::pair<std::string, std::string> renderWith(const Trace &T,
     EXPECT_EQ(R.WindowEventsUsed, 0u);
   }
   return {renderRaceReport(R.Report, T), renderRaceReportJson(R.Report, T)};
+}
+
+/// Both renderings of the reference scan of \p T under the chain oracle.
+Render renderReference(const Trace &T) {
+  DetectorOptions Opt;
+  Opt.Hb.Reach = ReachMode::Chain;
+  RaceReport R = referenceScan(T, Opt);
+  return {renderRaceReport(R, T), renderRaceReportJson(R, T)};
 }
 
 TEST(WindowedAnalysisTest, FixturesByteIdenticalAcrossWindowSizes) {
@@ -100,16 +108,13 @@ TEST(WindowedAnalysisTest, FixturesByteIdenticalAcrossWindowSizes) {
     Status S = ingestTrace(readFile(Path), T, Ingest);
     if (!S.ok())
       continue; // rejected fixtures are ingest-layer tests, not ours
-    auto [RefText, RefJson] =
-        renderWith(T, DetectorOptions::WindowOff, 1, ReachMode::Auto);
-    for (uint64_t Window : {uint64_t(64), uint64_t(4096)})
-      for (unsigned Threads : {1u, 4u}) {
-        auto [Text, Json] = renderWith(T, Window, Threads, ReachMode::Auto);
-        EXPECT_EQ(Text, RefText)
-            << "window " << Window << ", " << Threads << " threads";
-        EXPECT_EQ(Json, RefJson)
-            << "window " << Window << ", " << Threads << " threads";
-      }
+    auto [RefText, RefJson] = renderReference(T);
+    for (uint64_t Window : {DetectorOptions::WindowOff, uint64_t(64),
+                            uint64_t(4096)}) {
+      auto [Text, Json] = renderWith(T, Window, ReachMode::Auto);
+      EXPECT_EQ(Text, RefText) << "window " << Window;
+      EXPECT_EQ(Json, RefJson) << "window " << Window;
+    }
   }
 }
 
@@ -208,22 +213,20 @@ class RandomWindowParityTest : public testing::TestWithParam<uint64_t> {};
 TEST_P(RandomWindowParityTest, ReportsByteIdenticalAcrossWindowSizes) {
   Trace T = randomPtrTrace(GetParam() * 0x9E3779B97F4A7C15ull + 3, 250);
   ASSERT_TRUE(validateTrace(T).ok()) << validateTrace(T).message();
-  auto [RefText, RefJson] =
-      renderWith(T, DetectorOptions::WindowOff, 1, ReachMode::Chain);
-  // Window 64 is deliberately pathological: most traces span a few
-  // thousand records, so the scan sweeps dozens of times per run.  The
+  auto [RefText, RefJson] = renderReference(T);
+  // Both sources: the AccessDb, and the stream at window 64 -- which is
+  // deliberately pathological: most traces span a few thousand records,
+  // so the scan sweeps dozens of times per run -- and at 1024.  The
   // oracle is an input too: under Bfs the scan's queries are searches.
   for (ReachMode Reach : {ReachMode::Chain, ReachMode::Bfs})
-    for (uint64_t Window : {uint64_t(64), uint64_t(1024)})
-      for (unsigned Threads : {1u, 4u}) {
-        auto [Text, Json] = renderWith(T, Window, Threads, Reach);
-        ASSERT_EQ(Text, RefText)
-            << "seed " << GetParam() << " " << reachModeName(Reach)
-            << " window " << Window << " at " << Threads << " threads";
-        ASSERT_EQ(Json, RefJson)
-            << "seed " << GetParam() << " " << reachModeName(Reach)
-            << " window " << Window << " at " << Threads << " threads";
-      }
+    for (uint64_t Window :
+         {DetectorOptions::WindowOff, uint64_t(64), uint64_t(1024)}) {
+      auto [Text, Json] = renderWith(T, Window, Reach);
+      ASSERT_EQ(Text, RefText) << "seed " << GetParam() << " "
+                               << reachModeName(Reach) << " window " << Window;
+      ASSERT_EQ(Json, RefJson) << "seed " << GetParam() << " "
+                               << reachModeName(Reach) << " window " << Window;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds100, RandomWindowParityTest,
@@ -275,45 +278,83 @@ TEST(WindowedAnalysisTest, DeadlineCutResumesWindowedByteIdentical) {
   std::remove(checkpointPath(Dir).c_str());
 }
 
-TEST(WindowedAnalysisTest, CrossModeResumeRecomputesNeverRejects) {
-  // WindowEvents is excluded from the options digest on purpose: a
-  // snapshot cut in one detect mode must resume in the other.  The
-  // happens-before frontier is mode-agnostic; any frozen detect
-  // frontier of the *other* mode is simply not applicable and the
-  // detect phase recomputes from the restored relation.
-  Trace T = buildAppTrace();
-  DetectorOptions Batch;
-  Batch.WindowEvents = DetectorOptions::WindowOff;
+// Two unordered threads with 70 uses x 70 frees of one cell: 4900
+// candidate pairs, past the scan's 4096-pair clock poll, so a save
+// cadence lands one detect snapshot mid-scan.
+Trace buildWideScanTrace() {
+  TraceBuilder TB;
+  MethodId M = TB.addMethod("m", 256);
+  TaskId A = TB.addThread("user");
+  TaskId B = TB.addThread("freer");
+  TB.begin(A);
+  for (uint32_t I = 0; I != 70; ++I) {
+    TB.ptrRead(A, 5, 9, M, I);
+    TB.deref(A, 9, DerefKind::Invoke, M, I);
+  }
+  TB.end(A);
+  TB.begin(B);
+  for (uint32_t I = 0; I != 70; ++I)
+    TB.ptrWrite(B, 5, 0, M, 100 + I);
+  TB.end(B);
+  return TB.take();
+}
+
+TEST(WindowedAnalysisTest, CrossSourceResumeContinuesTheDetectScan) {
+  // WindowEvents is excluded from the options digest, and the detect
+  // frontier names accesses by ordinal and record, which both sources
+  // share: a scan cut under --window=64 resumes with the window off and
+  // the other way round, continuing from the cut (phase "detect") to
+  // the uninterrupted report.
+  Trace T = buildWideScanTrace();
+  DetectorOptions Db;
+  Db.WindowEvents = DetectorOptions::WindowOff;
   DetectorOptions Win;
   Win.WindowEvents = 64;
-  AnalysisResult Clean = analyzeTrace(T, Batch);
+  AnalysisResult Clean = analyzeTrace(T, Db);
   ASSERT_FALSE(Clean.Report.Partial);
+  ASSERT_EQ(Clean.Report.Filters.CandidatePairs, 4900u);
+  std::string CleanText = renderRaceReport(Clean.Report, T);
   std::string CleanJson = renderRaceReportJson(Clean.Report, T);
 
   struct Direction {
     const char *Name;
     DetectorOptions CutAs, ResumeAs;
   };
-  const Direction Directions[] = {{"batch-to-windowed", Batch, Win},
-                                  {"windowed-to-batch", Win, Batch}};
+  const Direction Directions[] = {{"window-to-db", Win, Db},
+                                  {"db-to-window", Db, Win}};
   for (const Direction &D : Directions) {
     SCOPED_TRACE(D.Name);
     std::string Dir = freshCheckpointDir(D.Name);
-    DetectorOptions Tiny = D.CutAs;
-    Tiny.DeadlineMillis = 1e-6;
-    AnalysisOptions CutOpt(Tiny);
+    std::string Path = checkpointPath(Dir);
+
+    // Save at every cadence point and keep the detect snapshot: the
+    // scan's one poll, 4096 pairs in.  The run then completes and
+    // retires its file, so put the kept one back as if the run had
+    // been killed after that save.
+    AnalysisOptions CutOpt(D.CutAs);
     CutOpt.Checkpoint.Directory = Dir;
+    CutOpt.Checkpoint.EveryMillis = 1e-9;
+    std::string Kept;
+    CutOpt.Checkpoint.AfterSave = [&] {
+      AnalysisSnapshot Snap;
+      if (loadAnalysisSnapshot(Snap, Path).ok() && Snap.HasDetect)
+        Kept = readFile(Path);
+    };
     AnalysisResult Cut = analyzeTrace(T, CutOpt);
-    ASSERT_TRUE(Cut.Report.Partial);
+    EXPECT_EQ(renderRaceReportJson(Cut.Report, T), CleanJson);
+    ASSERT_FALSE(Kept.empty());
+    std::ofstream(Path, std::ios::binary) << Kept;
 
     AnalysisOptions ResumeOpt(D.ResumeAs);
     ResumeOpt.Checkpoint.Directory = Dir;
     ResumeOpt.Checkpoint.Resume = true;
     AnalysisResult Resumed = analyzeTrace(T, ResumeOpt);
     EXPECT_TRUE(Resumed.Resume.Resumed) << Resumed.Resume.RejectReason;
+    EXPECT_EQ(Resumed.Resume.Phase, "detect");
     EXPECT_FALSE(Resumed.Report.Partial);
+    EXPECT_EQ(renderRaceReport(Resumed.Report, T), CleanText);
     EXPECT_EQ(renderRaceReportJson(Resumed.Report, T), CleanJson);
-    std::remove(checkpointPath(Dir).c_str());
+    std::remove(Path.c_str());
   }
 }
 
@@ -347,7 +388,7 @@ TEST(WindowedAnalysisTest, MemoryPressureLadderShedsToTheWindow) {
   EXPECT_EQ(renderRaceReportJson(R.Report, T),
             renderRaceReportJson(Clean.Report, T));
 
-  // An explicit batch pin beats the ladder.
+  // An explicit WindowOff beats the ladder.
   DetectorOptions Pinned = Squeezed;
   Pinned.WindowEvents = DetectorOptions::WindowOff;
   AnalysisResult P = analyzeTrace(T, Pinned);
@@ -361,37 +402,53 @@ TEST(WindowedAnalysisTest, MemoryPressureLadderShedsToTheWindow) {
 }
 
 TEST(WindowedAnalysisTest, WindowedFrontierSurvivesSnapshotRoundTrip) {
-  AnalysisSnapshot Snap;
-  Snap.TraceFingerprint = 0x1122334455667788ull;
-  Snap.NumRecords = 42;
-  Snap.OptionsDigest = 0x99aabbccddeeff00ull;
-  Snap.Phase = SnapshotPhase::Detect;
-  Snap.Hb.Saturated = true;
-  Snap.HasWindowedDetect = true;
-  Snap.WindowedDetect.CursorRecord = 37;
-  Snap.WindowedDetect.PairsDoneAtCursor = 12;
-  Snap.WindowedDetect.FiltersShed = true;
-  Snap.WindowedDetect.Filters.CandidatePairs = 4242;
-  Snap.WindowedDetect.Filters.SameTask = 7;
-  Snap.WindowedDetect.Survivors = {{1, 2, 10, 20, 5, 6, 7, 8, 1},
-                                   {3, 4, 30, 40, 9, 10, 11, 12, 0}};
+  // A frontier frozen by a deadline cut on the trace stream comes back
+  // from the snapshot file field for field.
+  Trace T = buildWideScanTrace();
+  TaskIndex Index(T);
+  DetectorOptions Tiny;
+  Tiny.LocksetFilter = false;
+  Tiny.IfGuardFilter = false;
+  Tiny.DeadlineMillis = 1e-6;
+  HbIndex Hb(T, Index, Tiny.Hb);
+  DetectFrontier Saved;
+  DetectCheckpointing CutCk;
+  CutCk.Save = [&](const DetectFrontier &F) { Saved = F; };
+  RaceReport Cut =
+      detectUseFreeRacesWindowed(T, Index, Hb, Tiny, 64, nullptr, nullptr,
+                                 &CutCk);
+  ASSERT_EQ(Cut.PartialCause, "detect-deadline");
+  ASSERT_FALSE(Saved.Races.empty());
 
+  AnalysisSnapshot Snap;
+  Snap.NumRecords = T.numRecords();
+  Snap.Phase = SnapshotPhase::Detect;
+  Snap.Hb = Hb.exportFrontier();
+  Snap.HasDetect = true;
+  Snap.Detect = Saved;
   std::string Dir = freshCheckpointDir("roundtrip");
   std::string Path = checkpointPath(Dir);
   ASSERT_TRUE(saveAnalysisSnapshot(Snap, Path).ok());
 
   AnalysisSnapshot Back;
   ASSERT_TRUE(loadAnalysisSnapshot(Back, Path).ok());
-  ASSERT_TRUE(Back.HasWindowedDetect);
-  EXPECT_EQ(Back.WindowedDetect.CursorRecord, 37u);
-  EXPECT_EQ(Back.WindowedDetect.PairsDoneAtCursor, 12u);
-  EXPECT_TRUE(Back.WindowedDetect.FiltersShed);
-  EXPECT_EQ(Back.WindowedDetect.Filters.CandidatePairs, 4242u);
-  EXPECT_EQ(Back.WindowedDetect.Filters.SameTask, 7u);
-  ASSERT_EQ(Back.WindowedDetect.Survivors.size(), 2u);
-  EXPECT_EQ(Back.WindowedDetect.Survivors[0].FreeRecord, 20u);
-  EXPECT_EQ(Back.WindowedDetect.Survivors[0].SameLooper, 1u);
-  EXPECT_EQ(Back.WindowedDetect.Survivors[1].FreePc, 12u);
+  ASSERT_TRUE(Back.HasDetect);
+  const DetectFrontier &F = Back.Detect;
+  EXPECT_EQ(F.CursorRecord, Saved.CursorRecord);
+  EXPECT_EQ(F.PairsDoneAtCursor, Saved.PairsDoneAtCursor);
+  EXPECT_EQ(F.FiltersShed, Saved.FiltersShed);
+  EXPECT_EQ(F.Filters.CandidatePairs, Saved.Filters.CandidatePairs);
+  EXPECT_GT(F.Filters.CandidatePairs, 0u);
+  ASSERT_EQ(F.Races.size(), Saved.Races.size());
+  for (size_t I = 0; I != F.Races.size(); ++I) {
+    const DetectFrontier::RaceEntry &E = F.Races[I], &W = Saved.Races[I];
+    ASSERT_EQ(std::tie(E.UseOrd, E.FreeOrd, E.UseRecord, E.FreeRecord),
+              std::tie(W.UseOrd, W.FreeOrd, W.UseRecord, W.FreeRecord));
+    ASSERT_EQ(std::tie(E.UseMethod, E.UsePc, E.FreeMethod, E.FreePc),
+              std::tie(W.UseMethod, W.UsePc, W.FreeMethod, W.FreePc));
+    ASSERT_EQ(E.DynamicCount, W.DynamicCount);
+    ASSERT_EQ(E.SameLooper, W.SameLooper);
+  }
   std::remove(Path.c_str());
 }
 
