@@ -52,7 +52,7 @@ int main() {
         It == Labels.end() ? "?" : raceLabelName(It->second->Label);
     std::printf("  #%zu [%s/%s] %s\n", ++N,
                 raceCategoryName(Race.Category), Verdict,
-                renderRaceLine(Race, T).c_str());
+                renderRaceLine(buildRaceRecord(Race, T)).c_str());
     if (It != Labels.end())
       std::printf("        %s\n", It->second->Note.c_str());
   }

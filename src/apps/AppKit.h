@@ -69,8 +69,6 @@ public:
   explicit AppBuilder(std::string AppName);
 
   Module &module() { return *M; }
-  QueueId mainQueue() const { return Main; }
-  ProcessId appProcess() const { return App; }
 
   /// Lazily created second looper in the app process (render/background
   /// handler thread); used by listener seeds.

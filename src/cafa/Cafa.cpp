@@ -234,7 +234,7 @@ AnalysisResult cafa::analyzeTrace(const Trace &T,
     for (const UseFreeRace &Race : Result.Report.Races)
       Out.PartialRaces.push_back({Race.Use.Method.value(), Race.Use.Pc,
                                   Race.Free.Method.value(), Race.Free.Pc,
-                                  renderRaceLine(Race, T)});
+                                  renderRaceLine(buildRaceRecord(Race, T))});
     RecordSaveError(saveAnalysisSnapshot(Out, Path));
   } else {
     // Complete run: diff against the partial baseline (if the snapshot

@@ -24,6 +24,7 @@
 #define CAFA_CAFA_CAFA_H
 
 #include "cafa/Checkpoint.h"
+#include "cafa/ReportJson.h"
 #include "detect/Baselines.h"
 #include "detect/DerefDataflow.h"
 #include "detect/GroundTruth.h"

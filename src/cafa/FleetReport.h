@@ -60,8 +60,8 @@ struct FleetJobStatus {
 /// Merges per-job reports into one fleet report.
 class FleetAggregator {
 public:
-  explicit FleetAggregator(unsigned MaxExemplars = 3)
-      : MaxExemplars(MaxExemplars) {}
+  /// Exemplar trace paths kept per aggregated race.
+  static constexpr unsigned MaxExemplars = 3;
 
   /// Records \p Job and merges \p Report's races (null for jobs that
   /// produced no report, i.e. terminal failures).  Call in manifest
@@ -100,7 +100,6 @@ private:
   /// Sorted copy of the merged table (lexicographic static key).
   std::vector<const MergedRace *> sortedRaces() const;
 
-  unsigned MaxExemplars;
   StringInterner Methods;
   /// Keyed by interned (use method, use pc, free method, free pc).
   std::map<std::array<uint32_t, 4>, MergedRace> Merged;

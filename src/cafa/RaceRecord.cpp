@@ -66,24 +66,27 @@ ConfirmVerdict cafa::mergeConfirmVerdicts(ConfirmVerdict A,
   return Rank(A) >= Rank(B) ? A : B;
 }
 
+RaceRecord cafa::buildRaceRecord(const UseFreeRace &Race, const Trace &T) {
+  RaceRecord R;
+  R.UseMethod = T.methodName(Race.Use.Method);
+  R.UsePc = Race.Use.Pc;
+  R.UseTask = T.taskName(Race.Use.Task);
+  R.UseRecord = Race.Use.Record;
+  R.FreeMethod = T.methodName(Race.Free.Method);
+  R.FreePc = Race.Free.Pc;
+  R.FreeTask = T.taskName(Race.Free.Task);
+  R.FreeRecord = Race.Free.Record;
+  R.Category = raceCategoryName(Race.Category);
+  R.DynamicCount = Race.DynamicCount;
+  return R;
+}
+
 RaceDocument cafa::buildRaceDocument(const RaceReport &Report,
                                      const Trace &T) {
   RaceDocument Doc;
   Doc.Races.reserve(Report.Races.size());
-  for (const UseFreeRace &Race : Report.Races) {
-    RaceRecord R;
-    R.UseMethod = T.methodName(Race.Use.Method);
-    R.UsePc = Race.Use.Pc;
-    R.UseTask = T.taskName(Race.Use.Task);
-    R.UseRecord = Race.Use.Record;
-    R.FreeMethod = T.methodName(Race.Free.Method);
-    R.FreePc = Race.Free.Pc;
-    R.FreeTask = T.taskName(Race.Free.Task);
-    R.FreeRecord = Race.Free.Record;
-    R.Category = raceCategoryName(Race.Category);
-    R.DynamicCount = Race.DynamicCount;
-    Doc.Races.push_back(std::move(R));
-  }
+  for (const UseFreeRace &Race : Report.Races)
+    Doc.Races.push_back(buildRaceRecord(Race, T));
   Doc.Filters = Report.Filters;
   Doc.Partial = Report.Partial;
   Doc.PartialCause = Report.PartialCause;

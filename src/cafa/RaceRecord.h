@@ -97,6 +97,9 @@ struct RaceDocument {
   bool Provisional = false;
 };
 
+/// Lifts one race into the shared model, resolving names against \p T.
+RaceRecord buildRaceRecord(const UseFreeRace &Race, const Trace &T);
+
 /// Lifts the detector's trace-bound report into the shared model,
 /// resolving names against \p T.  Verdicts start as None.
 RaceDocument buildRaceDocument(const RaceReport &Report, const Trace &T);

@@ -50,18 +50,6 @@ constexpr size_t FrameBytes = 4 + 8; // u32 length + u64 checksum
 /// rejected without trusting it.
 constexpr uint32_t MaxRecordBytes = 64u << 20;
 
-void appendLe(std::string &Out, uint64_t V, int Bytes) {
-  for (int I = 0; I != Bytes; ++I)
-    Out.push_back(static_cast<char>((V >> (I * 8)) & 0xFF));
-}
-
-uint64_t readLe(const char *P, int Bytes) {
-  uint64_t V = 0;
-  for (int I = 0; I != Bytes; ++I)
-    V |= static_cast<uint64_t>(static_cast<unsigned char>(P[I])) << (I * 8);
-  return V;
-}
-
 std::string encodeHeader() {
   std::string Out;
   Out.append(JournalMagic, sizeof(JournalMagic));
@@ -384,8 +372,7 @@ FleetJobStatus normalizedRow(const StoredJob &Job) {
   return Row;
 }
 
-FleetAggregator buildAggregator(const std::vector<StoredJob> &Jobs,
-                                unsigned MaxExemplars) {
+FleetAggregator buildAggregator(const std::vector<StoredJob> &Jobs) {
   // Id order, not insertion order: batches may arrive in any
   // interleaving across restarts, and the aggregate must not care.
   std::vector<const StoredJob *> Sorted;
@@ -396,7 +383,7 @@ FleetAggregator buildAggregator(const std::vector<StoredJob> &Jobs,
             [](const StoredJob *A, const StoredJob *B) {
               return A->Row.Id < B->Row.Id;
             });
-  FleetAggregator Aggregator(MaxExemplars);
+  FleetAggregator Aggregator;
   for (const StoredJob *Job : Sorted)
     Aggregator.addJob(normalizedRow(*Job),
                       Job->HasReport ? &Job->Report : nullptr);
@@ -405,10 +392,10 @@ FleetAggregator buildAggregator(const std::vector<StoredJob> &Jobs,
 
 } // namespace
 
-std::string RaceStore::renderJson(unsigned MaxExemplars) const {
-  return buildAggregator(Jobs, MaxExemplars).renderJson();
+std::string RaceStore::renderJson() const {
+  return buildAggregator(Jobs).renderJson();
 }
 
-std::string RaceStore::renderText(unsigned MaxExemplars) const {
-  return buildAggregator(Jobs, MaxExemplars).renderText();
+std::string RaceStore::renderText() const {
+  return buildAggregator(Jobs).renderText();
 }

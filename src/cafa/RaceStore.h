@@ -119,8 +119,8 @@ public:
 
   /// The cross-batch aggregate (FleetAggregator schema), rows sorted by
   /// job id and normalized as described in the file comment.
-  std::string renderJson(unsigned MaxExemplars = 3) const;
-  std::string renderText(unsigned MaxExemplars = 3) const;
+  std::string renderJson() const;
+  std::string renderText() const;
 
 private:
   Status replay(const std::string &Data);

@@ -115,6 +115,19 @@ std::string cafa::renderRaceReportJson(const RaceReport &Report,
   return renderRaceReportJson(buildRaceDocument(Report, T));
 }
 
+std::string cafa::renderRaceLine(const RaceRecord &Race) {
+  return formatString("use %s:%u in %s  ~  free %s:%u in %s  [%s, x%u]",
+                      Race.UseMethod.c_str(), Race.UsePc,
+                      Race.UseTask.c_str(), Race.FreeMethod.c_str(),
+                      Race.FreePc, Race.FreeTask.c_str(),
+                      Race.Category.c_str(), Race.DynamicCount);
+}
+
+std::string cafa::renderRaceReport(const RaceReport &Report,
+                                   const Trace &T) {
+  return renderRaceReportText(buildRaceDocument(Report, T));
+}
+
 std::string cafa::renderRaceReportText(const RaceDocument &Doc) {
   std::ostringstream OS;
   OS << Doc.Races.size() << " use-free race(s) reported\n";
@@ -130,12 +143,8 @@ std::string cafa::renderRaceReportText(const RaceDocument &Doc) {
         Race.Verdict == ConfirmVerdict::None
             ? std::string()
             : formatString("  => %s", confirmVerdictName(Race.Verdict));
-    OS << formatString(
-        "  #%zu  use %s:%u in %s  ~  free %s:%u in %s  [%s, x%u]%s%s\n",
-        ++N, Race.UseMethod.c_str(), Race.UsePc, Race.UseTask.c_str(),
-        Race.FreeMethod.c_str(), Race.FreePc, Race.FreeTask.c_str(),
-        Race.Category.c_str(), Race.DynamicCount, Suffix,
-        Verdict.c_str());
+    OS << formatString("  #%zu  %s%s%s\n", ++N, renderRaceLine(Race).c_str(),
+                       Suffix, Verdict.c_str());
   }
   const FilterCounters &F = Doc.Filters;
   OS << formatString(

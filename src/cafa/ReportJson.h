@@ -65,10 +65,17 @@ std::string renderRaceReportJson(const RaceDocument &Doc);
 /// Equivalent to renderRaceReportJson(buildRaceDocument(Report, T)).
 std::string renderRaceReportJson(const RaceReport &Report, const Trace &T);
 
-/// Renders a race document for humans.  For a verdict-free document
-/// this is byte-identical to renderRaceReport(Report, T) on the report
-/// the document was built from; verdicts append a per-race marker.
+/// Renders a race document for humans, one line per race
+/// (renderRaceLine); verdicts append a per-race marker.
 std::string renderRaceReportText(const RaceDocument &Doc);
+
+/// Renders a race report for humans (names resolved against \p T).
+/// Equivalent to renderRaceReportText(buildRaceDocument(Report, T)).
+std::string renderRaceReport(const RaceReport &Report, const Trace &T);
+
+/// Renders one race as a single line: both sites with their tasks, the
+/// category and the dynamic count.
+std::string renderRaceLine(const RaceRecord &Race);
 
 /// Parses the JSON emitted by renderRaceReportJson back into a
 /// document.  Tolerates unknown fields (schema growth) but fails on

@@ -7,6 +7,8 @@
 
 #include "detect/Baselines.h"
 
+#include "detect/DetectShared.h"
+
 #include <algorithm>
 #include <set>
 #include <unordered_map>
@@ -37,20 +39,6 @@ struct StaticPairKey {
            std::tie(O.MethodA, O.PcA, O.MethodB, O.PcB, O.Var);
   }
 };
-
-bool locksetsIntersect(const std::vector<uint32_t> &A,
-                       const std::vector<uint32_t> &B) {
-  size_t I = 0, J = 0;
-  while (I < A.size() && J < B.size()) {
-    if (A[I] == B[J])
-      return true;
-    if (A[I] < B[J])
-      ++I;
-    else
-      ++J;
-  }
-  return false;
-}
 
 } // namespace
 
@@ -146,8 +134,8 @@ NaiveRaceResult cafa::detectLowLevelRaces(const Trace &T,
         if (AlreadyStatic)
           continue;
         if (Opt.LocksetFilter &&
-            locksetsIntersect(LocksetPool[X.LocksetIdx],
-                              LocksetPool[Y.LocksetIdx]))
+            detail::locksetsIntersect(LocksetPool[X.LocksetIdx],
+                                      LocksetPool[Y.LocksetIdx]))
           continue;
         if (Hb.ordered(X.Record, Y.Record))
           continue;

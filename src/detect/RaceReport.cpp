@@ -7,10 +7,6 @@
 
 #include "detect/RaceReport.h"
 
-#include "support/Format.h"
-
-#include <sstream>
-
 using namespace cafa;
 
 const char *cafa::raceCategoryName(RaceCategory C) {
@@ -31,47 +27,4 @@ size_t RaceReport::countCategory(RaceCategory C) const {
     if (R.Category == C)
       ++N;
   return N;
-}
-
-std::string cafa::renderRaceLine(const UseFreeRace &Race, const Trace &T) {
-  return formatString(
-      "use %s:%u in %s  ~  free %s:%u in %s  [%s, x%u]",
-      T.methodName(Race.Use.Method).c_str(), Race.Use.Pc,
-      T.taskName(Race.Use.Task).c_str(),
-      T.methodName(Race.Free.Method).c_str(), Race.Free.Pc,
-      T.taskName(Race.Free.Task).c_str(),
-      raceCategoryName(Race.Category), Race.DynamicCount);
-}
-
-std::string cafa::renderRaceReport(const RaceReport &Report, const Trace &T) {
-  std::ostringstream OS;
-  OS << Report.Races.size() << " use-free race(s) reported\n";
-  size_t N = 0;
-  // A race found against a cut happens-before relation may be ordered
-  // away once the fixpoint saturates; mark it so a partial report is
-  // never mistaken for a confirmed finding.  Complete reports render
-  // without any marker -- resumed runs stay byte-identical to
-  // uninterrupted ones.
-  const char *Suffix = Report.racesProvisional() ? "  (provisional)" : "";
-  for (const UseFreeRace &Race : Report.Races)
-    OS << formatString("  #%zu  %s%s\n", ++N,
-                       renderRaceLine(Race, T).c_str(), Suffix);
-  const FilterCounters &F = Report.Filters;
-  OS << formatString(
-      "candidates=%llu orderedByHb=%llu sameTask=%llu lockset=%llu "
-      "ifGuard=%llu intraEventAlloc=%llu\n",
-      static_cast<unsigned long long>(F.CandidatePairs),
-      static_cast<unsigned long long>(F.OrderedByHb),
-      static_cast<unsigned long long>(F.SameTask),
-      static_cast<unsigned long long>(F.LocksetProtected),
-      static_cast<unsigned long long>(F.IfGuardFiltered),
-      static_cast<unsigned long long>(F.IntraEventAlloc));
-  if (Report.Partial) {
-    OS << formatString("PARTIAL result (%s): analysis stopped early; "
-                       "races may be missing or unfiltered\n",
-                       Report.PartialCause.c_str());
-    if (!Report.PartialDetail.empty())
-      OS << formatString("  %s\n", Report.PartialDetail.c_str());
-  }
-  return OS.str();
 }

@@ -101,13 +101,6 @@ struct RaceReport {
   bool racesProvisional() const { return Partial && PartialCause == "hb-deadline"; }
 };
 
-/// Renders a report for humans (one block per race, names resolved
-/// against \p T).
-std::string renderRaceReport(const RaceReport &Report, const Trace &T);
-
-/// Renders one race as a single line.
-std::string renderRaceLine(const UseFreeRace &Race, const Trace &T);
-
 } // namespace cafa
 
 #endif // CAFA_DETECT_RACEREPORT_H

@@ -105,6 +105,18 @@ struct JobRun {
 
 } // namespace
 
+FleetJobStatus FleetJobResult::status() const {
+  FleetJobStatus Row;
+  Row.Id = Id;
+  Row.TracePath = TracePath;
+  Row.State = State;
+  Row.Attempts = Attempts;
+  Row.ExitCode = FinalExitCode;
+  Row.Resumed = Resumed;
+  Row.Partial = Partial;
+  return Row;
+}
+
 std::string cafa::fleetJobDir(const std::string &Root,
                               const std::string &JobId) {
   return Root + "/" + JobId;
@@ -570,17 +582,9 @@ Status cafa::runFleet(const std::vector<FleetJob> &Jobs,
   for (size_t Index = 0; Index < Jobs.size(); ++Index)
     Result.Jobs.push_back(Engine.result(Index));
 
-  FleetAggregator Aggregator(Options.MaxExemplars);
+  FleetAggregator Aggregator;
   for (const FleetJobResult &Job : Result.Jobs) {
-    FleetJobStatus Row;
-    Row.Id = Job.Id;
-    Row.TracePath = Job.TracePath;
-    Row.State = Job.State;
-    Row.Attempts = Job.Attempts;
-    Row.ExitCode = Job.FinalExitCode;
-    Row.Resumed = Job.Resumed;
-    Row.Partial = Job.Partial;
-    Aggregator.addJob(Row, Job.ParseOk ? &Job.Parsed : nullptr);
+    Aggregator.addJob(Job.status(), Job.ParseOk ? &Job.Parsed : nullptr);
 
     if (Job.State.rfind("failed:", 0) == 0)
       ++Result.Failed;

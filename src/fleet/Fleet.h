@@ -93,6 +93,9 @@ struct FleetJobResult {
   RaceDocument Parsed;
   bool ParseOk = false;
   std::vector<FleetAttempt> History;
+
+  /// The job's row in a fleet aggregate.
+  FleetJobStatus status() const;
 };
 
 /// Supervisor configuration.
@@ -132,8 +135,6 @@ struct FleetOptions {
   /// Retry-delay schedule; each job derives its own deterministic
   /// stream from (Backoff.Seed, job index).
   BackoffPolicy Backoff;
-  /// Exemplar trace paths kept per aggregated race.
-  unsigned MaxExemplars = 3;
   /// Chaos hook (tests only): extra analyzer args for (job, attempt).
   std::function<std::vector<std::string>(const FleetJob &, unsigned)>
       ChaosArgsForAttempt;

@@ -24,8 +24,10 @@
 ///    (begin-record) order, end(e_i) -> begin(e_i+1), where the end
 ///    comes first in record order -- the link HbGraph::addEdge accepts;
 ///    salvaged traces can hold overlapping events, whose link it refuses.
-/// The search skips the first two kinds and follows the third
-/// implicitly, so it walks exactly the conventional graph, whichever
+/// Each query is one run of the BFS oracle's TaskRangeSearch
+/// (hb/Reachability.h) with two rules of its own: sharedEdge() skips the
+/// first two kinds, and the looper links are followed at each event's
+/// end.  So the search walks exactly the conventional graph, whichever
 /// model built the graph it reads.
 ///
 //===----------------------------------------------------------------------===//
@@ -33,16 +35,15 @@
 #ifndef CAFA_HB_CONVENTIONALORDER_H
 #define CAFA_HB_CONVENTIONALORDER_H
 
-#include "hb/HbGraph.h"
+#include "hb/Reachability.h"
 
 #include <vector>
 
 namespace cafa {
 
 /// Record-level queries of the conventional model over an existing
-/// HbGraph.  Each query is one task-range search (the BFS oracle's),
-/// pruned at the target: every edge points forward in record order.
-/// Queries reuse scratch, so one object serves one thread.
+/// HbGraph.  Queries reuse the search's scratch, so one object serves
+/// one thread.
 class ConventionalOrder {
 public:
   /// Lays out every looper's execution-order links over \p G, which
@@ -62,14 +63,6 @@ public:
   }
 
 private:
-  /// Nodes of Task at positions [Lo, Hi) whose successors still need
-  /// expanding.
-  struct Range {
-    TaskId Task;
-    uint32_t Lo, Hi;
-  };
-
-  bool reaches(NodeId From, NodeId To) const;
   /// True when the cross-task graph edge From -> To is one the
   /// conventional model also has.
   bool sharedEdge(NodeId From, NodeId To) const;
@@ -78,12 +71,7 @@ private:
   /// Per task: begin(e_i+1) when the task is looper event e_i and its
   /// execution-order link points forward; invalid otherwise.
   std::vector<NodeId> LooperNext;
-  /// Scratch, as in BfsReachability: per-task lowest visited position,
-  /// versioned so queries need not clear it, and the range stack.
-  mutable std::vector<uint32_t> VisitedPos;
-  mutable std::vector<uint32_t> VisitedVersion;
-  mutable uint32_t Version = 0;
-  mutable std::vector<Range> Ranges;
+  TaskRangeSearch Search;
 };
 
 } // namespace cafa

@@ -99,6 +99,20 @@ public:
   /// Last node of record's task at-or-before the record (for targets).
   NodeId lastNodeAtOrBefore(uint32_t RecordIndex) const;
 
+  /// Does record \p A happen before record \p B, given \p Reaches(U, V)
+  /// on nodes?  Within a task, record order; across tasks, whether the
+  /// first node at or after A reaches the last node at or before B.
+  template <typename ReachesFn>
+  bool happensBefore(uint32_t A, uint32_t B, ReachesFn Reaches) const {
+    if (A == B)
+      return false;
+    if (T.record(A).Task == T.record(B).Task)
+      return A < B; // a task's records ascend in record order
+    NodeId P = firstNodeAtOrAfter(A);
+    NodeId Q = lastNodeAtOrBefore(B);
+    return P.isValid() && Q.isValid() && Reaches(P, Q);
+  }
+
   /// Queues edge From -> To for the next foldEdges() and returns true;
   /// ignores duplicates lazily (callers dedup via reachability).  Edges
   /// violating the forward-in-record-order invariant (possible with

@@ -630,7 +630,7 @@ struct HbIndex::Builder {
   std::vector<std::vector<TaskId>> QueueEvents;
   /// Send operations per queue in record order.
   std::vector<std::vector<SendOp>> QueueSends;
-  const Reachability *RoundOracle = nullptr;
+  const BfsReachability *RoundOracle = nullptr;
 
   void collect() {
     QueueEvents.assign(T.numQueues(), {});
@@ -668,7 +668,7 @@ struct HbIndex::Builder {
   /// Begins/Ends is begin(e_k)/end(e_k) in QueueEvents order.  Built the
   /// first round gap 1 leaves the looper uncovered (layOutLooper).
   struct AtomQueue {
-    NodeProjection Begins, Ends;
+    std::vector<NodeId> Begins, Ends;
   };
   std::vector<AtomQueue> AtomQueues;
 
@@ -677,7 +677,7 @@ struct HbIndex::Builder {
   /// is the event s_b posts.  NonFront masks the sends not at front.
   /// Built lazily like AtomQueue.
   struct SendQueue {
-    NodeProjection Posts, Begins;
+    std::vector<NodeId> Posts, Begins;
     std::vector<uint64_t> NonFront;
   };
   std::vector<SendQueue> SendQueues;
@@ -691,8 +691,7 @@ struct HbIndex::Builder {
       Begins.push_back(G.beginNode(E));
       Ends.push_back(G.endNode(E));
     }
-    AtomQueues[Qi] = {NodeProjection(std::move(Begins)),
-                      NodeProjection(std::move(Ends))};
+    AtomQueues[Qi] = {std::move(Begins), std::move(Ends)};
   }
 
   void layOutSendQueue(size_t Qi) {
@@ -708,8 +707,8 @@ struct HbIndex::Builder {
       if (!Sends[B].AtFront)
         SQ.NonFront[B >> 6] |= uint64_t(1) << (B & 63);
     }
-    SQ.Posts = NodeProjection(std::move(Posts));
-    SQ.Begins = NodeProjection(std::move(Begins));
+    SQ.Posts = std::move(Posts);
+    SQ.Begins = std::move(Begins);
   }
 
   bool reaches(NodeId From, NodeId To) const {
@@ -841,7 +840,7 @@ struct HbIndex::Builder {
   /// and \p Counter counts the rule's proposals.
   template <typename KeepFn>
   void proposeCandidates(ScanOut &Out, SweepScratch &S, NodeId From,
-                         const NodeProjection &Begins, size_t FirstWord,
+                         std::span<const NodeId> Begins, size_t FirstWord,
                          KeepFn Keep, uint64_t &Counter) const {
     const size_t NW = S.Cand.size();
     for (size_t W = FirstWord; W != NW; ++W) {
@@ -852,7 +851,7 @@ struct HbIndex::Builder {
       for (uint64_t Bits = S.Cand[W]; (Bits &= ~S.Implied[W]);
            Bits &= Bits - 1) {
         size_t J = W * 64 + static_cast<size_t>(__builtin_ctzll(Bits));
-        NodeId BeginJ = Begins.node(J);
+        NodeId BeginJ = Begins[J];
         if (!BeginJ.isValid() || !Keep(J))
           continue;
         Out.Edges.emplace_back(From, BeginJ);
@@ -888,7 +887,7 @@ struct HbIndex::Builder {
       // Pairs up to I + Run[I] are implied by covered links, and gap 1
       // evaluated J = I + 1.
       size_t First = I + std::max<size_t>(1, Out.Run[I]) + 1;
-      NodeId BeginI = AQ.Begins.node(I), EndI = AQ.Ends.node(I);
+      NodeId BeginI = AQ.Begins[I], EndI = AQ.Ends[I];
       if (First >= AQ.Begins.size() || !BeginI.isValid() || !EndI.isValid())
         continue;
       RoundOracle->project(BeginI, AQ.Ends, First, nullptr, S.Prem.data());
@@ -955,7 +954,7 @@ struct HbIndex::Builder {
         for (uint64_t Bits = Pending[W]; Bits; Bits &= Bits - 1) {
           size_t E = W * 64 + static_cast<size_t>(__builtin_ctzll(Bits));
           if (reaches(Sends[E].Node, SA.Node))
-            propose(Out, EndA, SQ.Begins.node(E),
+            propose(Out, EndA, SQ.Begins[E],
                     Sends[E].AtFront ? Out.Q4 : Out.Q2);
         }
     }
@@ -977,7 +976,7 @@ struct HbIndex::Builder {
   ///
   /// \returns the edges added this round (already folded into the
   /// graph).
-  std::vector<HbEdge> applyDerivedRules(const Reachability &Oracle) {
+  std::vector<HbEdge> applyDerivedRules(const BfsReachability &Oracle) {
     RoundOracle = &Oracle;
     ScanOut Out;
     if (Opt.EnableAtomicityRule)
@@ -1016,9 +1015,9 @@ struct HbIndex::Builder {
     return Batch;
   }
 
-  /// Fixpoint rounds under the BFS oracle until one derives nothing,
+  /// Fixpoint rounds under \p Oracle until one derives nothing,
   /// MaxFixpointRounds runs out, or the deadline passes.
-  void runRounds() {
+  void runRounds(const BfsReachability &Oracle) {
     collect();
     while (Stats.FixpointRounds < Opt.MaxFixpointRounds) {
       // Time rung of the degradation ladder: stop starting rounds past
@@ -1031,7 +1030,7 @@ struct HbIndex::Builder {
       }
       ++Stats.FixpointRounds;
       const Clock::time_point T0 = Clock::now();
-      std::vector<HbEdge> Delta = applyDerivedRules(*H.Reach);
+      std::vector<HbEdge> Delta = applyDerivedRules(Oracle);
       if (Profile)
         std::fprintf(stderr, "round %u: delta=%zu scan=%.1fms\n",
                      Stats.FixpointRounds - 1, Delta.size(), msSince(T0));
@@ -1093,13 +1092,18 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
   const uint32_t StartRound = Stats.FixpointRounds;
   ReachMode Mode = resolveReachMode(Options.Reach);
   Degrade.RequestedReach = Mode;
-  if (Mode == ReachMode::Chain)
-    Reach = B.runPasses(Rules);
+  if (Mode == ReachMode::Chain) {
+    if (std::unique_ptr<ChainReachability> Chain = B.runPasses(Rules)) {
+      Degrade.ChainCount = Chain->chainCount();
+      Reach = std::move(Chain);
+    }
+  }
   if (!Reach) {
     Mode = ReachMode::Bfs;
-    Reach = std::make_unique<BfsReachability>(*Graph);
+    auto Bfs = std::make_unique<BfsReachability>(*Graph);
     if (Rules && !Degrade.DeadlineExceeded)
-      B.runRounds();
+      B.runRounds(*Bfs);
+    Reach = std::move(Bfs);
   }
   RoundsRun = Stats.FixpointRounds - StartRound;
   Degrade.UsedReach = Mode;
@@ -1108,7 +1112,6 @@ HbIndex::HbIndex(const Trace &T, const TaskIndex &Index,
   // sheds the detector to the windowed scan too.
   Degrade.DowngradedForMemory = B.OverBudget;
   Degrade.MeasuredReachBytes = Reach->memoryBytes();
-  Degrade.ChainCount = Reach->chainCount();
   if (!Converged) {
     // The cut relation is missing edges from exactly the rule families
     // the fixpoint was still deriving.
@@ -1141,17 +1144,8 @@ HbFrontier HbIndex::exportFrontier() const {
 }
 
 bool HbIndex::happensBefore(uint32_t A, uint32_t B) const {
-  if (A == B)
-    return false;
-  const TraceRecord &RecA = T.record(A);
-  const TraceRecord &RecB = T.record(B);
-  if (RecA.Task == RecB.Task)
-    return A < B; // a task's records ascend in record order
-  NodeId P = Graph->firstNodeAtOrAfter(A);
-  NodeId Q = Graph->lastNodeAtOrBefore(B);
-  if (!P.isValid() || !Q.isValid())
-    return false;
-  return Reach->reaches(P, Q);
+  return Graph->happensBefore(
+      A, B, [&](NodeId P, NodeId Q) { return Reach->reaches(P, Q); });
 }
 
 bool HbIndex::taskOrdered(TaskId E1, TaskId E2) const {

@@ -15,93 +15,16 @@
 
 using namespace cafa;
 
-BfsReachability::BfsReachability(const HbGraph &G)
-    : G(G), VisitedPos(G.trace().numTasks(), 0),
-      VisitedVersion(G.trace().numTasks(), 0) {}
-
-bool BfsReachability::reaches(NodeId From, NodeId To) const {
-  return From != To && search(From, To);
-}
-
-bool BfsReachability::search(NodeId From, NodeId To) const {
-  ++Version;
-
-  TaskId ToTask = To.isValid() ? G.taskOfNode(To) : TaskId::invalid();
-  uint32_t ToPos = To.isValid() ? G.posOfNode(To) : 0;
-  bool Found = false;
-
-  // Range worklist: a task is expanded at most once per position thanks
-  // to the VisitedPos high-water mark.  An early return leaves ranges
-  // behind; they are stale, so start from an empty stack.
-  Ranges.clear();
-
-  auto pushFrom = [&](NodeId Node) {
-    TaskId Task = G.taskOfNode(Node);
-    uint32_t Lo = G.posOfNode(Node);
-    uint32_t Hi;
-    if (VisitedVersion[Task.index()] == Version) {
-      Hi = VisitedPos[Task.index()];
-      if (Lo >= Hi)
-        return; // already covered
-    } else {
-      Hi = static_cast<uint32_t>(G.taskNodes(Task).size());
-      VisitedVersion[Task.index()] = Version;
-    }
-    VisitedPos[Task.index()] = Lo;
-    if (Task == ToTask && ToPos >= Lo && ToPos < Hi)
-      Found = true;
-    Ranges.push_back({Task, Lo, Hi});
-  };
-
-  // Seed with the direct successors of From (program order within From's
-  // task is one of them: the edge to the next node).
-  for (uint32_t S : G.successors(From)) {
-    pushFrom(NodeId(S));
-    if (Found)
-      return true;
-  }
-
-  while (!Ranges.empty()) {
-    Range R = Ranges.back();
-    Ranges.pop_back();
-    std::span<const NodeId> Nodes = G.taskNodes(R.Task);
-    for (uint32_t P = R.Lo; P != R.Hi; ++P) {
-      for (uint32_t S : G.successors(Nodes[P])) {
-        NodeId Succ(S);
-        // Skip the intra-task program-order edge: it stays inside the
-        // range we are already scanning.
-        if (G.taskOfNode(Succ) == R.Task)
-          continue;
-        pushFrom(Succ);
-        if (Found)
-          return true;
-      }
-    }
-  }
-  return false;
-}
-
-size_t BfsReachability::memoryBytes() const {
-  return VisitedPos.capacity() * 4 + VisitedVersion.capacity() * 4 +
-         Ranges.capacity() * sizeof(Range);
-}
-
-//===----------------------------------------------------------------------===//
-// Projection
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Reachability::project's contract, asking \p Reached for each wanted
-/// member.
-template <typename ReachedFn>
-size_t projectEach(const NodeProjection &P, size_t Lo, const uint64_t *Want,
-                   uint64_t *Out, ReachedFn Reached) {
-  const size_t K = P.size(), NW = (K + 63) / 64;
+void BfsReachability::project(NodeId From, std::span<const NodeId> Members,
+                              size_t Lo, const uint64_t *Want,
+                              uint64_t *Out) const {
+  // One search from From marks, per task, the lowest position it
+  // reaches; a member is reached when its position is at or past it.
+  Search.run(From, NodeId::invalid(), everyEdge, noLink);
+  const size_t K = Members.size(), NW = (K + 63) / 64;
   std::memset(Out, 0, NW * 8);
   if (Lo >= K)
-    return 0;
-  size_t Queried = 0;
+    return;
   for (size_t WI = Lo >> 6; WI != NW; ++WI) {
     uint64_t M = Want ? Want[WI] : ~uint64_t(0);
     if (WI == Lo >> 6)
@@ -110,36 +33,11 @@ size_t projectEach(const NodeProjection &P, size_t Lo, const uint64_t *Want,
       M &= (uint64_t(1) << (K % 64)) - 1;
     for (; M; M &= M - 1) {
       unsigned B = static_cast<unsigned>(__builtin_ctzll(M));
-      NodeId To = P.node(WI * 64 + B);
-      if (!To.isValid())
-        continue;
-      ++Queried;
-      if (Reached(To))
+      NodeId To = Members[WI * 64 + B];
+      if (To.isValid() && To != From && Search.covered(To))
         Out[WI] |= uint64_t(1) << B;
     }
   }
-  return Queried;
-}
-
-} // namespace
-
-size_t Reachability::project(NodeId From, const NodeProjection &P, size_t Lo,
-                             const uint64_t *Want, uint64_t *Out) const {
-  return projectEach(P, Lo, Want, Out,
-                     [&](NodeId To) { return reaches(From, To); });
-}
-
-size_t BfsReachability::project(NodeId From, const NodeProjection &P,
-                                size_t Lo, const uint64_t *Want,
-                                uint64_t *Out) const {
-  // One search from From marks, per task, the lowest position it
-  // reaches; a member is reached when its position is at or past it.
-  search(From, NodeId::invalid());
-  return projectEach(P, Lo, Want, Out, [&](NodeId To) {
-    TaskId Task = G.taskOfNode(To);
-    return To != From && VisitedVersion[Task.index()] == Version &&
-           VisitedPos[Task.index()] <= G.posOfNode(To);
-  });
 }
 
 //===----------------------------------------------------------------------===//

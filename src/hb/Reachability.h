@@ -16,10 +16,10 @@
 ///    O(N * chains) memory, built in one forward pass over the nodes --
 ///    the same pass HbIndex derives the atomicity and event-queue rules
 ///    in (docs/chain-reachability.md).  The default.
-///  - BfsReachability: per-query pruned search, no precomputation.  Slow
-///    queries, O(N) memory -- the floor of the degradation ladder, and
-///    the oracle of the round engine that stays as the pass's
-///    independent reference.
+///  - BfsReachability: per-query pruned search (TaskRangeSearch), no
+///    precomputation.  Slow queries, O(N) memory -- the floor of the
+///    degradation ladder, and the oracle of the round engine that stays
+///    as the pass's independent reference.
 ///
 /// See docs/hb-reachability.md for the architecture of this layer.
 ///
@@ -30,6 +30,7 @@
 
 #include "hb/HbGraph.h"
 
+#include <span>
 #include <vector>
 
 namespace cafa {
@@ -56,23 +57,6 @@ enum class ReachMode : uint8_t {
 /// unset or unrecognized falls back to Chain, the default oracle.
 ReachMode resolveReachMode(ReachMode Requested);
 
-/// A list of nodes ("members") for Reachability::project(), which
-/// answers "which members does this node reach" for all members at once.
-/// Member k is node(k); invalid members are allowed and are never
-/// reached.
-class NodeProjection {
-public:
-  NodeProjection() = default;
-  explicit NodeProjection(std::vector<NodeId> Members)
-      : Nodes(std::move(Members)) {}
-
-  size_t size() const { return Nodes.size(); }
-  NodeId node(size_t K) const { return Nodes[K]; }
-
-private:
-  std::vector<NodeId> Nodes;
-};
-
 /// Answers "is there a path From -> To" on the current graph edges.
 class Reachability {
 public:
@@ -82,42 +66,102 @@ public:
   /// (a node does not reach itself).
   virtual bool reaches(NodeId From, NodeId To) const = 0;
 
-  /// Projects \p From's reachable set onto \p P: overwrites \p Out, a
-  /// dense bitset of (P.size() + 63) / 64 words, with bit k set exactly
-  /// when k >= \p Lo, From reaches member k, and (if \p Want is not
-  /// null) bit k of Want is set.  \returns the members queried.
-  virtual size_t project(NodeId From, const NodeProjection &P, size_t Lo,
-                         const uint64_t *Want, uint64_t *Out) const;
-
   /// Approximate memory footprint in bytes (for the ablation bench, and
   /// the degradation ladder's measured reading).
   virtual size_t memoryBytes() const = 0;
-
-  /// Chains in the oracle's cover (0 for oracles that do not
-  /// decompose).  Informational: surfaces in HbDegradation for the
-  /// scaling benches' chain-count statistics.
-  virtual size_t chainCount() const { return 0; }
 };
 
-/// On-demand search with per-task pruning: a visit to node n of task t
-/// implies all later nodes of t are reachable via program order, so each
-/// task is expanded at most once per query.
-class BfsReachability final : public Reachability {
+/// The task-range search behind every search-answered order query: a
+/// visit to node n of task t implies all later nodes of t via program
+/// order, so each range of a task is expanded at most once per query.
+/// Every edge points forward in node order, so nothing past the target
+/// is queued or expanded.  The scratch (versioned per-task marks, the
+/// range stack) is kept across queries, so none allocates; one object
+/// serves one thread.
+class TaskRangeSearch {
 public:
-  explicit BfsReachability(const HbGraph &G);
+  explicit TaskRangeSearch(const HbGraph &G)
+      : G(G), VisitedPos(G.trace().numTasks(), 0),
+        VisitedVersion(G.trace().numTasks(), 0) {}
 
-  bool reaches(NodeId From, NodeId To) const override;
-  /// One search from \p From answers every member.
-  size_t project(NodeId From, const NodeProjection &P, size_t Lo,
-                 const uint64_t *Want, uint64_t *Out) const override;
-  size_t memoryBytes() const override;
+  /// Searches from \p From along program order, the cross-task edges
+  /// U -> V that \p Follow(U, V) admits, and, at a task's end node, the
+  /// node \p Link(Task) returns (invalid for none).  With \p To valid it
+  /// stops once the search covers \p To and returns whether it did
+  /// (From covers itself, and nothing before it); with \p To invalid it
+  /// runs to completion for covered().
+  template <typename FollowFn, typename LinkFn>
+  bool run(NodeId From, NodeId To, FollowFn Follow, LinkFn Link) const {
+    ++Version;
+    const TaskId ToTask = To.isValid() ? G.taskOfNode(To) : TaskId::invalid();
+    const uint32_t ToPos = To.isValid() ? G.posOfNode(To) : 0;
+    const size_t Limit = To.index(); // invalid: past every node
+    // An early return leaves ranges behind; they are stale.
+    Ranges.clear();
+
+    // Queues Node's task from Node on; true once that covers To.
+    auto push = [&](NodeId Node) {
+      if (Node.index() > Limit)
+        return false;
+      TaskId Task = G.taskOfNode(Node);
+      uint32_t Lo = G.posOfNode(Node);
+      uint32_t Hi;
+      if (VisitedVersion[Task.index()] == Version) {
+        Hi = VisitedPos[Task.index()];
+        if (Lo >= Hi)
+          return false; // already covered
+      } else {
+        Hi = static_cast<uint32_t>(G.taskNodes(Task).size());
+        VisitedVersion[Task.index()] = Version;
+      }
+      VisitedPos[Task.index()] = Lo;
+      if (Task == ToTask && ToPos >= Lo && ToPos < Hi)
+        return true;
+      Ranges.push_back({Task, Lo, Hi});
+      return false;
+    };
+
+    if (push(From))
+      return true;
+    while (!Ranges.empty()) {
+      Range R = Ranges.back();
+      Ranges.pop_back();
+      std::span<const NodeId> Nodes = G.taskNodes(R.Task);
+      const NodeId End = G.endNode(R.Task);
+      for (uint32_t P = R.Lo; P != R.Hi && Nodes[P].index() < Limit; ++P) {
+        NodeId Node = Nodes[P];
+        for (uint32_t S : G.successors(Node)) {
+          NodeId Succ(S);
+          // Program order stays inside the range being scanned.
+          if (G.taskOfNode(Succ) == R.Task || !Follow(Node, Succ))
+            continue;
+          if (push(Succ))
+            return true;
+        }
+        if (Node == End) {
+          NodeId Next = Link(R.Task);
+          if (Next.isValid() && push(Next))
+            return true;
+        }
+      }
+    }
+    return false;
+  }
+
+  /// After a run() with no target: did it cover \p Node?  Its source
+  /// counts as covered.
+  bool covered(NodeId Node) const {
+    TaskId Task = G.taskOfNode(Node);
+    return VisitedVersion[Task.index()] == Version &&
+           VisitedPos[Task.index()] <= G.posOfNode(Node);
+  }
+
+  size_t memoryBytes() const {
+    return VisitedPos.capacity() * 4 + VisitedVersion.capacity() * 4 +
+           Ranges.capacity() * sizeof(Range);
+  }
 
 private:
-  /// Searches from \p From, stopping early once \p To (if valid) is
-  /// found; leaves each visited task's lowest reached position in
-  /// VisitedPos.
-  bool search(NodeId From, NodeId To) const;
-
   /// Nodes of Task at positions [Lo, Hi) whose successors still need
   /// expanding.
   struct Range {
@@ -126,13 +170,36 @@ private:
   };
 
   const HbGraph &G;
-  /// Scratch (mutable per query): per-task minimal visited node position,
-  /// versioned to avoid clearing between queries, and the range stack,
-  /// kept across queries so none allocates.
-  mutable std::vector<uint32_t> VisitedPos;
+  mutable std::vector<uint32_t> VisitedPos; ///< per task: lowest covered
   mutable std::vector<uint32_t> VisitedVersion;
   mutable uint32_t Version = 0;
   mutable std::vector<Range> Ranges;
+};
+
+/// Search per query over every graph edge, with no precomputation.
+class BfsReachability final : public Reachability {
+public:
+  explicit BfsReachability(const HbGraph &G) : Search(G) {}
+
+  bool reaches(NodeId From, NodeId To) const override {
+    return From != To && Search.run(From, To, everyEdge, noLink);
+  }
+
+  /// Projects \p From's reachable set onto \p Members with one search:
+  /// overwrites \p Out, a dense bitset of (Members.size() + 63) / 64
+  /// words, with bit k set exactly when k >= \p Lo, From reaches
+  /// Members[k], and (if \p Want is not null) bit k of Want is set.
+  /// Invalid members are never reached.
+  void project(NodeId From, std::span<const NodeId> Members, size_t Lo,
+               const uint64_t *Want, uint64_t *Out) const;
+
+  size_t memoryBytes() const override { return Search.memoryBytes(); }
+
+private:
+  static bool everyEdge(NodeId, NodeId) { return true; }
+  static NodeId noLink(TaskId) { return NodeId::invalid(); }
+
+  TaskRangeSearch Search;
 };
 
 /// Chain-cover reachability with backward clocks, built in one forward
@@ -193,7 +260,9 @@ public:
 
   bool reaches(NodeId From, NodeId To) const override;
   size_t memoryBytes() const override;
-  size_t chainCount() const override { return Tails.size(); }
+  /// Chains in the cover: HbDegradation reports it for the scaling
+  /// benches' chain-count statistics.
+  size_t chainCount() const { return Tails.size(); }
 
   /// Why the pass stopped early; None when every node was placed.  An
   /// oracle that overflowed is incomplete and must not answer queries.

@@ -18,6 +18,13 @@ using namespace cafa;
 
 namespace {
 
+/// Simulated cost of one bytecode instruction, in microseconds.
+constexpr uint32_t MicrosPerInstr = 2;
+/// Simulated fork-to-first-instruction latency in microseconds.
+constexpr uint32_t ForkStartMicros = 100;
+/// Simulated Binder dispatch latency in microseconds.
+constexpr uint32_t BinderDispatchMicros = 300;
+
 /// Host busy-work sink, one per thread: confirmation runs replays on
 /// several threads at once, and a shared sink would be a data race.
 /// Volatile so the loop in spinWork() cannot be optimized away.
@@ -528,7 +535,7 @@ Runtime::Impl::StepResult Runtime::Impl::step(uint32_t TaskIdx) {
   // Blocking instructions undo this by returning before `++F.Pc`.
   auto complete = [&]() {
     ++F.Pc;
-    T.Time = Now + Opt.InstrCostMicros;
+    T.Time = Now + MicrosPerInstr;
   };
 
   switch (I.Op) {
@@ -684,7 +691,7 @@ Runtime::Impl::StepResult Runtime::Impl::step(uint32_t TaskIdx) {
     // Stamp the enter record at this instruction's time; advancing the
     // clock first would emit past work other tasks still have pending.
     emit(T, OpKind::MethodEnter, T.Frames.back().FrameId);
-    T.Time = Now + Opt.InstrCostMicros;
+    T.Time = Now + MicrosPerInstr;
     break;
   }
   case Opcode::ReturnVoid: {
@@ -697,7 +704,7 @@ Runtime::Impl::StepResult Runtime::Impl::step(uint32_t TaskIdx) {
       endTask(TaskIdx, Now);
       return StepResult::Yield;
     }
-    T.Time = Now + Opt.InstrCostMicros;
+    T.Time = Now + MicrosPerInstr;
     break;
   }
 
@@ -710,7 +717,7 @@ Runtime::Impl::StepResult Runtime::Impl::step(uint32_t TaskIdx) {
            Obj.value(), F.Pc + I.Imm);
     uint32_t Next = Taken ? F.Pc + I.Imm : F.Pc + 1;
     F.Pc = Next;
-    T.Time = Now + Opt.InstrCostMicros;
+    T.Time = Now + MicrosPerInstr;
     break;
   }
   case Opcode::IfNez: {
@@ -722,7 +729,7 @@ Runtime::Impl::StepResult Runtime::Impl::step(uint32_t TaskIdx) {
            Obj.value(), F.Pc + I.Imm);
     uint32_t Next = Taken ? F.Pc + I.Imm : F.Pc + 1;
     F.Pc = Next;
-    T.Time = Now + Opt.InstrCostMicros;
+    T.Time = Now + MicrosPerInstr;
     break;
   }
   case Opcode::IfEq: {
@@ -736,7 +743,7 @@ Runtime::Impl::StepResult Runtime::Impl::step(uint32_t TaskIdx) {
            A.value(), F.Pc + I.Imm);
     uint32_t Next = Taken ? F.Pc + I.Imm : F.Pc + 1;
     F.Pc = Next;
-    T.Time = Now + Opt.InstrCostMicros;
+    T.Time = Now + MicrosPerInstr;
     break;
   }
   case Opcode::IfIntEqz:
@@ -745,12 +752,12 @@ Runtime::Impl::StepResult Runtime::Impl::step(uint32_t TaskIdx) {
     bool Taken = (I.Op == Opcode::IfIntEqz) ? Zero : !Zero;
     uint32_t Next = Taken ? F.Pc + I.Imm : F.Pc + 1;
     F.Pc = Next;
-    T.Time = Now + Opt.InstrCostMicros;
+    T.Time = Now + MicrosPerInstr;
     break;
   }
   case Opcode::Goto:
     F.Pc += I.Imm;
-    T.Time = Now + Opt.InstrCostMicros;
+    T.Time = Now + MicrosPerInstr;
     break;
   case Opcode::AddInt:
     F.Regs[I.A] = Value::makeScalar(F.Regs[I.B].scalar() + I.Imm);
@@ -833,8 +840,8 @@ Runtime::Impl::StepResult Runtime::Impl::step(uint32_t TaskIdx) {
     F2.Regs[I.A] = Value::makeScalar(Child);
     emit(T2, OpKind::Fork, Child);
     ++F2.Pc;
-    T2.Time = Now + Opt.InstrCostMicros;
-    Tasks[Child].Time = T2.Time + Opt.ForkLatencyMicros;
+    T2.Time = Now + MicrosPerInstr;
+    Tasks[Child].Time = T2.Time + ForkStartMicros;
     push(Tasks[Child].Time, ItemKind::StartThread, Child);
     break;
   }
@@ -863,7 +870,7 @@ Runtime::Impl::StepResult Runtime::Impl::step(uint32_t TaskIdx) {
       // sendMessageAtTime: convert the absolute constraint into the
       // equivalent delay at send time (an elapsed target is immediate).
       uint64_t AtMicros = static_cast<uint64_t>(I.Imm) * 1000;
-      uint64_t SendTime = Now + Opt.InstrCostMicros;
+      uint64_t SendTime = Now + MicrosPerInstr;
       DelayMs = AtMicros > SendTime ? (AtMicros - SendTime) / 1000 : 0;
     }
     Reg ArgReg = I.A;
@@ -877,7 +884,7 @@ Runtime::Impl::StepResult Runtime::Impl::step(uint32_t TaskIdx) {
     emit(T2, AtFront ? OpKind::SendAtFront : OpKind::Send, EventIdx,
          DelayMs, I.Aux);
     ++F2.Pc;
-    T2.Time = Now + Opt.InstrCostMicros;
+    T2.Time = Now + MicrosPerInstr;
     enqueueEvent(I.Aux, EventIdx, T2.Time + DelayMs * 1000, AtFront,
                  T2.Time);
     break;
@@ -911,7 +918,7 @@ Runtime::Impl::StepResult Runtime::Impl::step(uint32_t TaskIdx) {
     // even when the listener itself lives in an uninstrumented package.
     emit(T2, OpKind::Send, EventIdx, 0, Queue.value());
     ++F2.Pc;
-    T2.Time = Now + Opt.InstrCostMicros;
+    T2.Time = Now + MicrosPerInstr;
     enqueueEvent(Queue.value(), EventIdx, T2.Time, false, T2.Time);
     break;
   }
@@ -932,8 +939,8 @@ Runtime::Impl::StepResult Runtime::Impl::step(uint32_t TaskIdx) {
     RtTask &T2 = Tasks[TaskIdx];
     Frame &F2 = T2.Frames.back();
     ++F2.Pc;
-    T2.Time = Now + Opt.InstrCostMicros;
-    Tasks[Child].Time = T2.Time + Opt.RpcLatencyMicros;
+    T2.Time = Now + MicrosPerInstr;
+    Tasks[Child].Time = T2.Time + BinderDispatchMicros;
     push(Tasks[Child].Time, ItemKind::StartThread, Child);
     break;
   }
@@ -967,7 +974,7 @@ Runtime::Impl::StepResult Runtime::Impl::step(uint32_t TaskIdx) {
   case Opcode::Work: {
     spinWork(static_cast<uint32_t>(I.Imm) * Opt.BaselineWorkUnits);
     ++F.Pc;
-    T.Time = Now + static_cast<uint64_t>(I.Imm) * Opt.InstrCostMicros;
+    T.Time = Now + static_cast<uint64_t>(I.Imm) * MicrosPerInstr;
     break;
   }
   case Opcode::Sleep: {
@@ -1169,8 +1176,6 @@ Trace Runtime::takeTrace() {
   I->TraceTaken = true;
   return I->Logger.take();
 }
-
-size_t Runtime::loggerStreamBytes() const { return I->Logger.streamBytes(); }
 
 Trace cafa::runScenario(const Scenario &S, const RuntimeOptions &Options,
                         RuntimeStats *StatsOut) {

@@ -80,8 +80,6 @@ struct RuntimeOptions {
   /// Also serialize each record to the logger byte stream (realistic
   /// per-record cost; only meaningful when Tracing).
   bool MirrorStream = true;
-  /// Simulated cost of one bytecode instruction, in microseconds.
-  uint32_t InstrCostMicros = 2;
   /// Host-CPU busy-work iterations per interpreted instruction (and per
   /// unit of a `work` instruction): the cost a real uninstrumented
   /// interpreter would pay.  The default stays small because every trace
@@ -91,10 +89,6 @@ struct RuntimeOptions {
   uint32_t BaselineWorkUnits = 6;
   /// Hard cap on interpreted instructions (runaway guard).
   uint64_t MaxInstructions = 50'000'000;
-  /// Simulated fork-to-first-instruction latency in microseconds.
-  uint32_t ForkLatencyMicros = 100;
-  /// Simulated Binder dispatch latency in microseconds.
-  uint32_t RpcLatencyMicros = 300;
   /// Hold-until constraints reordering task dispatch (empty = the
   /// default schedule).  Part of the options, so the determinism
   /// contract extends to overridden runs.
@@ -155,9 +149,6 @@ public:
 
   /// Moves the collected trace out (valid after run(); Tracing only).
   Trace takeTrace();
-
-  /// Bytes written to the logger mirror stream (instrumented cost proxy).
-  size_t loggerStreamBytes() const;
 
 private:
   struct Impl;

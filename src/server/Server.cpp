@@ -95,18 +95,6 @@ std::vector<std::string> splitTokens(const std::string &Line) {
   return Out;
 }
 
-FleetJobStatus rowFromResult(const FleetJobResult &Job) {
-  FleetJobStatus Row;
-  Row.Id = Job.Id;
-  Row.TracePath = Job.TracePath;
-  Row.State = Job.State;
-  Row.Attempts = Job.Attempts;
-  Row.ExitCode = Job.FinalExitCode;
-  Row.Resumed = Job.Resumed;
-  Row.Partial = Job.Partial;
-  return Row;
-}
-
 } // namespace
 
 struct Server::Impl {
@@ -198,7 +186,7 @@ void Server::Impl::harvest() {
       Stored[Index] = 1;
       continue;
     }
-    Status S = Store.appendJob(rowFromResult(Job),
+    Status S = Store.appendJob(Job.status(),
                                Job.ParseOk ? &Job.Parsed : nullptr);
     if (!S.ok()) {
       // Disk trouble: count it, keep serving.  Not retried -- a
@@ -251,7 +239,7 @@ std::string Server::Impl::handleCommand(const std::string &Line) {
     return statusJson();
 
   if (Cmd == "report")
-    return Store.renderJson(Options.Fleet.MaxExemplars);
+    return Store.renderJson();
 
   if (Cmd == "compact") {
     if (Status S = Store.compact(); !S.ok())

@@ -6,9 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A dense dynamic bit vector tuned for the happens-before transitive
-/// closure, where the hot operation is OR-ing one row of the closure matrix
-/// into another.
+/// A dense dynamic bit vector.  Its hot operation is OR-ing one row of a
+/// reachability matrix into another: the transitive reduction of the
+/// task digest (hb/DotExport.cpp) and the reference closure the tests
+/// pin every oracle against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -98,60 +99,6 @@ public:
 
   /// Returns backing word \p I (bits [64*I, 64*I+63]).
   uint64_t word(size_t I) const { return Words[I]; }
-
-  /// Overwrites backing word \p I wholesale; bits past size() are masked
-  /// off so count()/none() stay exact.  Used to import serialized
-  /// closure rows (support/Snapshot.h).
-  void setWord(size_t I, uint64_t V) {
-    Words[I] = V;
-    if (I + 1 == Words.size())
-      clearTail();
-  }
-
-  /// Copies \p Other's words from the word holding \p FromBit onward,
-  /// leaving earlier words untouched.  Universe sizes must match.  Used
-  /// to snapshot the live half of a closure row before a delta sweep
-  /// mutates it, so the sweep can enumerate exactly the bits it added.
-  void assignFrom(const BitVec &Other, size_t FromBit) {
-    assert(NumBits == Other.NumBits && "universe size mismatch");
-    size_t W = FromBit >> 6;
-    std::memcpy(Words.data() + W, Other.Words.data() + W,
-                (Words.size() - W) * 8);
-  }
-
-  /// Clears backing words [\p LoWord, \p HiWord).  Used by the
-  /// column-strip parallel closure sweep, where each worker owns a
-  /// contiguous word range of every row.
-  void clearWords(size_t LoWord, size_t HiWord) {
-    assert(LoWord <= HiWord && HiWord <= Words.size() && "word range");
-    std::memset(Words.data() + LoWord, 0, (HiWord - LoWord) * 8);
-  }
-
-  /// ORs \p Other's backing words [\p LoWord, \p HiWord) into this
-  /// vector.  Universe sizes must match.  \returns true if any bit in
-  /// the range changed.
-  bool orWithRange(const BitVec &Other, size_t LoWord, size_t HiWord) {
-    assert(NumBits == Other.NumBits && "universe size mismatch");
-    assert(LoWord <= HiWord && HiWord <= Words.size() && "word range");
-    uint64_t Changed = 0;
-    for (size_t I = LoWord; I != HiWord; ++I) {
-      uint64_t Old = Words[I];
-      uint64_t New = Old | Other.Words[I];
-      Words[I] = New;
-      Changed |= Old ^ New;
-    }
-    return Changed != 0;
-  }
-
-  /// Copies \p Other's backing words [\p LoWord, \p HiWord) over this
-  /// vector's, leaving words outside the range untouched.  Universe
-  /// sizes must match.
-  void assignRange(const BitVec &Other, size_t LoWord, size_t HiWord) {
-    assert(NumBits == Other.NumBits && "universe size mismatch");
-    assert(LoWord <= HiWord && HiWord <= Words.size() && "word range");
-    std::memcpy(Words.data() + LoWord, Other.Words.data() + LoWord,
-                (HiWord - LoWord) * 8);
-  }
 
   /// Returns true if this vector and \p Other share any set bit.
   bool anyCommon(const BitVec &Other) const {

@@ -30,19 +30,19 @@ namespace {
 /// then the payload.  28 bytes total before the payload.
 constexpr size_t MagicBytes = 8;
 
-void appendLe(std::string &Out, uint64_t V, int Bytes) {
+} // namespace
+
+void cafa::appendLe(std::string &Out, uint64_t V, int Bytes) {
   for (int I = 0; I != Bytes; ++I)
     Out.push_back(static_cast<char>((V >> (I * 8)) & 0xFF));
 }
 
-uint64_t readLe(const char *P, int Bytes) {
+uint64_t cafa::readLe(const char *P, int Bytes) {
   uint64_t V = 0;
   for (int I = 0; I != Bytes; ++I)
     V |= static_cast<uint64_t>(static_cast<unsigned char>(P[I])) << (I * 8);
   return V;
 }
-
-} // namespace
 
 void SnapshotWriter::u32(uint32_t V) { appendLe(Buf, V, 4); }
 

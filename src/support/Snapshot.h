@@ -54,6 +54,11 @@ inline uint64_t fnv1a64Mix(uint64_t Hash, uint64_t Value) {
   return Hash;
 }
 
+/// Appends the low \p Bytes bytes of \p V to \p Out, little-endian.
+void appendLe(std::string &Out, uint64_t V, int Bytes);
+/// Reads a \p Bytes-byte little-endian value at \p P.
+uint64_t readLe(const char *P, int Bytes);
+
 /// Appends primitives to a growing payload buffer, then writes the
 /// framed file atomically.
 class SnapshotWriter {

@@ -62,16 +62,9 @@ struct SalvageOptions {
   /// Error budget, relative: fail (at finish) when more than this
   /// fraction of non-blank input lines was dropped.
   double MaxDroppedRatio = 0.5;
-  /// Cap on placeholder side-table entries synthesized for dangling
-  /// references; lines needing more are dropped instead (guards against
-  /// a corrupted id conjuring a four-billion-entry table).
-  uint32_t MaxSynthesizedEntries = 1 << 16;
   /// Upper bound on entity ids (monitors, pointer cells) the analyzer
   /// indexes dense arrays with; records above it are dropped.
   uint64_t MaxEntityId = 1 << 20;
-  /// Synthesize terminator records for events left open at end of input
-  /// (truncated traces).
-  bool RepairTruncation = true;
 };
 
 /// One noteworthy decision made during salvage.

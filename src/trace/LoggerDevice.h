@@ -45,9 +45,6 @@ public:
   /// Appends \p Rec, mirroring it to the byte stream when enabled.
   void append(const TraceRecord &Rec);
 
-  /// Total bytes written to the mirror stream so far.
-  size_t streamBytes() const { return Stream.size(); }
-
   /// Moves the accumulated trace out of the device.
   Trace take() { return std::move(TraceData); }
 

@@ -501,87 +501,131 @@ void SalvageMachine::dropLine(size_t Ln, const std::string &Msg) {
 }
 
 //===----------------------------------------------------------------------===//
-// SalvageMachine: side-table growth
+// SalvageMachine: side tables
 //===----------------------------------------------------------------------===//
 
-bool SalvageMachine::budgetFor(uint64_t Needed) {
-  return Report.TableEntriesSynthesized + Needed <= Opt.MaxSynthesizedEntries;
+/// Cap on placeholder side-table entries synthesized for dangling
+/// references; lines needing more are dropped instead, so a corrupted id
+/// cannot conjure a four-billion-entry table.
+constexpr uint64_t SynthesisBudget = 1 << 16;
+
+template <> struct SalvageMachine::Table<TaskInfo> {
+  static constexpr const char *Name = "task";
+  static size_t size(const Trace &T) { return T.numTasks(); }
+  static TaskInfo &entry(Trace &T, uint32_t Id) {
+    return T.taskInfoMutable(TaskId(Id));
+  }
+  static std::vector<bool> &synth(SalvageMachine &M) { return M.SynthTask; }
+  static void add(SalvageMachine &M, const TaskInfo &Info) {
+    M.T.addTask(Info);
+    M.States.emplace_back();
+    M.EventSent.push_back(false);
+  }
+};
+
+template <> struct SalvageMachine::Table<QueueInfo> {
+  static constexpr const char *Name = "queue";
+  static size_t size(const Trace &T) { return T.numQueues(); }
+  static QueueInfo &entry(Trace &T, uint32_t Id) {
+    return T.queueInfoMutable(QueueId(Id));
+  }
+  static std::vector<bool> &synth(SalvageMachine &M) { return M.SynthQueue; }
+  static void add(SalvageMachine &M, const QueueInfo &Info) {
+    M.T.addQueue(Info);
+    M.ActiveEvent.push_back(TaskId::invalid());
+  }
+};
+
+template <> struct SalvageMachine::Table<MethodInfo> {
+  static constexpr const char *Name = "method";
+  static size_t size(const Trace &T) { return T.numMethods(); }
+  static MethodInfo &entry(Trace &T, uint32_t Id) {
+    return T.methodInfoMutable(MethodId(Id));
+  }
+  static std::vector<bool> &synth(SalvageMachine &M) { return M.SynthMethod; }
+  static void add(SalvageMachine &M, const MethodInfo &Info) {
+    M.T.addMethod(Info);
+  }
+};
+
+template <> struct SalvageMachine::Table<ListenerInfo> {
+  static constexpr const char *Name = "listener";
+  static size_t size(const Trace &T) { return T.numListeners(); }
+  static ListenerInfo &entry(Trace &T, uint32_t Id) {
+    return T.listenerInfoMutable(ListenerId(Id));
+  }
+  static std::vector<bool> &synth(SalvageMachine &M) {
+    return M.SynthListener;
+  }
+  static void add(SalvageMachine &M, const ListenerInfo &Info) {
+    M.T.addListener(Info);
+  }
+};
+
+template <typename InfoT>
+void SalvageMachine::push(const InfoT &Info, bool Synth) {
+  Table<InfoT>::add(*this, Info);
+  Table<InfoT>::synth(*this).push_back(Synth);
 }
 
-void SalvageMachine::pushTask(const TaskInfo &Info, bool Synth) {
-  T.addTask(Info);
-  States.emplace_back();
-  EventSent.push_back(false);
-  SynthTask.push_back(Synth);
-}
-void SalvageMachine::pushQueue(const QueueInfo &Info, bool Synth) {
-  T.addQueue(Info);
-  ActiveEvent.push_back(TaskId::invalid());
-  SynthQueue.push_back(Synth);
-}
-void SalvageMachine::pushMethod(const MethodInfo &Info, bool Synth) {
-  T.addMethod(Info);
-  SynthMethod.push_back(Synth);
-}
-void SalvageMachine::pushListener(const ListenerInfo &Info, bool Synth) {
-  T.addListener(Info);
-  SynthListener.push_back(Synth);
-}
-
-bool SalvageMachine::padTasks(uint64_t Count) {
-  if (Count <= T.numTasks())
+template <typename InfoT> bool SalvageMachine::pad(uint64_t Count) {
+  const size_t Size = Table<InfoT>::size(T);
+  if (Count <= Size)
     return true;
-  uint64_t Needed = Count - T.numTasks();
-  if (!budgetFor(Needed))
+  uint64_t Needed = Count - Size;
+  if (Report.TableEntriesSynthesized + Needed > SynthesisBudget)
     return false;
   Report.TableEntriesSynthesized += Needed;
-  while (T.numTasks() < Count)
-    pushTask(TaskInfo(), true);
-  return true;
-}
-bool SalvageMachine::padQueues(uint64_t Count) {
-  if (Count <= T.numQueues())
-    return true;
-  uint64_t Needed = Count - T.numQueues();
-  if (!budgetFor(Needed))
-    return false;
-  Report.TableEntriesSynthesized += Needed;
-  while (T.numQueues() < Count)
-    pushQueue(QueueInfo(), true);
-  return true;
-}
-bool SalvageMachine::padMethods(uint64_t Count) {
-  if (Count <= T.numMethods())
-    return true;
-  uint64_t Needed = Count - T.numMethods();
-  if (!budgetFor(Needed))
-    return false;
-  Report.TableEntriesSynthesized += Needed;
-  while (T.numMethods() < Count)
-    pushMethod(MethodInfo(), true);
-  return true;
-}
-bool SalvageMachine::padListeners(uint64_t Count) {
-  if (Count <= T.numListeners())
-    return true;
-  uint64_t Needed = Count - T.numListeners();
-  if (!budgetFor(Needed))
-    return false;
-  Report.TableEntriesSynthesized += Needed;
-  while (T.numListeners() < Count)
-    pushListener(ListenerInfo(), true);
+  for (uint64_t I = 0; I != Needed; ++I)
+    push(InfoT(), true);
   return true;
 }
 
-bool SalvageMachine::notePaddedGap(bool Padded, size_t Ln, const char *What,
-                                   uint32_t Id) {
-  if (!Padded) {
-    dropLine(Ln, formatString("gap before %s %u exceeds the synthesis budget",
+template <typename InfoT>
+void SalvageMachine::declare(const InfoT &Info, uint32_t Id, bool Committed,
+                             size_t Ln) {
+  const char *What = Table<InfoT>::Name;
+  if (Id < Table<InfoT>::size(T)) {
+    std::vector<bool> &Synth = Table<InfoT>::synth(*this);
+    if (!Synth[Id] || Committed) {
+      dropLine(Ln, formatString("%s %u re-declared", What, Id));
+      return;
+    }
+    Table<InfoT>::entry(T, Id) = Info;
+    Synth[Id] = false;
+    incident(Ln, formatString("%s %u declared out of order; backfilled "
+                              "the placeholder",
                               What, Id));
+    return;
+  }
+  if (Id > Table<InfoT>::size(T)) {
+    if (!pad<InfoT>(Id)) {
+      dropLine(Ln, formatString("gap before %s %u exceeds the synthesis "
+                                "budget",
+                                What, Id));
+      return;
+    }
+    incident(Ln, formatString("gap before %s %u; synthesized placeholders",
+                              What, Id));
+  }
+  push(Info, false);
+}
+
+template <typename InfoT, typename NoteFn>
+bool SalvageMachine::resolve(uint64_t Raw, const char *Unusable,
+                             const char *What, size_t Ln, NoteFn Note) {
+  if (Raw >= SentinelId) {
+    dropLine(Ln, Unusable);
     return false;
   }
-  incident(Ln, formatString("gap before %s %u; synthesized placeholders",
-                            What, Id));
+  uint32_t Id = static_cast<uint32_t>(Raw);
+  if (Id < Table<InfoT>::size(T))
+    return true;
+  if (!pad<InfoT>(static_cast<uint64_t>(Id) + 1)) {
+    dropLine(Ln, formatString("%s %u beyond the synthesis budget", What, Id));
+    return false;
+  }
+  Note(formatString("%s %u undeclared; synthesized a placeholder", What, Id));
   return true;
 }
 
@@ -629,7 +673,7 @@ void SalvageMachine::fixEventQueue(TaskId Task, size_t Ln) {
   if (Info.Queue.isValid() && Info.Queue.index() < T.numQueues())
     return;
   if (Info.Queue.isValid() &&
-      padQueues(static_cast<uint64_t>(Info.Queue.index()) + 1)) {
+      pad<QueueInfo>(static_cast<uint64_t>(Info.Queue.index()) + 1)) {
     incident(Ln, formatString("task %u: undeclared queue %u; synthesized a "
                               "placeholder",
                               Task.value(), Info.Queue.value()));
@@ -765,72 +809,21 @@ void SalvageMachine::handleMethod(const LexedLine &L, size_t Ln) {
   // bit-identity contract.
   Info.Name = remapName(L.Name);
   Info.CodeSize = L.Aux;
-  uint32_t Id = L.Id;
-  if (Id < T.numMethods()) {
-    if (!SynthMethod[Id]) {
-      dropLine(Ln, formatString("method %u re-declared", Id));
-      return;
-    }
-    T.methodInfoMutable(MethodId(Id)) = Info;
-    SynthMethod[Id] = false;
-    incident(Ln, formatString("method %u declared out of order; backfilled "
-                              "the placeholder",
-                              Id));
-    return;
-  }
-  if (Id > T.numMethods()) {
-    if (!notePaddedGap(padMethods(Id), Ln, "method", Id))
-      return;
-  }
-  pushMethod(Info, false);
+  declare(Info, L.Id, false, Ln);
 }
 
 void SalvageMachine::handleQueue(const LexedLine &L, size_t Ln) {
   QueueInfo Info;
   Info.Name = remapName(L.Name);
   Info.Looper = tracetext::idFromRaw<TaskId>(L.Aux);
-  uint32_t Id = L.Id;
-  if (Id < T.numQueues()) {
-    if (!SynthQueue[Id]) {
-      dropLine(Ln, formatString("queue %u re-declared", Id));
-      return;
-    }
-    T.queueInfoMutable(QueueId(Id)) = Info;
-    SynthQueue[Id] = false;
-    incident(Ln, formatString("queue %u declared out of order; backfilled "
-                              "the placeholder",
-                              Id));
-    return;
-  }
-  if (Id > T.numQueues()) {
-    if (!notePaddedGap(padQueues(Id), Ln, "queue", Id))
-      return;
-  }
-  pushQueue(Info, false);
+  declare(Info, L.Id, false, Ln);
 }
 
 void SalvageMachine::handleListener(const LexedLine &L, size_t Ln) {
   ListenerInfo Info;
   Info.Name = remapName(L.Name);
   Info.Instrumented = L.Aux != 0;
-  uint32_t Id = L.Id;
-  if (Id < T.numListeners()) {
-    if (!SynthListener[Id]) {
-      dropLine(Ln, formatString("listener %u re-declared", Id));
-      return;
-    }
-    T.listenerInfoMutable(ListenerId(Id)) = Info;
-    SynthListener[Id] = false;
-    incident(Ln, formatString("listener %u declared out of order; backfilled "
-                              "the placeholder",
-                              Id));
-    return;
-  }
-  if (Id > T.numListeners()) {
-    if (!notePaddedGap(padListeners(Id), Ln, "listener", Id))
-      return;
-  }
-  pushListener(Info, false);
+  declare(Info, L.Id, false, Ln);
 }
 
 void SalvageMachine::handleTask(const LexedLine &L, size_t Ln) {
@@ -846,26 +839,12 @@ void SalvageMachine::handleTask(const LexedLine &L, size_t Ln) {
   Info.External = (L.TaskFlags & TaskFlagExternal) != 0;
   Info.Parent = tracetext::idFromRaw<TaskId>(L.Parent);
   Info.IsLooper = (L.TaskFlags & TaskFlagLooper) != 0;
-  uint32_t Id = L.Id;
-  if (Id < T.numTasks()) {
-    // Backfill is only sound while nothing has committed to the
-    // placeholder's identity (no records, no send naming it).
-    if (!SynthTask[Id] || States[Id].Begun || EventSent[Id]) {
-      dropLine(Ln, formatString("task %u re-declared", Id));
-      return;
-    }
-    T.taskInfoMutable(TaskId(Id)) = Info;
-    SynthTask[Id] = false;
-    incident(Ln, formatString("task %u declared out of order; backfilled "
-                              "the placeholder",
-                              Id));
-    return;
-  }
-  if (Id > T.numTasks()) {
-    if (!notePaddedGap(padTasks(Id), Ln, "task", Id))
-      return;
-  }
-  pushTask(Info, false);
+  // Backfill is only sound while nothing has committed to the
+  // placeholder's identity (no records, no send naming it).
+  const uint32_t Id = L.Id;
+  const bool Committed =
+      Id < T.numTasks() && (States[Id].Begun || EventSent[Id]);
+  declare(Info, Id, Committed, Ln);
 }
 
 //===----------------------------------------------------------------------===//
@@ -893,7 +872,7 @@ void SalvageMachine::handleRec(const LexedLine &L, size_t Ln) {
     return;
   }
   if (TaskRaw >= T.numTasks()) {
-    if (!padTasks(static_cast<uint64_t>(TaskRaw) + 1)) {
+    if (!pad<TaskInfo>(static_cast<uint64_t>(TaskRaw) + 1)) {
       dropLine(Ln, formatString("rec references undeclared task %u beyond "
                                 "the synthesis budget",
                                 TaskRaw));
@@ -990,21 +969,10 @@ void SalvageMachine::handleRec(const LexedLine &L, size_t Ln) {
 
   case OpKind::Send:
   case OpKind::SendAtFront: {
-    if (A0 >= SentinelId) {
-      dropLine(Ln, "send with unusable target id");
+    if (!resolve<TaskInfo>(A0, "send with unusable target id",
+                           "send target", Ln, noteRepair))
       return;
-    }
     uint32_t Target = static_cast<uint32_t>(A0);
-    if (Target >= T.numTasks()) {
-      if (!padTasks(static_cast<uint64_t>(Target) + 1)) {
-        dropLine(Ln, formatString("send target %u beyond the synthesis "
-                                  "budget",
-                                  Target));
-        return;
-      }
-      noteRepair(formatString(
-          "send target %u undeclared; synthesized a placeholder", Target));
-    }
     TaskInfo &TI = T.taskInfoMutable(TaskId(Target));
     if (TI.Kind != TaskKind::Event) {
       if (SynthTask[Target] && !States[Target].Begun) {
@@ -1030,7 +998,7 @@ void SalvageMachine::handleRec(const LexedLine &L, size_t Ln) {
         Rec.Arg2 = TI.Queue.value();
         noteRepair("send queue rewritten to the task table's");
       }
-    } else if (A2 < SentinelId && padQueues(A2 + 1)) {
+    } else if (A2 < SentinelId && pad<QueueInfo>(A2 + 1)) {
       TI.Queue = QueueId(static_cast<uint32_t>(A2));
       noteRepair("task-table queue adopted from the send record");
     } else {
@@ -1043,21 +1011,10 @@ void SalvageMachine::handleRec(const LexedLine &L, size_t Ln) {
   }
 
   case OpKind::Fork: {
-    if (A0 >= SentinelId) {
-      dropLine(Ln, "fork with unusable target id");
+    if (!resolve<TaskInfo>(A0, "fork with unusable target id",
+                           "fork target", Ln, noteRepair))
       return;
-    }
     uint32_t Target = static_cast<uint32_t>(A0);
-    if (Target >= T.numTasks()) {
-      if (!padTasks(static_cast<uint64_t>(Target) + 1)) {
-        dropLine(Ln, formatString("fork target %u beyond the synthesis "
-                                  "budget",
-                                  Target));
-        return;
-      }
-      noteRepair(formatString(
-          "fork target %u undeclared; synthesized a placeholder", Target));
-    }
     if (T.taskInfo(TaskId(Target)).Kind != TaskKind::Thread) {
       dropLine(Ln, "fork target is not a thread");
       return;
@@ -1067,21 +1024,10 @@ void SalvageMachine::handleRec(const LexedLine &L, size_t Ln) {
   }
 
   case OpKind::Join: {
-    if (A0 >= SentinelId) {
-      dropLine(Ln, "join with unusable target id");
+    if (!resolve<TaskInfo>(A0, "join with unusable target id",
+                           "join target", Ln, noteRepair))
       return;
-    }
     uint32_t Target = static_cast<uint32_t>(A0);
-    if (Target >= T.numTasks()) {
-      if (!padTasks(static_cast<uint64_t>(Target) + 1)) {
-        dropLine(Ln, formatString("join target %u beyond the synthesis "
-                                  "budget",
-                                  Target));
-        return;
-      }
-      noteRepair(formatString(
-          "join target %u undeclared; synthesized a placeholder", Target));
-    }
     if (T.taskInfo(TaskId(Target)).Kind != TaskKind::Thread) {
       dropLine(Ln, "join target is not a thread");
       return;
@@ -1145,20 +1091,9 @@ void SalvageMachine::handleRec(const LexedLine &L, size_t Ln) {
 
   case OpKind::RegisterListener:
   case OpKind::PerformListener: {
-    if (A0 >= SentinelId) {
-      dropLine(Ln, "listener id out of bounds");
+    if (!resolve<ListenerInfo>(A0, "listener id out of bounds", "listener",
+                               Ln, noteRepair))
       return;
-    }
-    uint32_t L2 = static_cast<uint32_t>(A0);
-    if (L2 >= T.numListeners()) {
-      if (!padListeners(static_cast<uint64_t>(L2) + 1)) {
-        dropLine(Ln, formatString("listener %u beyond the synthesis budget",
-                                  L2));
-        return;
-      }
-      noteRepair(formatString(
-          "listener %u undeclared; synthesized a placeholder", L2));
-    }
     admitRecord(Rec, Repaired, RepairNote, Ln);
     return;
   }
@@ -1243,7 +1178,7 @@ Status SalvageMachine::finish(Trace &Out, IngestReport &ReportOut) {
   // Strict mode skips this: an unended task is legal in a validated
   // trace (the runtime stops logging after a fixed interaction window),
   // so strict accepts it unchanged.
-  if (!Failed && !Opt.Strict && Opt.RepairTruncation) {
+  if (!Failed && !Opt.Strict) {
     for (uint32_t I = 0, E = static_cast<uint32_t>(T.numTasks()); I != E;
          ++I) {
       if (!States[I].Begun || States[I].Ended)

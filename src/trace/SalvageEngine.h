@@ -169,6 +169,8 @@ private:
   };
   std::vector<TaskState> States;
   std::vector<bool> EventSent;
+  /// Per side-table entry: a placeholder synthesized for a dangling
+  /// reference that no declaration has backfilled yet.
   std::vector<bool> SynthTask;
   std::vector<bool> SynthQueue;
   std::vector<bool> SynthMethod;
@@ -183,17 +185,32 @@ private:
   void incident(size_t Ln, const std::string &Msg);
   void dropLine(size_t Ln, const std::string &Msg);
 
-  // --- Side-table growth ------------------------------------------------
-  bool budgetFor(uint64_t Needed);
-  void pushTask(const TaskInfo &Info, bool Synth);
-  void pushQueue(const QueueInfo &Info, bool Synth);
-  void pushMethod(const MethodInfo &Info, bool Synth);
-  void pushListener(const ListenerInfo &Info, bool Synth);
-  bool padTasks(uint64_t Count);
-  bool padQueues(uint64_t Count);
-  bool padMethods(uint64_t Count);
-  bool padListeners(uint64_t Count);
-  bool notePaddedGap(bool Padded, size_t Ln, const char *What, uint32_t Id);
+  // --- Side tables: one policy, parameterized by table ------------------
+  /// How the policy reaches the side table of \p InfoT (TaskInfo,
+  /// QueueInfo, MethodInfo, ListenerInfo): its name in diagnostics, its
+  /// size and entries, its placeholder marks, and the machine state that
+  /// grows with it.  Specialized in SalvageEngine.cpp.
+  template <typename InfoT> struct Table;
+  /// Appends \p Info, a placeholder when \p Synth.
+  template <typename InfoT> void push(const InfoT &Info, bool Synth);
+  /// Grows the table to \p Count entries with placeholders.  \returns
+  /// false, growing nothing, past the synthesis budget.
+  template <typename InfoT> bool pad(uint64_t Count);
+  /// Admits the declaration of entry \p Id.  An entry already present is
+  /// re-declared, and the line dropped, unless it is a placeholder
+  /// nothing has \p Committed to, which the declaration backfills.  A
+  /// gap before \p Id is padded with placeholders within the budget;
+  /// past it the line is dropped.
+  template <typename InfoT>
+  void declare(const InfoT &Info, uint32_t Id, bool Committed, size_t Ln);
+  /// Resolves a record's reference \p Raw into the table.  An unusable
+  /// id drops the line with \p Unusable; an id past the table pads it,
+  /// noting the repair through \p Note, or drops the line past the
+  /// budget.  \p What names the reference in those diagnostics.
+  /// \returns false when the line was dropped.
+  template <typename InfoT, typename NoteFn>
+  bool resolve(uint64_t Raw, const char *Unusable, const char *What,
+               size_t Ln, NoteFn Note);
 
   // --- Record synthesis -------------------------------------------------
   void synthRecord(TaskId Task, OpKind Kind, uint64_t A0 = 0);

@@ -7,6 +7,7 @@
 
 #include "detect/UseFreeDetector.h"
 
+#include "cafa/ReportJson.h"
 #include "detect/GroundTruth.h"
 #include "trace/TraceBuilder.h"
 

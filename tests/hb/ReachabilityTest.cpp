@@ -221,9 +221,10 @@ TEST_P(ReachabilityPropertyTest, HappensBeforeIsStrictPartialOrder) {
 }
 
 TEST_P(ReachabilityPropertyTest, ProjectionAgreesWithReachesUnderEveryOracle) {
-  // Reachability::project must answer exactly what per-member reaches()
-  // answers, for member ids ascending and out of order with invalid
-  // members, under each oracle.
+  // BfsReachability::project, the one projection (the BFS rounds sweep
+  // with it), must answer exactly what per-member reaches() answers
+  // under every oracle, for member ids ascending and out of order with
+  // invalid members.
   Trace T = randomTrace(GetParam() + 311, 400);
   TaskIndex Index(T);
   HbOptions Opt;
@@ -243,30 +244,31 @@ TEST_P(ReachabilityPropertyTest, ProjectionAgreesWithReachesUnderEveryOracle) {
   for (size_t I = 0; I < Mixed.size(); I += 5)
     Mixed.insert(Mixed.begin() + static_cast<long>(I), NodeId::invalid());
 
-  for (ReachMode Mode : {ReachMode::Chain, ReachMode::Bfs}) {
-    std::unique_ptr<Reachability> Oracle;
-    if (Mode == ReachMode::Chain)
-      Oracle = std::make_unique<ChainReachability>(G);
-    else
-      Oracle = std::make_unique<BfsReachability>(G);
-    for (const std::vector<NodeId> *Members : {&Ascending, &Mixed}) {
-      NodeProjection P(*Members);
-      const size_t K = P.size(), NW = (K + 63) / 64;
-      std::vector<uint64_t> Out(NW), Want(NW);
-      for (uint32_t From = 0; From < N; From += 3) {
-        size_t Lo = R.below(K + 1);
-        bool UseWant = R.chance(1, 2);
-        for (uint64_t &W : Want)
-          W = R.next();
-        Oracle->project(NodeId(From), P, Lo, UseWant ? Want.data() : nullptr,
-                        Out.data());
-        for (size_t M = 0; M != K; ++M) {
-          bool Wanted = !UseWant || ((Want[M / 64] >> (M % 64)) & 1);
-          bool Expect = M >= Lo && Wanted && P.node(M).isValid() &&
-                        Oracle->reaches(NodeId(From), P.node(M));
-          ASSERT_EQ(((Out[M / 64] >> (M % 64)) & 1) != 0, Expect)
-              << reachModeName(Mode) << " from " << From << " member " << M
-              << (Members == &Mixed ? " (mixed)" : " (ascending)");
+  BfsReachability Bfs(G);
+  ChainReachability Chain(G);
+  ASSERT_EQ(Chain.overflow(), ChainReachability::Overflow::None);
+  for (const std::vector<NodeId> *Members : {&Ascending, &Mixed}) {
+    const size_t K = Members->size(), NW = (K + 63) / 64;
+    std::vector<uint64_t> Out(NW), Want(NW);
+    for (uint32_t From = 0; From < N; From += 3) {
+      size_t Lo = R.below(K + 1);
+      bool UseWant = R.chance(1, 2);
+      for (uint64_t &W : Want)
+        W = R.next();
+      Bfs.project(NodeId(From), *Members, Lo,
+                  UseWant ? Want.data() : nullptr, Out.data());
+      for (size_t M = 0; M != K; ++M) {
+        const NodeId To = (*Members)[M];
+        bool Wanted = !UseWant || ((Want[M / 64] >> (M % 64)) & 1);
+        bool Expect = M >= Lo && Wanted && To.isValid() &&
+                      Bfs.reaches(NodeId(From), To);
+        ASSERT_EQ(((Out[M / 64] >> (M % 64)) & 1) != 0, Expect)
+            << "from " << From << " member " << M
+            << (Members == &Mixed ? " (mixed)" : " (ascending)");
+        if (To.isValid()) {
+          ASSERT_EQ(Chain.reaches(NodeId(From), To),
+                    Bfs.reaches(NodeId(From), To))
+              << "from " << From << " member " << M;
         }
       }
     }

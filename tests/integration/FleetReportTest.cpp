@@ -139,26 +139,30 @@ FleetJobStatus job(const char *Id, const char *Trace) {
 }
 
 TEST(FleetReportTest, MergesByStaticKeyAcrossJobs) {
-  FleetAggregator Agg(/*MaxExemplars=*/2);
-  // Same static race from three jobs, a distinct one from the second.
+  FleetAggregator Agg;
+  // Same static race from four jobs, a distinct one from the second.
   RaceDocument A = oneRace("useM", 1, "freeM", 2, 3);
   RaceDocument B = oneRace("useM", 1, "freeM", 2, 4);
   B.Races.push_back(oneRace("other", 5, "freeM", 2).Races[0]);
   RaceDocument C = oneRace("useM", 1, "freeM", 2);
+  RaceDocument D = oneRace("useM", 1, "freeM", 2);
   Agg.addJob(job("j1", "a.trace"), &A);
   Agg.addJob(job("j2", "b.trace"), &B);
   Agg.addJob(job("j3", "c.trace"), &C);
+  Agg.addJob(job("j4", "d.trace"), &D);
   EXPECT_EQ(Agg.numDistinctRaces(), 2u);
 
   std::string Json = Agg.renderJson();
-  // The shared race: 3 jobs, summed dynamic count, exemplars capped at 2.
-  EXPECT_NE(Json.find("\"jobs\": 3, \"dynamicCount\": 8"),
+  // The shared race: 4 jobs, summed dynamic count, exemplars capped at
+  // FleetAggregator::MaxExemplars (3).
+  EXPECT_NE(Json.find("\"jobs\": 4, \"dynamicCount\": 9"),
             std::string::npos)
       << Json;
-  EXPECT_NE(Json.find("\"exemplars\": [\"a.trace\", \"b.trace\"]"),
+  EXPECT_NE(Json.find(
+                "\"exemplars\": [\"a.trace\", \"b.trace\", \"c.trace\"]"),
             std::string::npos)
       << Json;
-  EXPECT_EQ(Json.find("c.trace\"]"), std::string::npos) << Json;
+  EXPECT_EQ(Json.find("d.trace\"]"), std::string::npos) << Json;
   // The singleton keeps its single exemplar.
   EXPECT_NE(Json.find("\"jobs\": 1, \"dynamicCount\": 1"),
             std::string::npos)
